@@ -53,8 +53,7 @@ def parse_rational(text: str):
 
 def format_rational(value) -> str:
     """Canonical ``"p/q"`` form (lowest terms, positive denominator)."""
-    v = value if isinstance(value, (Fraction,)) or BACKEND == "fractions" else value
-    return f"{v.numerator}/{v.denominator}"
+    return f"{value.numerator}/{value.denominator}"
 
 
 def coerce(value, mode: str):
@@ -70,10 +69,6 @@ def coerce(value, mode: str):
 
 def scalar_zero(mode: str):
     return _rat(0) if mode == EXACT else 0.0
-
-
-def scalar_one(mode: str):
-    return _rat(1) if mode == EXACT else 1.0
 
 
 def inv(value):

@@ -30,8 +30,22 @@ The Ricci term of SDL enters as the scalar (m-1) c1 since space forms have
 Ric = (m-1) c g; see :func:`polyharm.spaceform.ricci_scale`.
 
 Flat-target polyharmonicity reduces to iterated flat Laplacians of the map
-components; ``polyharmonic_residual`` computes them with one exact reciprocal
-jet per point, and ``closed_form_coefficient`` supplies the independent
+components.  A is constant, so with u = x - a and f = |u|^2,
+
+    Delta^k phi(x0) = k A v,   v_j = sum_{|gamma| = k} w_gamma (u0_j q_{2 gamma} + q_{2 gamma - e_j}),
+
+where q_beta are the Taylor coefficients of 1/f at x0 and
+w_gamma = k!/gamma! * (2 gamma)!.  ``polyharmonic_orders`` builds no jets.
+With D the lcm of the denominators of u0 = x0 - a, U = D u0 and F = |U|^2,
+q_beta = D^(|beta|+2) Q_beta / F^(|beta|+1) for the integers
+
+    Q_0 = 1,   Q_beta = -2 sum_i U_i Q_(beta - e_i) - F sum_i Q_(beta - 2 e_i),
+
+run only over N_K = {beta : sum_i ceil(beta_i/2) <= K}, K the largest order:
+the coefficients Delta^K reads, a set closed under both shifts.  Each
+component is then one rational over a common denominator.  The affine branch
+(eps = 0) is the same formula with 1/f = 1, and float mode runs it over
+doubles with D = 1.  ``closed_form_coefficient`` supplies the independent
 closed form for the inversive family,
 
     Delta^k ((x_i - a_i)/|x-a|^2)
@@ -40,7 +54,9 @@ closed form for the inversive family,
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -51,6 +67,7 @@ from .errors import (
     InterpolationError,
     MapValidationError,
     PolyharmError,
+    SingularDivisionError,
 )
 from .mobius import ConformalInstance, MobiusMap
 from .rationals import EXACT, FLOAT, as_float, coerce, rational
@@ -257,45 +274,123 @@ def polyharmonic_residual(mmap: MobiusMap, order: int, x, mode: str = EXACT) -> 
 def polyharmonic_orders(
     mmap: MobiusMap, orders: Sequence[int], x, mode: str = EXACT
 ) -> dict[int, tuple]:
-    """Iterated Laplacians of the map components at several orders at once.
+    """Iterated Laplacians of the map components at several orders at once."""
+    return {k: vals for k, (vals, _) in _polyharmonic_terms(mmap, orders, x, mode).items()}
 
-    All orders share one truncation degree 2*max(orders) and, for eps = 2,
-    one exact reciprocal of |x-a|^2, the dominant cost at deep degrees.
+
+def _polyharmonic_terms(
+    mmap: MobiusMap, orders: Sequence[int], x, mode: str = EXACT
+) -> dict[int, tuple[tuple, float]]:
+    """Delta^k phi(x) per order, with the float size of the terms that cancel.
+
+    The size is |k| times the norm over j of
+    sum_gamma w_gamma (|u0_j q_{2gamma}| + |q_{2gamma - e_j}|) (plus |b| at
+    order 0): float mode calls Delta^k phi zero relative to it, because
+    where Delta^k phi vanishes its rounding error follows these terms.
     """
     orders = sorted(set(int(k) for k in orders))
     if orders and orders[0] < 0:
         raise DegreeError("orders must be >= 0")
-    top = 2 * max(orders) if orders else 0
     m = mmap.dim
-    x_jets = jets.seed(x, top, mode)
-    u = tuple(xi - ai for xi, ai in zip(x_jets, mmap.a))
-    components = []
-    for i in range(m):
-        acc = None
-        for j in range(m):
-            if mmap.A[i][j]:
-                term = u[j].scale(mmap.k * mmap.A[i][j])
-                acc = term if acc is None else acc + term
-        components.append(acc if acc is not None else x_jets[0].zero_like())
-    out: dict[int, tuple] = {}
-    if mmap.epsilon == 0:
-        for k in orders:
-            if k == 0:
-                out[k] = tuple(c.value() + bi for c, bi in zip(components, mmap.b))
-            else:
-                out[k] = tuple(jets.iterated_laplacian(c, k) for c in components)
-        return out
-    f = jets.norm_sq(u)
-    recip = x_jets[0].constant_like(1) / f
+    if mode == EXACT:
+        u0 = [coerce(xi, EXACT) - ai for xi, ai in zip(x, mmap.a)]
+        D = math.lcm(*(int(v.denominator) for v in u0))
+        U = [int(v.numerator) * (D // int(v.denominator)) for v in u0]
+        kA = [[mmap.k * v for v in row] for row in mmap.A]
+        den_A = math.lcm(*(int(v.denominator) for row in kA for v in row))
+        num_A = [[int(v.numerator) * (den_A // int(v.denominator)) for v in row] for row in kA]
+        quotient = rational
+    else:
+        D, den_A, quotient = 1, 1, operator.truediv
+        U = [coerce(xi, FLOAT) - coerce(ai, FLOAT) for xi, ai in zip(x, mmap.a)]
+        num_A = [[coerce(mmap.k * v, FLOAT) for v in row] for row in mmap.A]
+    # s = 1: phi = b + k A u/|u|^2; s = 0: phi = b + k A u, reciprocal 1
+    s = mmap.epsilon // 2
+    F = s * sum(v * v for v in U) + (1 - s) * D * D
+    if not F:
+        raise SingularDivisionError("the point lies on the singular set x = a")
+    Q, pw = _reciprocal_numerators([s * v for v in U], F, s, orders[-1] if orders else 0)
+    k_abs = abs(as_float(mmap.k))
+    out: dict[int, tuple[tuple, float]] = {}
     for k in orders:
+        N = [0] * m
+        T = [0] * m
+        for gamma, w in _iterlap_weights(m, k):
+            key = sum(2 * g * p for g, p in zip(gamma, pw))
+            q = Q[key]
+            for j in range(m):
+                t1 = U[j] * q
+                t2 = F * Q[key - pw[j]] if gamma[j] else 0
+                N[j] += w * (t1 + t2)
+                T[j] += w * (abs(t1) + abs(t2))
+        c = D ** (2 * k + 1)
+        den = F ** (2 * k + 1)
+        vals = tuple(
+            quotient(c * sum(a * n for a, n in zip(row, N)), den_A * den) for row in num_A
+        )
+        scale = k_abs * _norm(T) * (c / den)
         if k == 0:
-            out[k] = tuple(
-                c.value() * recip.value() + bi for c, bi in zip(components, mmap.b)
-            )
-        else:
-            out[k] = tuple(
-                jets.iterated_laplacian_product(c, recip, k) for c in components
-            )
+            vals = tuple(v + coerce(bi, mode) for v, bi in zip(vals, mmap.b))
+            scale += _norm(mmap.b)
+        out[k] = (vals, scale)
+    return out
+
+
+def _reciprocal_numerators(G, F, s: int, top: int) -> tuple[dict[int, object], list[int]]:
+    """Numerators Q_beta of the Taylor coefficients of 1/f over N_top.
+
+    For f(x0 + h) = (F + 2 D G.h + s D^2 |h|^2) / D^2 the coefficients are
+    q_beta = D^(|beta|+2) Q_beta / F^(|beta|+1), where Q_0 = 1 and
+
+        Q_beta = -2 sum_i G_i Q_(beta - e_i) - s F sum_i Q_(beta - 2 e_i),
+
+    integers when G and F are.  Delta^k reads q only on
+    N_k = {beta : sum_i ceil(beta_i/2) <= k}, which is closed under
+    beta - e_i and beta - 2 e_i, so the recurrence runs there alone.
+    Returns Q keyed by sum_i beta_i pw_i, and the place values
+    pw_i = (2 top + 1)^i.
+    """
+    pw = [(2 * top + 1) ** i for i in range(len(G))]
+    sF = s * F
+    Q = {0: 1}
+    for key, ones, twos in _needed_set(pw, top)[1:]:
+        acc = 0
+        for i in ones:
+            acc += G[i] * Q[key - pw[i]]
+        acc2 = 0
+        for i in twos:
+            acc2 += Q[key - 2 * pw[i]]
+        Q[key] = -2 * acc - sF * acc2
+    return Q, pw
+
+
+def _needed_set(pw: list[int], top: int) -> list[tuple[int, tuple, tuple]]:
+    """(key, {i : beta_i >= 1}, {i : beta_i >= 2}) over N_top in key order."""
+    entries = [(0, top, (), ())]
+    for i, p in enumerate(pw):
+        grown = []
+        for b in range(2 * top + 1):
+            cost = (b + 1) // 2
+            one = (i,) if b >= 1 else ()
+            two = (i,) if b >= 2 else ()
+            for key, left, ones, twos in entries:
+                if left >= cost:
+                    grown.append((key + b * p, left - cost, ones + one, twos + two))
+        entries = grown
+    return [(key, ones, twos) for key, _, ones, twos in entries]
+
+
+def _iterlap_weights(m: int, k: int) -> list[tuple[tuple, int]]:
+    """(gamma, k!/gamma! * (2 gamma)!) over |gamma| = k, as in jets.iterlap_targets."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(m), k):
+        gamma = tuple(combo.count(i) for i in range(m))
+        w = math.factorial(k)
+        for g in gamma:
+            w //= math.factorial(g)
+        for g in gamma:
+            w *= math.factorial(2 * g)
+        out.append((gamma, w))
     return out
 
 

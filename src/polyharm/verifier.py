@@ -501,6 +501,11 @@ def sweep_biharmonic(
     A cell matches only when every trial's properness agrees with the truth
     table; exact arithmetic admits no majority voting.
     """
+    m_values = _window("m", m_values)
+    pairs = _window("curvature pair", pairs)
+    eps_values = _window("eps", eps_values)
+    _require_dimensions(m_values)
+    _require_samples(trials, points)
     cells = []
     for m in m_values:
         for c1, c2 in pairs:
@@ -560,10 +565,10 @@ def expected_polyharmonic_zero(m: int, order: int) -> bool:
 
 
 def _values_zero(values, mode: str, tol: float, scale: float) -> bool:
+    """Exact: literally zero.  Float: norm at most tol times the term scale."""
     if mode == EXACT:
         return all(v == 0 for v in values)
-    nrm = residuals._norm(values)
-    return nrm <= tol * max(scale, 1.0)
+    return residuals._norm(values) <= tol * scale
 
 
 def sweep_polyharmonic(
@@ -579,9 +584,16 @@ def sweep_polyharmonic(
     inversive family, with the closed form as a per-cell cross-check.
 
     One point per trial is the default: the verdict is exact and the closed
-    form is an independent route at the same point, while each extra point
-    costs a fresh reciprocal jet (the dominant work at high order).
+    form is an independent route at the same point.  In float mode all three
+    tests (zero at order k, zero at order k - 1, closed-form match) are
+    relative to the size of the terms that cancel in Delta^k phi.
     """
+    orders = _window("order", orders)
+    m_values = _window("m", m_values)
+    if min(orders) < 1:
+        raise ConfigError(f"orders must be >= 1, got {min(orders)}")
+    _require_dimensions(m_values)
+    _require_samples(trials, points)
     cells = []
     for order in orders:
         for m in m_values:
@@ -591,31 +603,21 @@ def sweep_polyharmonic(
             for t in range(trials):
                 rng = random.Random(f"polyharm:ph:{seed}:{order}:{m}:{t}")
                 mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=t)
-                pts = [_flat_sample_point(rng, mmap) for _ in range(max(points, 1))]
+                pts = [_flat_sample_point(rng, mmap) for _ in range(points)]
                 zero_k = True
                 zero_prev = True
                 closed_match = True
                 for x in pts:
-                    vals = residuals.polyharmonic_orders(mmap, (order - 1, order), x, mode)
+                    terms = residuals._polyharmonic_terms(mmap, (order - 1, order), x, mode)
+                    vals, scale = terms[order]
+                    prev, prev_scale = terms[order - 1]
                     closed = residuals.polyharmonic_closed_form(mmap, order, x)
-                    if mode == EXACT:
-                        closed_match &= tuple(vals[order]) == tuple(closed)
-                        scale = 0.0
-                    else:
-                        scale = residuals._norm([as_float(c) for c in closed])
-                        closed_match &= (
-                            residuals._norm(
-                                [v - as_float(c) for v, c in zip(vals[order], closed)]
-                            )
-                            <= tol * max(scale, 1.0)
-                        )
-                    zero_k &= _values_zero(vals[order], mode, tol, scale)
-                    if order >= 2:
-                        prev_closed = residuals.polyharmonic_closed_form(mmap, order - 1, x)
-                        prev_scale = residuals._norm([as_float(c) for c in prev_closed])
-                    else:
-                        prev_scale = 1.0
-                    zero_prev &= _values_zero(vals[order - 1], mode, tol, prev_scale)
+                    if mode == FLOAT:
+                        closed = [as_float(c) for c in closed]
+                    diff = [v - c for v, c in zip(vals, closed)]
+                    closed_match &= _values_zero(diff, mode, tol, scale)
+                    zero_k &= _values_zero(vals, mode, tol, scale)
+                    zero_prev &= _values_zero(prev, mode, tol, prev_scale)
                 trial_out.append(
                     {
                         "map": _map_dict(mmap),
@@ -645,6 +647,28 @@ def sweep_polyharmonic(
         "all_match": all(c["match"] for c in cells),
         "trials": trials,
     }
+
+
+def _window(name: str, values: Iterable) -> tuple:
+    """A sweep axis as a tuple; an empty one would make the sweep pass vacuously."""
+    values = tuple(values)
+    if not values:
+        raise ConfigError(f"empty {name} window")
+    return values
+
+
+def _require_dimensions(m_values: tuple) -> None:
+    # both classifications are stated for m >= 3; in the plane every
+    # conformal map is harmonic, which the residual equations do not see
+    if min(m_values) < 3:
+        raise ConfigError(f"the classification tables need m >= 3, got {min(m_values)}")
+
+
+def _require_samples(trials: int, points: int) -> None:
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if points < 1:
+        raise ConfigError(f"points must be >= 1, got {points}")
 
 
 def _flat_sample_point(rng: random.Random, mmap: MobiusMap) -> tuple:

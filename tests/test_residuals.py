@@ -1,13 +1,15 @@
 """Residual evaluators: conservation law, identity chain, closed forms."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from polyharm import jets
 from polyharm.errors import InterpolationError
 from polyharm.jets import laplacian, seed
 from polyharm.mobius import ConformalInstance, MobiusMap, conformal_factor
-from polyharm.rationals import FLOAT, rational
+from polyharm.rationals import EXACT, FLOAT, coerce, rational
 from polyharm.residuals import (
     closed_form_coefficient,
     evaluate_residuals,
@@ -22,7 +24,7 @@ from polyharm.residuals import (
     residual_SDL,
 )
 from polyharm.spaceform import SpaceFormModel, grad_norm_sq_bar, inv_sigma_jet, laplace_beltrami
-from polyharm.verifier import CURVATURE_PAIRS, radial_classification_check
+from polyharm.verifier import CURVATURE_PAIRS, radial_classification_check, random_mobius
 
 from conftest import make_instance, rand_point, rand_rat, rng_for
 
@@ -221,6 +223,54 @@ class TestPolyharmonic:
         for order in (1, 2, 3):
             got = polyharmonic_residual(mmap, order, pt)
             assert tuple(got) == tuple(polyharmonic_closed_form(mmap, order, pt))
+
+
+def _jet_route(mmap, orders, x, mode=EXACT):
+    """Delta^k phi(x) the generic way: dense jets of degree 2K, 1/|u|^2 by jet
+    division, and the iterated Laplacian of each component times it."""
+    m = mmap.dim
+    xs = seed(x, 2 * max(orders), mode)
+    u = [xi - ai for xi, ai in zip(xs, mmap.a)]
+    recip = 1 / jets.norm_sq(u) if mmap.epsilon == 2 else xs[0].constant_like(1)
+    comps = []
+    for row in mmap.A:
+        c = xs[0].zero_like()
+        for aij, uj in zip(row, u):
+            c = c + uj * (mmap.k * aij)
+        comps.append(c)
+    out = {}
+    for k in orders:
+        vals = [jets.iterated_laplacian_product(c, recip, k) for c in comps]
+        if k == 0:
+            vals = [v + coerce(bi, mode) for v, bi in zip(vals, mmap.b)]
+        out[k] = tuple(vals)
+    return out
+
+
+class TestPolyharmonicJetOracle:
+    """The jet-free kernel against the dense jet route it replaced."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("style", [0, 1, 2])
+    @pytest.mark.parametrize("eps", [0, 2])
+    def test_exact_equal(self, m, style, eps):
+        rng = rng_for(f"ph-oracle-{m}-{style}-{eps}")
+        mmap = random_mobius(rng, m, SpaceFormModel.flat(m), eps, style=style)
+        pt = tuple(ai + rand_rat(rng, 2, 3, nonzero=True) for ai in mmap.a)
+        orders = (0, 1, 2, 3)
+        assert polyharmonic_orders(mmap, orders, pt) == _jet_route(mmap, orders, pt)
+
+    def test_float_within_relative_tolerance(self):
+        rng = rng_for("ph-oracle-float")
+        mmap = random_mobius(rng, 7, SpaceFormModel.flat(7), 2, style=2)
+        pt = tuple(float(ai + rand_rat(rng, 2, 3, nonzero=True)) for ai in mmap.a)
+        got = polyharmonic_orders(mmap, (1, 2, 3), pt, FLOAT)
+        want = _jet_route(mmap, (1, 2, 3), pt, FLOAT)
+        for k in (1, 2, 3):
+            scale = math.sqrt(sum(v * v for v in want[k]))
+            assert scale > 0
+            diff = math.sqrt(sum((a - b) ** 2 for a, b in zip(got[k], want[k])))
+            assert diff <= 1e-12 * scale
 
 
 class TestClosedFormCoefficient:

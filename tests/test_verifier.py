@@ -241,6 +241,58 @@ class TestSweeps:
             assert not cell["trials"][0]["zero"] and cell["match"]
 
 
+    @pytest.mark.parametrize(
+        "order, m, seed",
+        [(5, 4, 25), (5, 4, 34), (5, 4, 42), (4, 4, 35), (3, 4, 342), (3, 4, 1297)],
+    )
+    def test_float_zero_cells_judged_against_term_scale(self, order, m, seed):
+        # near the pole |Delta^k phi| rounds above an absolute 1e-9 on these
+        # seeds; relative to the terms that cancel it is at rounding level
+        body = sweep_polyharmonic(
+            orders=(order,), m_values=(m,), trials=1, seed=seed, points=1, mode=FLOAT
+        )
+        (cell,) = body["cells"]
+        (t,) = cell["trials"]
+        assert t["zero"] is True
+        assert t["proper"] is (m == 2 * order)
+        assert t["closed_form_match"] is True
+        assert cell["match"]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"m_values": ()},
+            {"m_values": (2, 3)},
+            {"pairs": ()},
+            {"eps_values": ()},
+            {"trials": 0},
+            {"points": 0},
+        ],
+    )
+    def test_degenerate_biharmonic_arguments_rejected(self, kwargs):
+        args = {"m_values": (4,), "pairs": ((0, 0),), "eps_values": (2,), "trials": 1, "points": 1}
+        args.update(kwargs)
+        with pytest.raises(ConfigError):
+            sweep_biharmonic(**args)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"orders": ()},
+            {"m_values": ()},
+            {"orders": (0, 1)},
+            {"m_values": (2, 3)},
+            {"trials": 0},
+            {"points": 0},
+        ],
+    )
+    def test_degenerate_polyharmonic_arguments_rejected(self, kwargs):
+        args = {"orders": (1,), "m_values": (3,), "trials": 1, "points": 1}
+        args.update(kwargs)
+        with pytest.raises(ConfigError):
+            sweep_polyharmonic(**args)
+
+
 class TestSelftest:
     def test_passes_in_exact_mode(self):
         body = selftest()
@@ -365,6 +417,25 @@ class TestCli:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 18  # 9 curvature pairs x 2 branches
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-biharmonic", "--trials", "0"],
+            ["sweep-biharmonic", "--points", "0"],
+            ["sweep-biharmonic", "--m-min", "5", "--m-max", "4"],
+            ["sweep-biharmonic", "--m-min", "2", "--m-max", "2", "--trials", "1"],
+            ["sweep-polyharmonic", "--trials", "0"],
+            ["sweep-polyharmonic", "--points", "0"],
+            ["sweep-polyharmonic", "--k-min", "3", "--k-max", "2"],
+            ["sweep-polyharmonic", "--m-min", "5", "--m-max", "4"],
+            ["sweep-polyharmonic", "--k-min", "0", "--k-max", "1"],
+            ["sweep-polyharmonic", "--m-min", "2", "--m-max", "3", "--k-max", "1"],
+        ],
+    )
+    def test_degenerate_sweep_arguments_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_identical_seeds_identical_bytes(self, tmp_path, capsys):
         cfg = _write(tmp_path, _inversion_config())
