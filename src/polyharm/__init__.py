@@ -11,7 +11,6 @@ conformal factors, :mod:`polyharm.residuals` the PDE residual evaluators, and
 from .jets import (
     Jet,
     JetSpace,
-    div,
     iterated_laplacian,
     laplacian,
     multi_indices,
@@ -61,7 +60,6 @@ __all__ = [
     "SamplePlan",
     "SpaceFormModel",
     "closed_form_coefficient",
-    "div",
     "emit_report",
     "evaluate_residuals",
     "harmonicity_flag",

@@ -46,12 +46,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="evaluate residuals for configured instances")
     p_check.add_argument("config", type=Path)
     _add_common(p_check)
+    p_check.set_defaults(run=_check)
 
     p_bh = sub.add_parser("sweep-biharmonic", help="verdict table over (m, curvatures, branch)")
     p_bh.add_argument("--m-min", type=int, default=3)
     p_bh.add_argument("--m-max", type=int, default=8)
     p_bh.add_argument("--trials", type=int, default=3)
     _add_common(p_bh)
+    p_bh.set_defaults(run=_sweep_biharmonic, seed=0, points=5)
 
     p_ph = sub.add_parser("sweep-polyharmonic", help="iterated-Laplacian table over (order, m)")
     p_ph.add_argument("--k-min", type=int, default=1)
@@ -60,20 +62,71 @@ def build_parser() -> argparse.ArgumentParser:
     p_ph.add_argument("--m-max", type=int, default=12)
     p_ph.add_argument("--trials", type=int, default=1)
     _add_common(p_ph)
+    p_ph.set_defaults(run=_sweep_polyharmonic, seed=0, points=1)
 
     p_self = sub.add_parser("selftest", help="run the invariant suites")
     _add_common(p_self)
+    p_self.set_defaults(run=_selftest)
 
     return parser
 
 
-def _resolve_tol(args) -> float:
+# Each subcommand's ``run`` returns (report seed, report body, all as expected).
+
+
+def _check(args, tol):
+    configured, plan = verifier.load_config(args.config)
+    plan = plan.with_overrides(seed=args.seed, count=args.points)
+    body = verifier.check_report_body(configured, plan, mode=args.mode, tol=tol)
+    return plan.seed, body, body["all_match"]
+
+
+def _sweep_biharmonic(args, tol):
+    body = verifier.sweep_biharmonic(
+        m_values=range(args.m_min, args.m_max + 1),
+        trials=args.trials,
+        seed=args.seed,
+        points=args.points,
+        mode=args.mode,
+        tol=tol,
+    )
+    return args.seed, body, body["all_match"]
+
+
+def _sweep_polyharmonic(args, tol):
+    body = verifier.sweep_polyharmonic(
+        orders=range(args.k_min, args.k_max + 1),
+        m_values=range(args.m_min, args.m_max + 1),
+        trials=args.trials,
+        seed=args.seed,
+        points=args.points,
+        mode=args.mode,
+        tol=tol,
+    )
+    return args.seed, body, body["all_match"]
+
+
+def _selftest(args, tol):
+    body = verifier.selftest(mode=args.mode, tol=tol)
+    return None, body, body["all_ok"]
+
+
+def _run(args) -> int:
+    """Run one subcommand and print or write its report; returns the exit code."""
     if args.tol is not None and args.mode != FLOAT:
         raise ConfigError("--tol only applies to --mode float")
-    return DEFAULT_FLOAT_TOL if args.tol is None else args.tol
-
-
-def _finish(args, report: verifier.ResidualReport) -> int:
+    tol = DEFAULT_FLOAT_TOL if args.tol is None else args.tol
+    t0 = time.perf_counter()
+    seed, body, ok = args.run(args, tol)
+    report = verifier.ResidualReport(
+        kind=args.command,
+        mode=args.mode,
+        seed=seed,
+        body=body,
+        exit_code=0 if ok else 1,
+        timing=time.perf_counter() - t0,
+        tol=tol if args.mode == FLOAT else None,
+    )
     fmt = args.format or (args.out.suffix.lstrip(".") if args.out and args.out.suffix in (".json", ".csv") else None)
     if args.out is not None:
         out = args.out
@@ -87,105 +140,12 @@ def _finish(args, report: verifier.ResidualReport) -> int:
     return report.exit_code
 
 
-def _cmd_check(args) -> int:
-    tol = _resolve_tol(args)
-    configured, plan = verifier.load_config(args.config)
-    plan = plan.with_overrides(seed=args.seed, count=args.points)
-    t0 = time.perf_counter()
-    body = verifier.check_report_body(configured, plan, mode=args.mode, tol=tol)
-    exit_code = 0 if body["all_match"] else 1
-    report = verifier.ResidualReport(
-        kind="check",
-        mode=args.mode,
-        seed=plan.seed,
-        body=body,
-        exit_code=exit_code,
-        timing=time.perf_counter() - t0,
-        tol=tol if args.mode == FLOAT else None,
-    )
-    return _finish(args, report)
-
-
-def _cmd_sweep_biharmonic(args) -> int:
-    tol = _resolve_tol(args)
-    seed = args.seed if args.seed is not None else 0
-    points = args.points if args.points is not None else 5
-    t0 = time.perf_counter()
-    body = verifier.sweep_biharmonic(
-        m_values=range(args.m_min, args.m_max + 1),
-        trials=args.trials,
-        seed=seed,
-        points=points,
-        mode=args.mode,
-        tol=tol,
-    )
-    report = verifier.ResidualReport(
-        kind="sweep-biharmonic",
-        mode=args.mode,
-        seed=seed,
-        body=body,
-        exit_code=0 if body["all_match"] else 1,
-        timing=time.perf_counter() - t0,
-        tol=tol if args.mode == FLOAT else None,
-    )
-    return _finish(args, report)
-
-
-def _cmd_sweep_polyharmonic(args) -> int:
-    tol = _resolve_tol(args)
-    seed = args.seed if args.seed is not None else 0
-    t0 = time.perf_counter()
-    body = verifier.sweep_polyharmonic(
-        orders=range(args.k_min, args.k_max + 1),
-        m_values=range(args.m_min, args.m_max + 1),
-        trials=args.trials,
-        seed=seed,
-        points=args.points if args.points is not None else 1,
-        mode=args.mode,
-        tol=tol,
-    )
-    report = verifier.ResidualReport(
-        kind="sweep-polyharmonic",
-        mode=args.mode,
-        seed=seed,
-        body=body,
-        exit_code=0 if body["all_match"] else 1,
-        timing=time.perf_counter() - t0,
-        tol=tol if args.mode == FLOAT else None,
-    )
-    return _finish(args, report)
-
-
-def _cmd_selftest(args) -> int:
-    tol = _resolve_tol(args)
-    t0 = time.perf_counter()
-    body = verifier.selftest(mode=args.mode, tol=tol)
-    report = verifier.ResidualReport(
-        kind="selftest",
-        mode=args.mode,
-        seed=None,
-        body=body,
-        exit_code=0 if body["all_ok"] else 1,
-        timing=time.perf_counter() - t0,
-        tol=tol if args.mode == FLOAT else None,
-    )
-    return _finish(args, report)
-
-
-_HANDLERS = {
-    "check": _cmd_check,
-    "sweep-biharmonic": _cmd_sweep_biharmonic,
-    "sweep-polyharmonic": _cmd_sweep_polyharmonic,
-    "selftest": _cmd_selftest,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
-        return _HANDLERS[args.command](args)
+        return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -178,7 +178,7 @@ class JetSpace:
         """
         targets = self._iterlap.get(order)
         if targets is None:
-            gammas = [g for g in _multi_indices(self.dim, order) if sum(g) == order]
+            gammas = [g for g in multi_indices(self.dim, order) if sum(g) == order]
             targets = []
             for g in gammas:
                 tau = tuple(2 * v for v in g)
@@ -192,14 +192,10 @@ class JetSpace:
         return targets
 
 
-def _multi_indices(m: int, D: int) -> list[MultiIndex]:
-    space = JetSpace.get(m, D)
-    return [tuple(int(v) for v in row) for row in space.exponents]
-
-
 def multi_indices(m: int, D: int) -> list[MultiIndex]:
     """All multi-indices with |beta| <= D in graded lexicographic order."""
-    return _multi_indices(m, D)
+    space = JetSpace.get(m, D)
+    return [tuple(int(v) for v in row) for row in space.exponents]
 
 
 class Jet:
@@ -439,11 +435,6 @@ def seed(x0: Sequence, degree: int, mode: str = EXACT) -> tuple[Jet, ...]:
             coeffs[space.grad_positions()[i]] = coerce(1, mode)
         jets.append(Jet(space, mode, pt, coeffs))
     return tuple(jets)
-
-
-def div(a: Jet, b: Jet) -> Jet:
-    """Quotient jet a/b; exact in exact mode, error if b(x0) = 0."""
-    return a / b
 
 
 def partial(j: Jet, axis: int) -> Jet:

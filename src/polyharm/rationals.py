@@ -1,31 +1,27 @@
 """Scalar backend for the two computation modes.
 
-Exact mode works on arbitrary-precision rationals; gmpy2's mpq is used when
-importable (it is an order of magnitude faster on the deep truncation degrees
-the polyharmonic sweeps need) with ``fractions.Fraction`` as a drop-in
-fallback.  Float mode uses plain doubles and exists for speed and for
+Exact mode works on arbitrary-precision rationals: ``fractions.Fraction``,
+or gmpy2's mpq where gmpy2 is importable.  The rationals carry the degree-3
+biharmonic jets and the reports; the deep polyharmonic degrees run on Python
+ints (see :mod:`polyharm.residuals`) and meet a rational only once per
+component.  Float mode uses plain doubles and exists for speed and for
 finite-difference cross-validation only.  A computation never mixes modes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 try:
     from gmpy2 import mpq as _rat
 
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
+    BACKEND = "gmpy2"  # pragma: no cover - runs only where gmpy2 is installed
+except ImportError:
     _rat = Fraction
     BACKEND = "fractions"
 
 EXACT = "exact"
 FLOAT = "float"
-MODES = (EXACT, FLOAT)
-
-Rational = Union[Fraction, type(_rat(0))]
-Scalar = Union[Rational, float]
 
 
 def rational(value=0, den=None):

@@ -88,11 +88,10 @@ class ResidualVector:
 
     ``scale`` is the sum of Euclidean norms of the equation's constituent
     terms; raw tolerances would be meaningless across lambda^4-sized terms.
-    In exact mode ``exact_zero`` means literally zero.  In float mode it means
-    ``norm <= tol * scale``, except when the scale itself sits at the machine
-    noise floor (every term structurally zero, e.g. the flat inversive family
-    in dimension 4, whose Laplacian term vanishes identically): then the
-    verdict compares the norm against that floor instead.
+    ``exact_zero`` is the verdict of :func:`vanishes`.  Every term of these
+    equations can vanish identically (e.g. the flat inversive family in
+    dimension 4, whose Laplacian term does), so the bundle passes the floor
+    that marks a scale of pure machine noise.
     """
 
     label: str
@@ -107,18 +106,29 @@ def _norm(values) -> float:
     return math.sqrt(sum(as_float(v) ** 2 for v in values))
 
 
+def vanishes(values, scale: float, mode: str, tol: float, floor: float = 0.0) -> bool:
+    """The zero decision every verdict rests on.
+
+    Exact mode: every value is literally zero.  Float mode: the norm is at
+    most ``tol`` times ``scale``, the size of the terms that cancel in
+    ``values``, since where the values vanish their rounding error follows
+    those terms.  A caller whose terms can all vanish identically passes the
+    noise ``floor`` of their size: a scale at or below it is rounding noise
+    itself, the relative test would be 0/0, and the norm is held to the floor.
+    """
+    if mode == EXACT:
+        return all(v == 0 for v in values)
+    nrm = _norm(values)
+    return nrm <= tol * scale if scale > floor else nrm <= floor
+
+
 def _bundle(label, point, term_vectors, mode, tol, ambient=1.0) -> ResidualVector:
     m = len(term_vectors[0])
     values = tuple(sum(t[i] for t in term_vectors) for i in range(m))
     scale = sum(_norm(t) for t in term_vectors)
-    nrm = _norm(values)
-    if mode == EXACT:
-        zero = all(v == 0 for v in values)
-    else:
-        floor = _DEGENERATE_SCALE_EPS * ambient**4
-        zero = nrm <= tol * scale if scale > floor else nrm <= floor
+    zero = vanishes(values, scale, mode, tol, _DEGENERATE_SCALE_EPS * ambient**4)
     return ResidualVector(
-        label=label, point=tuple(point), values=values, exact_zero=zero, norm=nrm, scale=scale
+        label=label, point=tuple(point), values=values, exact_zero=zero, norm=_norm(values), scale=scale
     )
 
 
@@ -285,8 +295,7 @@ def _polyharmonic_terms(
 
     The size is |k| times the norm over j of
     sum_gamma w_gamma (|u0_j q_{2gamma}| + |q_{2gamma - e_j}|) (plus |b| at
-    order 0): float mode calls Delta^k phi zero relative to it, because
-    where Delta^k phi vanishes its rounding error follows these terms.
+    order 0), the scale :func:`vanishes` judges Delta^k phi against.
     """
     orders = sorted(set(int(k) for k in orders))
     if orders and orders[0] < 0:

@@ -33,7 +33,7 @@ from .mobius import ConformalInstance, MobiusMap
 from .rationals import (
     EXACT,
     FLOAT,
-    as_float,
+    coerce,
     format_rational,
     parse_rational,
     rational,
@@ -72,6 +72,11 @@ class SamplePlan:
     radius: object | None = None  # rational; per-domain default when None
     exclusion: object = Fraction(1, 8)
     points: tuple | None = None  # explicit rational points override sampling
+
+    def __post_init__(self):
+        _require_samples(points=self.count)
+        if self.points is not None:
+            _require_samples(points=len(self.points))
 
     def with_overrides(self, seed=None, count=None) -> "SamplePlan":
         return SamplePlan(
@@ -182,6 +187,7 @@ def _parse_instance(obj, where: str) -> ConfiguredInstance:
         instance = ConformalInstance(domain=domain, target=target, map=mmap)
     except PolyharmError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    _require_dimensions((instance.dim,))
     expect = obj.get("expect")
     if expect is not None and expect not in (
         "harmonic",
@@ -255,7 +261,7 @@ def sample_points(plan: SamplePlan, instance: ConformalInstance) -> list[tuple]:
     m = instance.dim
     found: list[tuple] = []
     seen = set()
-    budget = _REJECTION_FACTOR * max(plan.count, 1)
+    budget = _REJECTION_FACTOR * plan.count
     for _ in range(budget):
         x = tuple(
             radius * rational(rng.randint(-_POINT_MAX_DEN, _POINT_MAX_DEN), _POINT_MAX_DEN)
@@ -308,13 +314,14 @@ def _rv_dict(rv: residuals.ResidualVector, mode: str, include_values: bool) -> d
 # -- check ---------------------------------------------------------------------
 
 
-def _verdict(points_out: list[dict]) -> tuple[str, list[str]]:
+def _verdict(evals: list[dict]) -> tuple[str, list[str]]:
+    """Classify one instance from its ``evaluate_residuals`` results."""
     warnings: list[str] = []
-    if not all(p["residuals"]["CL"]["exact_zero"] for p in points_out):
+    if not all(e["CL"].exact_zero for e in evals):
         return "factor-constraint-violated", ["conformal factor constraint failed"]
-    if all(p["harmonic"] for p in points_out):
+    if all(e["harmonic"] for e in evals):
         return "harmonic", warnings
-    sdl_zero = [p["residuals"]["SDL"]["exact_zero"] for p in points_out]
+    sdl_zero = [e["SDL"].exact_zero for e in evals]
     if all(sdl_zero):
         return "proper-biharmonic", warnings
     zeros = sum(sdl_zero)
@@ -336,30 +343,32 @@ def run_check(
 ) -> dict:
     """Evaluate the full residual battery and classify one instance."""
     pts = sample_points(plan, instance)
+    evals = []
     points_out = []
     skipped: list[str] = []
     for x in pts:
         try:
-            evals = residuals.evaluate_residuals(instance, x, mode, tol)
+            e = residuals.evaluate_residuals(instance, x, mode, tol)
         except PolyharmError as exc:
             # admissibility screening makes this unreachable for seeded plans,
             # but explicit plan points can graze singular sets in float mode
             log.warning("skipping point %s: %s", _point_list(x), exc)
             skipped.append(f"skipped {' '.join(_point_list(x))}: {exc}")
             continue
+        evals.append(e)
         points_out.append(
             {
                 "point": _point_list(x),
-                "harmonic": evals["harmonic"],
+                "harmonic": e["harmonic"],
                 "residuals": {
-                    name: _rv_dict(evals[name], mode, include_values)
+                    name: _rv_dict(e[name], mode, include_values)
                     for name in ("CL", "SDL", "ND", "ND2")
                 },
             }
         )
-    if not points_out:
+    if not evals:
         raise AdmissibleRegionError("every sampled point was skipped")
-    verdict, warnings = _verdict(points_out)
+    verdict, warnings = _verdict(evals)
     warnings = skipped + warnings
     out = {
         "domain": _model_dict(instance.domain),
@@ -505,7 +514,7 @@ def sweep_biharmonic(
     pairs = _window("curvature pair", pairs)
     eps_values = _window("eps", eps_values)
     _require_dimensions(m_values)
-    _require_samples(trials, points)
+    _require_samples(trials=trials, points=points)
     cells = []
     for m in m_values:
         for c1, c2 in pairs:
@@ -515,20 +524,9 @@ def sweep_biharmonic(
                 for t in range(trials):
                     tag = f"polyharm:bh:{seed}:{m}:{c1}:{c2}:{epsilon}:{t}"
                     instance, pts = _sweep_instance(tag, m, c1, c2, epsilon, t, points)
-                    evals = [
-                        residuals.evaluate_residuals(instance, x, mode, tol) for x in pts
-                    ]
-                    points_out = [
-                        {
-                            "harmonic": e["harmonic"],
-                            "residuals": {
-                                name: {"exact_zero": e[name].exact_zero}
-                                for name in ("CL", "SDL", "ND", "ND2")
-                            },
-                        }
-                        for e in evals
-                    ]
-                    verdict, _ = _verdict(points_out)
+                    verdict, _ = _verdict(
+                        [residuals.evaluate_residuals(instance, x, mode, tol) for x in pts]
+                    )
                     trial_out.append(
                         {
                             "map": _map_dict(instance.map),
@@ -564,13 +562,6 @@ def expected_polyharmonic_zero(m: int, order: int) -> bool:
     return m % 2 == 0 and m <= 2 * order
 
 
-def _values_zero(values, mode: str, tol: float, scale: float) -> bool:
-    """Exact: literally zero.  Float: norm at most tol times the term scale."""
-    if mode == EXACT:
-        return all(v == 0 for v in values)
-    return residuals._norm(values) <= tol * scale
-
-
 def sweep_polyharmonic(
     orders: Iterable[int] = range(1, 6),
     m_values: Iterable[int] = range(3, 13),
@@ -584,16 +575,14 @@ def sweep_polyharmonic(
     inversive family, with the closed form as a per-cell cross-check.
 
     One point per trial is the default: the verdict is exact and the closed
-    form is an independent route at the same point.  In float mode all three
-    tests (zero at order k, zero at order k - 1, closed-form match) are
-    relative to the size of the terms that cancel in Delta^k phi.
+    form is an independent route at the same point.
     """
     orders = _window("order", orders)
     m_values = _window("m", m_values)
     if min(orders) < 1:
         raise ConfigError(f"orders must be >= 1, got {min(orders)}")
     _require_dimensions(m_values)
-    _require_samples(trials, points)
+    _require_samples(trials=trials, points=points)
     cells = []
     for order in orders:
         for m in m_values:
@@ -608,16 +597,10 @@ def sweep_polyharmonic(
                 zero_prev = True
                 closed_match = True
                 for x in pts:
-                    terms = residuals._polyharmonic_terms(mmap, (order - 1, order), x, mode)
-                    vals, scale = terms[order]
-                    prev, prev_scale = terms[order - 1]
-                    closed = residuals.polyharmonic_closed_form(mmap, order, x)
-                    if mode == FLOAT:
-                        closed = [as_float(c) for c in closed]
-                    diff = [v - c for v, c in zip(vals, closed)]
-                    closed_match &= _values_zero(diff, mode, tol, scale)
-                    zero_k &= _values_zero(vals, mode, tol, scale)
-                    zero_prev &= _values_zero(prev, mode, tol, prev_scale)
+                    z_k, z_prev, z_closed = _polyharmonic_point(mmap, order, x, mode, tol)
+                    zero_k &= z_k
+                    zero_prev &= z_prev
+                    closed_match &= z_closed
                 trial_out.append(
                     {
                         "map": _map_dict(mmap),
@@ -649,6 +632,24 @@ def sweep_polyharmonic(
     }
 
 
+def _polyharmonic_point(mmap: MobiusMap, order: int, x, mode: str, tol: float) -> tuple:
+    """(Delta^k phi = 0, Delta^(k-1) phi = 0, Delta^k phi = closed form) at x.
+
+    Float mode judges each order, and the closed-form difference at order k,
+    against the size of the terms that cancel in that order's Delta phi.
+    """
+    terms = residuals._polyharmonic_terms(mmap, (order - 1, order), x, mode)
+    vals, scale = terms[order]
+    prev, prev_scale = terms[order - 1]
+    closed = residuals.polyharmonic_closed_form(mmap, order, x)
+    diff = [v - coerce(c, mode) for v, c in zip(vals, closed)]
+    return (
+        residuals.vanishes(vals, scale, mode, tol),
+        residuals.vanishes(prev, prev_scale, mode, tol),
+        residuals.vanishes(diff, scale, mode, tol),
+    )
+
+
 def _window(name: str, values: Iterable) -> tuple:
     """A sweep axis as a tuple; an empty one would make the sweep pass vacuously."""
     values = tuple(values)
@@ -661,14 +662,14 @@ def _require_dimensions(m_values: tuple) -> None:
     # both classifications are stated for m >= 3; in the plane every
     # conformal map is harmonic, which the residual equations do not see
     if min(m_values) < 3:
-        raise ConfigError(f"the classification tables need m >= 3, got {min(m_values)}")
+        raise ConfigError(f"the classifications need m >= 3, got {min(m_values)}")
 
 
-def _require_samples(trials: int, points: int) -> None:
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if points < 1:
-        raise ConfigError(f"points must be >= 1, got {points}")
+def _require_samples(**counts: int) -> None:
+    # a verdict over no trials or no points would pass vacuously
+    for name, n in counts.items():
+        if n < 1:
+            raise ConfigError(f"{name} must be >= 1, got {n}")
 
 
 def _flat_sample_point(rng: random.Random, mmap: MobiusMap) -> tuple:
@@ -766,30 +767,15 @@ def _chain_identity_battery(mode: str, tol: float) -> tuple[bool, str]:
             for x in pts:
                 evals = residuals.evaluate_residuals(instance, x, mode, tol)
                 sdl, nd, nd2 = evals["SDL"], evals["ND"], evals["ND2"]
-                if mode == EXACT:
-                    ok = (
-                        nd.values == sdl.values
-                        and all(a == -b for a, b in zip(nd2.values, sdl.values))
-                        and all(
-                            a - b == 2 * s
-                            for a, b, s in zip(nd.values, nd2.values, sdl.values)
-                        )
-                    )
-                else:
-                    budget = tol * (nd.scale + nd2.scale + 2 * sdl.scale + 1.0)
-                    ok = (
-                        residuals._norm([a - b for a, b in zip(nd.values, sdl.values)])
-                        <= budget
-                        and residuals._norm(
-                            [a + b for a, b in zip(nd2.values, sdl.values)]
-                        )
-                        <= budget
-                        and residuals._norm(
-                            [a - b - 2 * s for a, b, s in zip(nd.values, nd2.values, sdl.values)]
-                        )
-                        <= budget
-                    )
-                if not ok:
+                chain = [
+                    ([a - b for a, b in zip(nd.values, sdl.values)], nd.scale + sdl.scale),
+                    ([a + b for a, b in zip(nd2.values, sdl.values)], nd2.scale + sdl.scale),
+                    (
+                        [a - b - 2 * s for a, b, s in zip(nd.values, nd2.values, sdl.values)],
+                        nd.scale + nd2.scale + 2 * sdl.scale,
+                    ),
+                ]
+                if not all(residuals.vanishes(v, scale, mode, tol) for v, scale in chain):
                     failures.append(f"(c1={c1}, c2={c2}, eps={epsilon})")
     if failures:
         return False, "failed at " + ", ".join(sorted(set(failures)))
@@ -827,12 +813,12 @@ def _jet_oracle_battery(mode: str, tol: float) -> tuple[bool, str]:
     a = 1 + x + x * y
     b = 2 + y
     roundtrip = (a * b) / b
-    if mode == EXACT:
-        checks.append(roundtrip == a)
-    else:
-        checks.append(
-            max(abs(u - v) for u, v in zip(roundtrip.coeffs, a.coeffs)) <= tol
+    pairs = list(zip(roundtrip.coeffs, a.coeffs))
+    checks.append(
+        residuals.vanishes(
+            [u - v for u, v in pairs], sum(abs(u) + abs(v) for u, v in pairs), mode, tol
         )
+    )
     return all(checks), "ring, division, and iterated-Laplacian oracles"
 
 
@@ -843,17 +829,7 @@ def _polyharmonic_battery(mode: str, tol: float) -> tuple[bool, str]:
             rng = random.Random(f"polyharm:selftest:ph:{m}:{order}")
             mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=order)
             x = _flat_sample_point(rng, mmap)
-            vals = residuals.polyharmonic_residual(mmap, order, x, mode)
-            closed = residuals.polyharmonic_closed_form(mmap, order, x)
-            if mode == EXACT:
-                ok = tuple(vals) == tuple(closed)
-            else:
-                scale = max(residuals._norm([as_float(v) for v in closed]), 1.0)
-                ok = (
-                    residuals._norm([v - as_float(c) for v, c in zip(vals, closed)])
-                    <= tol * scale
-                )
-            if not ok:
+            if not _polyharmonic_point(mmap, order, x, mode, tol)[2]:
                 bad.append(f"(m={m}, k={order})")
     if bad:
         return False, "closed form mismatch at " + ", ".join(bad)

@@ -298,9 +298,10 @@ class TestSelftest:
         body = selftest()
         assert body["all_ok"], body
 
-    def test_sign_mutation_detected(self, monkeypatch):
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_sign_mutation_detected(self, monkeypatch, mode):
         # flip the energy-gradient term of the second necessary condition; the
-        # identity chain battery must catch it
+        # identity chain battery must catch it in either mode
         original = residuals._nd2_from_geometry
 
         def mutated(g, mode, tol):
@@ -313,7 +314,7 @@ class TestSelftest:
             return dataclasses.replace(rv, values=flipped)
 
         monkeypatch.setattr(residuals, "_nd2_from_geometry", mutated)
-        body = selftest()
+        body = selftest(mode=mode)
         failed = {c["name"] for c in body["checks"] if not c["ok"]}
         assert "residual-identity-chain" in failed
 
@@ -435,6 +436,24 @@ class TestCli:
     )
     def test_degenerate_sweep_arguments_exit_two(self, argv, capsys):
         assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, sample, m, expect",
+        [
+            (["--points", "0"], {}, 4, None),
+            (["--points", "-3"], {}, 4, None),
+            ([], {"count": 0}, 4, None),
+            ([], {"points": []}, 4, None),
+            # x/|x|^2 is harmonic in the plane, which the residuals do not see
+            ([], {}, 2, "harmonic"),
+        ],
+        ids=["points-zero", "points-negative", "count-zero", "no-explicit-points", "plane"],
+    )
+    def test_degenerate_check_input_exits_two(self, tmp_path, capsys, flags, sample, m, expect):
+        cfg = _inversion_config(m=m, expect=expect)
+        cfg["sample"].update(sample)
+        assert main(["check", str(_write(tmp_path, cfg))] + flags) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_identical_seeds_identical_bytes(self, tmp_path, capsys):
