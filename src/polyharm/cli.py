@@ -21,10 +21,14 @@ from .residuals import DEFAULT_FLOAT_TOL
 OUT_DIR_ENV = "POLYHARM_OUT_DIR"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
+def _add_sampling(parser: argparse.ArgumentParser) -> None:
+    """Flags of the commands that draw sample points (not ``selftest``)."""
     parser.add_argument("--seed", type=int, default=None, help="override the sampling seed")
     parser.add_argument("--points", type=int, default=None, help="sample points per instance")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
     parser.add_argument("--out", type=Path, default=None, help="write the report to this file")
     parser.add_argument("--format", choices=("json", "csv", "table"), default=None)
     parser.add_argument(
@@ -45,6 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="evaluate residuals for configured instances")
     p_check.add_argument("config", type=Path)
+    _add_sampling(p_check)
     _add_common(p_check)
     p_check.set_defaults(run=_check)
 
@@ -52,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bh.add_argument("--m-min", type=int, default=3)
     p_bh.add_argument("--m-max", type=int, default=8)
     p_bh.add_argument("--trials", type=int, default=3)
+    _add_sampling(p_bh)
     _add_common(p_bh)
     p_bh.set_defaults(run=_sweep_biharmonic, seed=0, points=5)
 
@@ -61,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ph.add_argument("--m-min", type=int, default=3)
     p_ph.add_argument("--m-max", type=int, default=12)
     p_ph.add_argument("--trials", type=int, default=1)
+    _add_sampling(p_ph)
     _add_common(p_ph)
     p_ph.set_defaults(run=_sweep_polyharmonic, seed=0, points=1)
 
@@ -142,7 +149,10 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage error (2) or --help (0)
+        return exc.code
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return _run(args)

@@ -81,6 +81,7 @@ class JetSpace:
         self._diff_tables: dict[tuple[int, int], tuple[list, list]] = {}
         self._iterlap: dict[int, list[tuple[int, int]]] = {}
         self._grad_positions: list[int] | None = None
+        self._square_positions: list[int] | None = None
 
     @classmethod
     def get(cls, dim: int, degree: int) -> "JetSpace":
@@ -122,6 +123,15 @@ class JetSpace:
                 for i in range(self.dim)
             ]
         return self._grad_positions
+
+    def square_positions(self) -> list[int]:
+        """Positions of the pure second-degree multi-indices 2 e_i."""
+        if self._square_positions is None:
+            self._square_positions = [
+                self.position(tuple(2 if j == i else 0 for j in range(self.dim)))
+                for i in range(self.dim)
+            ]
+        return self._square_positions
 
     # -- shift tables -------------------------------------------------------
 
@@ -293,7 +303,7 @@ class Jet:
         if not isinstance(other, Jet):
             return self._scalar_shift(other)
         a, b = self._aligned(other)
-        return Jet(a.space, a.mode, a.base, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return Jet(a.space, a.mode, a.base, [x + y if y else x for x, y in zip(a.coeffs, b.coeffs)])
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -302,7 +312,7 @@ class Jet:
         if not isinstance(other, Jet):
             return self._scalar_shift(-coerce(other, self.mode))
         a, b = self._aligned(other)
-        return Jet(a.space, a.mode, a.base, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return Jet(a.space, a.mode, a.base, [x - y if y else x for x, y in zip(a.coeffs, b.coeffs)])
 
     def __rsub__(self, other):
         return (-self)._scalar_shift(other)
@@ -519,6 +529,25 @@ def dot(a: Iterable[Jet], b: Iterable[Jet]) -> Jet:
 def norm_sq(a: Iterable[Jet]) -> Jet:
     """Sum of squares of a jet tuple."""
     return dot(a, a)
+
+
+def quadratic(like: Jet, value, linear: Sequence, square=0) -> Jet:
+    """Jet of value + <linear, h> + square * |h|^2 in the displacement h = x - x0.
+
+    Written straight into its 1 + 2m possible nonzero coefficients, with no
+    products; terms above the truncation degree of ``like`` are dropped.
+    """
+    space, mode = like.space, like.mode
+    coeffs = [scalar_zero(mode)] * space.size
+    coeffs[0] = coerce(value, mode)
+    if space.degree >= 1:
+        for p, v in zip(space.grad_positions(), linear):
+            coeffs[p] = coerce(v, mode)
+    if space.degree >= 2 and square:
+        s = coerce(square, mode)
+        for p in space.square_positions():
+            coeffs[p] = s
+    return Jet(space, mode, like.base, coeffs)
 
 
 def polynomial(coeff_map: dict, like: Jet) -> Jet:

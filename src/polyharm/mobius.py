@@ -11,7 +11,19 @@ chart identifications; the conformal factor picks up the chart weights:
     lambda(x) = rho(phi(x)) * lambda_E(x) / sigma(x),
 
 with lambda_E = k (eps = 0) or k/|x-a|^2 (eps = 2) the flat-to-flat factor,
-sigma the domain chart factor and rho the target one.  For curved targets
+sigma the domain chart factor and rho(y) = 2/(1 + c2 |y|^2) the target one.
+Because |A u| = |u| for orthogonal A, the target weight needs no map
+components: with u = x - a and f = |u|^2,
+
+    |phi|^2 = |b|^2 + (2k <A^T b, u> + k^2) / f     (eps = 2),
+    |phi|^2 = |b|^2 + 2k <A^T b, u> + k^2 f         (eps = 0),
+
+where <A^T b, u> is linear and f a quadratic, both written directly as jets,
+and 1/f is the one reciprocal behind lambda_E and |phi|^2 alike.  The
+identity holds only for exactly orthogonal A, which ``validate`` certifies
+for every ``MobiusMap.build`` and ``ConformalInstance``; ``apply_jet``
+composes the components themselves and stays the raw route that
+``conformality_check`` reads.  For curved targets
 lambda collapses to the closed forms
 
     2c * w(x) / (s*c^2 + |x - d|^2),    s = +1 sphere target, -1 hyperbolic,
@@ -254,33 +266,51 @@ def euclidean_factor(mmap: MobiusMap, x: tuple[Jet, ...]) -> Jet:
     return x[0].constant_like(mmap.k) / f
 
 
-def _target_weight_jet(target: SpaceFormModel, phi: tuple[Jet, ...]) -> Jet:
-    """Jet of rho(phi(x)) for the target chart factor rho."""
-    if target.curvature == 0:
-        return phi[0].constant_like(1)
-    denom = jets.norm_sq(phi).scale(target.curvature) + 1
-    d0 = denom.value()
-    if not d0:
-        raise ChartDomainError("image point on the target chart boundary")
-    if d0 < 0:
-        raise ChartDomainError("image point outside the target chart")
-    return phi[0].constant_like(2) / denom
-
-
 def conformal_factor(
     domain: SpaceFormModel,
     target: SpaceFormModel,
     mmap: MobiusMap,
     x: tuple[Jet, ...],
 ) -> Jet:
-    """Jet of lambda with phi^* h = lambda^2 g_domain; must be positive at x0."""
+    """Jet of lambda with phi^* h = lambda^2 g_domain; must be positive at x0.
+
+    Builds no map components: f = |x - a|^2 and the linear form <A^T b, u>
+    are written as quadratics, one reciprocal 1/f serves lambda_E and
+    |phi|^2, and |phi|^2 comes from the identity of the module docstring,
+    which needs A exactly orthogonal (``validate`` certifies it).
+    """
     base = tuple(j.value() for j in x)
     if not spaceform.in_domain(domain, base):
         raise ChartDomainError(f"base point outside the {domain.name} chart")
-    lam = euclidean_factor(mmap, x)
-    rho = _target_weight_jet(target, apply_jet(mmap, x))
-    w = spaceform.inv_sigma_jet(domain, x)
-    lam = lam * rho * w
+    k = mmap.k
+    u0 = tuple(xi - ai for xi, ai in zip(base, mmap.a))
+    f0 = sum(v * v for v in u0)
+    if mmap.epsilon == 2:
+        if not f0:
+            raise SingularDivisionError("factor is singular at x = a")
+        recip = x[0].constant_like(1) / jets.quadratic(x[0], f0, [2 * v for v in u0], 1)
+        lam = recip.scale(k)
+    else:
+        lam = x[0].constant_like(k)
+    if target.curvature != 0:
+        at_b = mat_vec(transpose(mmap.A), mmap.b)
+        b_sq = sum(v * v for v in mmap.b)
+        lin0 = sum(v * w for v, w in zip(at_b, u0))
+        if mmap.epsilon == 2:
+            numer = jets.quadratic(x[0], 2 * k * lin0 + k * k, [2 * k * v for v in at_b])
+            phi_sq = numer * recip + b_sq
+        else:
+            linear = [2 * k * (v + k * w) for v, w in zip(at_b, u0)]
+            phi_sq = jets.quadratic(x[0], b_sq + 2 * k * lin0 + k * k * f0, linear, k * k)
+        denom = phi_sq.scale(target.curvature) + 1
+        d0 = denom.value()
+        if not d0:
+            raise ChartDomainError("image point on the target chart boundary")
+        if d0 < 0:
+            raise ChartDomainError("image point outside the target chart")
+        lam = lam * (x[0].constant_like(2) / denom)
+    if domain.curvature != 0:
+        lam = lam * spaceform.inv_sigma_jet(domain, x)
     if lam.value() <= 0:
         raise NonpositiveFactorError(f"conformal factor {lam.value()} <= 0 at {base}")
     return lam

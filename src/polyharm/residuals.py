@@ -54,6 +54,7 @@ closed form for the inversive family,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -151,7 +152,8 @@ class ConformalGeometry:
         self.lapbar0 = lapbar.value()
         self.grad_lapbar = lapbar.gradient()
         self.grad_lam_lapbar = (self.lam * lapbar).gradient()
-        gnorm = spaceform.grad_norm_sq_bar(self.lam, dom, x_jets)
+        # only the value and gradient of |gradbar lam|^2 are read
+        gnorm = spaceform.grad_norm_sq_bar(self.lam.truncate(2), dom, x_jets)
         self.gnorm0 = gnorm.value()
         self.grad_gnorm = gnorm.gradient()
         self.m = m
@@ -362,7 +364,7 @@ def _reciprocal_numerators(G, F, s: int, top: int) -> tuple[dict[int, object], l
     pw = [(2 * top + 1) ** i for i in range(len(G))]
     sF = s * F
     Q = {0: 1}
-    for key, ones, twos in _needed_set(pw, top)[1:]:
+    for key, ones, twos in _needed_set(len(G), top)[1:]:
         acc = 0
         for i in ones:
             acc += G[i] * Q[key - pw[i]]
@@ -373,10 +375,17 @@ def _reciprocal_numerators(G, F, s: int, top: int) -> tuple[dict[int, object], l
     return Q, pw
 
 
-def _needed_set(pw: list[int], top: int) -> list[tuple[int, tuple, tuple]]:
-    """(key, {i : beta_i >= 1}, {i : beta_i >= 2}) over N_top in key order."""
+@functools.lru_cache(maxsize=1)
+def _needed_set(m: int, top: int) -> tuple[tuple[int, tuple, tuple], ...]:
+    """(key, {i : beta_i >= 1}, {i : beta_i >= 2}) over N_top in key order.
+
+    Keys use the place values (2 top + 1)^i of :func:`_reciprocal_numerators`.
+    The set depends on (m, top) alone, and every trial and point of a sweep
+    cell asks for the same one, so the last set built is kept.
+    """
     entries = [(0, top, (), ())]
-    for i, p in enumerate(pw):
+    for i in range(m):
+        p = (2 * top + 1) ** i
         grown = []
         for b in range(2 * top + 1):
             cost = (b + 1) // 2
@@ -386,7 +395,7 @@ def _needed_set(pw: list[int], top: int) -> list[tuple[int, tuple, tuple]]:
                 if left >= cost:
                     grown.append((key + b * p, left - cost, ones + one, twos + two))
         entries = grown
-    return [(key, ones, twos) for key, _, ones, twos in entries]
+    return tuple((key, ones, twos) for key, _, ones, twos in entries)
 
 
 def _iterlap_weights(m: int, k: int) -> list[tuple[tuple, int]]:

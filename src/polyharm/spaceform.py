@@ -7,8 +7,10 @@ Each model is a chart (R^m, sigma^2 delta) with
     hyperbolic  sigma = 2 / (1 - |x|^2)   curvature -1   (unit ball only)
 
 Derivatives are taken through the reciprocal chart factor w = 1/sigma,
-which is the polynomial (1 + c|x|^2)/2 for curvature c != 0 and has the
-handy gradient  grad w = c * x.  The curved operators are
+which is the quadratic (1 + c|x|^2)/2 for curvature c != 0 and has the
+handy gradient  grad w = c * x.  Its jet is written straight into its
+2m + 1 nonzero coefficients (value, c * x0, and c/2 on each h_i^2), so it
+costs no products however often it is rebuilt.  The curved operators are
 
     lapbar f  = sigma^-2 lap f + (m-2) sigma^-3 <grad sigma, grad f>
               = w^2 lap f - (m-2) c w <x, grad f>,
@@ -16,6 +18,8 @@ handy gradient  grad w = c * x.  The curved operators are
     |gradbar f|^2_gbar = sigma^-2 |grad f|^2 = w^2 |grad f|^2,
 
 where the second form of lapbar follows from grad sigma = -sigma^2 grad w.
+Each operator forms w and its other factors at the degree of its result
+(D - 2 for lapbar), since the coefficients above it are never read.
 Curvatures are restricted to {-1, 0, +1}: the classification statements are
 for unit curvatures and general values would only rescale.
 """
@@ -92,8 +96,11 @@ def inv_sigma_jet(model: SpaceFormModel, x: tuple[Jet, ...]) -> Jet:
     """Jet of w = 1/sigma, a polynomial: 1, (1+|x|^2)/2, or (1-|x|^2)/2."""
     if model.curvature == 0:
         return x[0].constant_like(1)
-    w = (jets.norm_sq(x).scale(model.curvature) + 1).scale(rational(1, 2))
-    return w
+    c = model.curvature
+    base = tuple(j.value() for j in x)
+    half = rational(1, 2)
+    w0 = (c * sum(v * v for v in base) + 1) * half
+    return jets.quadratic(x[0], w0, [c * v for v in base], c * half)
 
 
 def sigma_jet(model: SpaceFormModel, x: tuple[Jet, ...]) -> Jet:
@@ -111,9 +118,13 @@ def laplace_beltrami(f: Jet, model: SpaceFormModel, x: tuple[Jet, ...]) -> Jet:
     lap = f.laplacian()
     if model.curvature == 0:
         return lap
-    w = inv_sigma_jet(model, x)
-    radial = jets.dot(x, tuple(f.partial(i) for i in range(model.dim)))
-    return w * w * lap - w * radial.scale(model.curvature * (model.dim - 2))
+    d = lap.degree
+    w = inv_sigma_jet(model, x).truncate(d)
+    radial = jets.dot(
+        tuple(xi.truncate(d) for xi in x),
+        tuple(f.partial(i).truncate(d) for i in range(model.dim)),
+    )
+    return w * (w * lap - radial.scale(model.curvature * (model.dim - 2)))
 
 
 def grad_bar(f: Jet, model: SpaceFormModel, x: tuple[Jet, ...]) -> tuple[Jet, ...]:
@@ -121,7 +132,7 @@ def grad_bar(f: Jet, model: SpaceFormModel, x: tuple[Jet, ...]) -> tuple[Jet, ..
     grads = tuple(f.partial(i) for i in range(model.dim))
     if model.curvature == 0:
         return grads
-    w = inv_sigma_jet(model, x)
+    w = inv_sigma_jet(model, x).truncate(grads[0].degree)
     w2 = w * w
     return tuple(w2 * g for g in grads)
 
@@ -131,5 +142,5 @@ def grad_norm_sq_bar(f: Jet, model: SpaceFormModel, x: tuple[Jet, ...]) -> Jet:
     g = jets.norm_sq(tuple(f.partial(i) for i in range(model.dim)))
     if model.curvature == 0:
         return g
-    w = inv_sigma_jet(model, x)
+    w = inv_sigma_jet(model, x).truncate(g.degree)
     return w * w * g

@@ -29,10 +29,11 @@ from polyharm.mobius import (
     signed_permutation,
     validate,
 )
-from polyharm.rationals import rational
-from polyharm.spaceform import SpaceFormModel
+from polyharm.rationals import FLOAT, rational
+from polyharm.spaceform import SpaceFormModel, inv_sigma_jet, laplace_beltrami
+from polyharm.verifier import CURVATURE_PAIRS
 
-from conftest import exact_norm_sq, rand_point, rand_rat, rng_for
+from conftest import exact_norm_sq, make_instance, rand_point, rand_rat, rng_for
 
 
 def _zeros(m):
@@ -335,3 +336,54 @@ class TestRotationInvariance:
             r1 = residual_SDL(inst1, qpt)
             r2 = residual_SDL(inst2, pt)
             assert exact_norm_sq(r1.values) == exact_norm_sq(r2.values)
+
+
+def _w_old(c, x):
+    """The chart weight as it used to be built: (c |x|^2 + 1)/2 from products."""
+    if c == 0:
+        return x[0].constant_like(1)
+    return (jets.norm_sq(x).scale(c) + 1).scale(rational(1, 2))
+
+
+def _dense_factor(domain, target, mmap, x):
+    """lambda_E * rho(phi) * w with rho read off the composed map jets."""
+    lam = euclidean_factor(mmap, x)
+    if target.curvature:
+        phi_sq = jets.norm_sq(apply_jet(mmap, x))
+        lam = lam * (x[0].constant_like(2) / (phi_sq.scale(target.curvature) + 1))
+    return lam * _w_old(domain.curvature, x)
+
+
+class TestFactorRouteOracle:
+    """conformal_factor and the chart weight against the dense routes they
+    replaced: composed map jets, norm_sq products and untruncated operators."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    def test_exact_equal(self, m):
+        checked = 0
+        for c1, c2 in CURVATURE_PAIRS:
+            for eps in (0, 2):
+                for style in (0, 1, 2):
+                    tag = f"factor-oracle:{m}:{c1}:{c2}:{eps}:{style}"
+                    inst, pts = make_instance(tag, m, c1, c2, eps, style)
+                    dom, tgt = inst.domain, inst.target
+                    x = seed(pts[0], 3)
+                    lam = conformal_factor(dom, tgt, inst.map, x)
+                    assert lam == _dense_factor(dom, tgt, inst.map, x)
+                    w = _w_old(c1, x)
+                    assert inv_sigma_jet(dom, x) == w
+                    radial = jets.dot(x, tuple(lam.partial(i) for i in range(m)))
+                    full = w * w * lam.laplacian() - w * radial.scale(c1 * (m - 2))
+                    assert laplace_beltrami(lam, dom, x) == full
+                    checked += 1
+        assert checked == 9 * 2 * 3
+
+    def test_float_within_relative_tolerance(self):
+        inst, pts = make_instance("factor-oracle-float", 6, 1, -1, 2, style=2)
+        dom, tgt = inst.domain, inst.target
+        x = seed(tuple(float(v) for v in pts[0]), 3, FLOAT)
+        got = conformal_factor(dom, tgt, inst.map, x).coeffs
+        want = _dense_factor(dom, tgt, inst.map, x).coeffs
+        scale = max(abs(v) for v in want)
+        assert scale > 0
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale

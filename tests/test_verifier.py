@@ -405,6 +405,13 @@ class TestCli:
         assert main(["selftest", "--format", "table"]) == 0
         assert "all" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--seed", "5"], ["--points", "0"]], ids=["seed", "points"])
+    def test_selftest_refuses_sampling_flags(self, flags, capsys):
+        # selftest draws from fixed tags; a seed or point count it would
+        # ignore is a usage error, not a silent no-op
+        assert main(["selftest"] + flags) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_small_sweep_subcommand(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(
