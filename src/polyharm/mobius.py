@@ -18,12 +18,17 @@ components: with u = x - a and f = |u|^2,
     |phi|^2 = |b|^2 + (2k <A^T b, u> + k^2) / f     (eps = 2),
     |phi|^2 = |b|^2 + 2k <A^T b, u> + k^2 f         (eps = 0),
 
-where <A^T b, u> is linear and f a quadratic, both written directly as jets,
-and 1/f is the one reciprocal behind lambda_E and |phi|^2 alike.  The
-identity holds only for exactly orthogonal A, which ``validate`` certifies
-for every ``MobiusMap.build`` and ``ConformalInstance``; ``apply_jet``
-composes the components themselves and stays the raw route that
-``conformality_check`` reads.  For curved targets
+where <A^T b, u> is linear and f a quadratic.  The identity holds only for
+exactly orthogonal A, which ``validate`` certifies for every
+``MobiusMap.build`` and ``ConformalInstance``.  It makes every factor of the
+family a quotient lambda = P/Q of two isotropic quadratics, which
+``factor_quadratic`` reads off the map parameters once per instance
+(``ConformalInstance.factor``); the residual kernel of
+:mod:`polyharm.residuals` works from that quotient alone.
+``conformal_factor`` builds the same factor as a dense jet, with 1/f the one
+reciprocal behind lambda_E and |phi|^2 alike; it is not on the verdict
+path but the oracle route the tests compare the kernel with.  ``apply_jet`` composes the components themselves and stays the raw
+route that ``conformality_check`` reads.  For curved targets
 lambda collapses to the closed forms
 
     2c * w(x) / (s*c^2 + |x - d|^2),    s = +1 sphere target, -1 hyperbolic,
@@ -40,7 +45,10 @@ rounding and residuals downstream stay exactly zero where they should.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import jets, spaceform
 from .errors import (
@@ -115,9 +123,17 @@ def mat_inverse(A: Matrix) -> Matrix:
 
 
 def is_orthogonal(A: Matrix) -> bool:
+    """A^T A == I, decided on integers: with A = N/D over the lcm D of its
+    denominators, the condition is N^T N == D^2 I."""
     m = len(A)
-    att = mat_mul(transpose(A), A)
-    return att == identity_matrix(m)
+    D = math.lcm(*(v.denominator for row in A for v in row))
+    N = [[v.numerator * (D // v.denominator) for v in row] for row in A]
+    D2 = D * D
+    return all(
+        sum(N[r][i] * N[r][j] for r in range(m)) == (D2 if i == j else 0)
+        for i in range(m)
+        for j in range(i, m)
+    )
 
 
 def cayley_orthogonal(S: Matrix) -> Matrix:
@@ -196,6 +212,58 @@ class ReducedFactorParams:
     sign: int
 
 
+class FactorQuadratic(NamedTuple):
+    """The factor as lambda(x) = kappa * w(x) * den / Q(x - a), in integers.
+
+    w = 1/sigma is the domain chart weight (1 flat, (1 + c1 |x|^2)/2 curved) and
+    Q(u) = value + 2 <linear, u> + square |u|^2 an isotropic quadratic with
+    integer coefficients, a = a_num / a_den.  See :func:`factor_quadratic`.
+    A named tuple rather than a dataclass: it is built at import for every
+    ``polyharm`` process, where a dataclass costs a millisecond.
+    """
+
+    kappa: object
+    a_num: tuple
+    a_den: int
+    value: int
+    linear: tuple
+    square: int
+    den: int
+
+
+def factor_quadratic(target: SpaceFormModel, mmap: MobiusMap) -> FactorQuadratic:
+    """lambda = P/Q for this map, read off the map's own parameters.
+
+    P = kappa * w with kappa = k (flat target) or 2k (curved target).  With
+    u = x - a, alpha = 1 + c2 |b|^2 and g = c2 k A^T b, the identity for |phi|^2
+    of the module docstring gives Q(u) = q0 + 2 <g, u> + s |u|^2 where
+
+        eps = 2:  q0 = c2 k^2,  s = alpha    (Q = |u|^2 on a flat target)
+        eps = 0:  q0 = alpha,   s = c2 k^2   (Q = 1 on a flat target)
+
+    so on a curved target Q = |u|^2 (1 + c2 |phi|^2) for eps = 2 and
+    Q = 1 + c2 |phi|^2 for eps = 0.  The reduced parameters are not used, so
+    ``closed_form_factor`` stays an independent route.
+    """
+    c2 = target.curvature
+    k = mmap.k
+    kappa = 2 * k if c2 else k
+    alpha = 1 + c2 * sum(v * v for v in mmap.b)
+    g = tuple(c2 * k * v for v in mat_vec(transpose(mmap.A), mmap.b))
+    q0, s = (c2 * k * k, alpha) if mmap.epsilon == 2 else (alpha, c2 * k * k)
+    den = math.lcm(q0.denominator, s.denominator, *(v.denominator for v in g))
+    a_den = math.lcm(*(v.denominator for v in mmap.a))
+    return FactorQuadratic(
+        kappa=kappa,
+        a_num=tuple(v.numerator * (a_den // v.denominator) for v in mmap.a),
+        a_den=a_den,
+        value=q0.numerator * (den // q0.denominator),
+        linear=tuple(v.numerator * (den // v.denominator) for v in g),
+        square=s.numerator * (den // s.denominator),
+        den=den,
+    )
+
+
 @dataclass(frozen=True)
 class ConformalInstance:
     """A validated (domain, target, map) triple of equal dimension."""
@@ -218,6 +286,12 @@ class ConformalInstance:
     @property
     def dim(self) -> int:
         return self.domain.dim
+
+    @functools.cached_property
+    def factor(self) -> FactorQuadratic:
+        """lambda = P/Q of this instance, built once: A^T b, |b|^2 and the
+        map-only parts of P and Q are the same at every point."""
+        return factor_quadratic(self.target, self.map)
 
 
 # -- evaluation ---------------------------------------------------------------

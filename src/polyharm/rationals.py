@@ -1,24 +1,16 @@
 """Scalar backend for the two computation modes.
 
-Exact mode works on arbitrary-precision rationals: ``fractions.Fraction``,
-or gmpy2's mpq where gmpy2 is importable.  The rationals carry the degree-3
-biharmonic jets and the reports; the deep polyharmonic degrees run on Python
-ints (see :mod:`polyharm.residuals`) and meet a rational only once per
-component.  Float mode uses plain doubles and exists for speed and for
+Exact mode works on arbitrary-precision rationals, ``fractions.Fraction``.
+No hot loop runs on them: both residual paths run their integer kernels on
+Python ints (see :mod:`polyharm.residuals`) and meet a rational only once
+per output value, and the rationals carry the map parameters, the points and
+the reports.  Float mode uses plain doubles and exists for speed and for
 finite-difference cross-validation only.  A computation never mixes modes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _rat
-
-    BACKEND = "gmpy2"  # pragma: no cover - runs only where gmpy2 is installed
-except ImportError:
-    _rat = Fraction
-    BACKEND = "fractions"
 
 EXACT = "exact"
 FLOAT = "float"
@@ -27,12 +19,12 @@ FLOAT = "float"
 def rational(value=0, den=None):
     """Build an exact rational from ints, strings like ``"p/q"``, or Fractions."""
     if den is not None:
-        return _rat(value, den)
+        return Fraction(value, den)
     if isinstance(value, str):
         return parse_rational(value)
     if isinstance(value, float):
         raise TypeError("floats are not accepted as exact rationals")
-    return _rat(value)
+    return Fraction(value)
 
 
 def parse_rational(text: str):
@@ -43,8 +35,8 @@ def parse_rational(text: str):
         d = int(den)
         if d == 0:
             raise ZeroDivisionError(f"zero denominator in {text!r}")
-        return _rat(int(num), d)
-    return _rat(int(text))
+        return Fraction(int(num), d)
+    return Fraction(int(text))
 
 
 def format_rational(value) -> str:
@@ -57,21 +49,21 @@ def coerce(value, mode: str):
     if mode == EXACT:
         if isinstance(value, float):
             raise TypeError("exact mode rejects floats; pass ints or rationals")
-        return _rat(value) if not isinstance(value, str) else parse_rational(value)
+        return Fraction(value) if not isinstance(value, str) else parse_rational(value)
     if mode == FLOAT:
         return float(value)
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def scalar_zero(mode: str):
-    return _rat(0) if mode == EXACT else 0.0
+    return Fraction(0) if mode == EXACT else 0.0
 
 
 def inv(value):
     """Multiplicative inverse preserving scalar type."""
     if isinstance(value, float):
         return 1.0 / value
-    return 1 / _rat(value)
+    return 1 / Fraction(value)
 
 
 def as_float(value) -> float:

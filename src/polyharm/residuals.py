@@ -29,24 +29,52 @@ operators (bars) and domain/target curvatures c1/c2, the toolkit evaluates:
 The Ricci term of SDL enters as the scalar (m-1) c1 since space forms have
 Ric = (m-1) c g; see :func:`polyharm.spaceform.ricci_scale`.
 
-Flat-target polyharmonicity reduces to iterated flat Laplacians of the map
-components.  A is constant, so with u = x - a and f = |u|^2,
+Both paths share one integer kernel, the Taylor coefficients of the
+reciprocal of an isotropic quadratic.  For f(x0 + t) = (F + 2 G.t + S|t|^2)/E
+with integers F, G, S the coefficients of 1/f in t are E N_beta / F^(|beta|+1),
+
+    N_0 = 1,   N_beta = -2 sum_i G_i N_(beta - e_i) - S F sum_i N_(beta - 2 e_i),
+
+an integer recurrence (fraction-free in the manner of Bareiss's elimination)
+that each path runs only over the indices it reads, a set closed under both
+shifts.  Float mode runs the same code over doubles with every denominator 1.
+
+Biharmonic path.  Every factor of the family is lambda = P/Q: P = kappa w,
+with w = 1/sigma the domain chart weight and kappa = k (flat target) or 2k
+(curved target), and Q(u) = q0 + 2 <g, u> + s |u|^2 an isotropic quadratic in
+u = x - a derived from the map (:func:`polyharm.mobius.factor_quadratic`).
+The fields of ``ConformalGeometry`` read lambda only on the read set
+N_2 with |beta| <= 3: every coefficient of degree <= 2 and the 2 e_i + e_j
+behind grad lap lambda (109 coefficients at m = 8, against 165 in a dense
+degree-3 jet).  With x0 = X/D and u0 = U/D over one lcm D, the recurrence
+runs with F = den D^2 Q(u0), G = D (D g + s U) den and S = s D^2 den; one
+product with the 2m + 1 terms of P gives lambda_beta = K L_beta / F^(|beta|+1)
+with integer L_beta.  The curved operators
+
+    lapbar f = w^2 lap f - (m-2) c1 w <x, grad f>,   |gradbar f|^2 = w^2 |grad f|^2
+
+(with grad w = c1 x) and their gradients are then formed on integers, the m^2
+sums x.H, grad(lam).H and |grad lam|^2 included, over one power of F and D per
+derivative order, and each field becomes one rational at the end.  The dense
+jet route (``mobius.conformal_factor``, ``spaceform.laplace_beltrami``,
+``spaceform.grad_norm_sq_bar``) is the oracle the tests compare it with.
+
+Polyharmonic path.  Flat-target polyharmonicity reduces to iterated flat
+Laplacians of the map components.  A is constant, so with u = x - a and
+f = |u|^2,
 
     Delta^k phi(x0) = k A v,   v_j = sum_{|gamma| = k} w_gamma (u0_j q_{2 gamma} + q_{2 gamma - e_j}),
 
 where q_beta are the Taylor coefficients of 1/f at x0 and
 w_gamma = k!/gamma! * (2 gamma)!.  ``polyharmonic_orders`` builds no jets.
 With D the lcm of the denominators of u0 = x0 - a, U = D u0 and F = |U|^2,
-q_beta = D^(|beta|+2) Q_beta / F^(|beta|+1) for the integers
-
-    Q_0 = 1,   Q_beta = -2 sum_i U_i Q_(beta - e_i) - F sum_i Q_(beta - 2 e_i),
-
-run only over N_K = {beta : sum_i ceil(beta_i/2) <= K}, K the largest order:
-the coefficients Delta^K reads, a set closed under both shifts.  Each
-component is then one rational over a common denominator.  The affine branch
-(eps = 0) is the same formula with 1/f = 1, and float mode runs it over
-doubles with D = 1.  ``closed_form_coefficient`` supplies the independent
-closed form for the inversive family,
+the kernel in t = D h (G = U, S = 1, E = D^2) gives
+q_beta = D^(|beta|+2) N_beta / F^(|beta|+1), over only
+N_K = {beta : sum_i ceil(beta_i/2) <= K}, K the largest order: the
+coefficients Delta^K reads.  Each component is then one rational over a
+common denominator.  The affine branch (eps = 0) is the same formula with
+1/f = 1.  ``closed_form_coefficient`` supplies the independent closed form
+for the inversive family,
 
     Delta^k ((x_i - a_i)/|x-a|^2)
         = (-1)^k [2*4...(2k)] [(m-2)(m-4)...(m-2k)] (x_i - a_i)/|x-a|^(2k+2).
@@ -62,11 +90,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import jets, mobius, spaceform
+from . import mobius
 from .errors import (
+    ChartDomainError,
     DegreeError,
     InterpolationError,
     MapValidationError,
+    NonpositiveFactorError,
     PolyharmError,
     SingularDivisionError,
 )
@@ -134,35 +164,128 @@ def _bundle(label, point, term_vectors, mode, tol, ambient=1.0) -> ResidualVecto
 
 
 class ConformalGeometry:
-    """Shared jets of one instance at one point (degree 3 throughout)."""
+    """Values and gradients the residuals read, at one point of one instance.
+
+    Built from the Taylor coefficients of lambda = P/Q on the read set alone
+    (see the module docstring); every field is exact in exact mode.
+    """
 
     def __init__(self, instance: ConformalInstance, x, mode: str = EXACT):
         self.instance = instance
         self.mode = mode
         self.point = tuple(coerce(v, mode) for v in x)
-        m = instance.dim
-        x_jets = jets.seed(self.point, 3, mode)
         dom = instance.domain
-        self.lam = mobius.conformal_factor(dom, instance.target, instance.map, x_jets)
-        self.lam0 = self.lam.value()
-        self.grad_lam = self.lam.gradient()
-        w = spaceform.inv_sigma_jet(dom, x_jets)
-        self.w0_sq = w.value() * w.value()
-        lapbar = spaceform.laplace_beltrami(self.lam, dom, x_jets)
-        self.lapbar0 = lapbar.value()
-        self.grad_lapbar = lapbar.gradient()
-        self.grad_lam_lapbar = (self.lam * lapbar).gradient()
-        # only the value and gradient of |gradbar lam|^2 are read
-        gnorm = spaceform.grad_norm_sq_bar(self.lam.truncate(2), dom, x_jets)
-        self.gnorm0 = gnorm.value()
-        self.grad_gnorm = gnorm.gradient()
+        fq = instance.factor
+        m = instance.dim
+        c1 = dom.curvature
         self.m = m
-        self.c1 = dom.curvature
+        self.c1 = c1
         self.c2 = instance.target.curvature
-        if mode == FLOAT:
-            self.ambient = 1.0 + max(abs(c) for c in self.lam.coeffs)
+        # Scalar set-up, the only mode-dependent step.  Exact: x0 = X/D and
+        # u0 = x0 - a = U/D over the lcm D of the denominators of x0 and a,
+        # Q(u0 + h) = (F + 2 G.h + S |h|^2) / (den D^2) with F, G, S
+        # integers, and lambda_beta = K L_beta / F^(|beta|+1).  Float: the
+        # same code over doubles with every denominator 1.
+        if mode == EXACT:
+            D = math.lcm(fq.a_den, *(v.denominator for v in self.point))
+            X = [v.numerator * (D // v.denominator) for v in self.point]
+            shift = D // fq.a_den
+            U = [xi - shift * ai for xi, ai in zip(X, fq.a_num)]
+            q0, qg, qs = fq.value, fq.linear, fq.square
+            K = rational(fq.den) * fq.kappa / 2
+            Kn, Kd = K.numerator, K.denominator
+            quotient = rational
         else:
-            self.ambient = 1.0
+            D = 1
+            X = list(self.point)
+            U = [xi - ai / fq.a_den for xi, ai in zip(X, fq.a_num)]
+            q0, qs = fq.value / fq.den, fq.square / fq.den
+            qg = [v / fq.den for v in fq.linear]
+            Kn, Kd = float(fq.kappa) / 2, 1
+            quotient = operator.truediv
+        D2 = D * D
+        # 2 D^2 w(x0) for the chart weight w = 1/sigma: 1 on the flat chart,
+        # (1 + c1 |x|^2)/2 on the curved ones
+        W = (2 - c1 * c1) * D2 + c1 * sum(v * v for v in X)
+        if W <= 0:
+            raise ChartDomainError(f"base point outside the {dom.name} chart")
+        if instance.map.epsilon == 2 and not any(U):
+            raise SingularDivisionError("factor is singular at x = a")
+        F = q0 * D2 + 2 * D * sum(g * u for g, u in zip(qg, U)) + qs * sum(u * u for u in U)
+        # F has the sign of 1 + c2 |phi(x0)|^2 (constant 1 on a flat target)
+        if not F:
+            raise ChartDomainError("image point on the target chart boundary")
+        if F < 0:
+            raise ChartDomainError("image point outside the target chart")
+        self.lam0 = quotient(Kn * W, Kd * F)
+        if self.lam0 <= 0:
+            raise NonpositiveFactorError(f"conformal factor {self.lam0} <= 0 at {self.point}")
+
+        # Taylor numerators of 1/Q, then of lambda = P/Q with
+        # P = kappa (W + 2 c1 D X.h + c1 D^2 |h|^2) / (2 D^2), on the read set
+        entries = _read_set(m)
+        pw = [5**i for i in range(m)]
+        G = [D * (D * g + qs * u) for g, u in zip(qg, U)]
+        N = _reciprocal_numerators(G, F, qs * D2, entries, pw)
+        L = {}
+        P1 = [2 * c1 * D * F * v for v in X]
+        P2 = c1 * D2 * F * F
+        for key, ones, twos in entries:
+            acc = W * N[key]
+            if c1:
+                for i in ones:
+                    acc += P1[i] * N[key - pw[i]]
+                for i in twos:
+                    acc += P2 * N[key - 2 * pw[i]]
+            L[key] = acc
+
+        # lambda_beta = K L_beta / F^(|beta|+1): gradient g / F^2, Hessian
+        # H / F^3, Laplacian lap / F^3, gradient of the Laplacian t / F^4
+        g = [L[p] for p in pw]
+        H = [[L[p + q] for q in pw] for p in pw]
+        deg2 = max(abs(v) for row in H for v in row)
+        for i in range(m):
+            H[i][i] *= 2
+        lap = sum(H[i][i] for i in range(m))
+        cube = [[L[2 * p + q] for q in pw] for p in pw]
+        t = [2 * sum(row[j] for row in cube) + 4 * cube[j][j] for j in range(m)]
+        xH = [sum(X[i] * H[i][j] for i in range(m)) for j in range(m)]
+        gH = [sum(g[i] * H[i][j] for i in range(m)) for j in range(m)]
+        gg = sum(v * v for v in g)
+        xg = sum(a * b for a, b in zip(X, g))
+
+        # lapbar = w^2 lap(lam) - (m-2) c1 w <x, grad lam>, with w = W / (2 D^2)
+        # and grad w = c1 x; over the common denominators 4 D^4 F^3 and F^4
+        F2 = F * F
+        F3 = F2 * F
+        D4 = D2 * D2
+        r = (m - 2) * c1
+        Lb = W * (W * lap - 2 * r * D * F * xg)
+        grad_Lb = [
+            4 * c1 * D * F * W * X[j] * lap
+            + W * W * t[j]
+            - r * (4 * c1 * D2 * F2 * X[j] * xg + 2 * D2 * F2 * W * g[j] + 2 * D * F * W * xH[j])
+            for j in range(m)
+        ]
+        Kn2, Kd2 = Kn * Kn, Kd * Kd
+        self.grad_lam = tuple(quotient(Kn * v, Kd * F2) for v in g)
+        self.w0_sq = quotient(W * W, 4 * D4)
+        self.lapbar0 = quotient(Kn * Lb, Kd * 4 * D4 * F3)
+        self.grad_lapbar = tuple(quotient(Kn * v, Kd * 4 * D4 * F3 * F) for v in grad_Lb)
+        # grad(lam lapbar) = lapbar grad lam + lam grad lapbar
+        self.grad_lam_lapbar = tuple(
+            quotient(Kn2 * (Lb * gj + W * v), Kd2 * 4 * D4 * F3 * F2) for gj, v in zip(g, grad_Lb)
+        )
+        # |gradbar lam|^2 = w^2 |grad lam|^2
+        self.gnorm0 = quotient(Kn2 * W * W * gg, Kd2 * 4 * D4 * F2 * F2)
+        self.grad_gnorm = tuple(
+            quotient(Kn2 * W * (2 * c1 * D * F * X[j] * gg + W * gH[j]), Kd2 * 2 * D4 * F3 * F2)
+            for j in range(m)
+        )
+        # float noise floor: 1 + the largest |lambda_beta| on the read set
+        deg3 = max(abs(v) for row in cube for v in row)
+        top = max(abs(W) / F, max(map(abs, g)) / F2, deg2 / F3, deg3 / (F3 * F))
+        self.ambient = 1.0 + abs(Kn) / Kd * top
 
     def gradbar(self, grads) -> tuple:
         """Curved gradient values: sigma^-2 times flat gradient values."""
@@ -320,7 +443,9 @@ def _polyharmonic_terms(
     F = s * sum(v * v for v in U) + (1 - s) * D * D
     if not F:
         raise SingularDivisionError("the point lies on the singular set x = a")
-    Q, pw = _reciprocal_numerators([s * v for v in U], F, s, orders[-1] if orders else 0)
+    top = orders[-1] if orders else 0
+    pw = [(2 * top + 1) ** i for i in range(m)]
+    Q = _reciprocal_numerators([s * v for v in U], F, s, _needed_set(m, top), pw)
     k_abs = abs(as_float(mmap.k))
     out: dict[int, tuple[tuple, float]] = {}
     for k in orders:
@@ -347,43 +472,41 @@ def _polyharmonic_terms(
     return out
 
 
-def _reciprocal_numerators(G, F, s: int, top: int) -> tuple[dict[int, object], list[int]]:
-    """Numerators Q_beta of the Taylor coefficients of 1/f over N_top.
+def _reciprocal_numerators(G, F, S, entries, pw) -> dict[int, object]:
+    """Numerators N_beta of the Taylor coefficients of 1/f over an index set.
 
-    For f(x0 + h) = (F + 2 D G.h + s D^2 |h|^2) / D^2 the coefficients are
-    q_beta = D^(|beta|+2) Q_beta / F^(|beta|+1), where Q_0 = 1 and
+    For f(x0 + t) = (F + 2 G.t + S |t|^2) / E the coefficients in t are
+    E N_beta / F^(|beta|+1), where N_0 = 1 and
 
-        Q_beta = -2 sum_i G_i Q_(beta - e_i) - s F sum_i Q_(beta - 2 e_i),
+        N_beta = -2 sum_i G_i N_(beta - e_i) - S F sum_i N_(beta - 2 e_i),
 
-    integers when G and F are.  Delta^k reads q only on
-    N_k = {beta : sum_i ceil(beta_i/2) <= k}, which is closed under
-    beta - e_i and beta - 2 e_i, so the recurrence runs there alone.
-    Returns Q keyed by sum_i beta_i pw_i, and the place values
-    pw_i = (2 top + 1)^i.
+    integers when G, F and S are (a float run over doubles is the same
+    recurrence).  ``entries`` is an index set closed under beta - e_i and
+    beta - 2 e_i, as :func:`_needed_set` or :func:`_read_set` lists it, with
+    keys sum_i beta_i pw_i; N is returned keyed the same way.
     """
-    pw = [(2 * top + 1) ** i for i in range(len(G))]
-    sF = s * F
-    Q = {0: 1}
-    for key, ones, twos in _needed_set(len(G), top)[1:]:
+    SF = S * F
+    N = {0: 1}
+    for key, ones, twos in entries[1:]:
         acc = 0
         for i in ones:
-            acc += G[i] * Q[key - pw[i]]
+            acc += G[i] * N[key - pw[i]]
         acc2 = 0
         for i in twos:
-            acc2 += Q[key - 2 * pw[i]]
-        Q[key] = -2 * acc - sF * acc2
-    return Q, pw
+            acc2 += N[key - 2 * pw[i]]
+        N[key] = -2 * acc - SF * acc2
+    return N
 
 
-@functools.lru_cache(maxsize=1)
-def _needed_set(m: int, top: int) -> tuple[tuple[int, tuple, tuple], ...]:
-    """(key, {i : beta_i >= 1}, {i : beta_i >= 2}) over N_top in key order.
+def _index_set(m: int, top: int, max_degree: int) -> tuple[tuple[int, tuple, tuple], ...]:
+    """(key, {i : beta_i >= 1}, {i : beta_i >= 2}) in key order over
+    {beta : sum_i ceil(beta_i/2) <= top, |beta| <= max_degree}.
 
-    Keys use the place values (2 top + 1)^i of :func:`_reciprocal_numerators`.
-    The set depends on (m, top) alone, and every trial and point of a sweep
-    cell asks for the same one, so the last set built is kept.
+    Keys use the place values (2 top + 1)^i.  Both bounds are kept by
+    beta - e_i and beta - 2 e_i, so the set is closed under the shifts of
+    :func:`_reciprocal_numerators`.
     """
-    entries = [(0, top, (), ())]
+    entries = [(0, top, max_degree, (), ())]
     for i in range(m):
         p = (2 * top + 1) ** i
         grown = []
@@ -391,11 +514,28 @@ def _needed_set(m: int, top: int) -> tuple[tuple[int, tuple, tuple], ...]:
             cost = (b + 1) // 2
             one = (i,) if b >= 1 else ()
             two = (i,) if b >= 2 else ()
-            for key, left, ones, twos in entries:
-                if left >= cost:
-                    grown.append((key + b * p, left - cost, ones + one, twos + two))
+            for key, left, deg, ones, twos in entries:
+                if left >= cost and deg >= b:
+                    grown.append((key + b * p, left - cost, deg - b, ones + one, twos + two))
         entries = grown
-    return tuple((key, ones, twos) for key, _, ones, twos in entries)
+    return tuple((key, ones, twos) for key, _, _, ones, twos in entries)
+
+
+@functools.lru_cache(maxsize=1)
+def _needed_set(m: int, top: int) -> tuple[tuple[int, tuple, tuple], ...]:
+    """N_top = {beta : sum_i ceil(beta_i/2) <= top}, the coefficients Delta^top reads.
+
+    The set depends on (m, top) alone, and every trial and point of a sweep
+    cell asks for the same one, so the last set built is kept.
+    """
+    return _index_set(m, top, 2 * top)
+
+
+@functools.lru_cache(maxsize=16)
+def _read_set(m: int) -> tuple[tuple[int, tuple, tuple], ...]:
+    """N_2 with |beta| <= 3: every beta of degree <= 2 and every 2 e_i + e_j,
+    the coefficients of lambda that ``ConformalGeometry`` reads (keys in base 5)."""
+    return _index_set(m, 2, 3)
 
 
 def _iterlap_weights(m: int, k: int) -> list[tuple[tuple, int]]:

@@ -19,7 +19,10 @@ costs no products however often it is rebuilt.  The curved operators are
 
 where the second form of lapbar follows from grad sigma = -sigma^2 grad w.
 Each operator forms w and its other factors at the degree of its result
-(D - 2 for lapbar), since the coefficients above it are never read.
+(D - 2 for lapbar), since the coefficients above it are never read.  The
+residual kernel of :mod:`polyharm.residuals` forms the same operators on
+integers from the Taylor coefficients of the factor; these jet versions are
+the oracle its tests compare with.
 Curvatures are restricted to {-1, 0, +1}: the classification statements are
 for unit curvatures and general values would only rescale.
 """

@@ -22,6 +22,7 @@ from polyharm.mobius import (
     conformal_factor_value,
     conformality_check,
     euclidean_factor,
+    factor_quadratic,
     identity_matrix,
     is_orthogonal,
     mat_vec,
@@ -98,6 +99,20 @@ class TestCayley:
     def test_signed_permutation_orthogonal(self):
         A = signed_permutation([2, 0, 1], [1, -1, 1])
         assert is_orthogonal(A)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # unit columns that are not orthogonal
+            ((rational(3, 5), rational(4, 5)), (rational(4, 5), rational(3, 5))),
+            # orthogonal columns that are not unit
+            ((rational(1), rational(0)), (rational(0), rational(1, 2))),
+            # a rotation with one entry changed
+            ((rational(3, 5), rational(-4, 5)), (rational(4, 5), rational(1, 2))),
+        ],
+    )
+    def test_non_orthogonal_rejected(self, rows):
+        assert not is_orthogonal(rows)
 
 
 class TestApply:
@@ -190,6 +205,22 @@ class TestConformalFactor:
         x = seed((1, 0, 0, 0), 2)
         with pytest.raises(NonpositiveFactorError):
             conformal_factor(SpaceFormModel.flat(4), SpaceFormModel.flat(4), m, x)
+
+
+class TestFactorQuadratic:
+    @pytest.mark.parametrize("c1,c2", CURVATURE_PAIRS)
+    @pytest.mark.parametrize("eps", [0, 2])
+    def test_pointwise_factor(self, c1, c2, eps):
+        """kappa w(x) den / Q(x - a) is the factor at every admissible point."""
+        inst, pts = make_instance(f"factor-quadratic:{c1}:{c2}:{eps}", 5, c1, c2, eps, style=2)
+        fq = factor_quadratic(inst.target, inst.map)
+        assert fq == inst.factor
+        for x in pts:
+            u = tuple(xi - rational(ai, fq.a_den) for xi, ai in zip(x, fq.a_num))
+            q = fq.value + 2 * sum(g * v for g, v in zip(fq.linear, u)) + fq.square * exact_norm_sq(u)
+            w = (1 + c1 * exact_norm_sq(x)) / 2 if c1 else 1
+            lam = fq.kappa * w * fq.den / q
+            assert lam == conformal_factor_value(inst.domain, inst.target, inst.map, x)
 
 
 class TestReducedParameters:

@@ -5,12 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from polyharm import jets
-from polyharm.errors import InterpolationError
+from polyharm import jets, residuals
+from polyharm.errors import (
+    ChartDomainError,
+    InterpolationError,
+    NonpositiveFactorError,
+    PolyharmError,
+    SingularDivisionError,
+)
 from polyharm.jets import laplacian, seed
 from polyharm.mobius import ConformalInstance, MobiusMap, conformal_factor
 from polyharm.rationals import EXACT, FLOAT, coerce, rational
 from polyharm.residuals import (
+    ConformalGeometry,
     closed_form_coefficient,
     evaluate_residuals,
     harmonicity_flag,
@@ -169,6 +176,108 @@ class TestIdentityChain:
                 for gll, gl, gg in zip(grad_ll, grad_l, grad_g)
             )
             assert snd == residual_SDL(inst, pt).values
+
+
+GEOMETRY_FIELDS = (
+    "lam0",
+    "grad_lam",
+    "w0_sq",
+    "lapbar0",
+    "grad_lapbar",
+    "grad_lam_lapbar",
+    "gnorm0",
+    "grad_gnorm",
+)
+
+
+def _dense_geometry(instance, x, mode=EXACT) -> dict:
+    """The fields of ConformalGeometry the dense way: degree-3 jets of the
+    composed factor and the curved operators of polyharm.spaceform."""
+    x_jets = seed(tuple(coerce(v, mode) for v in x), 3, mode)
+    dom = instance.domain
+    lam = conformal_factor(dom, instance.target, instance.map, x_jets)
+    w = inv_sigma_jet(dom, x_jets)
+    lapbar = laplace_beltrami(lam, dom, x_jets)
+    gnorm = grad_norm_sq_bar(lam.truncate(2), dom, x_jets)
+    return {
+        "lam0": lam.value(),
+        "grad_lam": lam.gradient(),
+        "w0_sq": w.value() * w.value(),
+        "lapbar0": lapbar.value(),
+        "grad_lapbar": lapbar.gradient(),
+        "grad_lam_lapbar": (lam * lapbar).gradient(),
+        "gnorm0": gnorm.value(),
+        "grad_gnorm": gnorm.gradient(),
+    }
+
+
+def _raised(fn):
+    try:
+        fn()
+    except PolyharmError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestGeometryKernelOracle:
+    """The integer kernel of ConformalGeometry against the dense jet route."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    def test_exact_equal(self, m):
+        checked = 0
+        for c1, c2 in CURVATURE_PAIRS:
+            for eps in (0, 2):
+                for style in (0, 1, 2):
+                    tag = f"kernel-oracle:{m}:{c1}:{c2}:{eps}:{style}"
+                    inst, pts = make_instance(tag, m, c1, c2, eps, style)
+                    got = ConformalGeometry(inst, pts[0])
+                    want = _dense_geometry(inst, pts[0])
+                    assert {f: getattr(got, f) for f in GEOMETRY_FIELDS} == want
+                    checked += 1
+        assert checked == 9 * 2 * 3
+
+    def test_read_set_is_degree_two_and_the_2ei_plus_ej(self):
+        for m in range(3, 9):
+            betas = {
+                tuple((key // 5**i) % 5 for i in range(m)) for key, _, _ in residuals._read_set(m)
+            }
+            want = {b for b in jets.multi_indices(m, 3) if sum(b) <= 2 or max(b) >= 2}
+            assert betas == want
+            assert len(betas) == 1 + m + m * (m + 1) // 2 + m * m
+        assert len(residuals._read_set(8)) == 109
+
+    @pytest.mark.parametrize("m,c1,c2,eps", [(5, 1, -1, 2), (6, -1, 1, 0), (7, 1, 0, 2), (8, -1, -1, 2)])
+    def test_float_within_relative_tolerance(self, m, c1, c2, eps):
+        inst, pts = make_instance(f"kernel-oracle-float:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, style=2)
+        pt = tuple(float(v) for v in pts[0])
+        got = ConformalGeometry(inst, pt, FLOAT)
+        want = _dense_geometry(inst, pt, FLOAT)
+        for f in GEOMETRY_FIELDS:
+            a, b = getattr(got, f), want[f]
+            a, b = (a, b) if isinstance(b, tuple) else ((a,), (b,))
+            scale = max(abs(v) for v in b)
+            assert scale > 0
+            assert max(abs(u - v) for u, v in zip(a, b)) <= 1e-12 * scale, f
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize(
+        "c1,c2,k,eps,pt,error",
+        [
+            (0, 0, 1, 2, (0, 0, 0, 0), SingularDivisionError),  # x = a
+            (0, -1, 1, 0, (1, 0, 0, 0), ChartDomainError),  # |phi| = 1: target boundary
+            (0, -1, 1, 0, (2, 0, 0, 0), ChartDomainError),  # |phi| > 1: outside the ball
+            (-1, 0, 1, 2, (1, 0, 0, 0), ChartDomainError),  # on the domain chart boundary
+            (-1, 0, 1, 2, (1, 1, 0, 0), ChartDomainError),  # outside the domain chart
+            (1, 1, -1, 0, (1, 0, 0, 0), NonpositiveFactorError),  # k < 0
+        ],
+    )
+    def test_error_parity(self, mode, c1, c2, k, eps, pt, error):
+        mmap = MobiusMap.build(a=_zeros(4), b=_zeros(4), k=k, epsilon=eps)
+        inst = ConformalInstance(SpaceFormModel(4, c1), SpaceFormModel(4, c2), mmap)
+        pt = tuple(coerce(v, mode) for v in pt)
+        raised = _raised(lambda: ConformalGeometry(inst, pt, mode))
+        assert raised is not None and raised[0] is error
+        assert raised == _raised(lambda: _dense_geometry(inst, pt, mode))
 
 
 class TestHarmonicity:
