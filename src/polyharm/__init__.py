@@ -1,23 +1,15 @@
 """Exact-arithmetic verification of conformal biharmonic and k-polyharmonic
 map classifications between space forms.
 
-The pipeline: :mod:`polyharm.jets` supplies truncated Taylor arithmetic over
-exact rationals, :mod:`polyharm.spaceform` the conformal chart models and
-curved operators, :mod:`polyharm.mobius` the inversive map family with its
-conformal factors, :mod:`polyharm.residuals` the PDE residual evaluators, and
+The pipeline: :mod:`polyharm.jets` supplies truncated Taylor arithmetic (the
+reference route the tests check the integer kernels against),
+:mod:`polyharm.spaceform` the conformal chart models and curved operators,
+:mod:`polyharm.mobius` the inversive map family with its conformal factors,
+:mod:`polyharm.residuals` the PDE residual evaluators, and
 :mod:`polyharm.verifier` sampling, sweeps, and machine-readable reports.
 """
 
-from .jets import (
-    Jet,
-    JetSpace,
-    iterated_laplacian,
-    laplacian,
-    multi_indices,
-    partial,
-    seed,
-    value_and_gradient,
-)
+from .jets import Jet, JetSpace, iterated_laplacian, multi_indices, seed
 from .mobius import ConformalInstance, MobiusMap, ReducedFactorParams
 from .rationals import EXACT, FLOAT, rational
 from .residuals import (
@@ -64,10 +56,8 @@ __all__ = [
     "evaluate_residuals",
     "harmonicity_flag",
     "iterated_laplacian",
-    "laplacian",
     "load_config",
     "multi_indices",
-    "partial",
     "polyharmonic_residual",
     "radial_coefficients",
     "rational",
@@ -81,5 +71,4 @@ __all__ = [
     "selftest",
     "sweep_biharmonic",
     "sweep_polyharmonic",
-    "value_and_gradient",
 ]

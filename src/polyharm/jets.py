@@ -16,42 +16,43 @@ ties broken by ascending lexicographic comparison of the exponent tuple.
 A key observation used throughout is that the first C(m + d, d) positions of
 a degree-D table are exactly the degree-<=d prefix, so truncation is a slice.
 
-Sign convention: ``laplacian`` is the analyst's flat Laplacian sum of second
-partials.  Curved-metric operators live in :mod:`polyharm.spaceform`.
+Sign convention: ``Jet.laplacian`` is the analyst's flat Laplacian sum of
+second partials.  Curved-metric operators live in :mod:`polyharm.spaceform`.
+
+No verdict is computed on jets: both residual paths run integer kernels
+(:mod:`polyharm.residuals`), and the dense jet route is the reference the
+tests compare those kernels with.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from functools import lru_cache
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import DegreeError, ShapeMismatchError, SingularDivisionError
 from .rationals import EXACT, coerce, inv, scalar_zero
 
 MultiIndex = tuple  # exponent tuple (beta_1, ..., beta_m), all entries >= 0
 
-_MUL_CACHE_LIMIT = 20000  # cache per-position shift arrays only on small spaces
 
-
-@lru_cache(maxsize=None)
-def _exponent_rows(nvars: int, budget: int) -> np.ndarray:
-    """All exponent rows with ``sum <= budget`` over ``nvars`` variables."""
+def _of_total(nvars: int, total: int):
+    """Exponent tuples over ``nvars`` variables summing to ``total``, lex ascending."""
     if nvars == 1:
-        return np.arange(budget + 1, dtype=np.int16).reshape(-1, 1)
-    blocks = []
-    for v in range(budget + 1):
-        sub = _exponent_rows(nvars - 1, budget - v)
-        col = np.full((sub.shape[0], 1), v, dtype=np.int16)
-        blocks.append(np.hstack([col, sub]))
-    return np.vstack(blocks)
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _of_total(nvars - 1, total - first):
+            yield (first,) + rest
 
 
 class JetSpace:
-    """Shared index tables for jets of a fixed (dimension, degree) pair."""
+    """Shared index tables for jets of a fixed (dimension, degree) pair.
+
+    Each multi-index has the packed key sum_i beta_i * B^(m-1-i) + |beta| * B^m
+    with B = degree + 1.  Keys grow with the graded-lex position and are
+    additive, key(alpha + beta) = key(alpha) + key(beta), so one
+    ``{key: position}`` dict answers every shifted lookup.
+    """
 
     _cache: dict[tuple[int, int], "JetSpace"] = {}
 
@@ -61,27 +62,20 @@ class JetSpace:
         if degree < 0:
             raise DegreeError("truncation degree must be >= 0")
         base = degree + 1
-        if (dim + 1) * math.log2(base) > 62:
-            raise DegreeError(f"truncation space ({dim}, {degree}) too large for packed keys")
         self.dim = dim
         self.degree = degree
-        exps = _exponent_rows(dim, degree)
-        self._pw = (base ** np.arange(dim - 1, -1, -1)).astype(np.int64)
-        self._grade_unit = base**dim
-        key = exps.astype(np.int64) @ self._pw + exps.sum(axis=1, dtype=np.int64) * self._grade_unit
-        order = np.argsort(key, kind="stable")
-        self.exponents = np.ascontiguousarray(exps[order])
-        self.keys = np.ascontiguousarray(key[order])
+        # key of each unit multi-index e_i
+        self._unit_keys = [base ** (dim - 1 - i) + base**dim for i in range(dim)]
+        self.exponents = [beta for d in range(degree + 1) for beta in _of_total(dim, d)]
+        self.keys = [self._key_of(beta) for beta in self.exponents]
+        self._pos = {k: p for p, k in enumerate(self.keys)}
         self.size = len(self.keys)
         # position of the first multi-index of each total degree
         self.degree_offsets = [math.comb(dim + d - 1, dim) if d > 0 else 0 for d in range(degree + 2)]
         self.degree_offsets[degree + 1] = self.size
-        self._downshift: dict[tuple, array] = {}
-        self._mulshift: dict[int, np.ndarray] = {}
+        self._downshift: dict[tuple, list[int]] = {}
         self._diff_tables: dict[tuple[int, int], tuple[list, list]] = {}
         self._iterlap: dict[int, list[tuple[int, int]]] = {}
-        self._grad_positions: list[int] | None = None
-        self._square_positions: list[int] | None = None
 
     @classmethod
     def get(cls, dim: int, degree: int) -> "JetSpace":
@@ -94,72 +88,43 @@ class JetSpace:
     # -- position lookups ---------------------------------------------------
 
     def _key_of(self, beta: Sequence[int]) -> int:
-        deg = 0
-        key = 0
-        for b, p in zip(beta, self._pw.tolist()):
-            deg += b
-            key += b * p
-        return key + deg * int(self._grade_unit)
+        return sum(b * k for b, k in zip(beta, self._unit_keys))
 
     def position(self, beta: Sequence[int]) -> int:
         """Graded-lex position of a multi-index (must lie in the table)."""
-        k = self._key_of(beta)
-        p = int(np.searchsorted(self.keys, k))
-        if p >= self.size or self.keys[p] != k:
+        p = self._pos.get(self._key_of(beta))
+        if p is None:
             raise DegreeError(f"multi-index {tuple(beta)} outside degree-{self.degree} table")
         return p
 
     def exponent(self, pos: int) -> MultiIndex:
-        return tuple(int(v) for v in self.exponents[pos])
+        return self.exponents[pos]
 
     def end_of_degree(self, d: int) -> int:
         """Position one past the last multi-index of total degree d."""
         return self.degree_offsets[min(d, self.degree) + 1]
 
     def grad_positions(self) -> list[int]:
-        if self._grad_positions is None:
-            self._grad_positions = [
-                self.position(tuple(1 if j == i else 0 for j in range(self.dim)))
-                for i in range(self.dim)
-            ]
-        return self._grad_positions
+        """Positions of the unit multi-indices e_i."""
+        return [self._pos[k] for k in self._unit_keys]
 
     def square_positions(self) -> list[int]:
         """Positions of the pure second-degree multi-indices 2 e_i."""
-        if self._square_positions is None:
-            self._square_positions = [
-                self.position(tuple(2 if j == i else 0 for j in range(self.dim)))
-                for i in range(self.dim)
-            ]
-        return self._square_positions
+        return [self._pos[2 * k] for k in self._unit_keys]
 
     # -- shift tables -------------------------------------------------------
 
-    def downshift(self, beta: MultiIndex) -> array:
+    def downshift(self, beta: MultiIndex) -> list[int]:
         """positions[p] of (exponent(p) - beta), or -1 where that is negative."""
         tab = self._downshift.get(beta)
         if tab is None:
-            valid = (self.exponents >= np.asarray(beta, dtype=np.int16)).all(axis=1)
-            kshift = self.keys - self._key_of(beta)
-            pos = np.searchsorted(self.keys, kshift)
-            pos = np.minimum(pos, self.size - 1)
-            ok = valid & (self.keys[pos] == kshift)
-            tab = array("i", np.where(ok, pos, -1).astype(np.int32).tobytes())
+            kb = self._key_of(beta)
+            tab = [
+                self._pos[k - kb] if all(e >= b for e, b in zip(exps, beta)) else -1
+                for exps, k in zip(self.exponents, self.keys)
+            ]
             self._downshift[beta] = tab
         return tab
-
-    def mulshift(self, pos: int, limit: int) -> np.ndarray:
-        """positions of exponent(pos) + exponent(q) for q < limit."""
-        cached = self._mulshift.get(pos)
-        if cached is not None and len(cached) >= limit:
-            return cached[:limit]
-        shifted = np.searchsorted(self.keys, self.keys[:limit] + self.keys[pos])
-        if self.size <= _MUL_CACHE_LIMIT and limit == self.end_of_degree(self.degree - self._deg_of(pos)):
-            self._mulshift[pos] = shifted
-        return shifted
-
-    def _deg_of(self, pos: int) -> int:
-        return int(self.exponents[pos].sum())
 
     def diff_table(self, axis: int, order: int) -> tuple[list, list]:
         """Source positions and integer weights for d^order/dx_axis^order.
@@ -171,13 +136,10 @@ class JetSpace:
         tab = self._diff_tables.get(key)
         if tab is None:
             nres = self.end_of_degree(self.degree - order)
-            kt = self.keys[:nres] + order * (int(self._pw[axis]) + int(self._grade_unit))
-            src = np.searchsorted(self.keys, kt).astype(np.int64)
-            b = self.exponents[:nres, axis].astype(np.int64)
-            w = np.ones(nres, dtype=np.int64)
-            for j in range(1, order + 1):
-                w *= b + j
-            tab = (src.tolist(), w.tolist())
+            shift = order * self._unit_keys[axis]
+            src = [self._pos[k + shift] for k in self.keys[:nres]]
+            w = [math.prod(range(b[axis] + 1, b[axis] + order + 1)) for b in self.exponents[:nres]]
+            tab = (src, w)
             self._diff_tables[key] = tab
         return tab
 
@@ -188,9 +150,8 @@ class JetSpace:
         """
         targets = self._iterlap.get(order)
         if targets is None:
-            gammas = [g for g in multi_indices(self.dim, order) if sum(g) == order]
             targets = []
-            for g in gammas:
+            for g in _of_total(self.dim, order):
                 tau = tuple(2 * v for v in g)
                 w = math.factorial(order)
                 for v in g:
@@ -204,8 +165,7 @@ class JetSpace:
 
 def multi_indices(m: int, D: int) -> list[MultiIndex]:
     """All multi-indices with |beta| <= D in graded lexicographic order."""
-    space = JetSpace.get(m, D)
-    return [tuple(int(v) for v in row) for row in space.exponents]
+    return list(JetSpace.get(m, D).exponents)
 
 
 class Jet:
@@ -334,22 +294,23 @@ class Jet:
             return self.scale(other)
         a, b = self._aligned(other)
         space = a.space
-        D = space.degree
+        keys, pos = space.keys, space._pos
         an = sum(1 for c in a.coeffs if c)
         bn = sum(1 for c in b.coeffs if c)
         outer, inner = (a, b) if an <= bn else (b, a)
+        inner_nz = [(keys[q], c) for q, c in enumerate(inner.coeffs) if c]
         res = [scalar_zero(a.mode)] * space.size
-        inner_coeffs = inner.coeffs
         for p, c in enumerate(outer.coeffs):
             if not c:
                 continue
-            limit = space.end_of_degree(D - space._deg_of(p))
-            targets = space.mulshift(p, limit)
-            for q in range(limit):
-                cq = inner_coeffs[q]
-                if cq:
-                    t = targets[q]
-                    res[t] = res[t] + c * cq
+            kp = keys[p]
+            for kq, cq in inner_nz:
+                # keys ascend with the inner position, so the first sum of
+                # degree above D (a key outside the table) ends the row
+                t = pos.get(kp + kq)
+                if t is None:
+                    break
+                res[t] = res[t] + c * cq
         return Jet(space, a.mode, a.base, res)
 
     def __rmul__(self, other):
@@ -447,16 +408,6 @@ def seed(x0: Sequence, degree: int, mode: str = EXACT) -> tuple[Jet, ...]:
     return tuple(jets)
 
 
-def partial(j: Jet, axis: int) -> Jet:
-    """Degree-(D-1) jet of the partial derivative along one axis."""
-    return j.partial(axis)
-
-
-def laplacian(j: Jet) -> Jet:
-    """Degree-(D-2) jet of the flat Laplacian (sum of second partials)."""
-    return j.laplacian()
-
-
 def iterated_laplacian(j: Jet, order: int):
     """Value of Delta^order f at the base point; needs degree >= 2*order."""
     if order < 0:
@@ -472,49 +423,6 @@ def iterated_laplacian(j: Jet, order: int):
         if c:
             total = total + w * c
     return total
-
-
-def iterated_laplacian_product(a: Jet, b: Jet, order: int):
-    """Delta^order (a*b)(x0) without materializing the product jet.
-
-    Only the degree-2*order coefficients of a*b feed the iterated Laplacian,
-    and each is a short convolution against the nonzero entries of the
-    sparser factor.  Equivalent to ``iterated_laplacian(a*b, order)``.
-    """
-    aa, bb = a._aligned(b)
-    if order == 0:
-        return aa.value() * bb.value()
-    if aa.degree < 2 * order:
-        raise DegreeError(f"degree {aa.degree} insufficient for Delta^{order}")
-    space = aa.space
-    an = sum(1 for c in aa.coeffs if c)
-    bn = sum(1 for c in bb.coeffs if c)
-    sparse, dense = (aa, bb) if an <= bn else (bb, aa)
-    targets = space.iterlap_targets(order)
-    target_keys = np.array([space.keys[p] for p, _ in targets], dtype=np.int64)
-    target_rows = space.exponents[[p for p, _ in targets]]
-    vals = [scalar_zero(aa.mode)] * len(targets)
-    for p, c in enumerate(sparse.coeffs):
-        if not c:
-            continue
-        beta = space.exponents[p]
-        ok = (target_rows >= beta).all(axis=1)
-        shifted = np.searchsorted(space.keys, target_keys - space.keys[p])
-        for t in range(len(targets)):
-            if ok[t]:
-                cd = dense.coeffs[int(shifted[t])]
-                if cd:
-                    vals[t] = vals[t] + c * cd
-    total = scalar_zero(aa.mode)
-    for (pos, w), v in zip(targets, vals):
-        if v:
-            total = total + w * v
-    return total
-
-
-def value_and_gradient(j: Jet) -> tuple:
-    """(f(x0), grad f(x0)) read off the degree-0 and degree-1 coefficients."""
-    return j.value(), j.gradient()
 
 
 def dot(a: Iterable[Jet], b: Iterable[Jet]) -> Jet:

@@ -298,7 +298,7 @@ class ConformalInstance:
 
 
 def apply_point(mmap: MobiusMap, x: Vector) -> Vector:
-    """phi(x) on exact scalars (fast path for admissibility screening)."""
+    """phi(x) on exact scalars."""
     u = tuple(xi - ai for xi, ai in zip(x, mmap.a))
     v = mat_vec(mmap.A, u)
     if mmap.epsilon == 0:

@@ -107,9 +107,10 @@ DEFAULT_FLOAT_TOL = 1e-9
 
 # Float-noise ceiling for a structurally-zero equation, relative to the fourth
 # power of the input-coefficient magnitude (terms are products of at most four
-# jet-derived factors).  When the term scale S falls below this floor every
-# term vanished identically rather than cancelling, and the relative test
-# norm <= tol*S degenerates to 0/0; the floor then decides.
+# factors read off the Taylor coefficients of lambda).  When the term scale S
+# falls below this floor every term vanished identically rather than
+# cancelling, and the relative test norm <= tol*S degenerates to 0/0; the
+# floor then decides.
 _DEGENERATE_SCALE_EPS = 1e-12
 
 
@@ -372,7 +373,7 @@ def harmonicity_flag(instance: ConformalInstance, x, mode: str = EXACT) -> bool:
 def evaluate_residuals(
     instance: ConformalInstance, x, mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL
 ) -> dict:
-    """All four residuals plus the harmonicity flag, sharing one jet build."""
+    """All four residuals plus the harmonicity flag, from one ``ConformalGeometry``."""
     g = ConformalGeometry(instance, x, mode)
     return {
         "CL": _cl_from_geometry(g, mode, tol),

@@ -52,7 +52,7 @@ METHOD_NOTE = (
 )
 
 # small-rational knobs for random parameter draws; numerators and denominators
-# stay <= 16 to bound coefficient growth in exact degree-3 jets
+# stay <= 16 to bound integer growth in the exact residual kernels
 _POINT_MAX_DEN = 16
 _MAP_RETRIES = 10
 _REJECTION_FACTOR = 400
@@ -228,19 +228,18 @@ def _default_radius(domain: SpaceFormModel):
 
 
 def _admissible(instance: ConformalInstance, x, exclusion) -> bool:
+    """x lies in the domain chart, off the exclusion ball round a (eps = 2),
+    and lambda(x) > 0.  With lambda = kappa * w * den / Q(x - a), the chart
+    weight w and ``den`` are positive, so the sign is that of kappa * Q."""
     if not spaceform.in_domain(instance.domain, x):
         return False
-    if instance.map.epsilon == 2:
-        dist_sq = sum((xi - ai) ** 2 for xi, ai in zip(x, instance.map.a))
-        if dist_sq <= exclusion * exclusion:
-            return False
-    try:
-        lam = mobius.conformal_factor_value(
-            instance.domain, instance.target, instance.map, x
-        )
-    except PolyharmError:
+    u = tuple(xi - ai for xi, ai in zip(x, instance.map.a))
+    u_sq = sum(v * v for v in u)
+    if instance.map.epsilon == 2 and u_sq <= exclusion * exclusion:
         return False
-    return lam > 0
+    fq = instance.factor
+    q = fq.value + 2 * sum(g * v for g, v in zip(fq.linear, u)) + fq.square * u_sq
+    return fq.kappa > 0 and q > 0
 
 
 def sample_points(plan: SamplePlan, instance: ConformalInstance) -> list[tuple]:

@@ -1,15 +1,20 @@
 """Config loading, sampling, verdicts, sweeps, reports, and the CLI contract."""
 
 import dataclasses
+import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import polyharm
 from polyharm import residuals
 from polyharm.cli import main
-from polyharm.errors import AdmissibleRegionError, ConfigError
-from polyharm.mobius import ConformalInstance, MobiusMap
+from polyharm.errors import AdmissibleRegionError, ConfigError, PolyharmError
+from polyharm.mobius import ConformalInstance, MobiusMap, apply_point, conformal_factor_value
 from polyharm.rationals import EXACT, FLOAT, rational
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
@@ -20,6 +25,7 @@ from polyharm.verifier import (
     expected_polyharmonic_zero,
     expected_proper_biharmonic,
     load_config,
+    random_mobius,
     render_report,
     run_check,
     sample_points,
@@ -27,6 +33,8 @@ from polyharm.verifier import (
     sweep_biharmonic,
     sweep_polyharmonic,
 )
+
+from conftest import rng_for
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -152,6 +160,74 @@ class TestSampling:
         )
         with pytest.raises(AdmissibleRegionError):
             sample_points(SamplePlan(seed=1, count=4, radius=rational(1, 8)), inst)
+
+
+def _screen(instance, x, exclusion) -> bool:
+    """The sampler's admissibility verdict on one explicit point."""
+    try:
+        sample_points(SamplePlan(points=(x,), exclusion=exclusion), instance)
+    except AdmissibleRegionError:
+        return False
+    return True
+
+
+def _composed_screen(instance, x, exclusion) -> bool:
+    """The same verdict from the composed factor: phi(x) through apply_point."""
+    mmap = instance.map
+    if mmap.epsilon == 2 and sum((xi - ai) ** 2 for xi, ai in zip(x, mmap.a)) <= exclusion**2:
+        return False
+    try:
+        return conformal_factor_value(instance.domain, instance.target, mmap, x) > 0
+    except PolyharmError:
+        return False
+
+
+def _target_boundary_point(mmap):
+    """A point whose image lies on the unit sphere |phi| = 1 (the ball's rim)."""
+    m = mmap.dim
+    y = (rational(3, 5), rational(4, 5)) + (rational(0),) * (m - 2)
+    v = tuple((yi - bi) / mmap.k for yi, bi in zip(y, mmap.b))
+    at_v = tuple(sum(mmap.A[i][j] * v[i] for i in range(m)) for j in range(m))
+    if mmap.epsilon == 2:  # u / |u|^2 = A^T v inverts to u = A^T v / |v|^2
+        v_sq = sum(c * c for c in v)
+        at_v = tuple(c / v_sq for c in at_v)
+    return tuple(ai + c for ai, c in zip(mmap.a, at_v))
+
+
+class TestSamplerScreen:
+    """The sampler reads the sign of lambda off the instance's P/Q factor;
+    pinned here to the screen that composes phi and evaluates lambda."""
+
+    def test_matches_composed_factor(self):
+        rng = rng_for("sampler-screen")
+        seen = {"admitted": 0, "rejected": 0, "x=a": 0, "outside-ball": 0, "target-rim": 0}
+        for m, c1, c2, eps in itertools.product((3, 5), (-1, 0, 1), (-1, 0, 1), (0, 2)):
+            domain, target = SpaceFormModel(m, c1), SpaceFormModel(m, c2)
+            drawn = random_mobius(rng, m, target, eps, style=rng.randint(0, 2))
+            for k in (drawn.k, -drawn.k):  # a config may give k < 0
+                mmap = MobiusMap.build(drawn.a, drawn.b, k, drawn.A, eps)
+                inst = ConformalInstance(domain, target, mmap)
+                points = [
+                    tuple(rational(rng.randint(-32, 32), 16) for _ in range(m)) for _ in range(6)
+                ]
+                special = {"x=a": mmap.a}
+                if c1 == -1:
+                    special["outside-ball"] = (rational(5, 4),) + mmap.a[1:]
+                if c2 == -1:
+                    special["target-rim"] = _target_boundary_point(mmap)
+                    assert sum(v * v for v in apply_point(mmap, special["target-rim"])) == 1
+                for exclusion in (rational(0), rational(1, 8)):
+                    for x in points + list(special.values()):
+                        got = _screen(inst, x, exclusion)
+                        assert got == _composed_screen(inst, x, exclusion), (
+                            m, c1, c2, eps, k, x, exclusion,
+                        )
+                        seen["admitted" if got else "rejected"] += 1
+                    for name, x in special.items():
+                        if name != "x=a" or eps == 2:
+                            assert not _screen(inst, x, exclusion), (name, x)
+                        seen[name] += 1
+        assert all(seen.values()), seen
 
 
 class TestRunCheck:
@@ -462,6 +538,16 @@ class TestCli:
         cfg["sample"].update(sample)
         assert main(["check", str(_write(tmp_path, cfg))] + flags) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_import_loads_no_numpy(self):
+        # every CLI call pays the package import, and the package needs no numpy
+        src = str(Path(polyharm.__file__).resolve().parents[1])
+        code = "import sys, polyharm; print('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "False"
 
     def test_identical_seeds_identical_bytes(self, tmp_path, capsys):
         cfg = _write(tmp_path, _inversion_config())
