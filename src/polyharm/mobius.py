@@ -104,30 +104,17 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     )
 
 
-def mat_inverse(A: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination with rational pivoting."""
-    m = len(A)
-    aug = [list(A[i]) + [rational(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col]), None)
-        if pivot is None:
-            raise MapValidationError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pc = aug[col][col]
-        aug[col] = [v / pc for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[m:]) for row in aug)
+def _integer_matrix(A: Matrix) -> tuple[list, int]:
+    """(N, D) with A = N/D: D the lcm of the denominators, N integer."""
+    D = math.lcm(*(v.denominator for row in A for v in row))
+    return [[v.numerator * (D // v.denominator) for v in row] for row in A], D
 
 
 def is_orthogonal(A: Matrix) -> bool:
     """A^T A == I, decided on integers: with A = N/D over the lcm D of its
     denominators, the condition is N^T N == D^2 I."""
     m = len(A)
-    D = math.lcm(*(v.denominator for row in A for v in row))
-    N = [[v.numerator * (D // v.denominator) for v in row] for row in A]
+    N, D = _integer_matrix(A)
     D2 = D * D
     return all(
         sum(N[r][i] * N[r][j] for r in range(m)) == (D2 if i == j else 0)
@@ -147,10 +134,28 @@ def cayley_orthogonal(S: Matrix) -> Matrix:
         for j in range(m):
             if S[i][j] != -S[j][i]:
                 raise MapValidationError("Cayley input must be skew-symmetric")
-    one = identity_matrix(m)
-    i_minus = tuple(tuple(one[i][j] - S[i][j] for j in range(m)) for i in range(m))
-    i_plus = tuple(tuple(one[i][j] + S[i][j] for j in range(m)) for i in range(m))
-    return mat_mul(mat_inverse(i_minus), i_plus)
+    # With S = N/d, solve (dI - N) X = dI + N by fraction-free Gauss-Jordan
+    # elimination (Bareiss): every division is exact, and at the end the left
+    # block is det I and the right block det X, all integers.
+    N, d = _integer_matrix(S)
+    rows = [
+        [(d if i == j else 0) - N[i][j] for j in range(m)]
+        + [(d if i == j else 0) + N[i][j] for j in range(m)]
+        for i in range(m)
+    ]
+    prev = 1
+    for k in range(m):
+        pivot = rows[k][k]
+        if not pivot:
+            # the leading minors of dI - N are those of d I minus a skew
+            # matrix, all positive, so no pivot vanishes for valid input
+            raise MapValidationError("matrix is singular")
+        for i in range(m):
+            if i != k:
+                r, f = rows[i], rows[i][k]
+                rows[i] = [(pivot * v - f * w) // prev for v, w in zip(r, rows[k])]
+        prev = pivot
+    return tuple(tuple(rational(v, rows[i][i]) for v in rows[i][m:]) for i in range(m))
 
 
 # -- the map family ----------------------------------------------------------
@@ -249,7 +254,15 @@ def factor_quadratic(target: SpaceFormModel, mmap: MobiusMap) -> FactorQuadratic
     k = mmap.k
     kappa = 2 * k if c2 else k
     alpha = 1 + c2 * sum(v * v for v in mmap.b)
-    g = tuple(c2 * k * v for v in mat_vec(transpose(mmap.A), mmap.b))
+    # g = c2 k A^T b on integers: A = N/D, b = B/d_b, k = k_n/k_d
+    N, D = _integer_matrix(mmap.A)
+    d_b = math.lcm(*(v.denominator for v in mmap.b))
+    B = [v.numerator * (d_b // v.denominator) for v in mmap.b]
+    g_num = c2 * k.numerator
+    g_den = k.denominator * D * d_b
+    g = tuple(
+        rational(g_num * sum(row[j] * v for row, v in zip(N, B)), g_den) for j in range(len(B))
+    )
     q0, s = (c2 * k * k, alpha) if mmap.epsilon == 2 else (alpha, c2 * k * k)
     den = math.lcm(q0.denominator, s.denominator, *(v.denominator for v in g))
     a_den = math.lcm(*(v.denominator for v in mmap.a))

@@ -55,9 +55,27 @@ with integer L_beta.  The curved operators
 
 (with grad w = c1 x) and their gradients are then formed on integers, the m^2
 sums x.H, grad(lam).H and |grad lam|^2 included, over one power of F and D per
-derivative order, and each field becomes one rational at the end.  The dense
-jet route (``mobius.conformal_factor``, ``spaceform.laplace_beltrami``,
-``spaceform.grad_norm_sq_bar``) is the oracle the tests compare it with.
+derivative order.  With K = Kn/Kd and g, H the integer numerators of the
+gradient and Hessian of lambda, lapbar lam = K Lb / (4 D^4 F^3) and
+grad lapbar lam = K grad_Lb / (4 D^4 F^4).  The residuals are assembled on
+the same integers: with Gamma_j = 2 c1 D F X_j |g|^2 + W (g.H)_j,
+
+    CL    = Kn / (8 Kd^3 D^4 F^3) [2 Kd^2 Lb - 4 m D^4 (c1 Kd^2 W F^2 - c2 Kn^2 W^3)
+                                   + (m-4) Kd^2 W |g|^2]
+    SDL_j = Kn^2 W^2 / (16 Kd^2 D^8 F^5) [W grad_Lb_j - 3 Lb g_j - (m-4) W Gamma_j
+                                          + 8 (m-1) c1 D^4 F^2 W g_j]
+
+and ND, ND2 are the like sums over Kn^2 W^2 / (16 Kd^4 D^8 F^5).  Each term
+of a residual stays one integer vector over that one positive denominator,
+and each output component meets one rational; the term sizes of the float
+zero test come from int/int quotients, the correctly rounded floats of the
+exact terms.  No verdict reads the rational fields of ``ConformalGeometry``
+(lambda, lapbar lambda, |gradbar lambda|^2 and their gradients), so they are
+formed only when read, by the tests: the dense jet route
+(``mobius.conformal_factor``, ``spaceform.laplace_beltrami``,
+``spaceform.grad_norm_sq_bar``) is the oracle they are compared with, and
+the residuals formed from those fields are the oracle of the integer
+assembly.
 
 Polyharmonic path.  Flat-target polyharmonicity reduces to iterated flat
 Laplacians of the map components.  A is constant, so with u = x - a and
@@ -135,7 +153,7 @@ class ResidualVector:
 
 
 def _norm(values) -> float:
-    return math.sqrt(sum(as_float(v) ** 2 for v in values))
+    return math.sqrt(sum(float(v) ** 2 for v in values))
 
 
 def vanishes(values, scale: float, mode: str, tol: float, floor: float = 0.0) -> bool:
@@ -154,13 +172,18 @@ def vanishes(values, scale: float, mode: str, tol: float, floor: float = 0.0) ->
     return nrm <= tol * scale if scale > floor else nrm <= floor
 
 
-def _bundle(label, point, term_vectors, mode, tol, ambient=1.0) -> ResidualVector:
-    m = len(term_vectors[0])
-    values = tuple(sum(t[i] for t in term_vectors) for i in range(m))
-    scale = sum(_norm(t) for t in term_vectors)
-    zero = vanishes(values, scale, mode, tol, _DEGENERATE_SCALE_EPS * ambient**4)
+def _residual(label, g: ConformalGeometry, num, den, terms, tol) -> ResidualVector:
+    """The residual num/den * sum(terms), each term an integer vector.
+
+    Each value meets one rational.  The scale is the sum of the term norms,
+    read off the int/int quotients (num * t)/den: the correctly rounded
+    floats of the exact terms, as ``float`` of those rationals gives.
+    """
+    values = tuple(g.quotient(num * sum(col), den) for col in zip(*terms))
+    scale = sum(_norm([num * v / den for v in t]) for t in terms)
+    zero = vanishes(values, scale, g.mode, tol, g.floor)
     return ResidualVector(
-        label=label, point=tuple(point), values=values, exact_zero=zero, norm=_norm(values), scale=scale
+        label=label, point=g.point, values=values, exact_zero=zero, norm=_norm(values), scale=scale
     )
 
 
@@ -168,7 +191,10 @@ class ConformalGeometry:
     """Values and gradients the residuals read, at one point of one instance.
 
     Built from the Taylor coefficients of lambda = P/Q on the read set alone
-    (see the module docstring); every field is exact in exact mode.
+    (see the module docstring).  The residuals read the integers W, F, D,
+    Kn/Kd, g, Gamma, Lb and grad_Lb; the rational fields (``lam0`` ...
+    ``grad_gnorm``) are formed from them on first read and are exact in
+    exact mode.
     """
 
     def __init__(self, instance: ConformalInstance, x, mode: str = EXACT):
@@ -204,6 +230,7 @@ class ConformalGeometry:
             qg = [v / fq.den for v in fq.linear]
             Kn, Kd = float(fq.kappa) / 2, 1
             quotient = operator.truediv
+        self.quotient = quotient
         D2 = D * D
         # 2 D^2 w(x0) for the chart weight w = 1/sigma: 1 on the flat chart,
         # (1 + c1 |x|^2)/2 on the curved ones
@@ -218,9 +245,10 @@ class ConformalGeometry:
             raise ChartDomainError("image point on the target chart boundary")
         if F < 0:
             raise ChartDomainError("image point outside the target chart")
-        self.lam0 = quotient(Kn * W, Kd * F)
-        if self.lam0 <= 0:
-            raise NonpositiveFactorError(f"conformal factor {self.lam0} <= 0 at {self.point}")
+        # lambda(x0) = Kn W / (Kd F) with W, F and Kd positive
+        if Kn <= 0:
+            lam0 = quotient(Kn * W, Kd * F)
+            raise NonpositiveFactorError(f"conformal factor {lam0} <= 0 at {self.point}")
 
         # Taylor numerators of 1/Q, then of lambda = P/Q with
         # P = kappa (W + 2 c1 D X.h + c1 D^2 |h|^2) / (2 D^2), on the read set
@@ -244,7 +272,6 @@ class ConformalGeometry:
         # H / F^3, Laplacian lap / F^3, gradient of the Laplacian t / F^4
         g = [L[p] for p in pw]
         H = [[L[p + q] for q in pw] for p in pw]
-        deg2 = max(abs(v) for row in H for v in row)
         for i in range(m):
             H[i][i] *= 2
         lap = sum(H[i][i] for i in range(m))
@@ -256,44 +283,76 @@ class ConformalGeometry:
         xg = sum(a * b for a, b in zip(X, g))
 
         # lapbar = w^2 lap(lam) - (m-2) c1 w <x, grad lam>, with w = W / (2 D^2)
-        # and grad w = c1 x; over the common denominators 4 D^4 F^3 and F^4
+        # and grad w = c1 x: lapbar lam = K Lb / (4 D^4 F^3) and its gradient
+        # K grad_Lb / (4 D^4 F^4); grad |gradbar lam|^2 = K^2 W Gamma / (2 D^4 F^5)
         F2 = F * F
-        F3 = F2 * F
-        D4 = D2 * D2
         r = (m - 2) * c1
-        Lb = W * (W * lap - 2 * r * D * F * xg)
-        grad_Lb = [
+        self.Lb = W * (W * lap - 2 * r * D * F * xg)
+        self.grad_Lb = [
             4 * c1 * D * F * W * X[j] * lap
             + W * W * t[j]
             - r * (4 * c1 * D2 * F2 * X[j] * xg + 2 * D2 * F2 * W * g[j] + 2 * D * F * W * xH[j])
             for j in range(m)
         ]
-        Kn2, Kd2 = Kn * Kn, Kd * Kd
-        self.grad_lam = tuple(quotient(Kn * v, Kd * F2) for v in g)
-        self.w0_sq = quotient(W * W, 4 * D4)
-        self.lapbar0 = quotient(Kn * Lb, Kd * 4 * D4 * F3)
-        self.grad_lapbar = tuple(quotient(Kn * v, Kd * 4 * D4 * F3 * F) for v in grad_Lb)
-        # grad(lam lapbar) = lapbar grad lam + lam grad lapbar
-        self.grad_lam_lapbar = tuple(
-            quotient(Kn2 * (Lb * gj + W * v), Kd2 * 4 * D4 * F3 * F2) for gj, v in zip(g, grad_Lb)
+        self.Gamma = [2 * c1 * D * F * X[j] * gg + W * gH[j] for j in range(m)]
+        self.W, self.F, self.D4, self.Kn, self.Kd, self.g, self.gg = W, F, D2 * D2, Kn, Kd, g, gg
+        # float noise floor of the zero test, from 1 + the largest |lambda_beta|
+        # on the read set; exact verdicts read no floor
+        self.floor = 0.0
+        if mode == FLOAT:
+            deg2 = max(abs(L[p + q]) for p in pw for q in pw)
+            deg3 = max(abs(v) for row in cube for v in row)
+            F3 = F2 * F
+            top = max(abs(W) / F, max(map(abs, g)) / F2, deg2 / F3, deg3 / (F3 * F))
+            self.floor = _DEGENERATE_SCALE_EPS * (1.0 + abs(Kn) / Kd * top) ** 4
+
+    @functools.cached_property
+    def lam0(self):
+        return self.quotient(self.Kn * self.W, self.Kd * self.F)
+
+    @functools.cached_property
+    def grad_lam(self) -> tuple:
+        den = self.Kd * self.F * self.F
+        return tuple(self.quotient(self.Kn * v, den) for v in self.g)
+
+    @functools.cached_property
+    def w0_sq(self):
+        return self.quotient(self.W * self.W, 4 * self.D4)
+
+    @functools.cached_property
+    def lapbar0(self):
+        return self.quotient(self.Kn * self.Lb, self.Kd * 4 * self.D4 * self.F**3)
+
+    @functools.cached_property
+    def grad_lapbar(self) -> tuple:
+        den = self.Kd * 4 * self.D4 * self.F**4
+        return tuple(self.quotient(self.Kn * v, den) for v in self.grad_Lb)
+
+    @functools.cached_property
+    def grad_lam_lapbar(self) -> tuple:
+        """grad(lam lapbar) = lapbar grad lam + lam grad lapbar."""
+        den = self.Kd**2 * 4 * self.D4 * self.F**5
+        return tuple(
+            self.quotient(self.Kn**2 * (self.Lb * gj + self.W * v), den)
+            for gj, v in zip(self.g, self.grad_Lb)
         )
-        # |gradbar lam|^2 = w^2 |grad lam|^2
-        self.gnorm0 = quotient(Kn2 * W * W * gg, Kd2 * 4 * D4 * F2 * F2)
-        self.grad_gnorm = tuple(
-            quotient(Kn2 * W * (2 * c1 * D * F * X[j] * gg + W * gH[j]), Kd2 * 2 * D4 * F3 * F2)
-            for j in range(m)
-        )
-        # float noise floor: 1 + the largest |lambda_beta| on the read set
-        deg3 = max(abs(v) for row in cube for v in row)
-        top = max(abs(W) / F, max(map(abs, g)) / F2, deg2 / F3, deg3 / (F3 * F))
-        self.ambient = 1.0 + abs(Kn) / Kd * top
+
+    @functools.cached_property
+    def gnorm0(self):
+        """|gradbar lam|^2 = w^2 |grad lam|^2."""
+        return self.quotient(self.Kn**2 * self.W * self.W * self.gg, self.Kd**2 * 4 * self.D4 * self.F**4)
+
+    @functools.cached_property
+    def grad_gnorm(self) -> tuple:
+        den = self.Kd**2 * 2 * self.D4 * self.F**5
+        return tuple(self.quotient(self.Kn**2 * self.W * v, den) for v in self.Gamma)
 
     def gradbar(self, grads) -> tuple:
         """Curved gradient values: sigma^-2 times flat gradient values."""
         return tuple(self.w0_sq * g for g in grads)
 
     def harmonic(self) -> bool:
-        return all(not g for g in self.grad_lam)
+        return not any(self.g)
 
 
 def residual_CL(instance: ConformalInstance, x, mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL) -> ResidualVector:
@@ -303,13 +362,14 @@ def residual_CL(instance: ConformalInstance, x, mode: str = EXACT, tol: float = 
 
 
 def _cl_from_geometry(g: ConformalGeometry, mode, tol) -> ResidualVector:
-    m = g.m
-    scal_m = m * (m - 1) * g.c1
-    scal_n = m * (m - 1) * g.c2
-    t1 = (g.lapbar0,)
-    t2 = (-coerce(rational(1, 2 * (m - 1)), mode) * (g.lam0 * scal_m - g.lam0**3 * scal_n),)
-    t3 = (coerce(rational(m - 4, 2), mode) * g.gnorm0 / g.lam0,)
-    return _bundle("CL", g.point, [t1, t2, t3], mode, tol, g.ambient)
+    # lapbar lam, -m/2 (c1 lam - c2 lam^3) and ((m-4)/2) |gradbar lam|^2 / lam
+    # over Kn / (8 Kd^3 D^4 F^3)
+    m, W, F, D4, Kn, Kd = g.m, g.W, g.F, g.D4, g.Kn, g.Kd
+    Kd2 = Kd * Kd
+    t1 = (2 * Kd2 * g.Lb,)
+    t2 = (-4 * m * D4 * (g.c1 * Kd2 * W * F * F - g.c2 * Kn * Kn * W**3),)
+    t3 = ((m - 4) * Kd2 * W * g.gg,)
+    return _residual("CL", g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3], tol)
 
 
 def residual_SDL(instance: ConformalInstance, x, mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL) -> ResidualVector:
@@ -319,16 +379,16 @@ def residual_SDL(instance: ConformalInstance, x, mode: str = EXACT, tol: float =
 
 
 def _sdl_from_geometry(g: ConformalGeometry, mode, tol) -> ResidualVector:
-    m = g.m
-    gb_lapbar = g.gradbar(g.grad_lapbar)
-    gb_lam = g.gradbar(g.grad_lam)
-    gb_gnorm = g.gradbar(g.grad_gnorm)
-    half = coerce(rational(m - 4, 2), mode)
-    t1 = tuple(g.lam0 * v for v in gb_lapbar)
-    t2 = tuple(-3 * g.lapbar0 * v for v in gb_lam)
-    t3 = tuple(-half * v for v in gb_gnorm)
-    t4 = tuple(2 * (m - 1) * g.c1 * g.lam0 * v for v in gb_lam)
-    return _bundle("SDL", g.point, [t1, t2, t3, t4], mode, tol, g.ambient)
+    # lam gradbar lapbar lam, -3 lapbar lam gradbar lam, -((m-4)/2) gradbar
+    # |gradbar lam|^2 and 2 (m-1) c1 lam gradbar lam over Kn^2 W^2 / (16 Kd^2 D^8 F^5)
+    m, W, F, D4 = g.m, g.W, g.F, g.D4
+    t1 = [W * v for v in g.grad_Lb]
+    t2 = [-3 * g.Lb * v for v in g.g]
+    t3 = [-(m - 4) * W * v for v in g.Gamma]
+    c = 8 * (m - 1) * g.c1 * D4 * F * F * W
+    t4 = [c * v for v in g.g]
+    num = (g.Kn * W) ** 2
+    return _residual("SDL", g, num, 16 * g.Kd**2 * D4 * D4 * F**5, [t1, t2, t3, t4], tol)
 
 
 def residual_ND(instance: ConformalInstance, x, mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL) -> ResidualVector:
@@ -338,14 +398,17 @@ def residual_ND(instance: ConformalInstance, x, mode: str = EXACT, tol: float = 
 
 
 def _nd_from_geometry(g: ConformalGeometry, mode, tol) -> ResidualVector:
-    m = g.m
-    gb_ll = g.gradbar(g.grad_lam_lapbar)
-    gb_lam = g.gradbar(g.grad_lam)
-    t1 = tuple(2 * v for v in gb_ll)
-    t2 = tuple(-4 * g.lapbar0 * v for v in gb_lam)
-    coef = (2 * m * g.c2 * g.lam0 * g.lam0 + (m - 2) * g.c1) * g.lam0
-    t3 = tuple(coef * v for v in gb_lam)
-    return _bundle("ND", g.point, [t1, t2, t3], mode, tol, g.ambient)
+    # 2 gradbar(lam lapbar lam), -4 lapbar lam gradbar lam and
+    # [2 m c2 lam^2 + (m-2) c1] lam gradbar lam over Kn^2 W^2 / (16 Kd^4 D^8 F^5)
+    m, W, F, D4, Kn, Kd = g.m, g.W, g.F, g.D4, g.Kn, g.Kd
+    Kd2 = Kd * Kd
+    Lb = g.Lb
+    t1 = [2 * Kd2 * (Lb * gj + W * v) for gj, v in zip(g.g, g.grad_Lb)]
+    t2 = [-4 * Kd2 * Lb * v for v in g.g]
+    c = 4 * D4 * W * (2 * m * g.c2 * Kn * Kn * W * W + (m - 2) * g.c1 * Kd2 * F * F)
+    t3 = [c * v for v in g.g]
+    num = (Kn * W) ** 2
+    return _residual("ND", g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol)
 
 
 def residual_ND2(instance: ConformalInstance, x, mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL) -> ResidualVector:
@@ -355,13 +418,16 @@ def residual_ND2(instance: ConformalInstance, x, mode: str = EXACT, tol: float =
 
 
 def _nd2_from_geometry(g: ConformalGeometry, mode, tol) -> ResidualVector:
-    m = g.m
-    gb_gnorm = g.gradbar(g.grad_gnorm)
-    gb_lam = g.gradbar(g.grad_lam)
-    t1 = tuple((m - 4) * v for v in gb_gnorm)
-    coef = 4 * g.lapbar0 + (2 - 3 * m) * g.c1 * g.lam0 + 2 * m * g.c2 * g.lam0**3
-    t2 = tuple(coef * v for v in gb_lam)
-    return _bundle("ND2", g.point, [t1, t2], mode, tol, g.ambient)
+    # (m-4) gradbar |gradbar lam|^2 and
+    # [4 lapbar lam + (2-3m) c1 lam + 2 m c2 lam^3] gradbar lam
+    # over Kn^2 W^2 / (16 Kd^4 D^8 F^5)
+    m, W, F, D4, Kn, Kd = g.m, g.W, g.F, g.D4, g.Kn, g.Kd
+    Kd2 = Kd * Kd
+    t1 = [2 * (m - 4) * Kd2 * W * v for v in g.Gamma]
+    c = 4 * Kd2 * g.Lb + 4 * D4 * W * ((2 - 3 * m) * g.c1 * Kd2 * F * F + 2 * m * g.c2 * Kn * Kn * W * W)
+    t2 = [c * v for v in g.g]
+    num = (Kn * W) ** 2
+    return _residual("ND2", g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2], tol)
 
 
 def harmonicity_flag(instance: ConformalInstance, x, mode: str = EXACT) -> bool:

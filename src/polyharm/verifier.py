@@ -17,13 +17,14 @@ import csv
 import io
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from . import jets, mobius, residuals, spaceform
+from . import jets, mobius, residuals
 from .errors import (
     AdmissibleRegionError,
     ConfigError,
@@ -75,6 +76,9 @@ class SamplePlan:
 
     def __post_init__(self):
         _require_samples(points=self.count)
+        # a zero radius maps every draw to the origin, a negative one is no radius
+        if self.radius is not None and rational(self.radius) <= 0:
+            raise ConfigError(f"sample radius must be > 0, got {self.radius}")
         if self.points is not None:
             _require_samples(points=len(self.points))
 
@@ -227,18 +231,23 @@ def _default_radius(domain: SpaceFormModel):
     return rational(3, 4) if domain.curvature == -1 else rational(2)
 
 
-def _admissible(instance: ConformalInstance, x, exclusion) -> bool:
-    """x lies in the domain chart, off the exclusion ball round a (eps = 2),
-    and lambda(x) > 0.  With lambda = kappa * w * den / Q(x - a), the chart
-    weight w and ``den`` are positive, so the sign is that of kappa * Q."""
-    if not spaceform.in_domain(instance.domain, x):
-        return False
-    u = tuple(xi - ai for xi, ai in zip(x, instance.map.a))
-    u_sq = sum(v * v for v in u)
-    if instance.map.epsilon == 2 and u_sq <= exclusion * exclusion:
-        return False
+def _admissible(instance: ConformalInstance, N, den: int, exclusion) -> bool:
+    """x = N/den (integers, den > 0) lies in the domain chart, off the
+    exclusion ball round a (eps = 2), and lambda(x) > 0; decided on integers.
+
+    With lambda = kappa * w * fq.den / Q(x - a), the chart weight w and
+    ``fq.den`` are positive, so the sign is that of kappa * Q.  Over
+    L = den * a_den, u = x - a = U/L and L^2 Q(u) is an integer.
+    """
+    if instance.domain.curvature < 0 and sum(v * v for v in N) >= den * den:
+        return False  # outside the ball |x| < 1
     fq = instance.factor
-    q = fq.value + 2 * sum(g * v for g, v in zip(fq.linear, u)) + fq.square * u_sq
+    L = den * fq.a_den
+    U = [v * fq.a_den - den * a for v, a in zip(N, fq.a_num)]
+    u_sq = sum(v * v for v in U)
+    if instance.map.epsilon == 2 and u_sq * exclusion.denominator**2 <= (exclusion.numerator * L) ** 2:
+        return False
+    q = fq.value * L * L + 2 * L * sum(g * v for g, v in zip(fq.linear, U)) + fq.square * u_sq
     return fq.kappa > 0 and q > 0
 
 
@@ -246,31 +255,36 @@ def sample_points(plan: SamplePlan, instance: ConformalInstance) -> list[tuple]:
     """Deterministic admissible rational points for this instance.
 
     Explicit plan points are validated; otherwise rejection sampling draws
-    coordinates radius * n/d with d <= 16 until ``count`` admissible distinct
-    points are found or the retry budget is exhausted.
+    coordinates radius * n/16 with integers |n| <= 16 until ``count``
+    admissible distinct points are found or the retry budget is exhausted.
+    A draw is screened on its integers n and becomes a rational point only
+    when accepted; the radius is positive, so distinct n are distinct points.
     """
     exclusion = rational(plan.exclusion)
     if plan.points is not None:
         for x in plan.points:
-            if not _admissible(instance, x, exclusion):
+            x_q = [rational(v) for v in x]
+            den = math.lcm(*(v.denominator for v in x_q))
+            N = [v.numerator * (den // v.denominator) for v in x_q]
+            if not _admissible(instance, N, den, exclusion):
                 raise AdmissibleRegionError(f"explicit point {x} is not admissible")
         return [tuple(x) for x in plan.points]
     radius = rational(plan.radius) if plan.radius is not None else _default_radius(instance.domain)
+    r_num = radius.numerator
+    den = _POINT_MAX_DEN * radius.denominator
     rng = random.Random(f"polyharm:points:{plan.seed}")
     m = instance.dim
     found: list[tuple] = []
     seen = set()
     budget = _REJECTION_FACTOR * plan.count
     for _ in range(budget):
-        x = tuple(
-            radius * rational(rng.randint(-_POINT_MAX_DEN, _POINT_MAX_DEN), _POINT_MAX_DEN)
-            for _ in range(m)
-        )
-        if x in seen:
+        n = tuple(rng.randint(-_POINT_MAX_DEN, _POINT_MAX_DEN) for _ in range(m))
+        if n in seen:
             continue
-        seen.add(x)
-        if _admissible(instance, x, exclusion):
-            found.append(x)
+        seen.add(n)
+        N = [r_num * v for v in n]
+        if _admissible(instance, N, den, exclusion):
+            found.append(tuple(rational(v, den) for v in N))
             if len(found) == plan.count:
                 return found
     raise AdmissibleRegionError(

@@ -1,5 +1,7 @@
 """Map family validation, conformal factors, and closed-form cross-checks."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,14 +27,16 @@ from polyharm.mobius import (
     factor_quadratic,
     identity_matrix,
     is_orthogonal,
+    mat_mul,
     mat_vec,
     reduced_parameters,
     signed_permutation,
+    transpose,
     validate,
 )
 from polyharm.rationals import FLOAT, rational
 from polyharm.spaceform import SpaceFormModel, inv_sigma_jet, laplace_beltrami
-from polyharm.verifier import CURVATURE_PAIRS
+from polyharm.verifier import CURVATURE_PAIRS, random_mobius
 
 from conftest import exact_norm_sq, make_instance, rand_point, rand_rat, rng_for
 
@@ -58,6 +62,33 @@ class TestValidate:
     def test_zero_scale_rejected(self):
         with pytest.raises(MapValidationError):
             MobiusMap.build(a=_zeros(3), b=_zeros(3), k=0, epsilon=0)
+
+
+def _gauss_jordan_inverse(A):
+    """Exact inverse by Gauss-Jordan elimination on rationals: the oracle of
+    the fraction-free solve in cayley_orthogonal."""
+    m = len(A)
+    aug = [list(A[i]) + [rational(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pc = aug[col][col]
+        aug[col] = [v / pc for v in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return tuple(tuple(row[m:]) for row in aug)
+
+
+def _random_skew(rng, m, density=0.7):
+    rows = [[rational(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.random() < density:
+                v = rand_rat(rng, 20, 12)
+                rows[i][j], rows[j][i] = v, -v
+    return tuple(tuple(r) for r in rows)
 
 
 class TestCayley:
@@ -95,6 +126,17 @@ class TestCayley:
                 rows[j][i] = -vq
         A = cayley_orthogonal(tuple(tuple(r) for r in rows))
         assert is_orthogonal(A)
+
+    def test_matches_gauss_jordan_route(self):
+        # the fraction-free solve against (I - S)^-1 (I + S) on rationals
+        rng = rng_for("cayley-gauss-jordan")
+        for m in range(1, 9):
+            for density in (0.0, 0.3, 1.0):
+                S = _random_skew(rng, m, density)
+                one = identity_matrix(m)
+                i_minus = tuple(tuple(one[i][j] - S[i][j] for j in range(m)) for i in range(m))
+                i_plus = tuple(tuple(one[i][j] + S[i][j] for j in range(m)) for i in range(m))
+                assert cayley_orthogonal(S) == mat_mul(_gauss_jordan_inverse(i_minus), i_plus)
 
     def test_signed_permutation_orthogonal(self):
         A = signed_permutation([2, 0, 1], [1, -1, 1])
@@ -221,6 +263,25 @@ class TestFactorQuadratic:
             w = (1 + c1 * exact_norm_sq(x)) / 2 if c1 else 1
             lam = fq.kappa * w * fq.den / q
             assert lam == conformal_factor_value(inst.domain, inst.target, inst.map, x)
+
+
+    def test_fields_match_the_rational_route(self):
+        # c2 k A^T b formed on integers against the same vector on rationals
+        rng = rng_for("factor-quadratic-route")
+        for m in range(3, 9):
+            for c2 in (-1, 0, 1):
+                for eps in (0, 2):
+                    target = SpaceFormModel(m, c2)
+                    mmap = random_mobius(rng, m, target, eps, style=rng.randint(0, 2))
+                    k = mmap.k
+                    g = tuple(c2 * k * v for v in mat_vec(transpose(mmap.A), mmap.b))
+                    alpha = 1 + c2 * exact_norm_sq(mmap.b)
+                    q0, s = (c2 * k * k, alpha) if eps == 2 else (alpha, c2 * k * k)
+                    den = math.lcm(q0.denominator, s.denominator, *(v.denominator for v in g))
+                    fq = factor_quadratic(target, mmap)
+                    assert fq.den == den
+                    assert (fq.value, fq.square) == (q0 * den, s * den)
+                    assert tuple(rational(v, den) for v in fq.linear) == g
 
 
 class TestReducedParameters:

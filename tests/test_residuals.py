@@ -280,6 +280,82 @@ class TestGeometryKernelOracle:
         assert raised == _raised(lambda: _dense_geometry(inst, pt, mode))
 
 
+def _bundle(label, g, term_vectors, mode, tol):
+    """The rational assembly the integer one replaced: sum the term vectors
+    and norm each as a vector of field products."""
+    m = len(term_vectors[0])
+    values = tuple(sum(t[i] for t in term_vectors) for i in range(m))
+    scale = sum(residuals._norm(t) for t in term_vectors)
+    zero = residuals.vanishes(values, scale, mode, tol, g.floor)
+    return residuals.ResidualVector(label, g.point, values, zero, residuals._norm(values), scale)
+
+
+def _field_residuals(g, mode, tol=residuals.DEFAULT_FLOAT_TOL) -> dict:
+    """CL, SDL, ND and ND2 as products and sums of the geometry's rational fields."""
+    m, c1, c2, lam0, lapbar0 = g.m, g.c1, g.c2, g.lam0, g.lapbar0
+    gb_lam = g.gradbar(g.grad_lam)
+    gb_gnorm = g.gradbar(g.grad_gnorm)
+    half = coerce(rational(m - 4, 2), mode)
+    scal_m, scal_n = m * (m - 1) * c1, m * (m - 1) * c2
+    cl = [
+        (lapbar0,),
+        (-coerce(rational(1, 2 * (m - 1)), mode) * (lam0 * scal_m - lam0**3 * scal_n),),
+        (half * g.gnorm0 / lam0,),
+    ]
+    sdl = [
+        tuple(lam0 * v for v in g.gradbar(g.grad_lapbar)),
+        tuple(-3 * lapbar0 * v for v in gb_lam),
+        tuple(-half * v for v in gb_gnorm),
+        tuple(2 * (m - 1) * c1 * lam0 * v for v in gb_lam),
+    ]
+    nd_coef = (2 * m * c2 * lam0 * lam0 + (m - 2) * c1) * lam0
+    nd = [
+        tuple(2 * v for v in g.gradbar(g.grad_lam_lapbar)),
+        tuple(-4 * lapbar0 * v for v in gb_lam),
+        tuple(nd_coef * v for v in gb_lam),
+    ]
+    nd2_coef = 4 * lapbar0 + (2 - 3 * m) * c1 * lam0 + 2 * m * c2 * lam0**3
+    nd2 = [tuple((m - 4) * v for v in gb_gnorm), tuple(nd2_coef * v for v in gb_lam)]
+    terms = {"CL": cl, "SDL": sdl, "ND": nd, "ND2": nd2}
+    return {name: _bundle(name, g, t, mode, tol) for name, t in terms.items()}
+
+
+class TestResidualAssemblyOracle:
+    """The integer assembly of CL, SDL, ND and ND2 against the same
+    residuals formed from the geometry's rational fields."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    def test_exact_equal(self, m):
+        checked = 0
+        for c1, c2 in CURVATURE_PAIRS:
+            for eps in (0, 2):
+                for style in (0, 1, 2):
+                    inst, pts = make_instance(f"assembly-oracle:{m}:{c1}:{c2}:{eps}:{style}", m, c1, c2, eps, style)
+                    got = evaluate_residuals(inst, pts[0])
+                    want = _field_residuals(ConformalGeometry(inst, pts[0]), EXACT)
+                    for name, rv in want.items():
+                        assert got[name].values == rv.values, name
+                        assert got[name].exact_zero == rv.exact_zero, name
+                        assert repr(got[name].norm) == repr(rv.norm), name
+                        assert repr(got[name].scale) == repr(rv.scale), name
+                    checked += 1
+        assert checked == 9 * 2 * 3
+
+    @pytest.mark.parametrize("m,c1,c2,eps", [(5, 1, -1, 2), (6, -1, 1, 0), (7, 1, 0, 2), (8, -1, -1, 2)])
+    def test_float_within_relative_tolerance(self, m, c1, c2, eps):
+        inst, pts = make_instance(f"assembly-oracle-float:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, style=2)
+        pt = tuple(float(v) for v in pts[0])
+        got = evaluate_residuals(inst, pt, FLOAT)
+        want = _field_residuals(ConformalGeometry(inst, pt, FLOAT), FLOAT)
+        for name, rv in want.items():
+            assert rv.scale > 0
+            bound = 1e-12 * rv.scale
+            assert max(abs(a - b) for a, b in zip(got[name].values, rv.values)) <= bound, name
+            assert abs(got[name].norm - rv.norm) <= bound, name
+            assert abs(got[name].scale - rv.scale) <= bound, name
+            assert got[name].exact_zero == rv.exact_zero, name
+
+
 class TestHarmonicity:
     def test_affine_flat_map_harmonic_everywhere(self):
         mmap = MobiusMap.build(a=_zeros(4), b=_zeros(4), k=3, epsilon=0)

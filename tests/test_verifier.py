@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +135,13 @@ class TestSampling:
         for pt in sample_points(plan, inst):
             assert sum(v * v for v in pt) > rational(1, 4)
 
+    def test_points_are_distinct(self):
+        # |x| > 33/10 leaves few admissible draws of the 3-d grid, so the
+        # draw stream repeats some of them before it has found 12
+        inst = self._instance(3)
+        pts = sample_points(SamplePlan(seed=1, count=12, exclusion=rational(33, 10)), inst)
+        assert len(set(pts)) == len(pts) == 12
+
     def test_hyperbolic_domain_stays_in_ball(self):
         inst = ConformalInstance(
             SpaceFormModel.hyperbolic(3),
@@ -228,6 +236,55 @@ class TestSamplerScreen:
                             assert not _screen(inst, x, exclusion), (name, x)
                         seen[name] += 1
         assert all(seen.values()), seen
+
+
+    def test_ball_rim_is_outside_the_chart(self):
+        # |x| = 1 is the boundary of the ball chart, not a point of it
+        rng = rng_for("sampler-rim")
+        for m, c2, eps in itertools.product((3, 4), (-1, 0, 1), (0, 2)):
+            domain, target = SpaceFormModel(m, -1), SpaceFormModel(m, c2)
+            inst = ConformalInstance(domain, target, random_mobius(rng, m, target, eps, style=1))
+            tail = (rational(0),) * (m - 2)
+            for x in [(rational(1), rational(0)) + tail, (rational(3, 5), rational(-4, 5)) + tail]:
+                assert not _screen(inst, x, rational(0))
+                assert not _composed_screen(inst, x, rational(0))
+
+    def test_draws_match_rational_sampler(self):
+        """Integer screening keeps the draws, the accepted points and their
+        order of a sampler that forms every draw as a rational point."""
+        rng = rng_for("sampler-draws")
+        accepted = 0
+        for m, c1, c2, eps in itertools.product((3, 5), (-1, 0, 1), (-1, 0, 1), (0, 2)):
+            domain, target = SpaceFormModel(m, c1), SpaceFormModel(m, c2)
+            inst = ConformalInstance(domain, target, random_mobius(rng, m, target, eps, style=2))
+            for radius in (None, rational(1), rational(5, 3)):
+                plan = SamplePlan(seed=rng.randint(0, 99), count=3, radius=radius)
+                try:
+                    got = sample_points(plan, inst)
+                except AdmissibleRegionError:
+                    got = None
+                assert got == _rational_draws(plan, inst), (m, c1, c2, eps, radius)
+                accepted += len(got or ())
+        assert accepted
+
+
+def _rational_draws(plan, instance):
+    """The draws radius * n/16 as rational points, screened by the composed factor."""
+    radius = plan.radius
+    if radius is None:
+        radius = rational(3, 4) if instance.domain.curvature == -1 else rational(2)
+    rng = random.Random(f"polyharm:points:{plan.seed}")
+    found, seen = [], set()
+    for _ in range(400 * plan.count):
+        x = tuple(radius * rational(rng.randint(-16, 16), 16) for _ in range(instance.dim))
+        if x in seen:
+            continue
+        seen.add(x)
+        if _composed_screen(instance, x, rational(plan.exclusion)):
+            found.append(x)
+            if len(found) == plan.count:
+                return found
+    return None
 
 
 class TestRunCheck:
@@ -466,6 +523,14 @@ class TestCli:
         cfg = _inversion_config()
         cfg["map"]["epsilon"] = 1
         assert main(["check", str(_write(tmp_path, cfg))]) == 2
+
+    @pytest.mark.parametrize("radius", ["0", "-2"])
+    def test_nonpositive_radius_exits_two(self, tmp_path, capsys, radius):
+        # radius 0 sends every draw to the origin; a negative radius is no radius
+        cfg = _inversion_config()
+        cfg["sample"]["radius"] = radius
+        assert main(["check", str(_write(tmp_path, cfg))]) == 2
+        assert "radius" in capsys.readouterr().err
 
     def test_tol_requires_float_mode(self, tmp_path, capsys):
         cfg = _write(tmp_path, _inversion_config())
