@@ -19,12 +19,11 @@ components: with u = x - a and f = |u|^2,
     |phi|^2 = |b|^2 + 2k <A^T b, u> + k^2 f         (eps = 0),
 
 where <A^T b, u> is linear and f a quadratic.  The identity holds only for
-exactly orthogonal A, which ``validate`` certifies for every
-``MobiusMap.build`` and ``ConformalInstance``.  It makes every factor of the
-family a quotient lambda = P/Q of two isotropic quadratics, which
-``factor_quadratic`` reads off the map parameters once per instance
-(``ConformalInstance.factor``); the residual kernel of
-:mod:`polyharm.residuals` works from that quotient alone.
+exactly orthogonal A, which ``validate`` certifies for every ``MobiusMap``
+as it is constructed.  It makes every factor of the family a quotient
+lambda = P/Q of two isotropic quadratics, which ``factor_quadratic`` reads
+off the map parameters once per instance (``ConformalInstance.factor``); the
+residual kernel of :mod:`polyharm.residuals` works from that quotient alone.
 ``conformal_factor`` builds the same factor as a dense jet, with 1/f the one
 reciprocal behind lambda_E and |phi|^2 alike; it is not on the verdict
 path but the oracle route the tests compare the kernel with.  ``apply_jet`` composes the components themselves and stays the raw
@@ -46,7 +45,6 @@ rounding and residuals downstream stay exactly zero where they should.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,7 +56,7 @@ from .errors import (
     SingularDivisionError,
 )
 from .jets import Jet
-from .rationals import rational
+from .rationals import integer_vector, rational
 from .spaceform import SpaceFormModel
 
 Matrix = tuple  # tuple of row tuples, exact rationals
@@ -104,17 +102,18 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     )
 
 
-def _integer_matrix(A: Matrix) -> tuple[list, int]:
+def integer_matrix(A: Matrix) -> tuple[list, int]:
     """(N, D) with A = N/D: D the lcm of the denominators, N integer."""
-    D = math.lcm(*(v.denominator for row in A for v in row))
-    return [[v.numerator * (D // v.denominator) for v in row] for row in A], D
+    flat, D = integer_vector([v for row in A for v in row])
+    entries = iter(flat)
+    return [[next(entries) for _ in row] for row in A], D
 
 
 def is_orthogonal(A: Matrix) -> bool:
     """A^T A == I, decided on integers: with A = N/D over the lcm D of its
     denominators, the condition is N^T N == D^2 I."""
     m = len(A)
-    N, D = _integer_matrix(A)
+    N, D = integer_matrix(A)
     D2 = D * D
     return all(
         sum(N[r][i] * N[r][j] for r in range(m)) == (D2 if i == j else 0)
@@ -137,7 +136,7 @@ def cayley_orthogonal(S: Matrix) -> Matrix:
     # With S = N/d, solve (dI - N) X = dI + N by fraction-free Gauss-Jordan
     # elimination (Bareiss): every division is exact, and at the end the left
     # block is det I and the right block det X, all integers.
-    N, d = _integer_matrix(S)
+    N, d = integer_matrix(S)
     rows = [
         [(d if i == j else 0) - N[i][j] for j in range(m)]
         + [(d if i == j else 0) + N[i][j] for j in range(m)]
@@ -175,13 +174,16 @@ class MobiusMap:
     def dim(self) -> int:
         return len(self.a)
 
+    def __post_init__(self):
+        validate(self)
+
     @classmethod
     def build(cls, a, b, k, A=None, epsilon=2) -> "MobiusMap":
-        """Coerce entries to exact rationals and validate."""
+        """Coerce entries to exact rationals; construction validates."""
         a = tuple(rational(v) for v in a)
         b = tuple(rational(v) for v in b)
         A = identity_matrix(len(a)) if A is None else tuple(tuple(rational(v) for v in row) for row in A)
-        return validate(cls(a=a, b=b, k=rational(k), A=A, epsilon=int(epsilon)))
+        return cls(a=a, b=b, k=rational(k), A=A, epsilon=int(epsilon))
 
     @classmethod
     def inversion(cls, dim: int) -> "MobiusMap":
@@ -255,24 +257,21 @@ def factor_quadratic(target: SpaceFormModel, mmap: MobiusMap) -> FactorQuadratic
     kappa = 2 * k if c2 else k
     alpha = 1 + c2 * sum(v * v for v in mmap.b)
     # g = c2 k A^T b on integers: A = N/D, b = B/d_b, k = k_n/k_d
-    N, D = _integer_matrix(mmap.A)
-    d_b = math.lcm(*(v.denominator for v in mmap.b))
-    B = [v.numerator * (d_b // v.denominator) for v in mmap.b]
+    N, D = integer_matrix(mmap.A)
+    B, d_b = integer_vector(mmap.b)
     g_num = c2 * k.numerator
     g_den = k.denominator * D * d_b
-    g = tuple(
-        rational(g_num * sum(row[j] * v for row, v in zip(N, B)), g_den) for j in range(len(B))
-    )
+    g = [rational(g_num * sum(row[j] * v for row, v in zip(N, B)), g_den) for j in range(len(B))]
     q0, s = (c2 * k * k, alpha) if mmap.epsilon == 2 else (alpha, c2 * k * k)
-    den = math.lcm(q0.denominator, s.denominator, *(v.denominator for v in g))
-    a_den = math.lcm(*(v.denominator for v in mmap.a))
+    (value, square, *linear), den = integer_vector([q0, s, *g])
+    a_num, a_den = integer_vector(mmap.a)
     return FactorQuadratic(
         kappa=kappa,
-        a_num=tuple(v.numerator * (a_den // v.denominator) for v in mmap.a),
+        a_num=tuple(a_num),
         a_den=a_den,
-        value=q0.numerator * (den // q0.denominator),
-        linear=tuple(v.numerator * (den // v.denominator) for v in g),
-        square=s.numerator * (den // s.denominator),
+        value=value,
+        linear=tuple(linear),
+        square=square,
         den=den,
     )
 
@@ -288,7 +287,6 @@ class ConformalInstance:
     def __post_init__(self):
         if not (self.domain.dim == self.target.dim == self.map.dim):
             raise MapValidationError("domain, target, and map dimensions must agree")
-        validate(self.map)
         if self.target.curvature == -1:
             b_sq = sum(v * v for v in self.map.b)
             if b_sq == 1:

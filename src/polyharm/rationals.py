@@ -10,6 +10,7 @@ finite-difference cross-validation only.  A computation never mixes modes.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 EXACT = "exact"
@@ -66,5 +67,7 @@ def inv(value):
     return 1 / Fraction(value)
 
 
-def as_float(value) -> float:
-    return float(value)
+def integer_vector(values) -> tuple[list, int]:
+    """(N, D) with values = N/D: D the lcm of the denominators, N integers."""
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D

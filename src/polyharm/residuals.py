@@ -29,6 +29,11 @@ operators (bars) and domain/target curvatures c1/c2, the toolkit evaluates:
 The Ricci term of SDL enters as the scalar (m-1) c1 since space forms have
 Ric = (m-1) c g; see :func:`polyharm.spaceform.ricci_scale`.
 
+The module has two entry points: :func:`evaluate_residuals` gives CL, SDL,
+ND, ND2 and the harmonicity flag at one point, all from one
+``ConformalGeometry``, and :func:`polyharmonic_orders` gives Delta^k phi with
+its float scale for several orders k at once.
+
 Both paths share one integer kernel, the Taylor coefficients of the
 reciprocal of an isotropic quadratic.  For f(x0 + t) = (F + 2 G.t + S|t|^2)/E
 with integers F, G, S the coefficients of 1/f in t are E N_beta / F^(|beta|+1),
@@ -119,7 +124,7 @@ from .errors import (
     SingularDivisionError,
 )
 from .mobius import ConformalInstance, MobiusMap
-from .rationals import EXACT, FLOAT, as_float, coerce, rational
+from .rationals import EXACT, FLOAT, coerce, integer_vector, rational
 
 DEFAULT_FLOAT_TOL = 1e-9
 
@@ -355,13 +360,7 @@ class ConformalGeometry:
         return not any(self.g)
 
 
-def residual_CL(instance: ConformalInstance, x, mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL) -> ResidualVector:
-    """Conformal-factor constraint; must vanish for genuine factors."""
-    g = ConformalGeometry(instance, x, mode)
-    return _cl_from_geometry(g, mode, tol)
-
-
-def _cl_from_geometry(g: ConformalGeometry, mode, tol) -> ResidualVector:
+def _cl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     # lapbar lam, -m/2 (c1 lam - c2 lam^3) and ((m-4)/2) |gradbar lam|^2 / lam
     # over Kn / (8 Kd^3 D^4 F^3)
     m, W, F, D4, Kn, Kd = g.m, g.W, g.F, g.D4, g.Kn, g.Kd
@@ -372,13 +371,7 @@ def _cl_from_geometry(g: ConformalGeometry, mode, tol) -> ResidualVector:
     return _residual("CL", g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3], tol)
 
 
-def residual_SDL(instance: ConformalInstance, x, mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL) -> ResidualVector:
-    """Gradient-form biharmonicity equation; zero iff the map is biharmonic."""
-    g = ConformalGeometry(instance, x, mode)
-    return _sdl_from_geometry(g, mode, tol)
-
-
-def _sdl_from_geometry(g: ConformalGeometry, mode, tol) -> ResidualVector:
+def _sdl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     # lam gradbar lapbar lam, -3 lapbar lam gradbar lam, -((m-4)/2) gradbar
     # |gradbar lam|^2 and 2 (m-1) c1 lam gradbar lam over Kn^2 W^2 / (16 Kd^2 D^8 F^5)
     m, W, F, D4 = g.m, g.W, g.F, g.D4
@@ -391,13 +384,7 @@ def _sdl_from_geometry(g: ConformalGeometry, mode, tol) -> ResidualVector:
     return _residual("SDL", g, num, 16 * g.Kd**2 * D4 * D4 * F**5, [t1, t2, t3, t4], tol)
 
 
-def residual_ND(instance: ConformalInstance, x, mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL) -> ResidualVector:
-    """First necessary condition (derivative-of-product form)."""
-    g = ConformalGeometry(instance, x, mode)
-    return _nd_from_geometry(g, mode, tol)
-
-
-def _nd_from_geometry(g: ConformalGeometry, mode, tol) -> ResidualVector:
+def _nd_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     # 2 gradbar(lam lapbar lam), -4 lapbar lam gradbar lam and
     # [2 m c2 lam^2 + (m-2) c1] lam gradbar lam over Kn^2 W^2 / (16 Kd^4 D^8 F^5)
     m, W, F, D4, Kn, Kd = g.m, g.W, g.F, g.D4, g.Kn, g.Kd
@@ -411,13 +398,7 @@ def _nd_from_geometry(g: ConformalGeometry, mode, tol) -> ResidualVector:
     return _residual("ND", g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol)
 
 
-def residual_ND2(instance: ConformalInstance, x, mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL) -> ResidualVector:
-    """Second necessary condition (gradient-of-energy form)."""
-    g = ConformalGeometry(instance, x, mode)
-    return _nd2_from_geometry(g, mode, tol)
-
-
-def _nd2_from_geometry(g: ConformalGeometry, mode, tol) -> ResidualVector:
+def _nd2_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     # (m-4) gradbar |gradbar lam|^2 and
     # [4 lapbar lam + (2-3m) c1 lam + 2 m c2 lam^3] gradbar lam
     # over Kn^2 W^2 / (16 Kd^4 D^8 F^5)
@@ -430,22 +411,16 @@ def _nd2_from_geometry(g: ConformalGeometry, mode, tol) -> ResidualVector:
     return _residual("ND2", g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2], tol)
 
 
-def harmonicity_flag(instance: ConformalInstance, x, mode: str = EXACT) -> bool:
-    """True iff gradbar(lambda) vanishes at x (the map is a homothety there)."""
-    g = ConformalGeometry(instance, x, mode)
-    return g.harmonic()
-
-
 def evaluate_residuals(
     instance: ConformalInstance, x, mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL
 ) -> dict:
     """All four residuals plus the harmonicity flag, from one ``ConformalGeometry``."""
     g = ConformalGeometry(instance, x, mode)
     return {
-        "CL": _cl_from_geometry(g, mode, tol),
-        "SDL": _sdl_from_geometry(g, mode, tol),
-        "ND": _nd_from_geometry(g, mode, tol),
-        "ND2": _nd2_from_geometry(g, mode, tol),
+        "CL": _cl_from_geometry(g, tol),
+        "SDL": _sdl_from_geometry(g, tol),
+        "ND": _nd_from_geometry(g, tol),
+        "ND2": _nd2_from_geometry(g, tol),
         "harmonic": g.harmonic(),
     }
 
@@ -468,38 +443,24 @@ def closed_form_coefficient(m: int, order: int):
     return coeff
 
 
-def polyharmonic_residual(mmap: MobiusMap, order: int, x, mode: str = EXACT) -> tuple:
-    """(Delta^k phi_1, ..., Delta^k phi_m) at x for a flat-to-flat map."""
-    return polyharmonic_orders(mmap, (order,), x, mode)[order]
-
-
 def polyharmonic_orders(
     mmap: MobiusMap, orders: Sequence[int], x, mode: str = EXACT
-) -> dict[int, tuple]:
-    """Iterated Laplacians of the map components at several orders at once."""
-    return {k: vals for k, (vals, _) in _polyharmonic_terms(mmap, orders, x, mode).items()}
-
-
-def _polyharmonic_terms(
-    mmap: MobiusMap, orders: Sequence[int], x, mode: str = EXACT
 ) -> dict[int, tuple[tuple, float]]:
-    """Delta^k phi(x) per order, with the float size of the terms that cancel.
+    """(Delta^k phi(x), scale) per order k of a flat-to-flat map.
 
-    The size is |k| times the norm over j of
+    Delta^k phi is the tuple of the iterated Laplacians of the m components.
+    The scale is the float size of the terms that cancel in it, the one
+    :func:`vanishes` judges Delta^k phi against: |k| times the norm over j of
     sum_gamma w_gamma (|u0_j q_{2gamma}| + |q_{2gamma - e_j}|) (plus |b| at
-    order 0), the scale :func:`vanishes` judges Delta^k phi against.
+    order 0).
     """
     orders = sorted(set(int(k) for k in orders))
     if orders and orders[0] < 0:
         raise DegreeError("orders must be >= 0")
     m = mmap.dim
     if mode == EXACT:
-        u0 = [coerce(xi, EXACT) - ai for xi, ai in zip(x, mmap.a)]
-        D = math.lcm(*(int(v.denominator) for v in u0))
-        U = [int(v.numerator) * (D // int(v.denominator)) for v in u0]
-        kA = [[mmap.k * v for v in row] for row in mmap.A]
-        den_A = math.lcm(*(int(v.denominator) for row in kA for v in row))
-        num_A = [[int(v.numerator) * (den_A // int(v.denominator)) for v in row] for row in kA]
+        U, D = integer_vector([coerce(xi, EXACT) - ai for xi, ai in zip(x, mmap.a)])
+        num_A, den_A = mobius.integer_matrix([[mmap.k * v for v in row] for row in mmap.A])
         quotient = rational
     else:
         D, den_A, quotient = 1, 1, operator.truediv
@@ -513,7 +474,7 @@ def _polyharmonic_terms(
     top = orders[-1] if orders else 0
     pw = [(2 * top + 1) ** i for i in range(m)]
     Q = _reciprocal_numerators([s * v for v in U], F, s, _needed_set(m, top), pw)
-    k_abs = abs(as_float(mmap.k))
+    k_abs = abs(float(mmap.k))
     out: dict[int, tuple[tuple, float]] = {}
     for k in orders:
         N = [0] * m

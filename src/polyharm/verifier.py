@@ -13,11 +13,11 @@ never serialized.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import logging
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,7 +36,7 @@ from .rationals import (
     FLOAT,
     coerce,
     format_rational,
-    parse_rational,
+    integer_vector,
     rational,
 )
 from .residuals import DEFAULT_FLOAT_TOL
@@ -79,6 +79,8 @@ class SamplePlan:
         # a zero radius maps every draw to the origin, a negative one is no radius
         if self.radius is not None and rational(self.radius) <= 0:
             raise ConfigError(f"sample radius must be > 0, got {self.radius}")
+        if rational(self.exclusion) < 0:
+            raise ConfigError(f"sample exclusion must be >= 0, got {self.exclusion}")
         if self.points is not None:
             _require_samples(points=len(self.points))
 
@@ -98,20 +100,28 @@ class ConfiguredInstance:
     expect: str | None = None
 
 
-def _parse_model(obj, where: str) -> SpaceFormModel:
-    if not isinstance(obj, dict) or "model" not in obj or "dim" not in obj:
-        raise ConfigError(f"{where}: expected {{'model': ..., 'dim': ...}}")
+@contextlib.contextmanager
+def _parsing(where: str):
+    """Turn a malformed entry met inside into a ConfigError naming ``where``:
+    a wrong type, value or length is a usage error, never a traceback."""
     try:
-        return SpaceFormModel.named(str(obj["model"]), int(obj["dim"]))
-    except PolyharmError as exc:
+        yield
+    except ConfigError:
+        raise
+    except (PolyharmError, KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _parse_model(obj, where: str) -> SpaceFormModel:
+    if not isinstance(obj, dict) or "model" not in obj or "dim" not in obj:
+        raise ConfigError(f"{where}: expected {{'model': ..., 'dim': ...}}")
+    with _parsing(where):
+        return SpaceFormModel.named(str(obj["model"]), int(obj["dim"]))
+
+
 def _parse_rational_list(values, where: str) -> tuple:
-    try:
-        return tuple(parse_rational(v) if isinstance(v, str) else rational(v) for v in values)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{where}: bad rational entry ({exc})") from exc
+    with _parsing(f"{where}: bad rational entry"):
+        return tuple(rational(v) for v in values)
 
 
 def _parse_matrix(entry, dim: int, where: str):
@@ -121,7 +131,7 @@ def _parse_matrix(entry, dim: int, where: str):
         raise ConfigError(f"{where}: matrix entry needs a 'kind'")
     kind = entry["kind"]
     data = entry.get("data")
-    try:
+    with _parsing(where):
         if kind == "identity":
             return mobius.identity_matrix(dim)
         if kind == "permutation":
@@ -133,8 +143,6 @@ def _parse_matrix(entry, dim: int, where: str):
             return mobius.cayley_orthogonal(skew)
         if kind == "matrix":
             return tuple(_parse_rational_list(row, where) for row in data)
-    except (PolyharmError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}: unknown matrix kind {kind!r}")
 
 
@@ -148,10 +156,8 @@ def _parse_map(obj, where: str) -> MobiusMap:
     b = _parse_rational_list(obj["b"], f"{where}.b")
     k = _parse_rational_list([obj["k"]], f"{where}.k")[0]
     A = _parse_matrix(obj.get("A"), len(a), f"{where}.A")
-    try:
+    with _parsing(where):
         return MobiusMap.build(a=a, b=b, k=k, A=A, epsilon=obj["epsilon"])
-    except PolyharmError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_plan(obj) -> SamplePlan:
@@ -159,16 +165,16 @@ def _parse_plan(obj) -> SamplePlan:
         return SamplePlan()
     if not isinstance(obj, dict):
         raise ConfigError("sample: expected an object")
-    points = None
-    if "points" in obj:
-        points = tuple(_parse_rational_list(p, "sample.points") for p in obj["points"])
-    radius = None
-    if "radius" in obj:
-        radius = _parse_rational_list([obj["radius"]], "sample.radius")[0]
-    exclusion = Fraction(1, 8)
-    if "exclusion" in obj:
-        exclusion = _parse_rational_list([obj["exclusion"]], "sample.exclusion")[0]
-    try:
+    with _parsing("sample"):
+        points = None
+        if "points" in obj:
+            points = tuple(_parse_rational_list(p, "sample.points") for p in obj["points"])
+        radius = None
+        if "radius" in obj:
+            radius = _parse_rational_list([obj["radius"]], "sample.radius")[0]
+        exclusion = Fraction(1, 8)
+        if "exclusion" in obj:
+            exclusion = _parse_rational_list([obj["exclusion"]], "sample.exclusion")[0]
         return SamplePlan(
             seed=int(obj.get("seed", 0)),
             count=int(obj.get("count", 20)),
@@ -176,21 +182,19 @@ def _parse_plan(obj) -> SamplePlan:
             exclusion=exclusion,
             points=points,
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sample: {exc}") from exc
 
 
 def _parse_instance(obj, where: str) -> ConfiguredInstance:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: instance must be an object")
     for key in ("domain", "target", "map"):
         if key not in obj:
             raise ConfigError(f"{where}: missing {key!r}")
     domain = _parse_model(obj["domain"], f"{where}.domain")
     target = _parse_model(obj["target"], f"{where}.target")
     mmap = _parse_map(obj["map"], f"{where}.map")
-    try:
+    with _parsing(where):
         instance = ConformalInstance(domain=domain, target=target, map=mmap)
-    except PolyharmError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
     _require_dimensions((instance.dim,))
     expect = obj.get("expect")
     if expect is not None and expect not in (
@@ -254,18 +258,20 @@ def _admissible(instance: ConformalInstance, N, den: int, exclusion) -> bool:
 def sample_points(plan: SamplePlan, instance: ConformalInstance) -> list[tuple]:
     """Deterministic admissible rational points for this instance.
 
-    Explicit plan points are validated; otherwise rejection sampling draws
-    coordinates radius * n/16 with integers |n| <= 16 until ``count``
-    admissible distinct points are found or the retry budget is exhausted.
+    Explicit plan points are validated: m coordinates each, admissible.
+    Otherwise rejection sampling draws coordinates radius * n/16 with integers
+    |n| <= 16 until ``count`` admissible distinct points are found or the
+    retry budget is exhausted.
     A draw is screened on its integers n and becomes a rational point only
     when accepted; the radius is positive, so distinct n are distinct points.
     """
     exclusion = rational(plan.exclusion)
     if plan.points is not None:
         for x in plan.points:
-            x_q = [rational(v) for v in x]
-            den = math.lcm(*(v.denominator for v in x_q))
-            N = [v.numerator * (den // v.denominator) for v in x_q]
+            if len(x) != instance.dim:
+                point = " ".join(_point_list(x))
+                raise ConfigError(f"explicit point {point} has {len(x)} coordinates, not m = {instance.dim}")
+            N, den = integer_vector([rational(v) for v in x])
             if not _admissible(instance, N, den, exclusion):
                 raise AdmissibleRegionError(f"explicit point {x} is not admissible")
         return [tuple(x) for x in plan.points]
@@ -313,13 +319,13 @@ def _point_list(x) -> list[str]:
     return [format_rational(v) for v in x]
 
 
-def _rv_dict(rv: residuals.ResidualVector, mode: str, include_values: bool) -> dict:
+def _rv_dict(rv: residuals.ResidualVector, mode: str) -> dict:
     out = {
         "norm": rv.norm,
         "scale": rv.scale,
         "exact_zero": rv.exact_zero,
     }
-    if include_values and mode == EXACT:
+    if mode == EXACT:
         out["values"] = [format_rational(v) for v in rv.values]
     return out
 
@@ -352,7 +358,6 @@ def run_check(
     mode: str = EXACT,
     tol: float = DEFAULT_FLOAT_TOL,
     expect: str | None = None,
-    include_values: bool = True,
 ) -> dict:
     """Evaluate the full residual battery and classify one instance."""
     pts = sample_points(plan, instance)
@@ -374,7 +379,7 @@ def run_check(
                 "point": _point_list(x),
                 "harmonic": e["harmonic"],
                 "residuals": {
-                    name: _rv_dict(e[name], mode, include_values)
+                    name: _rv_dict(e[name], mode)
                     for name in ("CL", "SDL", "ND", "ND2")
                 },
             }
@@ -474,8 +479,9 @@ def random_mobius(
     else:
         b = tuple(_rand_rational(rng, 2, 2, 4) for _ in range(m))
         k = rational(rng.randint(1, 6), rng.randint(1, 6))
+    # every entry is already rational: construct (and so validate) directly
     A = _random_orthogonal(rng, m, style)
-    return MobiusMap.build(a=a, b=b, k=k, A=A, epsilon=epsilon)
+    return MobiusMap(a=a, b=b, k=k, A=A, epsilon=epsilon)
 
 
 # -- biharmonic sweep ------------------------------------------------------------
@@ -651,7 +657,7 @@ def _polyharmonic_point(mmap: MobiusMap, order: int, x, mode: str, tol: float) -
     Float mode judges each order, and the closed-form difference at order k,
     against the size of the terms that cancel in that order's Delta phi.
     """
-    terms = residuals._polyharmonic_terms(mmap, (order - 1, order), x, mode)
+    terms = residuals.polyharmonic_orders(mmap, (order - 1, order), x, mode)
     vals, scale = terms[order]
     prev, prev_scale = terms[order - 1]
     closed = residuals.polyharmonic_closed_form(mmap, order, x)
@@ -745,7 +751,7 @@ def radial_classification_check(kind: str, c_value, m: int, mode: str = EXACT) -
     instance = ConformalInstance(domain=domain, target=target, map=mmap)
 
     def evaluator(point):
-        rv = residuals.residual_ND2(instance, point, EXACT)
+        rv = residuals.evaluate_residuals(instance, point, EXACT)["ND2"]
         radial = rv.values[0] / point[0]  # component along e_1 over t
         s = sum(v * v for v in point)
         if kind == "hyperbolic-flat":
@@ -802,7 +808,7 @@ def _conservation_battery(mode: str, tol: float) -> tuple[bool, str]:
             tag = f"polyharm:selftest:cl:{c1}:{c2}:{epsilon}"
             instance, pts = _sweep_instance(tag, 5, c1, c2, epsilon, 1, 3)
             for x in pts:
-                rv = residuals.residual_CL(instance, x, mode, tol)
+                rv = residuals.evaluate_residuals(instance, x, mode, tol)["CL"]
                 if not rv.exact_zero:
                     bad.append(f"(c1={c1}, c2={c2}, eps={epsilon})")
     if bad:
@@ -876,21 +882,21 @@ def _float_separation_battery(mode: str, tol: float) -> tuple[bool, str]:
         tag = f"polyharm:selftest:sepz:{m}:{c1}:{c2}:{epsilon}"
         instance, pts = _sweep_instance(tag, m, c1, c2, epsilon, 0, 3)
         for x in pts:
-            rv = residuals.residual_SDL(instance, x, FLOAT, tol)
+            rv = residuals.evaluate_residuals(instance, x, FLOAT, tol)["SDL"]
             if not rv.exact_zero or rv.norm > zero_bound * rv.scale:
                 bad.append(f"zero case (m={m}, c1={c1}, c2={c2}) norm={rv.norm:.2e}")
     for m, c1, c2, epsilon in degenerate_cases:
         tag = f"polyharm:selftest:sepd:{m}:{c1}:{c2}:{epsilon}"
         instance, pts = _sweep_instance(tag, m, c1, c2, epsilon, 0, 3)
         for x in pts:
-            rv = residuals.residual_SDL(instance, x, FLOAT, tol)
+            rv = residuals.evaluate_residuals(instance, x, FLOAT, tol)["SDL"]
             if not rv.exact_zero:
                 bad.append(f"degenerate zero case (m={m}) norm={rv.norm:.2e}")
     for m, c1, c2, epsilon in nonzero_cases:
         tag = f"polyharm:selftest:sepn:{m}:{c1}:{c2}:{epsilon}"
         instance, pts = _sweep_instance(tag, m, c1, c2, epsilon, 0, 2)
         for x in pts:
-            rv = residuals.residual_SDL(instance, x, FLOAT, tol)
+            rv = residuals.evaluate_residuals(instance, x, FLOAT, tol)["SDL"]
             if rv.exact_zero or rv.norm < 1e-3 * rv.scale:
                 bad.append(f"nonzero case (m={m}, c1={c1}, c2={c2}) norm={rv.norm:.2e}")
     if bad:

@@ -28,12 +28,7 @@ from polyharm.cli import main
 from polyharm.jets import seed
 from polyharm.mobius import ConformalInstance, MobiusMap, conformal_factor
 from polyharm.rationals import EXACT, FLOAT, rational
-from polyharm.residuals import (
-    evaluate_residuals,
-    residual_CL,
-    residual_ND,
-    residual_SDL,
-)
+from polyharm.residuals import evaluate_residuals
 from polyharm.spaceform import SpaceFormModel, laplace_beltrami
 from polyharm.verifier import (
     CURVATURE_PAIRS,
@@ -97,7 +92,7 @@ class TestAcceptance:
             pts = sample_points(plan, instance)
             assert len(pts) == 20
             for x in pts:
-                rv = residual_CL(instance, x, EXACT)
+                rv = evaluate_residuals(instance, x, EXACT)["CL"]
                 assert rv.exact_zero and all(v == 0 for v in rv.values), (
                     f"ACCEPTANCE 2: FAIL - nonzero factor constraint at {x} "
                     f"for {instance.domain.name}->{instance.target.name}"
@@ -169,7 +164,7 @@ class TestAcceptance:
                 symbolic = tuple(
                     -2 * (m - 4) * lam0 * lam0 * g / k for g in lam.gradient()
                 )
-                halved = tuple(v / 2 for v in residual_ND(instance, x).values)
+                halved = tuple(v / 2 for v in evaluate_residuals(instance, x)["ND"].values)
                 assert halved == symbolic, (
                     f"ACCEPTANCE 4: FAIL - m={m} halved residual differs from "
                     "-(2/k)(m-4) lam^2 grad(lam)"
@@ -332,7 +327,7 @@ class TestAcceptance:
         for m, c1, c2, eps in ((4, 0, 1, 2), (4, 0, -1, 0), (4, 0, 1, 0)):
             inst, pts = _sweep_instance(f"acc8z:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, 0, 3)
             for x in pts:
-                rv = residual_SDL(inst, x, FLOAT)
+                rv = evaluate_residuals(inst, x, FLOAT)["SDL"]
                 assert rv.norm <= 1e-9 * rv.scale, (
                     f"ACCEPTANCE 8: FAIL - zero case ratio {rv.norm / rv.scale:.2e}"
                 )
@@ -340,11 +335,11 @@ class TestAcceptance:
         # scale is machine noise and the floor classification must call it zero
         inst, pts = _sweep_instance("acc8d:4:0:0:2", 4, 0, 0, 2, 0, 3)
         for x in pts:
-            assert residual_SDL(inst, x, FLOAT).exact_zero
+            assert evaluate_residuals(inst, x, FLOAT)["SDL"].exact_zero
         for m, c1, c2, eps in ((5, 0, 0, 2), (6, 0, 1, 2), (5, 1, 1, 2)):
             inst, pts = _sweep_instance(f"acc8n:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, 0, 3)
             for x in pts:
-                rv = residual_SDL(inst, x, FLOAT)
+                rv = evaluate_residuals(inst, x, FLOAT)["SDL"]
                 assert rv.norm >= 1e-3 * rv.scale, (
                     f"ACCEPTANCE 8: FAIL - nonzero case ratio {rv.norm / rv.scale:.2e}"
                 )

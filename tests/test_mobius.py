@@ -55,6 +55,12 @@ class TestValidate:
         with pytest.raises(MapValidationError):
             MobiusMap.build(a=_zeros(3), b=_zeros(3), k=1, A=two_i, epsilon=2)
 
+    def test_raw_construction_validates(self):
+        # every MobiusMap is valid by construction, not only those from build
+        two_i = tuple(tuple(rational(2 if i == j else 0) for j in range(3)) for i in range(3))
+        with pytest.raises(MapValidationError):
+            MobiusMap(a=_zeros(3), b=_zeros(3), k=rational(1), A=two_i, epsilon=2)
+
     def test_epsilon_one_rejected(self):
         with pytest.raises(MapValidationError):
             MobiusMap.build(a=_zeros(3), b=_zeros(3), k=1, epsilon=1)
@@ -358,12 +364,13 @@ class TestConformality:
                 assert conformality_check(SpaceFormModel.flat(4), target, mmap, pt)
 
     def test_non_orthogonal_matrix_detected(self):
-        # smuggle a non-orthogonal A past construction
+        # smuggle a non-orthogonal A past construction, which validates
         bad = tuple(
             tuple(rational(1 if i == j else (1 if (i, j) == (0, 1) else 0)) for j in range(4))
             for i in range(4)
         )
-        m = MobiusMap(a=_zeros(4), b=_zeros(4), k=rational(1), A=bad, epsilon=2)
+        m = MobiusMap.inversion(4)
+        object.__setattr__(m, "A", bad)
         assert not conformality_check(
             SpaceFormModel.flat(4), SpaceFormModel.flat(4), m, (1, 1, 0, 0)
         )
@@ -382,7 +389,7 @@ class TestRotationInvariance:
         # replacing A by QA with b = 0 post-rotates the image; the factor and
         # residual norms are unchanged at the same points
         from polyharm.mobius import mat_mul
-        from polyharm.residuals import residual_SDL
+        from polyharm.residuals import evaluate_residuals
 
         rng = rng_for("rot-target")
         Q = signed_permutation([1, 2, 0, 3], [1, -1, 1, -1])
@@ -401,15 +408,15 @@ class TestRotationInvariance:
             except Exception:
                 continue
             assert lam1 == conformal_factor(domain, target, rotated, x)
-            r1 = residual_SDL(inst1, pt)
-            r2 = residual_SDL(inst2, pt)
+            r1 = evaluate_residuals(inst1, pt)["SDL"]
+            r2 = evaluate_residuals(inst2, pt)["SDL"]
             assert exact_norm_sq(r1.values) == exact_norm_sq(r2.values)
 
     def test_domain_rotation_moves_sample_points(self):
         # with a = 0, replacing A by A Q evaluates the original map at Qx, so
         # residual norms agree at correspondingly rotated points
         from polyharm.mobius import mat_mul
-        from polyharm.residuals import residual_SDL
+        from polyharm.residuals import evaluate_residuals
 
         rng = rng_for("rot-domain")
         Q = signed_permutation([3, 0, 2, 1], [-1, 1, 1, 1])
@@ -425,8 +432,8 @@ class TestRotationInvariance:
             if not any(pt):
                 continue
             qpt = mat_vec(Q, pt)
-            r1 = residual_SDL(inst1, qpt)
-            r2 = residual_SDL(inst2, pt)
+            r1 = evaluate_residuals(inst1, qpt)["SDL"]
+            r2 = evaluate_residuals(inst2, pt)["SDL"]
             assert exact_norm_sq(r1.values) == exact_norm_sq(r2.values)
 
 

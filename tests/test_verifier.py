@@ -1,5 +1,6 @@
 """Config loading, sampling, verdicts, sweeps, reports, and the CLI contract."""
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -7,12 +8,15 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyharm
-from polyharm import residuals
+from polyharm import mobius, residuals
 from polyharm.cli import main
 from polyharm.errors import AdmissibleRegionError, ConfigError, PolyharmError
 from polyharm.mobius import ConformalInstance, MobiusMap, apply_point, conformal_factor_value
@@ -21,6 +25,7 @@ from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
     ResidualReport,
     SamplePlan,
+    _sweep_instance,
     check_report_body,
     emit_report,
     expected_polyharmonic_zero,
@@ -66,6 +71,54 @@ def _write(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return p
+
+
+def _three_instance_config():
+    """A valid config of three m = 4 inversions, with identity, permutation
+    and Cayley matrices, and every sample key set."""
+    perm = _inversion_config()
+    perm["map"]["A"] = {"kind": "permutation", "data": {"perm": [1, 0, 2, 3], "signs": [1, -1, 1, 1]}}
+    cay = _inversion_config()
+    cay["map"]["A"] = {
+        "kind": "cayley",
+        "data": [
+            ["0", "1/2", "0", "0"],
+            ["-1/2", "0", "0", "0"],
+            ["0", "0", "0", "0"],
+            ["0", "0", "0", "0"],
+        ],
+    }
+    instances = [_inversion_config(), perm, cay]
+    for cfg in instances:
+        del cfg["sample"]
+    sample = {"seed": 1, "count": 3, "radius": "2", "exclusion": "1/8", "points": [["1", "1/2", "0", "0"]]}
+    return {"instances": instances, "sample": sample}
+
+
+def _paths(node, prefix=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    """A copy of doc with the value at path replaced."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
 
 
 class TestLoadConfig:
@@ -117,6 +170,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(_write(tmp_path, cfg))
 
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(list(_paths(_three_instance_config()))[1:]), value=_JSON_VALUES)
+    def test_one_value_mutation_loads_or_is_a_config_error(self, path, value):
+        # whatever one value of a valid config becomes, loading it either
+        # succeeds or is a usage error; no other exception escapes
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(_replaced(_three_instance_config(), path, value)))
+            try:
+                load_config(cfg)
+            except ConfigError:
+                pass
+
 
 class TestSampling:
     def _instance(self, m=4):
@@ -150,6 +216,15 @@ class TestSampling:
         )
         for pt in sample_points(SamplePlan(seed=3, count=10), inst):
             assert sum(v * v for v in pt) < 1
+
+    def test_sweep_instance_validates_its_map_once(self, monkeypatch):
+        # construction validates a map, so an instance built from it does not
+        # check A again
+        calls = []
+        original = mobius.is_orthogonal
+        monkeypatch.setattr(mobius, "is_orthogonal", lambda A: calls.append(A) or original(A))
+        _sweep_instance("polyharm:test:validate-once", 4, 0, 0, 2, 2, 3)
+        assert len(calls) == 1
 
     def test_explicit_points_validated(self):
         inst = self._instance()
@@ -364,6 +439,20 @@ class TestSweeps:
             assert t["zero"] == g["zero"] and t["proper"] == g["proper"]
             assert t["closed_form_match"]
 
+    def test_sweep_reads_the_public_polyharmonic_evaluator(self, monkeypatch):
+        # the sweep's Delta^k phi comes from residuals.polyharmonic_orders:
+        # a perturbation there must reach the cell's verdict
+        original = residuals.polyharmonic_orders
+
+        def perturbed(mmap, orders, x, mode=EXACT):
+            out = original(mmap, orders, x, mode)
+            return {k: (tuple(v + 1 for v in vals), scale) for k, (vals, scale) in out.items()}
+
+        assert sweep_polyharmonic(orders=(2,), m_values=(4,))["all_match"]
+        monkeypatch.setattr(residuals, "polyharmonic_orders", perturbed)
+        (cell,) = sweep_polyharmonic(orders=(2,), m_values=(4,))["cells"]
+        assert not cell["trials"][0]["zero"] and not cell["match"]
+
     def test_expected_zero_rule_against_golden(self):
         for c in json.loads((GOLDEN / "polyharmonic_truth_table.json").read_text()):
             assert expected_polyharmonic_zero(c["m"], c["order"]) == c["zero"]
@@ -437,8 +526,8 @@ class TestSelftest:
         # identity chain battery must catch it in either mode
         original = residuals._nd2_from_geometry
 
-        def mutated(g, mode, tol):
-            rv = original(g, mode, tol)
+        def mutated(g, tol):
+            rv = original(g, tol)
             m = g.m
             gb_gnorm = g.gradbar(g.grad_gnorm)
             flipped = tuple(
@@ -602,6 +691,33 @@ class TestCli:
         cfg = _inversion_config(m=m, expect=expect)
         cfg["sample"].update(sample)
         assert main(["check", str(_write(tmp_path, cfg))] + flags) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_three_instance_config_checks(self, tmp_path, capsys):
+        # the base of the malformed cases below is itself a valid config
+        assert main(["check", str(_write(tmp_path, _three_instance_config()))]) == 0
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("instances",), [5]),
+            (("instances", 0, "domain", "dim"), "x"),
+            (("instances", 0, "domain", "dim"), None),
+            (("instances", 0, "map", "epsilon"), "x"),
+            (("instances", 2, "map", "A", "data", 1), []),
+            (("instances", 1, "map", "A", "data", "signs"), []),
+            (("sample", "points"), [["1", "1/2", "0", "0", "5"]]),
+            (("sample", "points"), [["1", "1/2"]]),
+            (("sample", "exclusion"), "-1/8"),
+        ],
+        ids=[
+            "instance-not-object", "dim-text", "dim-null", "epsilon-text", "empty-cayley-row",
+            "no-signs", "point-too-long", "point-too-short", "negative-exclusion",
+        ],
+    )
+    def test_malformed_config_exits_two(self, tmp_path, capsys, path, value):
+        cfg = _replaced(_three_instance_config(), path, value)
+        assert main(["check", str(_write(tmp_path, cfg))]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_import_loads_no_numpy(self):
