@@ -6,7 +6,7 @@ class PolyharmError(Exception):
 
 
 class ShapeMismatchError(PolyharmError):
-    """Jet operands disagree in dimension, base point, or scalar mode."""
+    """Jet operands disagree in dimension, base point, or scalar type."""
 
 
 class DegreeError(PolyharmError):

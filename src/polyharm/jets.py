@@ -8,7 +8,8 @@ dense coefficient table
 so a jet has exactly C(m + D, D) entries.  Ring operations never exceed
 degree D: multiplication is the truncated Cauchy product, division is the
 triangular solve of q * b = a in graded order (valid whenever b(x0) != 0).
-In exact mode every coefficient is an arbitrary-precision rational and all
+A jet takes the scalar type of its base point: exact when no coordinate is a
+float, and then every coefficient is an arbitrary-precision rational and all
 identities below hold with zero rounding.
 
 Multi-indices live in graded lexicographic order: ascending total degree,
@@ -30,7 +31,7 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import DegreeError, ShapeMismatchError, SingularDivisionError
-from .rationals import EXACT, coerce, inv, scalar_zero
+from .rationals import coerce, inv, scalar_of
 
 MultiIndex = tuple  # exponent tuple (beta_1, ..., beta_m), all entries >= 0
 
@@ -173,30 +174,33 @@ class Jet:
 
     Jets are value objects: operations return new jets and never mutate
     operands, so evaluation at many sample points is trivially parallel.
+    ``scalar`` is the type of the base point's coordinates, ``Fraction`` or
+    ``float``, and of every coefficient.
     """
 
-    __slots__ = ("space", "mode", "base", "coeffs")
+    __slots__ = ("space", "scalar", "base", "coeffs")
 
-    def __init__(self, space: JetSpace, mode: str, base: tuple, coeffs: list):
+    def __init__(self, space: JetSpace, base: tuple, coeffs: list):
         self.space = space
-        self.mode = mode
+        self.scalar = scalar_of(base)
         self.base = base
         self.coeffs = coeffs
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, value, dim: int, degree: int, base: tuple, mode: str) -> "Jet":
+    def constant(cls, value, dim: int, degree: int, base: tuple) -> "Jet":
         space = JetSpace.get(dim, degree)
-        coeffs = [scalar_zero(mode)] * space.size
-        coeffs[0] = coerce(value, mode)
-        return cls(space, mode, base, coeffs)
+        scalar = scalar_of(base)
+        coeffs = [scalar(0)] * space.size
+        coeffs[0] = coerce(value, scalar)
+        return cls(space, base, coeffs)
 
     def constant_like(self, value) -> "Jet":
-        return Jet.constant(value, self.space.dim, self.space.degree, self.base, self.mode)
+        return Jet.constant(value, self.space.dim, self.space.degree, self.base)
 
     def zero_like(self) -> "Jet":
-        return Jet.constant(0, self.space.dim, self.space.degree, self.base, self.mode)
+        return Jet.constant(0, self.space.dim, self.space.degree, self.base)
 
     # -- basic views ----------------------------------------------------
 
@@ -227,14 +231,14 @@ class Jet:
         if degree >= self.degree:
             return self
         space = JetSpace.get(self.dim, degree)
-        return Jet(space, self.mode, self.base, self.coeffs[: space.size])
+        return Jet(space, self.base, self.coeffs[: space.size])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Jet):
             return NotImplemented
         return (
             self.space is other.space
-            and self.mode == other.mode
+            and self.scalar is other.scalar
             and self.base == other.base
             and self.coeffs == other.coeffs
         )
@@ -249,8 +253,10 @@ class Jet:
     def _check_compatible(self, other: "Jet") -> None:
         if self.dim != other.dim:
             raise ShapeMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.mode != other.mode:
-            raise ShapeMismatchError(f"mode mismatch: {self.mode} vs {other.mode}")
+        if self.scalar is not other.scalar:
+            raise ShapeMismatchError(
+                f"scalar mismatch: {self.scalar.__name__} vs {other.scalar.__name__}"
+            )
         if self.base != other.base:
             raise ShapeMismatchError("jets have different base points")
 
@@ -263,31 +269,31 @@ class Jet:
         if not isinstance(other, Jet):
             return self._scalar_shift(other)
         a, b = self._aligned(other)
-        return Jet(a.space, a.mode, a.base, [x + y if y else x for x, y in zip(a.coeffs, b.coeffs)])
+        return Jet(a.space, a.base, [x + y if y else x for x, y in zip(a.coeffs, b.coeffs)])
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
-            return self._scalar_shift(-coerce(other, self.mode))
+            return self._scalar_shift(-coerce(other, self.scalar))
         a, b = self._aligned(other)
-        return Jet(a.space, a.mode, a.base, [x - y if y else x for x, y in zip(a.coeffs, b.coeffs)])
+        return Jet(a.space, a.base, [x - y if y else x for x, y in zip(a.coeffs, b.coeffs)])
 
     def __rsub__(self, other):
         return (-self)._scalar_shift(other)
 
     def __neg__(self):
-        return Jet(self.space, self.mode, self.base, [-c for c in self.coeffs])
+        return Jet(self.space, self.base, [-c for c in self.coeffs])
 
     def _scalar_shift(self, value) -> "Jet":
         coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] + coerce(value, self.mode)
-        return Jet(self.space, self.mode, self.base, coeffs)
+        coeffs[0] = coeffs[0] + coerce(value, self.scalar)
+        return Jet(self.space, self.base, coeffs)
 
     def scale(self, value) -> "Jet":
-        s = coerce(value, self.mode)
-        return Jet(self.space, self.mode, self.base, [s * c if c else c for c in self.coeffs])
+        s = coerce(value, self.scalar)
+        return Jet(self.space, self.base, [s * c if c else c for c in self.coeffs])
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -299,7 +305,7 @@ class Jet:
         bn = sum(1 for c in b.coeffs if c)
         outer, inner = (a, b) if an <= bn else (b, a)
         inner_nz = [(keys[q], c) for q, c in enumerate(inner.coeffs) if c]
-        res = [scalar_zero(a.mode)] * space.size
+        res = [a.scalar(0)] * space.size
         for p, c in enumerate(outer.coeffs):
             if not c:
                 continue
@@ -311,14 +317,14 @@ class Jet:
                 if t is None:
                     break
                 res[t] = res[t] + c * cq
-        return Jet(space, a.mode, a.base, res)
+        return Jet(space, a.base, res)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return self.scale(inv(coerce(other, self.mode)))
+            return self.scale(inv(coerce(other, self.scalar)))
         a, b = self._aligned(other)
         return _divide(a, b)
 
@@ -335,18 +341,18 @@ class Jet:
         src, w = self.space.diff_table(axis, 1)
         out_space = JetSpace.get(self.dim, self.degree - 1)
         coeffs = self.coeffs
-        res = [scalar_zero(self.mode)] * out_space.size
+        res = [self.scalar(0)] * out_space.size
         for p in range(out_space.size):
             c = coeffs[src[p]]
             if c:
                 res[p] = w[p] * c
-        return Jet(out_space, self.mode, self.base, res)
+        return Jet(out_space, self.base, res)
 
     def laplacian(self) -> "Jet":
         if self.degree < 2:
             raise DegreeError("laplacian needs degree >= 2")
         out_space = JetSpace.get(self.dim, self.degree - 2)
-        res = [scalar_zero(self.mode)] * out_space.size
+        res = [self.scalar(0)] * out_space.size
         coeffs = self.coeffs
         for i in range(self.dim):
             src, w = self.space.diff_table(i, 2)
@@ -354,7 +360,7 @@ class Jet:
                 c = coeffs[src[p]]
                 if c:
                     res[p] = res[p] + w[p] * c
-        return Jet(out_space, self.mode, self.base, res)
+        return Jet(out_space, self.base, res)
 
 
 def _divide(a: Jet, b: Jet) -> Jet:
@@ -369,7 +375,7 @@ def _divide(a: Jet, b: Jet) -> Jet:
         for p, c in enumerate(b.coeffs)
         if p > 0 and c
     ]
-    zero = scalar_zero(a.mode)
+    zero = a.scalar(0)
     acoef = a.coeffs
     q = [zero] * space.size
     q[0] = acoef[0] * inv_b0
@@ -383,28 +389,32 @@ def _divide(a: Jet, b: Jet) -> Jet:
                     acc = acc - coef * qt
         if acc:
             q[p] = acc * inv_b0
-    return Jet(space, a.mode, a.base, q)
+    return Jet(space, a.base, q)
 
 
 # -- module-level operations (the public algebra surface) -------------------
 
 
-def seed(x0: Sequence, degree: int, mode: str = EXACT) -> tuple[Jet, ...]:
-    """Coordinate jets at x0: the i-th jet represents the function x -> x_i."""
+def seed(x0: Sequence, degree: int) -> tuple[Jet, ...]:
+    """Coordinate jets at x0: the i-th jet represents the function x -> x_i.
+
+    The jets are float when any coordinate of x0 is, exact otherwise.
+    """
     if degree < 0:
         raise DegreeError("degree must be >= 0")
-    pt = tuple(coerce(v, mode) for v in x0)
+    scalar = scalar_of(x0)
+    pt = tuple(coerce(v, scalar) for v in x0)
     m = len(pt)
     if m < 1:
         raise ShapeMismatchError("base point needs at least one coordinate")
     space = JetSpace.get(m, degree)
     jets = []
     for i in range(m):
-        coeffs = [scalar_zero(mode)] * space.size
+        coeffs = [scalar(0)] * space.size
         coeffs[0] = pt[i]
         if degree >= 1:
-            coeffs[space.grad_positions()[i]] = coerce(1, mode)
-        jets.append(Jet(space, mode, pt, coeffs))
+            coeffs[space.grad_positions()[i]] = scalar(1)
+        jets.append(Jet(space, pt, coeffs))
     return tuple(jets)
 
 
@@ -416,7 +426,7 @@ def iterated_laplacian(j: Jet, order: int):
         return j.value()
     if j.degree < 2 * order:
         raise DegreeError(f"degree {j.degree} insufficient for Delta^{order}")
-    total = scalar_zero(j.mode)
+    total = j.scalar(0)
     coeffs = j.coeffs
     for pos, w in j.space.iterlap_targets(order):
         c = coeffs[pos]
@@ -445,22 +455,22 @@ def quadratic(like: Jet, value, linear: Sequence, square=0) -> Jet:
     Written straight into its 1 + 2m possible nonzero coefficients, with no
     products; terms above the truncation degree of ``like`` are dropped.
     """
-    space, mode = like.space, like.mode
-    coeffs = [scalar_zero(mode)] * space.size
-    coeffs[0] = coerce(value, mode)
+    space, scalar = like.space, like.scalar
+    coeffs = [scalar(0)] * space.size
+    coeffs[0] = coerce(value, scalar)
     if space.degree >= 1:
         for p, v in zip(space.grad_positions(), linear):
-            coeffs[p] = coerce(v, mode)
+            coeffs[p] = coerce(v, scalar)
     if space.degree >= 2 and square:
-        s = coerce(square, mode)
+        s = coerce(square, scalar)
         for p in space.square_positions():
             coeffs[p] = s
-    return Jet(space, mode, like.base, coeffs)
+    return Jet(space, like.base, coeffs)
 
 
 def polynomial(coeff_map: dict, like: Jet) -> Jet:
     """Jet with prescribed coefficients (helper for tests and closed forms)."""
-    coeffs = [scalar_zero(like.mode)] * like.space.size
+    coeffs = [like.scalar(0)] * like.space.size
     for beta, c in coeff_map.items():
-        coeffs[like.space.position(tuple(beta))] = coerce(c, like.mode)
-    return Jet(like.space, like.mode, like.base, coeffs)
+        coeffs[like.space.position(tuple(beta))] = coerce(c, like.scalar)
+    return Jet(like.space, like.base, coeffs)

@@ -1,11 +1,16 @@
-"""Scalar backend for the two computation modes.
+"""Scalars of the two computation modes.
 
 Exact mode works on arbitrary-precision rationals, ``fractions.Fraction``.
 No hot loop runs on them: both residual paths run their integer kernels on
 Python ints (see :mod:`polyharm.residuals`) and meet a rational only once
 per output value, and the rationals carry the map parameters, the points and
 the reports.  Float mode uses plain doubles and exists for speed and for
-finite-difference cross-validation only.  A computation never mixes modes.
+finite-difference cross-validation only.
+
+The mode is the scalar type of the point a computation runs at: it is exact
+exactly when no input is a float (:func:`scalar_of`).  Only the verifier
+names the mode, as the ``EXACT``/``FLOAT`` strings of its reports, and hands
+the evaluators float coordinates in float mode.
 """
 
 from __future__ import annotations
@@ -45,19 +50,15 @@ def format_rational(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def coerce(value, mode: str):
-    """Convert a number into the scalar type of the given mode."""
-    if mode == EXACT:
-        if isinstance(value, float):
-            raise TypeError("exact mode rejects floats; pass ints or rationals")
-        return Fraction(value) if not isinstance(value, str) else parse_rational(value)
-    if mode == FLOAT:
-        return float(value)
-    raise ValueError(f"unknown mode {mode!r}")
+def scalar_of(values) -> type:
+    """``float`` when any value is a float, else ``Fraction``."""
+    return float if any(isinstance(v, float) for v in values) else Fraction
 
 
-def scalar_zero(mode: str):
-    return Fraction(0) if mode == EXACT else 0.0
+def coerce(value, scalar: type):
+    """Convert a number into ``scalar``, ``float`` or ``Fraction``; an exact
+    value refuses floats, as :func:`rational` does."""
+    return float(value) if scalar is float else rational(value)
 
 
 def inv(value):

@@ -43,6 +43,9 @@ with integers F, G, S the coefficients of 1/f in t are E N_beta / F^(|beta|+1),
 an integer recurrence (fraction-free in the manner of Bareiss's elimination)
 that each path runs only over the indices it reads, a set closed under both
 shifts.  Float mode runs the same code over doubles with every denominator 1.
+Neither entry point takes a mode: a computation is exact exactly when no
+coordinate of its point is a float, and :func:`vanishes` decides exactly
+when no value is a float.
 
 Biharmonic path.  Every factor of the family is lambda = P/Q: P = kappa w,
 with w = 1/sigma the domain chart weight and kappa = k (flat target) or 2k
@@ -74,13 +77,12 @@ and ND, ND2 are the like sums over Kn^2 W^2 / (16 Kd^4 D^8 F^5).  Each term
 of a residual stays one integer vector over that one positive denominator,
 and each output component meets one rational; the term sizes of the float
 zero test come from int/int quotients, the correctly rounded floats of the
-exact terms.  No verdict reads the rational fields of ``ConformalGeometry``
-(lambda, lapbar lambda, |gradbar lambda|^2 and their gradients), so they are
-formed only when read, by the tests: the dense jet route
-(``mobius.conformal_factor``, ``spaceform.laplace_beltrami``,
-``spaceform.grad_norm_sq_bar``) is the oracle they are compared with, and
-the residuals formed from those fields are the oracle of the integer
-assembly.
+exact terms.  ``ConformalGeometry`` keeps these integers and no rational
+field: lambda, lapbar lambda, |gradbar lambda|^2 and their gradients are
+formed by the tests alone: from these integers, to compare with the dense
+jet route (``mobius.conformal_factor``, ``spaceform.laplace_beltrami``,
+``spaceform.grad_norm_sq_bar``), and on that route, where the residuals
+formed from them are the oracle of the integer assembly.
 
 Polyharmonic path.  Flat-target polyharmonicity reduces to iterated flat
 Laplacians of the map components.  A is constant, so with u = x - a and
@@ -124,7 +126,7 @@ from .errors import (
     SingularDivisionError,
 )
 from .mobius import ConformalInstance, MobiusMap
-from .rationals import EXACT, FLOAT, coerce, integer_vector, rational
+from .rationals import coerce, integer_vector, rational, scalar_of
 
 DEFAULT_FLOAT_TOL = 1e-9
 
@@ -139,7 +141,7 @@ _DEGENERATE_SCALE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class ResidualVector:
-    """Residual of one equation at one point, with its scale for float mode.
+    """Residual of one equation, with its scale for float mode.
 
     ``scale`` is the sum of Euclidean norms of the equation's constituent
     terms; raw tolerances would be meaningless across lambda^4-sized terms.
@@ -149,8 +151,6 @@ class ResidualVector:
     that marks a scale of pure machine noise.
     """
 
-    label: str
-    point: tuple
     values: tuple
     exact_zero: bool
     norm: float
@@ -161,23 +161,23 @@ def _norm(values) -> float:
     return math.sqrt(sum(float(v) ** 2 for v in values))
 
 
-def vanishes(values, scale: float, mode: str, tol: float, floor: float = 0.0) -> bool:
+def vanishes(values, scale: float, tol: float, floor: float = 0.0) -> bool:
     """The zero decision every verdict rests on.
 
-    Exact mode: every value is literally zero.  Float mode: the norm is at
-    most ``tol`` times ``scale``, the size of the terms that cancel in
-    ``values``, since where the values vanish their rounding error follows
-    those terms.  A caller whose terms can all vanish identically passes the
+    Exact values (no value is a float): every value is literally zero.
+    Float values: the norm is at most ``tol`` times ``scale``, the size of the
+    terms that cancel in ``values``, since where the values vanish their
+    rounding error follows those terms.  A caller whose terms can all vanish identically passes the
     noise ``floor`` of their size: a scale at or below it is rounding noise
     itself, the relative test would be 0/0, and the norm is held to the floor.
     """
-    if mode == EXACT:
+    if scalar_of(values) is not float:
         return all(v == 0 for v in values)
     nrm = _norm(values)
     return nrm <= tol * scale if scale > floor else nrm <= floor
 
 
-def _residual(label, g: ConformalGeometry, num, den, terms, tol) -> ResidualVector:
+def _residual(g: ConformalGeometry, num, den, terms, tol) -> ResidualVector:
     """The residual num/den * sum(terms), each term an integer vector.
 
     Each value meets one rational.  The scale is the sum of the term norms,
@@ -186,26 +186,22 @@ def _residual(label, g: ConformalGeometry, num, den, terms, tol) -> ResidualVect
     """
     values = tuple(g.quotient(num * sum(col), den) for col in zip(*terms))
     scale = sum(_norm([num * v / den for v in t]) for t in terms)
-    zero = vanishes(values, scale, g.mode, tol, g.floor)
-    return ResidualVector(
-        label=label, point=g.point, values=values, exact_zero=zero, norm=_norm(values), scale=scale
-    )
+    zero = vanishes(values, scale, tol, g.floor)
+    return ResidualVector(values=values, exact_zero=zero, norm=_norm(values), scale=scale)
 
 
 class ConformalGeometry:
     """Values and gradients the residuals read, at one point of one instance.
 
     Built from the Taylor coefficients of lambda = P/Q on the read set alone
-    (see the module docstring).  The residuals read the integers W, F, D,
-    Kn/Kd, g, Gamma, Lb and grad_Lb; the rational fields (``lam0`` ...
-    ``grad_gnorm``) are formed from them on first read and are exact in
-    exact mode.
+    (see the module docstring).  The residuals read the integers W, F, D^4,
+    Kn/Kd, g, |g|^2, Gamma, Lb and grad_Lb, doubles when a coordinate of x
+    is a float.
     """
 
-    def __init__(self, instance: ConformalInstance, x, mode: str = EXACT):
-        self.instance = instance
-        self.mode = mode
-        self.point = tuple(coerce(v, mode) for v in x)
+    def __init__(self, instance: ConformalInstance, x):
+        scalar = scalar_of(x)
+        point = tuple(coerce(v, scalar) for v in x)
         dom = instance.domain
         fq = instance.factor
         m = instance.dim
@@ -213,14 +209,14 @@ class ConformalGeometry:
         self.m = m
         self.c1 = c1
         self.c2 = instance.target.curvature
-        # Scalar set-up, the only mode-dependent step.  Exact: x0 = X/D and
-        # u0 = x0 - a = U/D over the lcm D of the denominators of x0 and a,
-        # Q(u0 + h) = (F + 2 G.h + S |h|^2) / (den D^2) with F, G, S
-        # integers, and lambda_beta = K L_beta / F^(|beta|+1).  Float: the
-        # same code over doubles with every denominator 1.
-        if mode == EXACT:
-            D = math.lcm(fq.a_den, *(v.denominator for v in self.point))
-            X = [v.numerator * (D // v.denominator) for v in self.point]
+        # Scalar set-up, the only step that tells the modes apart.  Exact:
+        # x0 = X/D and u0 = x0 - a = U/D over the lcm D of the denominators
+        # of x0 and a, Q(u0 + h) = (F + 2 G.h + S |h|^2) / (den D^2) with
+        # F, G, S integers, and lambda_beta = K L_beta / F^(|beta|+1).
+        # Float: the same code over doubles with every denominator 1.
+        if scalar is not float:
+            D = math.lcm(fq.a_den, *(v.denominator for v in point))
+            X = [v.numerator * (D // v.denominator) for v in point]
             shift = D // fq.a_den
             U = [xi - shift * ai for xi, ai in zip(X, fq.a_num)]
             q0, qg, qs = fq.value, fq.linear, fq.square
@@ -229,7 +225,7 @@ class ConformalGeometry:
             quotient = rational
         else:
             D = 1
-            X = list(self.point)
+            X = list(point)
             U = [xi - ai / fq.a_den for xi, ai in zip(X, fq.a_num)]
             q0, qs = fq.value / fq.den, fq.square / fq.den
             qg = [v / fq.den for v in fq.linear]
@@ -253,7 +249,7 @@ class ConformalGeometry:
         # lambda(x0) = Kn W / (Kd F) with W, F and Kd positive
         if Kn <= 0:
             lam0 = quotient(Kn * W, Kd * F)
-            raise NonpositiveFactorError(f"conformal factor {lam0} <= 0 at {self.point}")
+            raise NonpositiveFactorError(f"conformal factor {lam0} <= 0 at {point}")
 
         # Taylor numerators of 1/Q, then of lambda = P/Q with
         # P = kappa (W + 2 c1 D X.h + c1 D^2 |h|^2) / (2 D^2), on the read set
@@ -304,57 +300,12 @@ class ConformalGeometry:
         # float noise floor of the zero test, from 1 + the largest |lambda_beta|
         # on the read set; exact verdicts read no floor
         self.floor = 0.0
-        if mode == FLOAT:
+        if scalar is float:
             deg2 = max(abs(L[p + q]) for p in pw for q in pw)
             deg3 = max(abs(v) for row in cube for v in row)
             F3 = F2 * F
             top = max(abs(W) / F, max(map(abs, g)) / F2, deg2 / F3, deg3 / (F3 * F))
             self.floor = _DEGENERATE_SCALE_EPS * (1.0 + abs(Kn) / Kd * top) ** 4
-
-    @functools.cached_property
-    def lam0(self):
-        return self.quotient(self.Kn * self.W, self.Kd * self.F)
-
-    @functools.cached_property
-    def grad_lam(self) -> tuple:
-        den = self.Kd * self.F * self.F
-        return tuple(self.quotient(self.Kn * v, den) for v in self.g)
-
-    @functools.cached_property
-    def w0_sq(self):
-        return self.quotient(self.W * self.W, 4 * self.D4)
-
-    @functools.cached_property
-    def lapbar0(self):
-        return self.quotient(self.Kn * self.Lb, self.Kd * 4 * self.D4 * self.F**3)
-
-    @functools.cached_property
-    def grad_lapbar(self) -> tuple:
-        den = self.Kd * 4 * self.D4 * self.F**4
-        return tuple(self.quotient(self.Kn * v, den) for v in self.grad_Lb)
-
-    @functools.cached_property
-    def grad_lam_lapbar(self) -> tuple:
-        """grad(lam lapbar) = lapbar grad lam + lam grad lapbar."""
-        den = self.Kd**2 * 4 * self.D4 * self.F**5
-        return tuple(
-            self.quotient(self.Kn**2 * (self.Lb * gj + self.W * v), den)
-            for gj, v in zip(self.g, self.grad_Lb)
-        )
-
-    @functools.cached_property
-    def gnorm0(self):
-        """|gradbar lam|^2 = w^2 |grad lam|^2."""
-        return self.quotient(self.Kn**2 * self.W * self.W * self.gg, self.Kd**2 * 4 * self.D4 * self.F**4)
-
-    @functools.cached_property
-    def grad_gnorm(self) -> tuple:
-        den = self.Kd**2 * 2 * self.D4 * self.F**5
-        return tuple(self.quotient(self.Kn**2 * self.W * v, den) for v in self.Gamma)
-
-    def gradbar(self, grads) -> tuple:
-        """Curved gradient values: sigma^-2 times flat gradient values."""
-        return tuple(self.w0_sq * g for g in grads)
 
     def harmonic(self) -> bool:
         return not any(self.g)
@@ -368,7 +319,7 @@ def _cl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     t1 = (2 * Kd2 * g.Lb,)
     t2 = (-4 * m * D4 * (g.c1 * Kd2 * W * F * F - g.c2 * Kn * Kn * W**3),)
     t3 = ((m - 4) * Kd2 * W * g.gg,)
-    return _residual("CL", g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3], tol)
+    return _residual(g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3], tol)
 
 
 def _sdl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
@@ -381,7 +332,7 @@ def _sdl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     c = 8 * (m - 1) * g.c1 * D4 * F * F * W
     t4 = [c * v for v in g.g]
     num = (g.Kn * W) ** 2
-    return _residual("SDL", g, num, 16 * g.Kd**2 * D4 * D4 * F**5, [t1, t2, t3, t4], tol)
+    return _residual(g, num, 16 * g.Kd**2 * D4 * D4 * F**5, [t1, t2, t3, t4], tol)
 
 
 def _nd_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
@@ -395,7 +346,7 @@ def _nd_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     c = 4 * D4 * W * (2 * m * g.c2 * Kn * Kn * W * W + (m - 2) * g.c1 * Kd2 * F * F)
     t3 = [c * v for v in g.g]
     num = (Kn * W) ** 2
-    return _residual("ND", g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol)
+    return _residual(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol)
 
 
 def _nd2_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
@@ -408,14 +359,15 @@ def _nd2_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     c = 4 * Kd2 * g.Lb + 4 * D4 * W * ((2 - 3 * m) * g.c1 * Kd2 * F * F + 2 * m * g.c2 * Kn * Kn * W * W)
     t2 = [c * v for v in g.g]
     num = (Kn * W) ** 2
-    return _residual("ND2", g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2], tol)
+    return _residual(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2], tol)
 
 
-def evaluate_residuals(
-    instance: ConformalInstance, x, mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL
-) -> dict:
-    """All four residuals plus the harmonicity flag, from one ``ConformalGeometry``."""
-    g = ConformalGeometry(instance, x, mode)
+def evaluate_residuals(instance: ConformalInstance, x, tol: float = DEFAULT_FLOAT_TOL) -> dict:
+    """All four residuals plus the harmonicity flag, from one ``ConformalGeometry``.
+
+    Exact at a rational point x, float at a point with a float coordinate.
+    """
+    g = ConformalGeometry(instance, x)
     return {
         "CL": _cl_from_geometry(g, tol),
         "SDL": _sdl_from_geometry(g, tol),
@@ -443,12 +395,11 @@ def closed_form_coefficient(m: int, order: int):
     return coeff
 
 
-def polyharmonic_orders(
-    mmap: MobiusMap, orders: Sequence[int], x, mode: str = EXACT
-) -> dict[int, tuple[tuple, float]]:
+def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, tuple[tuple, float]]:
     """(Delta^k phi(x), scale) per order k of a flat-to-flat map.
 
-    Delta^k phi is the tuple of the iterated Laplacians of the m components.
+    Delta^k phi is the tuple of the iterated Laplacians of the m components,
+    exact at a rational point x and float at a point with a float coordinate.
     The scale is the float size of the terms that cancel in it, the one
     :func:`vanishes` judges Delta^k phi against: |k| times the norm over j of
     sum_gamma w_gamma (|u0_j q_{2gamma}| + |q_{2gamma - e_j}|) (plus |b| at
@@ -458,14 +409,15 @@ def polyharmonic_orders(
     if orders and orders[0] < 0:
         raise DegreeError("orders must be >= 0")
     m = mmap.dim
-    if mode == EXACT:
-        U, D = integer_vector([coerce(xi, EXACT) - ai for xi, ai in zip(x, mmap.a)])
+    scalar = scalar_of(x)
+    if scalar is not float:
+        U, D = integer_vector([rational(xi) - ai for xi, ai in zip(x, mmap.a)])
         num_A, den_A = mobius.integer_matrix([[mmap.k * v for v in row] for row in mmap.A])
         quotient = rational
     else:
         D, den_A, quotient = 1, 1, operator.truediv
-        U = [coerce(xi, FLOAT) - coerce(ai, FLOAT) for xi, ai in zip(x, mmap.a)]
-        num_A = [[coerce(mmap.k * v, FLOAT) for v in row] for row in mmap.A]
+        U = [float(xi) - float(ai) for xi, ai in zip(x, mmap.a)]
+        num_A = [[float(mmap.k * v) for v in row] for row in mmap.A]
     # s = 1: phi = b + k A u/|u|^2; s = 0: phi = b + k A u, reciprocal 1
     s = mmap.epsilon // 2
     F = s * sum(v * v for v in U) + (1 - s) * D * D
@@ -494,7 +446,7 @@ def polyharmonic_orders(
         )
         scale = k_abs * _norm(T) * (c / den)
         if k == 0:
-            vals = tuple(v + coerce(bi, mode) for v, bi in zip(vals, mmap.b))
+            vals = tuple(v + coerce(bi, scalar) for v, bi in zip(vals, mmap.b))
             scale += _norm(mmap.b)
         out[k] = (vals, scale)
     return out

@@ -31,14 +31,7 @@ from .errors import (
     PolyharmError,
 )
 from .mobius import ConformalInstance, MobiusMap
-from .rationals import (
-    EXACT,
-    FLOAT,
-    coerce,
-    format_rational,
-    integer_vector,
-    rational,
-)
+from .rationals import EXACT, FLOAT, format_rational, integer_vector, rational
 from .residuals import DEFAULT_FLOAT_TOL
 from .spaceform import SpaceFormModel
 
@@ -112,16 +105,31 @@ def _parsing(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _json_int(value, where: str) -> int:
+    """A JSON integer; a bool, a float or a numeric string is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _json_rational(value):
+    """An integer or a ``"p/q"`` string read exactly; a bool or float is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer or a 'p/q' string, got {value!r}")
+    return rational(value)
+
+
 def _parse_model(obj, where: str) -> SpaceFormModel:
     if not isinstance(obj, dict) or "model" not in obj or "dim" not in obj:
         raise ConfigError(f"{where}: expected {{'model': ..., 'dim': ...}}")
+    dim = _json_int(obj["dim"], f"{where}.dim")
     with _parsing(where):
-        return SpaceFormModel.named(str(obj["model"]), int(obj["dim"]))
+        return SpaceFormModel.named(str(obj["model"]), dim)
 
 
 def _parse_rational_list(values, where: str) -> tuple:
     with _parsing(f"{where}: bad rational entry"):
-        return tuple(rational(v) for v in values)
+        return tuple(_json_rational(v) for v in values)
 
 
 def _parse_matrix(entry, dim: int, where: str):
@@ -156,8 +164,9 @@ def _parse_map(obj, where: str) -> MobiusMap:
     b = _parse_rational_list(obj["b"], f"{where}.b")
     k = _parse_rational_list([obj["k"]], f"{where}.k")[0]
     A = _parse_matrix(obj.get("A"), len(a), f"{where}.A")
+    epsilon = _json_int(obj["epsilon"], f"{where}.epsilon")
     with _parsing(where):
-        return MobiusMap.build(a=a, b=b, k=k, A=A, epsilon=obj["epsilon"])
+        return MobiusMap.build(a=a, b=b, k=k, A=A, epsilon=epsilon)
 
 
 def _parse_plan(obj) -> SamplePlan:
@@ -176,8 +185,8 @@ def _parse_plan(obj) -> SamplePlan:
         if "exclusion" in obj:
             exclusion = _parse_rational_list([obj["exclusion"]], "sample.exclusion")[0]
         return SamplePlan(
-            seed=int(obj.get("seed", 0)),
-            count=int(obj.get("count", 20)),
+            seed=_json_int(obj.get("seed", 0), "sample.seed"),
+            count=_json_int(obj.get("count", 20), "sample.count"),
             radius=radius,
             exclusion=exclusion,
             points=points,
@@ -319,6 +328,12 @@ def _point_list(x) -> list[str]:
     return [format_rational(v) for v in x]
 
 
+def _coordinates(x, mode: str) -> tuple:
+    """The point the evaluators read: x itself in exact mode, its floats in
+    float mode.  Reports print x, the rational point, in either mode."""
+    return tuple(float(v) for v in x) if mode == FLOAT else x
+
+
 def _rv_dict(rv: residuals.ResidualVector, mode: str) -> dict:
     out = {
         "norm": rv.norm,
@@ -366,7 +381,7 @@ def run_check(
     skipped: list[str] = []
     for x in pts:
         try:
-            e = residuals.evaluate_residuals(instance, x, mode, tol)
+            e = residuals.evaluate_residuals(instance, _coordinates(x, mode), tol)
         except PolyharmError as exc:
             # admissibility screening makes this unreachable for seeded plans,
             # but explicit plan points can graze singular sets in float mode
@@ -544,7 +559,10 @@ def sweep_biharmonic(
                     tag = f"polyharm:bh:{seed}:{m}:{c1}:{c2}:{epsilon}:{t}"
                     instance, pts = _sweep_instance(tag, m, c1, c2, epsilon, t, points)
                     verdict, _ = _verdict(
-                        [residuals.evaluate_residuals(instance, x, mode, tol) for x in pts]
+                        [
+                            residuals.evaluate_residuals(instance, _coordinates(x, mode), tol)
+                            for x in pts
+                        ]
                     )
                     trial_out.append(
                         {
@@ -657,15 +675,15 @@ def _polyharmonic_point(mmap: MobiusMap, order: int, x, mode: str, tol: float) -
     Float mode judges each order, and the closed-form difference at order k,
     against the size of the terms that cancel in that order's Delta phi.
     """
-    terms = residuals.polyharmonic_orders(mmap, (order - 1, order), x, mode)
+    terms = residuals.polyharmonic_orders(mmap, (order - 1, order), _coordinates(x, mode))
     vals, scale = terms[order]
     prev, prev_scale = terms[order - 1]
     closed = residuals.polyharmonic_closed_form(mmap, order, x)
-    diff = [v - coerce(c, mode) for v, c in zip(vals, closed)]
+    diff = [v - c for v, c in zip(vals, closed)]
     return (
-        residuals.vanishes(vals, scale, mode, tol),
-        residuals.vanishes(prev, prev_scale, mode, tol),
-        residuals.vanishes(diff, scale, mode, tol),
+        residuals.vanishes(vals, scale, tol),
+        residuals.vanishes(prev, prev_scale, tol),
+        residuals.vanishes(diff, scale, tol),
     )
 
 
@@ -706,7 +724,7 @@ def _flat_sample_point(rng: random.Random, mmap: MobiusMap) -> tuple:
 # -- radial classification spot checks --------------------------------------------
 
 
-def radial_classification_check(kind: str, c_value, m: int, mode: str = EXACT) -> dict:
+def radial_classification_check(kind: str, c_value, m: int) -> dict:
     """Extract the radial polynomial of the second necessary condition and
     compare its low-order coefficients with the classification values.
 
@@ -751,7 +769,7 @@ def radial_classification_check(kind: str, c_value, m: int, mode: str = EXACT) -
     instance = ConformalInstance(domain=domain, target=target, map=mmap)
 
     def evaluator(point):
-        rv = residuals.evaluate_residuals(instance, point, EXACT)["ND2"]
+        rv = residuals.evaluate_residuals(instance, point)["ND2"]
         radial = rv.values[0] / point[0]  # component along e_1 over t
         s = sum(v * v for v in point)
         if kind == "hyperbolic-flat":
@@ -784,7 +802,7 @@ def _chain_identity_battery(mode: str, tol: float) -> tuple[bool, str]:
             tag = f"polyharm:selftest:chain:{c1}:{c2}:{epsilon}"
             instance, pts = _sweep_instance(tag, 5, c1, c2, epsilon, 2, 2)
             for x in pts:
-                evals = residuals.evaluate_residuals(instance, x, mode, tol)
+                evals = residuals.evaluate_residuals(instance, _coordinates(x, mode), tol)
                 sdl, nd, nd2 = evals["SDL"], evals["ND"], evals["ND2"]
                 chain = [
                     ([a - b for a, b in zip(nd.values, sdl.values)], nd.scale + sdl.scale),
@@ -794,7 +812,7 @@ def _chain_identity_battery(mode: str, tol: float) -> tuple[bool, str]:
                         nd.scale + nd2.scale + 2 * sdl.scale,
                     ),
                 ]
-                if not all(residuals.vanishes(v, scale, mode, tol) for v, scale in chain):
+                if not all(residuals.vanishes(v, scale, tol) for v, scale in chain):
                     failures.append(f"(c1={c1}, c2={c2}, eps={epsilon})")
     if failures:
         return False, "failed at " + ", ".join(sorted(set(failures)))
@@ -808,7 +826,7 @@ def _conservation_battery(mode: str, tol: float) -> tuple[bool, str]:
             tag = f"polyharm:selftest:cl:{c1}:{c2}:{epsilon}"
             instance, pts = _sweep_instance(tag, 5, c1, c2, epsilon, 1, 3)
             for x in pts:
-                rv = residuals.evaluate_residuals(instance, x, mode, tol)["CL"]
+                rv = residuals.evaluate_residuals(instance, _coordinates(x, mode), tol)["CL"]
                 if not rv.exact_zero:
                     bad.append(f"(c1={c1}, c2={c2}, eps={epsilon})")
     if bad:
@@ -817,16 +835,16 @@ def _conservation_battery(mode: str, tol: float) -> tuple[bool, str]:
 
 
 def _jet_oracle_battery(mode: str, tol: float) -> tuple[bool, str]:
-    x, y = jets.seed((0, 0), 2, mode)
+    x, y = jets.seed(_coordinates((0, 0), mode), 2)
     prod = (1 + x) * (1 + y)
     checks = [
         prod.value() == 1 and prod.coefficient((1, 1)) == 1,
-        jets.seed((3,), 1, mode)[0].value() == 3,
+        jets.seed(_coordinates((3,), mode), 1)[0].value() == 3,
     ]
-    t = jets.seed((0,), 2, mode)[0]
+    t = jets.seed(_coordinates((0,), mode), 2)[0]
     geom = t.constant_like(1) / (1 - t)
     checks.append(list(geom.coeffs) == [1, 1, 1])
-    xj = jets.seed((1, 0, 0), 4, mode)
+    xj = jets.seed(_coordinates((1, 0, 0), mode), 4)
     r4 = jets.norm_sq(xj) * jets.norm_sq(xj)
     checks.append(jets.iterated_laplacian(r4, 2) == 120)
     a = 1 + x + x * y
@@ -835,7 +853,7 @@ def _jet_oracle_battery(mode: str, tol: float) -> tuple[bool, str]:
     pairs = list(zip(roundtrip.coeffs, a.coeffs))
     checks.append(
         residuals.vanishes(
-            [u - v for u, v in pairs], sum(abs(u) + abs(v) for u, v in pairs), mode, tol
+            [u - v for u, v in pairs], sum(abs(u) + abs(v) for u, v in pairs), tol
         )
     )
     return all(checks), "ring, division, and iterated-Laplacian oracles"
@@ -882,21 +900,21 @@ def _float_separation_battery(mode: str, tol: float) -> tuple[bool, str]:
         tag = f"polyharm:selftest:sepz:{m}:{c1}:{c2}:{epsilon}"
         instance, pts = _sweep_instance(tag, m, c1, c2, epsilon, 0, 3)
         for x in pts:
-            rv = residuals.evaluate_residuals(instance, x, FLOAT, tol)["SDL"]
+            rv = residuals.evaluate_residuals(instance, _coordinates(x, FLOAT), tol)["SDL"]
             if not rv.exact_zero or rv.norm > zero_bound * rv.scale:
                 bad.append(f"zero case (m={m}, c1={c1}, c2={c2}) norm={rv.norm:.2e}")
     for m, c1, c2, epsilon in degenerate_cases:
         tag = f"polyharm:selftest:sepd:{m}:{c1}:{c2}:{epsilon}"
         instance, pts = _sweep_instance(tag, m, c1, c2, epsilon, 0, 3)
         for x in pts:
-            rv = residuals.evaluate_residuals(instance, x, FLOAT, tol)["SDL"]
+            rv = residuals.evaluate_residuals(instance, _coordinates(x, FLOAT), tol)["SDL"]
             if not rv.exact_zero:
                 bad.append(f"degenerate zero case (m={m}) norm={rv.norm:.2e}")
     for m, c1, c2, epsilon in nonzero_cases:
         tag = f"polyharm:selftest:sepn:{m}:{c1}:{c2}:{epsilon}"
         instance, pts = _sweep_instance(tag, m, c1, c2, epsilon, 0, 2)
         for x in pts:
-            rv = residuals.evaluate_residuals(instance, x, FLOAT, tol)["SDL"]
+            rv = residuals.evaluate_residuals(instance, _coordinates(x, FLOAT), tol)["SDL"]
             if rv.exact_zero or rv.norm < 1e-3 * rv.scale:
                 bad.append(f"nonzero case (m={m}, c1={c1}, c2={c2}) norm={rv.norm:.2e}")
     if bad:

@@ -31,6 +31,11 @@ def rand_point(rng, m, max_num=5, max_den=4):
     return tuple(rand_rat(rng, max_num, max_den) for _ in range(m))
 
 
+def floats(x) -> tuple:
+    """The float point of a rational one: the evaluators run in float mode."""
+    return tuple(float(v) for v in x)
+
+
 def exact_norm_sq(values):
     return sum(v * v for v in values)
 

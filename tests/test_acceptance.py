@@ -27,7 +27,7 @@ from polyharm import jets
 from polyharm.cli import main
 from polyharm.jets import seed
 from polyharm.mobius import ConformalInstance, MobiusMap, conformal_factor
-from polyharm.rationals import EXACT, FLOAT, rational
+from polyharm.rationals import EXACT, rational
 from polyharm.residuals import evaluate_residuals
 from polyharm.spaceform import SpaceFormModel, laplace_beltrami
 from polyharm.verifier import (
@@ -41,7 +41,7 @@ from polyharm.verifier import (
     sweep_polyharmonic,
 )
 
-from conftest import rand_point, rng_for
+from conftest import floats, rand_point, rng_for
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -92,7 +92,7 @@ class TestAcceptance:
             pts = sample_points(plan, instance)
             assert len(pts) == 20
             for x in pts:
-                rv = evaluate_residuals(instance, x, EXACT)["CL"]
+                rv = evaluate_residuals(instance, x)["CL"]
                 assert rv.exact_zero and all(v == 0 for v in rv.values), (
                     f"ACCEPTANCE 2: FAIL - nonzero factor constraint at {x} "
                     f"for {instance.domain.name}->{instance.target.name}"
@@ -117,7 +117,7 @@ class TestAcceptance:
                 f"epsilon={instance.map.epsilon}"
             )
             for x in pts:
-                ev = evaluate_residuals(instance, x, EXACT)
+                ev = evaluate_residuals(instance, x)
                 cl = ev["CL"].values
                 sdl, nd, nd2 = ev["SDL"].values, ev["ND"].values, ev["ND2"].values
                 where = f"{family} at ({', '.join(map(str, x))})"
@@ -301,7 +301,7 @@ class TestAcceptance:
             return 2.0 / (1.0 + model.curvature * sum(v * v for v in p))
 
         for name, build, f in corpus:
-            x = seed(x0, 2, FLOAT)
+            x = seed(x0, 2)
             jet = build(x)
             for model in models:
                 got = laplace_beltrami(jet, model, x).value()
@@ -327,7 +327,7 @@ class TestAcceptance:
         for m, c1, c2, eps in ((4, 0, 1, 2), (4, 0, -1, 0), (4, 0, 1, 0)):
             inst, pts = _sweep_instance(f"acc8z:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, 0, 3)
             for x in pts:
-                rv = evaluate_residuals(inst, x, FLOAT)["SDL"]
+                rv = evaluate_residuals(inst, floats(x))["SDL"]
                 assert rv.norm <= 1e-9 * rv.scale, (
                     f"ACCEPTANCE 8: FAIL - zero case ratio {rv.norm / rv.scale:.2e}"
                 )
@@ -335,11 +335,11 @@ class TestAcceptance:
         # scale is machine noise and the floor classification must call it zero
         inst, pts = _sweep_instance("acc8d:4:0:0:2", 4, 0, 0, 2, 0, 3)
         for x in pts:
-            assert evaluate_residuals(inst, x, FLOAT)["SDL"].exact_zero
+            assert evaluate_residuals(inst, floats(x))["SDL"].exact_zero
         for m, c1, c2, eps in ((5, 0, 0, 2), (6, 0, 1, 2), (5, 1, 1, 2)):
             inst, pts = _sweep_instance(f"acc8n:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, 0, 3)
             for x in pts:
-                rv = evaluate_residuals(inst, x, FLOAT)["SDL"]
+                rv = evaluate_residuals(inst, floats(x))["SDL"]
                 assert rv.norm >= 1e-3 * rv.scale, (
                     f"ACCEPTANCE 8: FAIL - nonzero case ratio {rv.norm / rv.scale:.2e}"
                 )

@@ -34,7 +34,7 @@ from polyharm.mobius import (
     transpose,
     validate,
 )
-from polyharm.rationals import FLOAT, rational
+from polyharm.rationals import rational
 from polyharm.spaceform import SpaceFormModel, inv_sigma_jet, laplace_beltrami
 from polyharm.verifier import CURVATURE_PAIRS, random_mobius
 
@@ -480,7 +480,7 @@ class TestFactorRouteOracle:
     def test_float_within_relative_tolerance(self):
         inst, pts = make_instance("factor-oracle-float", 6, 1, -1, 2, style=2)
         dom, tgt = inst.domain, inst.target
-        x = seed(tuple(float(v) for v in pts[0]), 3, FLOAT)
+        x = seed(tuple(float(v) for v in pts[0]), 3)
         got = conformal_factor(dom, tgt, inst.map, x).coeffs
         want = _dense_factor(dom, tgt, inst.map, x).coeffs
         scale = max(abs(v) for v in want)

@@ -15,7 +15,7 @@ from polyharm.errors import (
 )
 from polyharm.jets import seed
 from polyharm.mobius import ConformalInstance, MobiusMap, conformal_factor
-from polyharm.rationals import EXACT, FLOAT, coerce, rational
+from polyharm.rationals import EXACT, FLOAT, rational
 from polyharm.residuals import (
     ConformalGeometry,
     closed_form_coefficient,
@@ -27,7 +27,7 @@ from polyharm.residuals import (
 from polyharm.spaceform import SpaceFormModel, grad_norm_sq_bar, inv_sigma_jet, laplace_beltrami
 from polyharm.verifier import CURVATURE_PAIRS, radial_classification_check, random_mobius
 
-from conftest import make_instance, rand_point, rand_rat, rng_for
+from conftest import floats, make_instance, rand_point, rand_rat, rng_for
 
 
 def _zeros(m):
@@ -172,22 +172,11 @@ class TestIdentityChain:
             assert snd == evaluate_residuals(inst, pt)["SDL"].values
 
 
-GEOMETRY_FIELDS = (
-    "lam0",
-    "grad_lam",
-    "w0_sq",
-    "lapbar0",
-    "grad_lapbar",
-    "grad_lam_lapbar",
-    "gnorm0",
-    "grad_gnorm",
-)
-
-
-def _dense_geometry(instance, x, mode=EXACT) -> dict:
-    """The fields of ConformalGeometry the dense way: degree-3 jets of the
-    composed factor and the curved operators of polyharm.spaceform."""
-    x_jets = seed(tuple(coerce(v, mode) for v in x), 3, mode)
+def _dense_geometry(instance, x) -> dict:
+    """lambda, lapbar lambda, |gradbar lambda|^2 and their gradients the dense
+    way: degree-3 jets of the composed factor and the curved operators of
+    polyharm.spaceform, float when a coordinate of x is."""
+    x_jets = seed(x, 3)
     dom = instance.domain
     lam = conformal_factor(dom, instance.target, instance.map, x_jets)
     w = inv_sigma_jet(dom, x_jets)
@@ -213,8 +202,40 @@ def _raised(fn):
     return None
 
 
+GEOMETRY_FIELDS = (
+    "lam0",
+    "grad_lam",
+    "w0_sq",
+    "lapbar0",
+    "grad_lapbar",
+    "grad_lam_lapbar",
+    "gnorm0",
+    "grad_gnorm",
+)
+
+
+def _kernel_fields(g: ConformalGeometry) -> dict:
+    """The fields of _dense_geometry from the kernel's integers alone: lambda
+    = Kn W / (Kd F), its gradient over F^2, lapbar lambda from Lb and grad_Lb,
+    |gradbar lambda|^2 from |g|^2 and Gamma (see the residuals docstring)."""
+    q, Kn, Kd, W, F, D4 = g.quotient, g.Kn, g.Kd, g.W, g.F, g.D4
+    return {
+        "lam0": q(Kn * W, Kd * F),
+        "grad_lam": tuple(q(Kn * v, Kd * F * F) for v in g.g),
+        "w0_sq": q(W * W, 4 * D4),
+        "lapbar0": q(Kn * g.Lb, Kd * 4 * D4 * F**3),
+        "grad_lapbar": tuple(q(Kn * v, Kd * 4 * D4 * F**4) for v in g.grad_Lb),
+        "grad_lam_lapbar": tuple(
+            q(Kn**2 * (g.Lb * gj + W * v), Kd**2 * 4 * D4 * F**5) for gj, v in zip(g.g, g.grad_Lb)
+        ),
+        "gnorm0": q(Kn**2 * W * W * g.gg, Kd**2 * 4 * D4 * F**4),
+        "grad_gnorm": tuple(q(Kn**2 * W * v, Kd**2 * 2 * D4 * F**5) for v in g.Gamma),
+    }
+
+
 class TestGeometryKernelOracle:
-    """The integer kernel of ConformalGeometry against the dense jet route."""
+    """The integer kernel of ConformalGeometry against the dense jet route:
+    its read set, the fields formed from its integers, and its refusals."""
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
     def test_exact_equal(self, m):
@@ -224,11 +245,24 @@ class TestGeometryKernelOracle:
                 for style in (0, 1, 2):
                     tag = f"kernel-oracle:{m}:{c1}:{c2}:{eps}:{style}"
                     inst, pts = make_instance(tag, m, c1, c2, eps, style)
-                    got = ConformalGeometry(inst, pts[0])
-                    want = _dense_geometry(inst, pts[0])
-                    assert {f: getattr(got, f) for f in GEOMETRY_FIELDS} == want
+                    got = _kernel_fields(ConformalGeometry(inst, pts[0]))
+                    assert got == _dense_geometry(inst, pts[0])
                     checked += 1
         assert checked == 9 * 2 * 3
+
+    @pytest.mark.parametrize("m,c1,c2,eps", [(5, 1, -1, 2), (6, -1, 1, 0), (7, 1, 0, 2), (8, -1, -1, 2)])
+    def test_float_within_relative_tolerance(self, m, c1, c2, eps):
+        inst, pts = make_instance(f"kernel-oracle-float:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, style=2)
+        pt = floats(pts[0])
+        got = _kernel_fields(ConformalGeometry(inst, pt))
+        want = _dense_geometry(inst, pt)
+        for f in GEOMETRY_FIELDS:
+            a, b = got[f], want[f]
+            a, b = (a, b) if isinstance(b, tuple) else ((a,), (b,))
+            assert all(type(v) is float for v in a), f
+            scale = max(abs(v) for v in b)
+            assert scale > 0
+            assert max(abs(u - v) for u, v in zip(a, b)) <= 1e-12 * scale, f
 
     def test_read_set_is_degree_two_and_the_2ei_plus_ej(self):
         for m in range(3, 9):
@@ -239,19 +273,6 @@ class TestGeometryKernelOracle:
             assert betas == want
             assert len(betas) == 1 + m + m * (m + 1) // 2 + m * m
         assert len(residuals._read_set(8)) == 109
-
-    @pytest.mark.parametrize("m,c1,c2,eps", [(5, 1, -1, 2), (6, -1, 1, 0), (7, 1, 0, 2), (8, -1, -1, 2)])
-    def test_float_within_relative_tolerance(self, m, c1, c2, eps):
-        inst, pts = make_instance(f"kernel-oracle-float:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, style=2)
-        pt = tuple(float(v) for v in pts[0])
-        got = ConformalGeometry(inst, pt, FLOAT)
-        want = _dense_geometry(inst, pt, FLOAT)
-        for f in GEOMETRY_FIELDS:
-            a, b = getattr(got, f), want[f]
-            a, b = (a, b) if isinstance(b, tuple) else ((a,), (b,))
-            scale = max(abs(v) for v in b)
-            assert scale > 0
-            assert max(abs(u - v) for u, v in zip(a, b)) <= 1e-12 * scale, f
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     @pytest.mark.parametrize(
@@ -268,55 +289,58 @@ class TestGeometryKernelOracle:
     def test_error_parity(self, mode, c1, c2, k, eps, pt, error):
         mmap = MobiusMap.build(a=_zeros(4), b=_zeros(4), k=k, epsilon=eps)
         inst = ConformalInstance(SpaceFormModel(4, c1), SpaceFormModel(4, c2), mmap)
-        pt = tuple(coerce(v, mode) for v in pt)
-        raised = _raised(lambda: ConformalGeometry(inst, pt, mode))
+        if mode == FLOAT:
+            pt = floats(pt)
+        raised = _raised(lambda: ConformalGeometry(inst, pt))
         assert raised is not None and raised[0] is error
-        assert raised == _raised(lambda: _dense_geometry(inst, pt, mode))
+        assert raised == _raised(lambda: _dense_geometry(inst, pt))
 
 
-def _bundle(label, g, term_vectors, mode, tol):
-    """The rational assembly the integer one replaced: sum the term vectors
-    and norm each as a vector of field products."""
-    m = len(term_vectors[0])
-    values = tuple(sum(t[i] for t in term_vectors) for i in range(m))
-    scale = sum(residuals._norm(t) for t in term_vectors)
-    zero = residuals.vanishes(values, scale, mode, tol, g.floor)
-    return residuals.ResidualVector(label, g.point, values, zero, residuals._norm(values), scale)
+def _field_residuals(instance, geo, floor=0.0, tol=residuals.DEFAULT_FLOAT_TOL) -> dict:
+    """CL, SDL, ND and ND2 as products and sums of the dense geometry's
+    fields, each term vector normed on its own as the scale."""
+    m, c1, c2 = instance.dim, instance.domain.curvature, instance.target.curvature
+    lam0, lapbar0 = geo["lam0"], geo["lapbar0"]
 
+    def gradbar(grads):
+        return tuple(geo["w0_sq"] * v for v in grads)
 
-def _field_residuals(g, mode, tol=residuals.DEFAULT_FLOAT_TOL) -> dict:
-    """CL, SDL, ND and ND2 as products and sums of the geometry's rational fields."""
-    m, c1, c2, lam0, lapbar0 = g.m, g.c1, g.c2, g.lam0, g.lapbar0
-    gb_lam = g.gradbar(g.grad_lam)
-    gb_gnorm = g.gradbar(g.grad_gnorm)
-    half = coerce(rational(m - 4, 2), mode)
+    gb_lam = gradbar(geo["grad_lam"])
+    gb_gnorm = gradbar(geo["grad_gnorm"])
+    half = rational(m - 4, 2)
     scal_m, scal_n = m * (m - 1) * c1, m * (m - 1) * c2
     cl = [
         (lapbar0,),
-        (-coerce(rational(1, 2 * (m - 1)), mode) * (lam0 * scal_m - lam0**3 * scal_n),),
-        (half * g.gnorm0 / lam0,),
+        (-rational(1, 2 * (m - 1)) * (lam0 * scal_m - lam0**3 * scal_n),),
+        (half * geo["gnorm0"] / lam0,),
     ]
     sdl = [
-        tuple(lam0 * v for v in g.gradbar(g.grad_lapbar)),
+        tuple(lam0 * v for v in gradbar(geo["grad_lapbar"])),
         tuple(-3 * lapbar0 * v for v in gb_lam),
         tuple(-half * v for v in gb_gnorm),
         tuple(2 * (m - 1) * c1 * lam0 * v for v in gb_lam),
     ]
     nd_coef = (2 * m * c2 * lam0 * lam0 + (m - 2) * c1) * lam0
     nd = [
-        tuple(2 * v for v in g.gradbar(g.grad_lam_lapbar)),
+        tuple(2 * v for v in gradbar(geo["grad_lam_lapbar"])),
         tuple(-4 * lapbar0 * v for v in gb_lam),
         tuple(nd_coef * v for v in gb_lam),
     ]
     nd2_coef = 4 * lapbar0 + (2 - 3 * m) * c1 * lam0 + 2 * m * c2 * lam0**3
     nd2 = [tuple((m - 4) * v for v in gb_gnorm), tuple(nd2_coef * v for v in gb_lam)]
-    terms = {"CL": cl, "SDL": sdl, "ND": nd, "ND2": nd2}
-    return {name: _bundle(name, g, t, mode, tol) for name, t in terms.items()}
+    out = {}
+    for name, terms in {"CL": cl, "SDL": sdl, "ND": nd, "ND2": nd2}.items():
+        values = tuple(sum(t[i] for t in terms) for i in range(len(terms[0])))
+        scale = sum(residuals._norm(t) for t in terms)
+        zero = residuals.vanishes(values, scale, tol, floor)
+        out[name] = residuals.ResidualVector(values, zero, residuals._norm(values), scale)
+    return out
 
 
 class TestResidualAssemblyOracle:
-    """The integer assembly of CL, SDL, ND and ND2 against the same
-    residuals formed from the geometry's rational fields."""
+    """The integer kernel and assembly of CL, SDL, ND and ND2 against the
+    same residuals formed from the dense jet route's lambda, lapbar lambda,
+    |gradbar lambda|^2 and their gradients."""
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
     def test_exact_equal(self, m):
@@ -326,7 +350,7 @@ class TestResidualAssemblyOracle:
                 for style in (0, 1, 2):
                     inst, pts = make_instance(f"assembly-oracle:{m}:{c1}:{c2}:{eps}:{style}", m, c1, c2, eps, style)
                     got = evaluate_residuals(inst, pts[0])
-                    want = _field_residuals(ConformalGeometry(inst, pts[0]), EXACT)
+                    want = _field_residuals(inst, _dense_geometry(inst, pts[0]))
                     for name, rv in want.items():
                         assert got[name].values == rv.values, name
                         assert got[name].exact_zero == rv.exact_zero, name
@@ -338,9 +362,10 @@ class TestResidualAssemblyOracle:
     @pytest.mark.parametrize("m,c1,c2,eps", [(5, 1, -1, 2), (6, -1, 1, 0), (7, 1, 0, 2), (8, -1, -1, 2)])
     def test_float_within_relative_tolerance(self, m, c1, c2, eps):
         inst, pts = make_instance(f"assembly-oracle-float:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, style=2)
-        pt = tuple(float(v) for v in pts[0])
-        got = evaluate_residuals(inst, pt, FLOAT)
-        want = _field_residuals(ConformalGeometry(inst, pt, FLOAT), FLOAT)
+        pt = floats(pts[0])
+        got = evaluate_residuals(inst, pt)
+        floor = ConformalGeometry(inst, pt).floor
+        want = _field_residuals(inst, _dense_geometry(inst, pt), floor)
         for name, rv in want.items():
             assert rv.scale > 0
             bound = 1e-12 * rv.scale
@@ -348,6 +373,29 @@ class TestResidualAssemblyOracle:
             assert abs(got[name].norm - rv.norm) <= bound, name
             assert abs(got[name].scale - rv.scale) <= bound, name
             assert got[name].exact_zero == rv.exact_zero, name
+
+
+class TestScalarType:
+    """The point's scalar type is the mode: the evaluators take no other."""
+
+    def test_evaluators_follow_the_point(self):
+        inst, pts = make_instance("scalar-type", 5, 1, -1, 2, style=1)
+        exact, flt = evaluate_residuals(inst, pts[0]), evaluate_residuals(inst, floats(pts[0]))
+        for name in ("CL", "SDL", "ND", "ND2"):
+            assert all(type(v) is Fraction for v in exact[name].values), name
+            assert all(type(v) is float for v in flt[name].values), name
+        mmap = random_mobius(rng_for("scalar-type-ph"), 5, SpaceFormModel.flat(5), 2, style=2)
+        pt = tuple(ai + rational(1, 2) for ai in mmap.a)
+        for k, (vals, _) in polyharmonic_orders(mmap, (0, 1, 2), pt).items():
+            assert all(type(v) is Fraction for v in vals), k
+        for k, (vals, _) in polyharmonic_orders(mmap, (0, 1, 2), floats(pt)).items():
+            assert all(type(v) is float for v in vals), k
+
+    def test_vanishes_is_exact_unless_a_value_is_a_float(self):
+        # an exact value is zero only when it is 0, however small the scale
+        # makes it; the same size as a float passes the relative test
+        assert not residuals.vanishes([Fraction(1, 10**40)], 1.0, 1e-9)
+        assert residuals.vanishes([1e-40], 1.0, 1e-9)
 
 
 class TestHarmonicity:
@@ -404,11 +452,10 @@ class TestPolyharmonic:
             assert tuple(got) == tuple(polyharmonic_closed_form(mmap, order, pt))
 
 
-def _jet_route(mmap, orders, x, mode=EXACT):
+def _jet_route(mmap, orders, x):
     """Delta^k phi(x) the generic way: dense jets of degree 2K, 1/|u|^2 by jet
     division, and the iterated Laplacian of each component times it."""
-    m = mmap.dim
-    xs = seed(x, 2 * max(orders), mode)
+    xs = seed(x, 2 * max(orders))
     u = [xi - ai for xi, ai in zip(xs, mmap.a)]
     recip = 1 / jets.norm_sq(u) if mmap.epsilon == 2 else xs[0].constant_like(1)
     comps = []
@@ -422,7 +469,7 @@ def _jet_route(mmap, orders, x, mode=EXACT):
     for k in orders:
         vals = [jets.iterated_laplacian(p, k) for p in prods]
         if k == 0:
-            vals = [v + coerce(bi, mode) for v, bi in zip(vals, mmap.b)]
+            vals = [v + bi for v, bi in zip(vals, mmap.b)]
         out[k] = tuple(vals)
     return out
 
@@ -445,8 +492,8 @@ class TestPolyharmonicJetOracle:
         rng = rng_for("ph-oracle-float")
         mmap = random_mobius(rng, 7, SpaceFormModel.flat(7), 2, style=2)
         pt = tuple(float(ai + rand_rat(rng, 2, 3, nonzero=True)) for ai in mmap.a)
-        got = polyharmonic_orders(mmap, (1, 2, 3), pt, FLOAT)
-        want = _jet_route(mmap, (1, 2, 3), pt, FLOAT)
+        got = polyharmonic_orders(mmap, (1, 2, 3), pt)
+        want = _jet_route(mmap, (1, 2, 3), pt)
         for k in (1, 2, 3):
             scale = math.sqrt(sum(v * v for v in want[k]))
             assert scale > 0
@@ -522,9 +569,9 @@ class TestFloatSeparation:
     def test_zero_cases_tiny_nonzero_cases_large(self):
         zero_inst, zero_pts = make_instance("sep-zero", 4, 0, 1, 2)
         for pt in zero_pts:
-            rv = evaluate_residuals(zero_inst, tuple(float(v) for v in pt), FLOAT)["SDL"]
+            rv = evaluate_residuals(zero_inst, floats(pt))["SDL"]
             assert rv.norm <= 1e-9 * rv.scale
         nz_inst, nz_pts = make_instance("sep-nonzero", 6, 0, 1, 2)
         for pt in nz_pts:
-            rv = evaluate_residuals(nz_inst, tuple(float(v) for v in pt), FLOAT)["SDL"]
+            rv = evaluate_residuals(nz_inst, floats(pt))["SDL"]
             assert rv.norm >= 1e-3 * rv.scale

@@ -6,7 +6,7 @@ import pytest
 from polyharm import jets
 from polyharm.errors import ChartDomainError
 from polyharm.jets import seed
-from polyharm.rationals import FLOAT, rational
+from polyharm.rationals import rational
 from polyharm.spaceform import (
     SpaceFormModel,
     grad_bar,
@@ -145,7 +145,7 @@ class TestLaplaceBeltrami:
             (SpaceFormModel.hyperbolic(m), lambda p: 2.0 / (1.0 - sum(v * v for v in p))),
         ):
             x0 = (0.2, -0.1, 0.3)
-            x = seed(x0, 2, FLOAT)
+            x = seed(x0, 2)
             jet = (1 + x[0] * x[1]) / (2 + x[2] * x[2])
             got = laplace_beltrami(jet, model, x).value()
 

@@ -1,7 +1,7 @@
 """Config loading, sampling, verdicts, sweeps, reports, and the CLI contract."""
 
 import copy
-import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -444,8 +445,8 @@ class TestSweeps:
         # a perturbation there must reach the cell's verdict
         original = residuals.polyharmonic_orders
 
-        def perturbed(mmap, orders, x, mode=EXACT):
-            out = original(mmap, orders, x, mode)
+        def perturbed(mmap, orders, x):
+            out = original(mmap, orders, x)
             return {k: (tuple(v + 1 for v in vals), scale) for k, (vals, scale) in out.items()}
 
         assert sweep_polyharmonic(orders=(2,), m_values=(4,))["all_match"]
@@ -522,18 +523,17 @@ class TestSelftest:
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_sign_mutation_detected(self, monkeypatch, mode):
-        # flip the energy-gradient term of the second necessary condition; the
+        # flip the energy-gradient term of the second necessary condition,
+        # through the sign of the integer Gamma it alone reads there; the
         # identity chain battery must catch it in either mode
         original = residuals._nd2_from_geometry
 
         def mutated(g, tol):
-            rv = original(g, tol)
-            m = g.m
-            gb_gnorm = g.gradbar(g.grad_gnorm)
-            flipped = tuple(
-                v - 2 * (m - 4) * t for v, t in zip(rv.values, gb_gnorm)
-            )
-            return dataclasses.replace(rv, values=flipped)
+            g.Gamma = [-v for v in g.Gamma]
+            try:
+                return original(g, tol)
+            finally:
+                g.Gamma = [-v for v in g.Gamma]
 
         monkeypatch.setattr(residuals, "_nd2_from_geometry", mutated)
         body = selftest(mode=mode)
@@ -548,6 +548,44 @@ class TestSelftest:
     def test_float_mode_passes_with_default_tolerance(self):
         body = selftest(mode=FLOAT)
         assert body["all_ok"], body
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record the point each call of residuals.<name> is handed."""
+    original = getattr(residuals, name)
+    seen = []
+
+    def spy(first, second, *rest, **kwargs):
+        seen.append(rest[0] if name == "polyharmonic_orders" else second)
+        return original(first, second, *rest, **kwargs)
+
+    monkeypatch.setattr(residuals, name, spy)
+    return seen
+
+
+class TestFloatBoundary:
+    """Float mode is decided at the verifier: the evaluators are handed the
+    floats of the rational sample points, and reports print the rationals."""
+
+    @pytest.mark.parametrize("mode, scalar", [(EXACT, Fraction), (FLOAT, float)])
+    def test_sweep_cells_hand_the_mode_scalars(self, monkeypatch, mode, scalar):
+        seen = _spy(monkeypatch, "evaluate_residuals")
+        sweep_biharmonic(m_values=(4,), pairs=((0, 1),), eps_values=(2,), trials=1, points=2, mode=mode)
+        assert len(seen) == 2 and all(type(v) is scalar for x in seen for v in x)
+        seen = _spy(monkeypatch, "polyharmonic_orders")
+        sweep_polyharmonic(orders=(2,), m_values=(4,), mode=mode)
+        assert len(seen) == 1 and all(type(v) is scalar for x in seen for v in x)
+
+    def test_float_check_hands_floats_and_prints_rationals(self, monkeypatch):
+        seen = _spy(monkeypatch, "evaluate_residuals")
+        inst = ConformalInstance(
+            SpaceFormModel.flat(4), SpaceFormModel.sphere(4), MobiusMap.inversion(4)
+        )
+        out = run_check(inst, SamplePlan(seed=2, count=3), mode=FLOAT)
+        assert len(seen) == 3 and all(type(v) is float for x in seen for v in x)
+        for x, p in zip(seen, out["points"]):
+            assert tuple(float(rational(v)) for v in p["point"]) == x
+            assert all("/" in v for v in p["point"])
 
 
 class TestReports:
@@ -593,6 +631,20 @@ class TestReports:
         rep.timing = 123.456
         assert "123.456" not in render_report(rep, "json")
         assert "timing" not in json.loads(render_report(rep, "json"))
+
+    def test_exact_reports_match_golden_digests(self, monkeypatch, capsys):
+        # SHA-256 of the exact reports of these command lines, run from the
+        # repository root; float reports are left out, since their norms go
+        # through the platform's libm pow and are not portable bytes
+        monkeypatch.chdir(GOLDEN.parents[1])
+        digests = json.loads((GOLDEN / "report_digests.json").read_text())
+        assert len(digests) == 8
+        for command, digest in digests.items():
+            prog, *argv = command.split()
+            assert prog == "polyharm"
+            assert main(argv) == 0, command
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 class TestCli:
@@ -709,10 +761,21 @@ class TestCli:
             (("sample", "points"), [["1", "1/2", "0", "0", "5"]]),
             (("sample", "points"), [["1", "1/2"]]),
             (("sample", "exclusion"), "-1/8"),
+            # integer fields take JSON integers alone, rationals ints or "p/q"
+            (("instances", 0, "domain", "dim"), 4.9),
+            (("instances", 0, "target", "dim"), "4"),
+            (("sample", "count"), 2.5),
+            (("sample", "seed"), 3.7),
+            (("sample", "seed"), True),
+            (("instances", 1, "map", "k"), True),
+            (("instances", 2, "map", "epsilon"), 2.7),
+            (("instances", 0, "map", "epsilon"), "2"),
         ],
         ids=[
             "instance-not-object", "dim-text", "dim-null", "epsilon-text", "empty-cayley-row",
             "no-signs", "point-too-long", "point-too-short", "negative-exclusion",
+            "dim-float", "dim-numeric-text", "count-float", "seed-float", "seed-bool",
+            "k-bool", "epsilon-float", "epsilon-numeric-text",
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, path, value):
