@@ -34,15 +34,8 @@ ND, ND2 and the harmonicity flag at one point, all from one
 ``ConformalGeometry``, and :func:`polyharmonic_orders` gives Delta^k phi with
 its float scale for several orders k at once.
 
-Both paths share one integer kernel, the Taylor coefficients of the
-reciprocal of an isotropic quadratic.  For f(x0 + t) = (F + 2 G.t + S|t|^2)/E
-with integers F, G, S the coefficients of 1/f in t are E N_beta / F^(|beta|+1),
-
-    N_0 = 1,   N_beta = -2 sum_i G_i N_(beta - e_i) - S F sum_i N_(beta - 2 e_i),
-
-an integer recurrence (fraction-free in the manner of Bareiss's elimination)
-that each path runs only over the indices it reads, a set closed under both
-shifts.  Float mode runs the same code over doubles with every denominator 1.
+Both paths run on Python ints and meet a rational once per output value.
+Float mode runs the same code over doubles with every denominator 1.
 Neither entry point takes a mode: a computation is exact exactly when no
 coordinate of its point is a float, and :func:`vanishes` decides exactly
 when no value is a float.
@@ -51,6 +44,14 @@ Biharmonic path.  Every factor of the family is lambda = P/Q: P = kappa w,
 with w = 1/sigma the domain chart weight and kappa = k (flat target) or 2k
 (curved target), and Q(u) = q0 + 2 <g, u> + s |u|^2 an isotropic quadratic in
 u = x - a derived from the map (:func:`polyharm.mobius.factor_quadratic`).
+The kernel is the Taylor coefficients of the reciprocal of an isotropic
+quadratic.  For f(x0 + t) = (F + 2 G.t + S|t|^2)/E with integers F, G, S the
+coefficients of 1/f in t are E N_beta / F^(|beta|+1),
+
+    N_0 = 1,   N_beta = -2 sum_i G_i N_(beta - e_i) - S F sum_i N_(beta - 2 e_i),
+
+an integer recurrence (fraction-free in the manner of Bareiss's elimination)
+run only over the indices the residuals read, a set closed under both shifts.
 The fields of ``ConformalGeometry`` read lambda only on the read set
 N_2 with |beta| <= 3: every coefficient of degree <= 2 and the 2 e_i + e_j
 behind grad lap lambda (109 coefficients at m = 8, against 165 in a dense
@@ -85,30 +86,48 @@ jet route (``mobius.conformal_factor``, ``spaceform.laplace_beltrami``,
 formed from them are the oracle of the integer assembly.
 
 Polyharmonic path.  Flat-target polyharmonicity reduces to iterated flat
-Laplacians of the map components.  A is constant, so with u = x - a and
-f = |u|^2,
+Laplacians of the map components.  On the inversive branch (eps = 2)
+phi = b + k A u/|u|^2 with u = x - a and A constant, so
+Delta^k phi = k A Delta^k (u/|u|^2).  Around x0, with u0 = x0 - a, h = x - x0
+and R = |u0|^2, u/|u|^2 = u0 G + h G with G = 1/(R + 2s + q), a function of
+the two invariants s = <u0, h> and q = |h|^2 alone (the invariant reduction
+of Olver, Applications of Lie Groups to Differential Equations, ch. 2).  The
+Laplacian keeps this form:
 
-    Delta^k phi(x0) = k A v,   v_j = sum_{|gamma| = k} w_gamma (u0_j q_{2 gamma} + q_{2 gamma - e_j}),
+    Delta G = R G_ss + 4 s G_sq + 4 q G_qq + 2 m G_q,
+    Delta (u0 G1 + h G2) = u0 (Delta G1 + 2 G2_s) + h (Delta G2 + 4 G2_q),
 
-where q_beta are the Taylor coefficients of 1/f at x0 and
-w_gamma = k!/gamma! * (2 gamma)!.  ``polyharmonic_orders`` builds no jets.
-With D the lcm of the denominators of u0 = x0 - a, U = D u0 and F = |U|^2,
-the kernel in t = D h (G = U, S = 1, E = D^2) gives
-q_beta = D^(|beta|+2) N_beta / F^(|beta|+1), over only
-N_K = {beta : sum_i ceil(beta_i/2) <= K}, K the largest order: the
-coefficients Delta^K reads.  Each component is then one rational over a
-common denominator.  The affine branch (eps = 0) is the same formula with
-1/f = 1.  ``closed_form_coefficient`` supplies the independent closed form
-for the inversive family,
+so k steps of the pair map (G1, G2) -> (Delta G1 + 2 G2_s, Delta G2 + 4 G2_q)
+from G1 = G2 = G give Delta^k (u/|u|^2)(x0) = c_k u0, c_k the constant term
+of G1.  On monomials
+
+    Delta (s^a q^b) = a (a-1) R s^(a-2) q^b + 2b (2a + 2b - 2 + m) s^a q^(b-1),
+
+and no term of a step lowers a + 2b by more than 2, so c_k reads only the
+pairs a + 2b <= 2k of the Taylor series of G, whose coefficients are
+(-1)^(a+b) C(a+b, a) 2^a / R^(a+b+1): 36 pairs at k = 5, whatever m is.
+Write the coefficient of s^a q^b after j steps as N / R^(a+b+1+j).  A term
+that lowers a by 2 brings one factor R and lowers the exponent by one; every
+other term lowers a + b by one and keeps the exponent.  So R cancels from
+every step, the numerators N are integers of (m, k) alone, and
+c_k = N_k / R^(k+1).  With D the lcm of the denominators of u0, U = D u0,
+F = |U|^2 = D^2 R and k A = A_num / den_A over integers,
+
+    Delta^k phi(x0) = D^(2k+1) N_k A_num U / (den_A F^(k+1))   (plus b at k = 0),
+
+one rational per component.  The affine branch (eps = 0) is the same formula
+with F = D^2, N_0 = 1 and N_k = 0 for k >= 1.  ``closed_form_coefficient``
+is the independent closed form of N_k for the inversive family,
 
     Delta^k ((x_i - a_i)/|x-a|^2)
-        = (-1)^k [2*4...(2k)] [(m-2)(m-4)...(m-2k)] (x_i - a_i)/|x-a|^(2k+2).
+        = (-1)^k [2*4...(2k)] [(m-2)(m-4)...(m-2k)] (x_i - a_i)/|x-a|^(2k+2),
+
+and :func:`polyharmonic_closed_form` evaluates it without the recurrence.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -188,6 +207,62 @@ def _residual(g: ConformalGeometry, num, den, terms, tol) -> ResidualVector:
     scale = sum(_norm([num * v / den for v in t]) for t in terms)
     zero = vanishes(values, scale, tol, g.floor)
     return ResidualVector(values=values, exact_zero=zero, norm=_norm(values), scale=scale)
+
+
+def _reciprocal_numerators(G, F, S, entries, pw) -> dict[int, object]:
+    """Numerators N_beta of the Taylor coefficients of 1/f over an index set.
+
+    For f(x0 + t) = (F + 2 G.t + S |t|^2) / E the coefficients in t are
+    E N_beta / F^(|beta|+1), where N_0 = 1 and
+
+        N_beta = -2 sum_i G_i N_(beta - e_i) - S F sum_i N_(beta - 2 e_i),
+
+    integers when G, F and S are (a float run over doubles is the same
+    recurrence).  ``entries`` is an index set closed under beta - e_i and
+    beta - 2 e_i, as :func:`_index_set` lists it, with
+    keys sum_i beta_i pw_i; N is returned keyed the same way.
+    """
+    SF = S * F
+    N = {0: 1}
+    for key, ones, twos in entries[1:]:
+        acc = 0
+        for i in ones:
+            acc += G[i] * N[key - pw[i]]
+        acc2 = 0
+        for i in twos:
+            acc2 += N[key - 2 * pw[i]]
+        N[key] = -2 * acc - SF * acc2
+    return N
+
+
+def _index_set(m: int, top: int, max_degree: int) -> tuple[tuple[int, tuple, tuple], ...]:
+    """(key, {i : beta_i >= 1}, {i : beta_i >= 2}) in key order over
+    {beta : sum_i ceil(beta_i/2) <= top, |beta| <= max_degree}.
+
+    Keys use the place values (2 top + 1)^i.  Both bounds are kept by
+    beta - e_i and beta - 2 e_i, so the set is closed under the shifts of
+    :func:`_reciprocal_numerators`.
+    """
+    entries = [(0, top, max_degree, (), ())]
+    for i in range(m):
+        p = (2 * top + 1) ** i
+        grown = []
+        for b in range(2 * top + 1):
+            cost = (b + 1) // 2
+            one = (i,) if b >= 1 else ()
+            two = (i,) if b >= 2 else ()
+            for key, left, deg, ones, twos in entries:
+                if left >= cost and deg >= b:
+                    grown.append((key + b * p, left - cost, deg - b, ones + one, twos + two))
+        entries = grown
+    return tuple((key, ones, twos) for key, _, _, ones, twos in entries)
+
+
+@functools.lru_cache(maxsize=16)
+def _read_set(m: int) -> tuple[tuple[int, tuple, tuple], ...]:
+    """N_2 with |beta| <= 3: every beta of degree <= 2 and every 2 e_i + e_j,
+    the coefficients of lambda that ``ConformalGeometry`` reads (keys in base 5)."""
+    return _index_set(m, 2, 3)
 
 
 class ConformalGeometry:
@@ -401,146 +476,94 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
     Delta^k phi is the tuple of the iterated Laplacians of the m components,
     exact at a rational point x and float at a point with a float coordinate.
     The scale is the float size of the terms that cancel in it, the one
-    :func:`vanishes` judges Delta^k phi against: |k| times the norm over j of
-    sum_gamma w_gamma (|u0_j q_{2gamma}| + |q_{2gamma - e_j}|) (plus |b| at
-    order 0).
+    :func:`vanishes` judges Delta^k phi against: the integer N_k is exact in
+    both modes, so only the sums of A u0 and the final quotient round, and the
+    scale is |N_k| D^(2k+1) |(|k A_num| |U|)| / (den_A F^(k+1)) (plus |b| at
+    order 0).  A zero N_k makes every value 0 in either mode.
     """
     orders = sorted(set(int(k) for k in orders))
     if orders and orders[0] < 0:
         raise DegreeError("orders must be >= 0")
-    m = mmap.dim
-    scalar = scalar_of(x)
-    if scalar is not float:
+    if scalar_of(x) is not float:
         U, D = integer_vector([rational(xi) - ai for xi, ai in zip(x, mmap.a)])
-        num_A, den_A = mobius.integer_matrix([[mmap.k * v for v in row] for row in mmap.A])
+        num_A, den_A = mobius.integer_matrix(mmap.A)
+        kn, den_A = mmap.k.numerator, den_A * mmap.k.denominator
         quotient = rational
+        b = mmap.b
     else:
         D, den_A, quotient = 1, 1, operator.truediv
         U = [float(xi) - float(ai) for xi, ai in zip(x, mmap.a)]
-        num_A = [[float(mmap.k * v) for v in row] for row in mmap.A]
-    # s = 1: phi = b + k A u/|u|^2; s = 0: phi = b + k A u, reciprocal 1
-    s = mmap.epsilon // 2
-    F = s * sum(v * v for v in U) + (1 - s) * D * D
-    if not F:
-        raise SingularDivisionError("the point lies on the singular set x = a")
+        num_A = [[float(v) for v in row] for row in mmap.A]
+        kn = float(mmap.k)
+        b = [float(v) for v in mmap.b]
+    # eps = 2: phi = b + k A u/|u|^2; eps = 0: phi = b + k A u, harmonic
     top = orders[-1] if orders else 0
-    pw = [(2 * top + 1) ** i for i in range(m)]
-    Q = _reciprocal_numerators([s * v for v in U], F, s, _needed_set(m, top), pw)
-    k_abs = abs(float(mmap.k))
+    if mmap.epsilon == 2:
+        F = sum(v * v for v in U)
+        if not F:
+            raise SingularDivisionError("the point lies on the singular set x = a")
+        N = _inversion_numerators(mmap.dim, top)
+    else:
+        F = D * D
+        N = (1,) + (0,) * top
+    AU = [kn * sum(a * u for a, u in zip(row, U)) for row in num_A]
+    size = abs(kn) * _norm([sum(abs(a * u) for a, u in zip(row, U)) for row in num_A])
     out: dict[int, tuple[tuple, float]] = {}
     for k in orders:
-        N = [0] * m
-        T = [0] * m
-        for gamma, w in _iterlap_weights(m, k):
-            key = sum(2 * g * p for g, p in zip(gamma, pw))
-            q = Q[key]
-            for j in range(m):
-                t1 = U[j] * q
-                t2 = F * Q[key - pw[j]] if gamma[j] else 0
-                N[j] += w * (t1 + t2)
-                T[j] += w * (abs(t1) + abs(t2))
-        c = D ** (2 * k + 1)
-        den = F ** (2 * k + 1)
-        vals = tuple(
-            quotient(c * sum(a * n for a, n in zip(row, N)), den_A * den) for row in num_A
-        )
-        scale = k_abs * _norm(T) * (c / den)
+        c = N[k] * D ** (2 * k + 1)
+        den = den_A * F ** (k + 1)
+        vals = tuple(quotient(c * v, den) for v in AU)
+        scale = abs(c) / den * size
         if k == 0:
-            vals = tuple(v + coerce(bi, scalar) for v, bi in zip(vals, mmap.b))
-            scale += _norm(mmap.b)
+            vals = tuple(v + bi for v, bi in zip(vals, b))
+            scale += _norm(b)
         out[k] = (vals, scale)
     return out
 
 
-def _reciprocal_numerators(G, F, S, entries, pw) -> dict[int, object]:
-    """Numerators N_beta of the Taylor coefficients of 1/f over an index set.
+def _inversion_numerators(m: int, top: int) -> tuple[int, ...]:
+    """(N_0, ..., N_top): Delta^k (u/|u|^2)(x0) = N_k u0 / R^(k+1), R = |u0|^2.
 
-    For f(x0 + t) = (F + 2 G.t + S |t|^2) / E the coefficients in t are
-    E N_beta / F^(|beta|+1), where N_0 = 1 and
-
-        N_beta = -2 sum_i G_i N_(beta - e_i) - S F sum_i N_(beta - 2 e_i),
-
-    integers when G, F and S are (a float run over doubles is the same
-    recurrence).  ``entries`` is an index set closed under beta - e_i and
-    beta - 2 e_i, as :func:`_needed_set` or :func:`_read_set` lists it, with
-    keys sum_i beta_i pw_i; N is returned keyed the same way.
+    The pair recurrence of the module docstring on the numerators of the
+    coefficients of s^a q^b, over a + 2b <= 2 (top - j) after j steps: the
+    pairs the constant term of step top reads.  Integers of (m, top) alone,
+    equal to ``closed_form_coefficient(m, k)`` for k >= 1.
     """
-    SF = S * F
-    N = {0: 1}
-    for key, ones, twos in entries[1:]:
-        acc = 0
-        for i in ones:
-            acc += G[i] * N[key - pw[i]]
-        acc2 = 0
-        for i in twos:
-            acc2 += N[key - 2 * pw[i]]
-        N[key] = -2 * acc - SF * acc2
-    return N
-
-
-def _index_set(m: int, top: int, max_degree: int) -> tuple[tuple[int, tuple, tuple], ...]:
-    """(key, {i : beta_i >= 1}, {i : beta_i >= 2}) in key order over
-    {beta : sum_i ceil(beta_i/2) <= top, |beta| <= max_degree}.
-
-    Keys use the place values (2 top + 1)^i.  Both bounds are kept by
-    beta - e_i and beta - 2 e_i, so the set is closed under the shifts of
-    :func:`_reciprocal_numerators`.
-    """
-    entries = [(0, top, max_degree, (), ())]
-    for i in range(m):
-        p = (2 * top + 1) ** i
-        grown = []
-        for b in range(2 * top + 1):
-            cost = (b + 1) // 2
-            one = (i,) if b >= 1 else ()
-            two = (i,) if b >= 2 else ()
-            for key, left, deg, ones, twos in entries:
-                if left >= cost and deg >= b:
-                    grown.append((key + b * p, left - cost, deg - b, ones + one, twos + two))
-        entries = grown
-    return tuple((key, ones, twos) for key, _, _, ones, twos in entries)
-
-
-@functools.lru_cache(maxsize=1)
-def _needed_set(m: int, top: int) -> tuple[tuple[int, tuple, tuple], ...]:
-    """N_top = {beta : sum_i ceil(beta_i/2) <= top}, the coefficients Delta^top reads.
-
-    The set depends on (m, top) alone, and every trial and point of a sweep
-    cell asks for the same one, so the last set built is kept.
-    """
-    return _index_set(m, top, 2 * top)
-
-
-@functools.lru_cache(maxsize=16)
-def _read_set(m: int) -> tuple[tuple[int, tuple, tuple], ...]:
-    """N_2 with |beta| <= 3: every beta of degree <= 2 and every 2 e_i + e_j,
-    the coefficients of lambda that ``ConformalGeometry`` reads (keys in base 5)."""
-    return _index_set(m, 2, 3)
-
-
-def _iterlap_weights(m: int, k: int) -> list[tuple[tuple, int]]:
-    """(gamma, k!/gamma! * (2 gamma)!) over |gamma| = k, as in jets.iterlap_targets."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(m), k):
-        gamma = tuple(combo.count(i) for i in range(m))
-        w = math.factorial(k)
-        for g in gamma:
-            w //= math.factorial(g)
-        for g in gamma:
-            w *= math.factorial(2 * g)
-        out.append((gamma, w))
-    return out
+    g1 = {
+        (a, b): (-1) ** (a + b) * math.comb(a + b, a) * 2**a
+        for b in range(top + 1)
+        for a in range(2 * (top - b) + 1)
+    }
+    g2 = dict(g1)
+    out = [g1[0, 0]]
+    for j in range(1, top + 1):
+        n1, n2 = {}, {}
+        for b in range(top - j + 1):
+            for a in range(2 * (top - j - b) + 1):
+                # Delta sends s^(a+2) q^b and s^a q^(b+1) to s^a q^b with these
+                # weights; 2 d/ds G2 and 4 d/dq G2 add the rest
+                ss = (a + 2) * (a + 1)
+                sq = 2 * (b + 1) * (2 * a + 2 * b + m)
+                n1[a, b] = ss * g1[a + 2, b] + sq * g1[a, b + 1] + 2 * (a + 1) * g2[a + 1, b]
+                n2[a, b] = ss * g2[a + 2, b] + (sq + 4 * (b + 1)) * g2[a, b + 1]
+        g1, g2 = n1, n2
+        out.append(g1[0, 0])
+    return tuple(out)
 
 
 def polyharmonic_closed_form(mmap: MobiusMap, order: int, x) -> tuple:
-    """Closed-form Delta^k phi for the eps = 2 family (exact scalars)."""
+    """Closed-form Delta^k phi for the eps = 2 family (exact scalars).
+
+    The product closed_form_coefficient(m, k) k A u0 / |u0|^(2k+2) on the
+    integers U = D u0 and A = A_num / den_A; it reads no recurrence.
+    """
     if mmap.epsilon != 2:
         raise MapValidationError("closed form applies to the eps = 2 family")
-    u = tuple(rational(xi) - ai for xi, ai in zip(x, mmap.a))
-    f = sum(v * v for v in u)
-    coeff = closed_form_coefficient(mmap.dim, order)
-    au = mobius.mat_vec(mmap.A, u)
-    return tuple(coeff * mmap.k * v / f ** (order + 1) for v in au)
+    U, D = integer_vector([rational(xi) - ai for xi, ai in zip(x, mmap.a)])
+    num_A, den_A = mobius.integer_matrix(mmap.A)
+    c = closed_form_coefficient(mmap.dim, order) * mmap.k.numerator * D ** (2 * order + 1)
+    den = den_A * mmap.k.denominator * sum(u * u for u in U) ** (order + 1)
+    return tuple(rational(c * sum(a * u for a, u in zip(row, U)), den) for row in num_A)
 
 
 # -- radial coefficient extraction --------------------------------------------

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -143,9 +144,12 @@ def _parse_matrix(entry, dim: int, where: str):
         if kind == "identity":
             return mobius.identity_matrix(dim)
         if kind == "permutation":
-            if isinstance(data, dict):
-                return mobius.signed_permutation(data["perm"], data.get("signs"))
-            return mobius.signed_permutation(data)
+            perm, signs = (data["perm"], data.get("signs")) if isinstance(data, dict) else (data, None)
+            # entries are JSON integers: True == 1 would pass as a sign
+            perm = [_json_int(v, f"{where}.perm") for v in perm]
+            if signs is not None:
+                signs = [_json_int(v, f"{where}.signs") for v in signs]
+            return mobius.signed_permutation(perm, signs)
         if kind == "cayley":
             skew = tuple(_parse_rational_list(row, where) for row in data)
             return mobius.cayley_orthogonal(skew)
@@ -241,7 +245,13 @@ def load_config(path) -> tuple[list[ConfiguredInstance], SamplePlan]:
 
 
 def _default_radius(domain: SpaceFormModel):
-    return rational(3, 4) if domain.curvature == -1 else rational(2)
+    """Half-width r of the draw cube.  A draw has mean |x|^2 of about m r^2 / 3
+    and the ball keeps only |x| < 1: with 3/4 that mean grows like 0.19 m, so
+    beyond m = 8 the radius is 1/ceil(sqrt m), which holds it near 1/3."""
+    if domain.curvature != -1:
+        return rational(2)
+    m = domain.dim
+    return rational(3, 4) if m <= 8 else rational(1, math.isqrt(m - 1) + 1)
 
 
 def _admissible(instance: ConformalInstance, N, den: int, exclusion) -> bool:

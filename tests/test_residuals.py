@@ -1,5 +1,6 @@
 """Residual evaluators: conservation law, identity chain, closed forms."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ from polyharm.errors import (
     SingularDivisionError,
 )
 from polyharm.jets import seed
-from polyharm.mobius import ConformalInstance, MobiusMap, conformal_factor
-from polyharm.rationals import EXACT, FLOAT, rational
+from polyharm.mobius import ConformalInstance, MobiusMap, conformal_factor, integer_matrix
+from polyharm.rationals import EXACT, FLOAT, integer_vector, rational
 from polyharm.residuals import (
     ConformalGeometry,
     closed_form_coefficient,
@@ -499,6 +500,105 @@ class TestPolyharmonicJetOracle:
             assert scale > 0
             diff = math.sqrt(sum((a - b) ** 2 for a, b in zip(got[k][0], want[k])))
             assert diff <= 1e-12 * scale
+
+
+def _needed_set(m, top):
+    """N_top = {beta : sum_i ceil(beta_i/2) <= top}: the Taylor coefficients
+    of 1/|u|^2 in the m coordinates of h that Delta^top reads."""
+    return residuals._index_set(m, top, 2 * top)
+
+
+def _iterlap_weights(m, k):
+    """(gamma, k!/gamma! * (2 gamma)!) over |gamma| = k, as in jets.iterlap_targets."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(m), k):
+        gamma = tuple(combo.count(i) for i in range(m))
+        w = math.factorial(k)
+        for g in gamma:
+            w //= math.factorial(g)
+        for g in gamma:
+            w *= math.factorial(2 * g)
+        out.append((gamma, w))
+    return out
+
+
+def _taylor_route(mmap, orders, x):
+    """Delta^k phi(x) at an exact point through the m-variable Taylor set N_K.
+
+    With q_beta the Taylor coefficients of 1/|u|^2 at x0 (1 on the affine
+    branch), Delta^k phi(x0) = k A v with
+    v_j = sum_{|gamma| = k} w_gamma (u0_j q_{2 gamma} + q_{2 gamma - e_j}), and
+    over U = D u0 and F = |U|^2, q_beta = D^(|beta|+2) N_beta / F^(|beta|+1).
+    N_K holds 85,305 coefficients at (k, m) = (5, 12), against the 36 pairs
+    (a, b) the (s, q) recurrence reads.
+    """
+    m = mmap.dim
+    U, D = integer_vector([rational(xi) - ai for xi, ai in zip(x, mmap.a)])
+    num_A, den_A = integer_matrix([[mmap.k * v for v in row] for row in mmap.A])
+    s = mmap.epsilon // 2
+    F = s * sum(v * v for v in U) + (1 - s) * D * D
+    top = max(orders)
+    pw = [(2 * top + 1) ** i for i in range(m)]
+    Q = residuals._reciprocal_numerators([s * v for v in U], F, s, _needed_set(m, top), pw)
+    out = {}
+    for k in orders:
+        N = [0] * m
+        for gamma, w in _iterlap_weights(m, k):
+            key = sum(2 * g * p for g, p in zip(gamma, pw))
+            for j in range(m):
+                N[j] += w * (U[j] * Q[key] + (F * Q[key - pw[j]] if gamma[j] else 0))
+        c, den = D ** (2 * k + 1), F ** (2 * k + 1)
+        vals = tuple(rational(c * sum(a * n for a, n in zip(row, N)), den_A * den) for row in num_A)
+        if k == 0:
+            vals = tuple(v + bi for v, bi in zip(vals, mmap.b))
+        out[k] = vals
+    return out
+
+
+class TestPolyharmonicTaylorOracle:
+    """The (s, q) recurrence against the m-variable Taylor kernel it replaced."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("eps", [0, 2])
+    def test_exact_equal(self, m, eps):
+        rng = rng_for(f"ph-taylor-{m}-{eps}")
+        mmap = random_mobius(rng, m, SpaceFormModel.flat(m), eps, style=m)
+        pt = tuple(ai + rand_rat(rng, 2, 3, nonzero=True) for ai in mmap.a)
+        orders = (0, 1, 2, 3)
+        got = polyharmonic_orders(mmap, orders, pt)
+        assert {k: vals for k, (vals, _) in got.items()} == _taylor_route(mmap, orders, pt)
+
+    def test_numerators_are_the_closed_form(self):
+        # Delta^k (u/|u|^2)(x0) = N_k u0 / R^(k+1) with N_k of (m, k) alone
+        for m in range(3, 17):
+            N = residuals._inversion_numerators(m, 8)
+            assert N[0] == 1
+            for k in range(1, 9):
+                assert N[k] == closed_form_coefficient(m, k), (m, k)
+
+
+class TestPolyharmonicFloat:
+    """Float Delta^k phi: N_k is an exact integer, so a zero cell is 0.0."""
+
+    def _cell(self, tag, k, m):
+        rng = rng_for(tag)
+        mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=1)
+        pt = tuple(ai + rand_rat(rng, 2, 3, nonzero=True) for ai in mmap.a)
+        return mmap, pt, polyharmonic_orders(mmap, (k,), floats(pt))[k]
+
+    def test_zero_cell_is_literally_zero(self):
+        _, _, (vals, scale) = self._cell("ph-float-4-8", 4, 8)
+        assert all(v == 0.0 and type(v) is float for v in vals)
+        assert scale == 0.0 and residuals.vanishes(vals, scale, 1e-9)
+
+    def test_deep_nonzero_cell_reads_nonzero(self):
+        # |N_k| is far below a majorant of the Taylor terms at (8, 11); the
+        # scale follows |N_k|, so the value stays well above tol * scale
+        mmap, pt, (vals, scale) = self._cell("ph-float-8-11", 8, 11)
+        assert not residuals.vanishes(vals, scale, 1e-9)
+        closed = polyharmonic_closed_form(mmap, 8, pt)
+        diff = [v - c for v, c in zip(vals, closed)]
+        assert residuals.vanishes(diff, scale, 1e-9)
 
 
 class TestClosedFormCoefficient:

@@ -218,6 +218,16 @@ class TestSampling:
         for pt in sample_points(SamplePlan(seed=3, count=10), inst):
             assert sum(v * v for v in pt) < 1
 
+    @pytest.mark.parametrize("c2", [-1, 0, 1])
+    @pytest.mark.parametrize("eps", [0, 2])
+    def test_ball_domain_draws_at_m20(self, c2, eps):
+        # the draw cube shrinks like 1/sqrt(m) beyond m = 8; at 3/4 almost
+        # every draw of 20 coordinates lands outside the unit ball
+        for t in range(3):
+            tag = f"polyharm:bh:0:20:-1:{c2}:{eps}:{t}"
+            _, pts = _sweep_instance(tag, 20, -1, c2, eps, t, 5)
+            assert len(pts) == 5 and all(sum(v * v for v in x) < 1 for x in pts)
+
     def test_sweep_instance_validates_its_map_once(self, monkeypatch):
         # construction validates a map, so an instance built from it does not
         # check A again
@@ -453,6 +463,12 @@ class TestSweeps:
         monkeypatch.setattr(residuals, "polyharmonic_orders", perturbed)
         (cell,) = sweep_polyharmonic(orders=(2,), m_values=(4,))["cells"]
         assert not cell["trials"][0]["zero"] and not cell["match"]
+
+    def test_order_eight_at_m16(self):
+        # past the default window: the (s, q) recurrence costs the same at any m
+        body = sweep_polyharmonic(orders=(8,), m_values=(16,))
+        assert body["all_match"]
+        assert body["cells"][0]["trials"][0]["zero"] and body["cells"][0]["trials"][0]["proper"]
 
     def test_expected_zero_rule_against_golden(self):
         for c in json.loads((GOLDEN / "polyharmonic_truth_table.json").read_text()):
@@ -780,6 +796,14 @@ class TestCli:
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, path, value):
         cfg = _replaced(_three_instance_config(), path, value)
+        assert main(["check", str(_write(tmp_path, cfg))]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("signs", [True, -1, 1, -1]), ("perm", [True, 0, 3, 2])])
+    def test_boolean_permutation_entries_exit_two(self, tmp_path, capsys, field, value):
+        # JSON true equals 1 in Python; a sign or index must be a JSON integer
+        cfg = json.loads((GOLDEN / "curved_check.json").read_text())
+        cfg["instances"][0]["map"]["A"]["data"][field] = value
         assert main(["check", str(_write(tmp_path, cfg))]) == 2
         assert "config error" in capsys.readouterr().err
 
