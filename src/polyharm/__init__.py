@@ -1,14 +1,16 @@
 """Exact-arithmetic verification of conformal biharmonic and k-polyharmonic
 map classifications between space forms.
 
-The pipeline: :mod:`polyharm.jets` supplies truncated Taylor arithmetic (the
-reference route the tests check the integer kernels against),
-:mod:`polyharm.spaceform` the conformal chart models and curved operators,
-:mod:`polyharm.mobius` the inversive map family with its conformal factors,
-:mod:`polyharm.residuals` the two residual evaluators (``evaluate_residuals``
-for the biharmonic table, ``polyharmonic_orders`` for the polyharmonic one),
-and :mod:`polyharm.verifier` sampling, sweeps, and machine-readable reports.
-Import names from those modules; the package itself re-exports none.
+The pipeline: :mod:`polyharm.spaceform` supplies the conformal chart models,
+:mod:`polyharm.mobius` the inversive map family with its one conformal factor
+lambda = P/Q and the conformality cross-check, :mod:`polyharm.residuals` the
+two residual evaluators (``evaluate_residuals`` for the biharmonic table,
+``polyharmonic_orders`` for the polyharmonic one) with the curved operators
+on integers, and :mod:`polyharm.verifier` sampling, sweeps, and
+machine-readable reports.  :mod:`polyharm.jets` is truncated Taylor
+arithmetic off the verdict path: the tests build their dense-jet oracles on
+it, and selftest checks it.  Import names from those modules; the package
+itself re-exports none.
 """
 
 from . import jets, mobius, rationals, residuals, spaceform, verifier

@@ -24,18 +24,17 @@ as it is constructed.  It makes every factor of the family a quotient
 lambda = P/Q of two isotropic quadratics, which ``factor_quadratic`` reads
 off the map parameters once per instance (``ConformalInstance.factor``); the
 residual kernel of :mod:`polyharm.residuals` works from that quotient alone.
-``conformal_factor`` builds the same factor as a dense jet, with 1/f the one
-reciprocal behind lambda_E and |phi|^2 alike; it is not on the verdict
-path but the oracle route the tests compare the kernel with.  ``apply_jet`` composes the components themselves and stays the raw
-route that ``conformality_check`` reads.  For curved targets
-lambda collapses to the closed forms
+It is the one route to the factor in the package.  ``conformality_check``
+tests it against the map itself: the closed Jacobian of phi and the target
+weight at phi(x) from ``apply_point``, the one map-application route.
+For curved targets lambda collapses to the closed forms
 
     2c * w(x) / (s*c^2 + |x - d|^2),    s = +1 sphere target, -1 hyperbolic,
 
 with w = 1/sigma and (c, d) rational functions of the map parameters; those
 reduced parameters are what the classification arguments manipulate, and
-``reduced_parameters`` + ``closed_form_factor`` provide them as an
-independent cross-check of the composed factor.
+``reduced_parameters`` provides them as an independent cross-check of the
+quotient.
 
 Everything here is exact: orthogonal matrices come from Cayley transforms of
 rational skew matrices or signed permutations, so A^T A = I holds with no
@@ -45,17 +44,11 @@ rounding and residuals downstream stay exactly zero where they should.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import jets, spaceform
-from .errors import (
-    ChartDomainError,
-    MapValidationError,
-    NonpositiveFactorError,
-    SingularDivisionError,
-)
-from .jets import Jet
+from . import spaceform
+from .errors import ChartDomainError, MapValidationError, SingularDivisionError
 from .rationals import integer_vector, rational
 from .spaceform import SpaceFormModel
 
@@ -95,13 +88,6 @@ def transpose(A: Matrix) -> Matrix:
     return tuple(tuple(A[i][j] for i in range(m)) for j in range(m))
 
 
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    m = len(A)
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(m)) for j in range(m)) for i in range(m)
-    )
-
-
 def integer_matrix(A: Matrix) -> tuple[list, int]:
     """(N, D) with A = N/D: D the lcm of the denominators, N integer."""
     flat, D = integer_vector([v for row in A for v in row])
@@ -109,17 +95,19 @@ def integer_matrix(A: Matrix) -> tuple[list, int]:
     return [[next(entries) for _ in row] for row in A], D
 
 
-def is_orthogonal(A: Matrix) -> bool:
+def is_orthogonal(A: Matrix) -> tuple[list, int] | None:
     """A^T A == I, decided on integers: with A = N/D over the lcm D of its
-    denominators, the condition is N^T N == D^2 I."""
+    denominators, the condition is N^T N == D^2 I.  Returns the witness
+    (N, D) when it holds, so a caller keeps the integer form, else None."""
     m = len(A)
     N, D = integer_matrix(A)
     D2 = D * D
-    return all(
+    orthogonal = all(
         sum(N[r][i] * N[r][j] for r in range(m)) == (D2 if i == j else 0)
         for i in range(m)
         for j in range(i, m)
     )
+    return (N, D) if orthogonal else None
 
 
 def cayley_orthogonal(S: Matrix) -> Matrix:
@@ -169,6 +157,8 @@ class MobiusMap:
     k: object
     A: Matrix
     epsilon: int
+    # (A_num, den_A) with A = A_num / den_A, recorded by ``validate``
+    A_integers: tuple = field(init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -201,8 +191,10 @@ def validate(mmap: MobiusMap) -> MobiusMap:
         raise MapValidationError(f"epsilon must be 0 or 2, got {mmap.epsilon}")
     if not mmap.k:
         raise MapValidationError("scale k must be nonzero")
-    if not is_orthogonal(mmap.A):
+    integers = is_orthogonal(mmap.A)
+    if not integers:
         raise MapValidationError("A is not exactly orthogonal")
+    object.__setattr__(mmap, "A_integers", integers)
     return mmap
 
 
@@ -250,14 +242,14 @@ def factor_quadratic(target: SpaceFormModel, mmap: MobiusMap) -> FactorQuadratic
 
     so on a curved target Q = |u|^2 (1 + c2 |phi|^2) for eps = 2 and
     Q = 1 + c2 |phi|^2 for eps = 0.  The reduced parameters are not used, so
-    ``closed_form_factor`` stays an independent route.
+    ``reduced_parameters`` stays an independent route.
     """
     c2 = target.curvature
     k = mmap.k
     kappa = 2 * k if c2 else k
     alpha = 1 + c2 * sum(v * v for v in mmap.b)
     # g = c2 k A^T b on integers: A = N/D, b = B/d_b, k = k_n/k_d
-    N, D = integer_matrix(mmap.A)
+    N, D = mmap.A_integers
     B, d_b = integer_vector(mmap.b)
     g_num = c2 * k.numerator
     g_den = k.denominator * D * d_b
@@ -320,111 +312,6 @@ def apply_point(mmap: MobiusMap, x: Vector) -> Vector:
     return tuple(bi + mmap.k * vi / f for bi, vi in zip(mmap.b, v))
 
 
-def apply_jet(mmap: MobiusMap, x: tuple[Jet, ...]) -> tuple[Jet, ...]:
-    """Jets of the map components at the base point of x."""
-    u = tuple(xi - ai for xi, ai in zip(x, mmap.a))
-    rotated = []
-    for i in range(mmap.dim):
-        acc = None
-        for j in range(mmap.dim):
-            if mmap.A[i][j]:
-                term = u[j].scale(mmap.A[i][j])
-                acc = term if acc is None else acc + term
-        rotated.append(acc if acc is not None else x[0].zero_like())
-    if mmap.epsilon == 0:
-        return tuple(r.scale(mmap.k) + bi for r, bi in zip(rotated, mmap.b))
-    f = jets.norm_sq(u)
-    if not f.value():
-        raise SingularDivisionError("map is singular at x = a")
-    inv_f = x[0].constant_like(1) / f
-    return tuple(r.scale(mmap.k) * inv_f + bi for r, bi in zip(rotated, mmap.b))
-
-
-def euclidean_factor(mmap: MobiusMap, x: tuple[Jet, ...]) -> Jet:
-    """Flat-to-flat conformal factor: k for eps = 0, k/|x-a|^2 for eps = 2."""
-    if mmap.epsilon == 0:
-        return x[0].constant_like(mmap.k)
-    u = tuple(xi - ai for xi, ai in zip(x, mmap.a))
-    f = jets.norm_sq(u)
-    if not f.value():
-        raise SingularDivisionError("factor is singular at x = a")
-    return x[0].constant_like(mmap.k) / f
-
-
-def conformal_factor(
-    domain: SpaceFormModel,
-    target: SpaceFormModel,
-    mmap: MobiusMap,
-    x: tuple[Jet, ...],
-) -> Jet:
-    """Jet of lambda with phi^* h = lambda^2 g_domain; must be positive at x0.
-
-    Builds no map components: f = |x - a|^2 and the linear form <A^T b, u>
-    are written as quadratics, one reciprocal 1/f serves lambda_E and
-    |phi|^2, and |phi|^2 comes from the identity of the module docstring,
-    which needs A exactly orthogonal (``validate`` certifies it).
-    """
-    base = tuple(j.value() for j in x)
-    if not spaceform.in_domain(domain, base):
-        raise ChartDomainError(f"base point outside the {domain.name} chart")
-    k = mmap.k
-    u0 = tuple(xi - ai for xi, ai in zip(base, mmap.a))
-    f0 = sum(v * v for v in u0)
-    if mmap.epsilon == 2:
-        if not f0:
-            raise SingularDivisionError("factor is singular at x = a")
-        recip = x[0].constant_like(1) / jets.quadratic(x[0], f0, [2 * v for v in u0], 1)
-        lam = recip.scale(k)
-    else:
-        lam = x[0].constant_like(k)
-    if target.curvature != 0:
-        at_b = mat_vec(transpose(mmap.A), mmap.b)
-        b_sq = sum(v * v for v in mmap.b)
-        lin0 = sum(v * w for v, w in zip(at_b, u0))
-        if mmap.epsilon == 2:
-            numer = jets.quadratic(x[0], 2 * k * lin0 + k * k, [2 * k * v for v in at_b])
-            phi_sq = numer * recip + b_sq
-        else:
-            linear = [2 * k * (v + k * w) for v, w in zip(at_b, u0)]
-            phi_sq = jets.quadratic(x[0], b_sq + 2 * k * lin0 + k * k * f0, linear, k * k)
-        denom = phi_sq.scale(target.curvature) + 1
-        d0 = denom.value()
-        if not d0:
-            raise ChartDomainError("image point on the target chart boundary")
-        if d0 < 0:
-            raise ChartDomainError("image point outside the target chart")
-        lam = lam * (x[0].constant_like(2) / denom)
-    if domain.curvature != 0:
-        lam = lam * spaceform.inv_sigma_jet(domain, x)
-    if lam.value() <= 0:
-        raise NonpositiveFactorError(f"conformal factor {lam.value()} <= 0 at {base}")
-    return lam
-
-
-def conformal_factor_value(
-    domain: SpaceFormModel, target: SpaceFormModel, mmap: MobiusMap, x: Vector
-):
-    """lambda(x) on exact scalars; raises where the factor is undefined."""
-    if not spaceform.in_domain(domain, x):
-        raise ChartDomainError(f"point outside the {domain.name} chart")
-    if mmap.epsilon == 2:
-        f = sum((xi - ai) ** 2 for xi, ai in zip(x, mmap.a))
-        if not f:
-            raise SingularDivisionError("map is singular at x = a")
-        lam = mmap.k / f
-    else:
-        lam = mmap.k
-    if target.curvature != 0:
-        y = apply_point(mmap, x)
-        denom = 1 + target.curvature * sum(v * v for v in y)
-        if denom <= 0:
-            raise ChartDomainError("image point outside the target chart")
-        lam = lam * 2 / denom
-    if domain.curvature != 0:
-        lam = lam * (1 + domain.curvature * sum(v * v for v in x)) / 2
-    return lam
-
-
 def reduced_parameters(mmap: MobiusMap, target: SpaceFormModel) -> ReducedFactorParams:
     """Closed-form (c, d, sign) of the curved-target factor for this map."""
     if target.curvature == 0:
@@ -443,44 +330,49 @@ def reduced_parameters(mmap: MobiusMap, target: SpaceFormModel) -> ReducedFactor
     return ReducedFactorParams(c=c, d=d, sign=sign)
 
 
-def closed_form_factor(
-    params: ReducedFactorParams, domain: SpaceFormModel, x: tuple[Jet, ...]
-) -> Jet:
-    """Jet of 2c * w(x) / (sign*c^2 + |x - d|^2) from reduced parameters."""
-    shifted = tuple(xi - di for xi, di in zip(x, params.d))
-    denom = jets.norm_sq(shifted) + params.sign * params.c * params.c
-    if not denom.value():
-        raise SingularDivisionError("closed-form factor singular at this point")
-    w = spaceform.inv_sigma_jet(domain, x)
-    return w.scale(2 * params.c) / denom
-
-
 def conformality_check(
     domain: SpaceFormModel, target: SpaceFormModel, mmap: MobiusMap, x: Vector
 ) -> bool:
-    """Exact check of phi^* h = lambda^2 g at a point via degree-1 jets.
+    """Exact check of phi^* h = lambda^2 g at a point from the closed Jacobian.
 
-    With J the Jacobian of the chart expression, the pullback condition reads
-    rho(phi(x))^2 J^T J = lambda(x)^2 sigma(x)^2 I, verified cross-multiplied
-    so no square roots or divisions appear.
+    With u = x - a and f = |u|^2 the chart expression of the map has Jacobian
+    J = k A (eps = 0) or J = (k/f) A (I - 2 u u^T/f) (eps = 2).  The pullback
+    condition reads rho(phi(x))^2 J^T J = lambda(x)^2 sigma(x)^2 I, with
+    lambda read off ``factor_quadratic`` (the verdict's own factor) and phi(x)
+    from ``apply_point``.  It is verified cross-multiplied on exact scalars,
+    so no square root appears.
     """
-    x_jets = jets.seed(x, 1)
-    phi = apply_jet(mmap, x_jets)
-    lam = conformal_factor_value(domain, target, mmap, x)
-    jac = [p.gradient() for p in phi]  # jac[i][j] = d phi_i / d x_j
+    if not spaceform.in_domain(domain, x):
+        raise ChartDomainError(f"point outside the {domain.name} chart")
+    y = apply_point(mmap, x)  # raises on the singular set x = a
     m = mmap.dim
     # rho^2 and sigma^2 as exact quotients: rho = 2/(1 + c|y|^2), sigma likewise.
-    y = apply_point(mmap, x)
     rho_num, rho_den = (
         (rational(2), 1 + target.curvature * sum(v * v for v in y))
         if target.curvature
         else (rational(1), rational(1))
     )
+    if rho_den <= 0:
+        raise ChartDomainError("image point outside the target chart")
     sig_num, sig_den = (
         (rational(2), 1 + domain.curvature * sum(v * v for v in x))
         if domain.curvature
         else (rational(1), rational(1))
     )
+    # lambda = kappa w den / Q(x - a), with w = 1/sigma the domain chart weight
+    fq = factor_quadratic(target, mmap)
+    ua = [xi - rational(v, fq.a_den) for xi, v in zip(x, fq.a_num)]
+    Q = fq.value + 2 * sum(g * v for g, v in zip(fq.linear, ua)) + fq.square * sum(v * v for v in ua)
+    lam = fq.kappa * fq.den * sig_den / (sig_num * Q)
+    A, k = mmap.A, mmap.k
+    if mmap.epsilon == 0:
+        jac = [[k * v for v in row] for row in A]  # jac[i][j] = d phi_i / d x_j
+    else:
+        # (k/f) A (I - 2 u u^T/f) = (k/f^2) A (f I - 2 u u^T)
+        u = [xi - ai for xi, ai in zip(x, mmap.a)]
+        f = sum(v * v for v in u)
+        Au = [sum(r * v for r, v in zip(row, u)) for row in A]
+        jac = [[k * (f * A[i][j] - 2 * Au[i] * u[j]) / (f * f) for j in range(m)] for i in range(m)]
     # rho^2 * (J^T J)_{pq} * sig_den^2 == lam^2 * sig_num^2 * rho_den^2 * delta_{pq}
     lhs_scale = rho_num * rho_num * sig_den * sig_den
     rhs_scale = lam * lam * sig_num * sig_num * rho_den * rho_den

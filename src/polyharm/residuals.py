@@ -27,7 +27,7 @@ operators (bars) and domain/target curvatures c1/c2, the toolkit evaluates:
        identities are the pipeline's internal consistency check.
 
 The Ricci term of SDL enters as the scalar (m-1) c1 since space forms have
-Ric = (m-1) c g; see :func:`polyharm.spaceform.ricci_scale`.
+Ric = (m-1) c g.
 
 The module has two entry points: :func:`evaluate_residuals` gives CL, SDL,
 ND, ND2 and the harmonicity flag at one point, all from one
@@ -81,9 +81,10 @@ zero test come from int/int quotients, the correctly rounded floats of the
 exact terms.  ``ConformalGeometry`` keeps these integers and no rational
 field: lambda, lapbar lambda, |gradbar lambda|^2 and their gradients are
 formed by the tests alone: from these integers, to compare with the dense
-jet route (``mobius.conformal_factor``, ``spaceform.laplace_beltrami``,
-``spaceform.grad_norm_sq_bar``), and on that route, where the residuals
-formed from them are the oracle of the integer assembly.
+jet route (``conformal_factor``, ``laplace_beltrami`` and
+``grad_norm_sq_bar`` of the tests' ``jet_oracles`` module), and on that
+route, where the residuals formed from them are the oracle of the integer
+assembly.
 
 Polyharmonic path.  Flat-target polyharmonicity reduces to iterated flat
 Laplacians of the map components.  On the inversive branch (eps = 2)
@@ -134,7 +135,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import mobius
 from .errors import (
     ChartDomainError,
     DegreeError,
@@ -486,7 +486,7 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
         raise DegreeError("orders must be >= 0")
     if scalar_of(x) is not float:
         U, D = integer_vector([rational(xi) - ai for xi, ai in zip(x, mmap.a)])
-        num_A, den_A = mobius.integer_matrix(mmap.A)
+        num_A, den_A = mmap.A_integers
         kn, den_A = mmap.k.numerator, den_A * mmap.k.denominator
         quotient = rational
         b = mmap.b
@@ -560,7 +560,7 @@ def polyharmonic_closed_form(mmap: MobiusMap, order: int, x) -> tuple:
     if mmap.epsilon != 2:
         raise MapValidationError("closed form applies to the eps = 2 family")
     U, D = integer_vector([rational(xi) - ai for xi, ai in zip(x, mmap.a)])
-    num_A, den_A = mobius.integer_matrix(mmap.A)
+    num_A, den_A = mmap.A_integers
     c = closed_form_coefficient(mmap.dim, order) * mmap.k.numerator * D ** (2 * order + 1)
     den = den_A * mmap.k.denominator * sum(u * u for u in U) ** (order + 1)
     return tuple(rational(c * sum(a * u for a, u in zip(row, U)), den) for row in num_A)

@@ -26,10 +26,10 @@ from pathlib import Path
 from polyharm import jets
 from polyharm.cli import main
 from polyharm.jets import seed
-from polyharm.mobius import ConformalInstance, MobiusMap, conformal_factor
+from polyharm.mobius import ConformalInstance, MobiusMap
 from polyharm.rationals import EXACT, rational
 from polyharm.residuals import evaluate_residuals
-from polyharm.spaceform import SpaceFormModel, laplace_beltrami
+from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
     CURVATURE_PAIRS,
     SamplePlan,
@@ -42,6 +42,7 @@ from polyharm.verifier import (
 )
 
 from conftest import floats, rand_point, rng_for
+from jet_oracles import conformal_factor, laplace_beltrami
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -16,18 +16,12 @@ from polyharm.jets import seed
 from polyharm.mobius import (
     ConformalInstance,
     MobiusMap,
-    apply_jet,
     apply_point,
     cayley_orthogonal,
-    closed_form_factor,
-    conformal_factor,
-    conformal_factor_value,
     conformality_check,
-    euclidean_factor,
     factor_quadratic,
     identity_matrix,
     is_orthogonal,
-    mat_mul,
     mat_vec,
     reduced_parameters,
     signed_permutation,
@@ -35,10 +29,20 @@ from polyharm.mobius import (
     validate,
 )
 from polyharm.rationals import rational
-from polyharm.spaceform import SpaceFormModel, inv_sigma_jet, laplace_beltrami
+from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import CURVATURE_PAIRS, random_mobius
 
 from conftest import exact_norm_sq, make_instance, rand_point, rand_rat, rng_for
+from jet_oracles import (
+    apply_jet,
+    closed_form_factor,
+    conformal_factor,
+    conformal_factor_value,
+    euclidean_factor,
+    inv_sigma_jet,
+    laplace_beltrami,
+    mat_mul,
+)
 
 
 def _zeros(m):
@@ -363,6 +367,16 @@ class TestConformality:
             if apply_point(mmap, pt):  # off the singular set
                 assert conformality_check(SpaceFormModel.flat(4), target, mmap, pt)
 
+    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("c1,c2", CURVATURE_PAIRS)
+    @pytest.mark.parametrize("eps", [0, 2])
+    def test_every_curvature_pair_and_branch(self, m, c1, c2, eps):
+        # the verdict's factor P/Q against the closed Jacobian, at every
+        # sampled point; flat and curved charts on both sides
+        inst, pts = make_instance(f"conformality:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, style=2)
+        for x in pts:
+            assert conformality_check(inst.domain, inst.target, inst.map, x)
+
     def test_non_orthogonal_matrix_detected(self):
         # smuggle a non-orthogonal A past construction, which validates
         bad = tuple(
@@ -388,7 +402,7 @@ class TestRotationInvariance:
     def test_target_rotation_preserves_factor_and_residuals(self):
         # replacing A by QA with b = 0 post-rotates the image; the factor and
         # residual norms are unchanged at the same points
-        from polyharm.mobius import mat_mul
+        from jet_oracles import mat_mul
         from polyharm.residuals import evaluate_residuals
 
         rng = rng_for("rot-target")
@@ -415,7 +429,7 @@ class TestRotationInvariance:
     def test_domain_rotation_moves_sample_points(self):
         # with a = 0, replacing A by A Q evaluates the original map at Qx, so
         # residual norms agree at correspondingly rotated points
-        from polyharm.mobius import mat_mul
+        from jet_oracles import mat_mul
         from polyharm.residuals import evaluate_residuals
 
         rng = rng_for("rot-domain")

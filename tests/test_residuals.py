@@ -15,7 +15,7 @@ from polyharm.errors import (
     SingularDivisionError,
 )
 from polyharm.jets import seed
-from polyharm.mobius import ConformalInstance, MobiusMap, conformal_factor, integer_matrix
+from polyharm.mobius import ConformalInstance, MobiusMap, integer_matrix
 from polyharm.rationals import EXACT, FLOAT, integer_vector, rational
 from polyharm.residuals import (
     ConformalGeometry,
@@ -25,10 +25,11 @@ from polyharm.residuals import (
     polyharmonic_orders,
     radial_coefficients,
 )
-from polyharm.spaceform import SpaceFormModel, grad_norm_sq_bar, inv_sigma_jet, laplace_beltrami
+from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import CURVATURE_PAIRS, radial_classification_check, random_mobius
 
 from conftest import floats, make_instance, rand_point, rand_rat, rng_for
+from jet_oracles import conformal_factor, grad_norm_sq_bar, inv_sigma_jet, laplace_beltrami
 
 
 def _zeros(m):

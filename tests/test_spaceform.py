@@ -7,19 +7,18 @@ from polyharm import jets
 from polyharm.errors import ChartDomainError
 from polyharm.jets import seed
 from polyharm.rationals import rational
-from polyharm.spaceform import (
-    SpaceFormModel,
+from polyharm.spaceform import SpaceFormModel, in_domain
+
+from conftest import rand_point, rand_rat, rng_for
+from jet_oracles import (
     grad_bar,
     grad_norm_sq_bar,
-    in_domain,
     inv_sigma_jet,
     laplace_beltrami,
     ricci_scale,
     scal,
     sigma_jet,
 )
-
-from conftest import rand_point, rand_rat, rng_for
 
 
 class TestModel:

@@ -1,5 +1,6 @@
 """Config loading, sampling, verdicts, sweeps, reports, and the CLI contract."""
 
+import ast
 import copy
 import hashlib
 import itertools
@@ -20,7 +21,7 @@ import polyharm
 from polyharm import mobius, residuals
 from polyharm.cli import main
 from polyharm.errors import AdmissibleRegionError, ConfigError, PolyharmError
-from polyharm.mobius import ConformalInstance, MobiusMap, apply_point, conformal_factor_value
+from polyharm.mobius import ConformalInstance, MobiusMap, apply_point
 from polyharm.rationals import EXACT, FLOAT, rational
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
@@ -42,6 +43,7 @@ from polyharm.verifier import (
 )
 
 from conftest import rng_for
+from jet_oracles import conformal_factor_value
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -693,6 +695,15 @@ class TestCli:
         cfg = _write(tmp_path, _inversion_config())
         assert main(["check", str(cfg), "--tol", "1e-9"]) == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "1", "2", "inf", "nan"])
+    def test_tol_outside_unit_interval_exits_two(self, tmp_path, capsys, tol):
+        # a residual's norm never exceeds its scale, so tol >= 1 counts every
+        # float residual as zero: this mismatch would pass vacuously
+        cfg = _write(tmp_path, _inversion_config(m=5, expect="proper-biharmonic"))
+        assert main(["check", str(cfg), "--mode", "float"]) == 1
+        assert main(["check", str(cfg), "--mode", "float", f"--tol={tol}"]) == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_out_dir_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("POLYHARM_OUT_DIR", str(tmp_path / "reports"))
         cfg = _write(tmp_path, _inversion_config())
@@ -816,6 +827,20 @@ class TestCli:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert run.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("module", ["mobius", "spaceform"])
+    def test_no_jet_engine_below_the_verifier(self, module):
+        # the map family and the chart models read the factor as P/Q; the
+        # dense jets are the tests' oracle, not a route of theirs
+        path = Path(polyharm.__file__).parent / f"{module}.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(alias.name for alias in node.names)
+        assert not imported & {"jets", "Jet"}
 
     def test_identical_seeds_identical_bytes(self, tmp_path, capsys):
         cfg = _write(tmp_path, _inversion_config())
