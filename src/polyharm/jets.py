@@ -18,7 +18,8 @@ A key observation used throughout is that the first C(m + d, d) positions of
 a degree-D table are exactly the degree-<=d prefix, so truncation is a slice.
 
 Sign convention: ``Jet.laplacian`` is the analyst's flat Laplacian sum of
-second partials.  Curved-metric operators live in :mod:`polyharm.spaceform`.
+second partials.  Curved-metric operators live in ``tests/jet_oracles.py``
+(jet form) and in :class:`polyharm.residuals.ConformalGeometry` (integers).
 
 No verdict is computed on jets: both residual paths run integer kernels
 (:mod:`polyharm.residuals`), and the dense jet route is the reference the

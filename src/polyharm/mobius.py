@@ -359,18 +359,17 @@ def conformality_check(
         if domain.curvature
         else (rational(1), rational(1))
     )
-    # lambda = kappa w den / Q(x - a), with w = 1/sigma the domain chart weight
+    # lambda = kappa w den / Q(u), with w = 1/sigma the domain chart weight
     fq = factor_quadratic(target, mmap)
-    ua = [xi - rational(v, fq.a_den) for xi, v in zip(x, fq.a_num)]
-    Q = fq.value + 2 * sum(g * v for g, v in zip(fq.linear, ua)) + fq.square * sum(v * v for v in ua)
+    u = [xi - ai for xi, ai in zip(x, mmap.a)]
+    f = sum(v * v for v in u)
+    Q = fq.value + 2 * sum(g * v for g, v in zip(fq.linear, u)) + fq.square * f
     lam = fq.kappa * fq.den * sig_den / (sig_num * Q)
     A, k = mmap.A, mmap.k
     if mmap.epsilon == 0:
         jac = [[k * v for v in row] for row in A]  # jac[i][j] = d phi_i / d x_j
     else:
         # (k/f) A (I - 2 u u^T/f) = (k/f^2) A (f I - 2 u u^T)
-        u = [xi - ai for xi, ai in zip(x, mmap.a)]
-        f = sum(v * v for v in u)
         Au = [sum(r * v for r, v in zip(row, u)) for row in A]
         jac = [[k * (f * A[i][j] - 2 * Au[i] * u[j]) / (f * f) for j in range(m)] for i in range(m)]
     # rho^2 * (J^T J)_{pq} * sig_den^2 == lam^2 * sig_num^2 * rho_den^2 * delta_{pq}

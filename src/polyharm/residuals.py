@@ -44,47 +44,51 @@ Biharmonic path.  Every factor of the family is lambda = P/Q: P = kappa w,
 with w = 1/sigma the domain chart weight and kappa = k (flat target) or 2k
 (curved target), and Q(u) = q0 + 2 <g, u> + s |u|^2 an isotropic quadratic in
 u = x - a derived from the map (:func:`polyharm.mobius.factor_quadratic`).
-The kernel is the Taylor coefficients of the reciprocal of an isotropic
-quadratic.  For f(x0 + t) = (F + 2 G.t + S|t|^2)/E with integers F, G, S the
-coefficients of 1/f in t are E N_beta / F^(|beta|+1),
+With x0 = X/D, u0 = U/D over one lcm D and h = x - x0, den D^2 Q(u0 + h) =
+F + 2 G.h + S |h|^2 with integers F, G = D (D g + s U) den and S = s D^2 den,
+and P = kappa (W + 2 c1 D X.h + c1 D^2 |h|^2) / (2 D^2).  The Taylor
+coefficients of lambda are then lambda_beta = K L_beta / F^(|beta|+1) with
 
-    N_0 = 1,   N_beta = -2 sum_i G_i N_(beta - e_i) - S F sum_i N_(beta - 2 e_i),
+    L_beta = W N_beta + sum_(beta_i >= 1) P1_i N_(beta - e_i) + P2 sum_(beta_i >= 2) N_(beta - 2 e_i),
+    N_0 = 1,   N_beta = -2 sum_i G_i N_(beta - e_i) - SF sum_i N_(beta - 2 e_i),
 
-an integer recurrence (fraction-free in the manner of Bareiss's elimination)
-run only over the indices the residuals read, a set closed under both shifts.
-The fields of ``ConformalGeometry`` read lambda only on the read set
-N_2 with |beta| <= 3: every coefficient of degree <= 2 and the 2 e_i + e_j
-behind grad lap lambda (109 coefficients at m = 8, against 165 in a dense
-degree-3 jet).  With x0 = X/D and u0 = U/D over one lcm D, the recurrence
-runs with F = den D^2 Q(u0), G = D (D g + s U) den and S = s D^2 den; one
-product with the 2m + 1 terms of P gives lambda_beta = K L_beta / F^(|beta|+1)
-with integer L_beta.  The curved operators
+P1 = 2 c1 D F X, P2 = c1 D^2 F^2 and SF = S F: an integer recurrence,
+fraction-free in the manner of Bareiss's elimination.  Through order 3 it
+has closed forms (i != j): N_(e_i) = -2 G_i, N_(e_i + e_j) = 8 G_i G_j,
+N_(2 e_i) = 4 G_i^2 - SF, N_(3 e_i) = (4 SF - 8 G_i^2) G_i and
+N_(2 e_i + e_j) = (4 SF - 24 G_i^2) G_j.  With gamma = |G|^2 and pi = P1.G,
+the gradient, Hessian and Laplacian (over F^2, F^3, F^3) and the gradient of
+the Laplacian t_j = sum_i d_i^2 d_j lambda (over F^4) have the numerators
+
+    g = (L_(e_i)) = P1 - 2 W G,
+    H = ((1 + delta_ij) L_(e_i + e_j)) = 8 W G G^T - 2 (P1 G^T + G P1^T) + c0 I,
+    lap = tr H = 8 W gamma - 4 pi + m c0,   c0 = 2 P2 - 2 W SF,
+    t = 2 sum_(i != j) L_(2 e_i + e_j) + 6 L_(3 e_j)
+      = [W ((8m + 16) SF - 48 gamma) + 16 pi - (4m + 8) P2] G + [8 gamma - (2m + 4) SF] P1.
+
+H, rank two plus a multiple of I, is never stored: H v reads G.v and P1.v.
+In t the sum over i != j misses the i = j terms of gamma and pi, leaving
+48 W G_j^3 - 24 P1_j G_j^2, which 6 L_(3 e_j) cancels exactly.  It must:
+lambda is a function of X.h, G.h and |h|^2, so the gradient of its
+Laplacian lies in span(X, G), as every vector the residuals read does, at
+O(m) cost.  The curved operators
 
     lapbar f = w^2 lap f - (m-2) c1 w <x, grad f>,   |gradbar f|^2 = w^2 |grad f|^2
 
-(with grad w = c1 x) and their gradients are then formed on integers, the m^2
-sums x.H, grad(lam).H and |grad lam|^2 included, over one power of F and D per
-derivative order.  With K = Kn/Kd and g, H the integer numerators of the
-gradient and Hessian of lambda, lapbar lam = K Lb / (4 D^4 F^3) and
-grad lapbar lam = K grad_Lb / (4 D^4 F^4).  The residuals are assembled on
-the same integers: with Gamma_j = 2 c1 D F X_j |g|^2 + W (g.H)_j,
+(with grad w = c1 x) and their gradients are formed on the same integers:
+with K = Kn/Kd, lapbar lam = K Lb / (4 D^4 F^3), grad lapbar lam =
+K grad_Lb / (4 D^4 F^4), Gamma_j = 2 c1 D F X_j |g|^2 + W (H g)_j, and
 
     CL    = Kn / (8 Kd^3 D^4 F^3) [2 Kd^2 Lb - 4 m D^4 (c1 Kd^2 W F^2 - c2 Kn^2 W^3)
                                    + (m-4) Kd^2 W |g|^2]
     SDL_j = Kn^2 W^2 / (16 Kd^2 D^8 F^5) [W grad_Lb_j - 3 Lb g_j - (m-4) W Gamma_j
                                           + 8 (m-1) c1 D^4 F^2 W g_j]
 
-and ND, ND2 are the like sums over Kn^2 W^2 / (16 Kd^4 D^8 F^5).  Each term
-of a residual stays one integer vector over that one positive denominator,
-and each output component meets one rational; the term sizes of the float
-zero test come from int/int quotients, the correctly rounded floats of the
-exact terms.  ``ConformalGeometry`` keeps these integers and no rational
-field: lambda, lapbar lambda, |gradbar lambda|^2 and their gradients are
-formed by the tests alone: from these integers, to compare with the dense
-jet route (``conformal_factor``, ``laplace_beltrami`` and
-``grad_norm_sq_bar`` of the tests' ``jet_oracles`` module), and on that
-route, where the residuals formed from them are the oracle of the integer
-assembly.
+and ND, ND2 the like sums over Kn^2 W^2 / (16 Kd^4 D^8 F^5).  Each term of
+a residual stays one integer vector over that one positive denominator, and
+each output component meets one rational; the float term sizes are int/int
+quotients.  The tests keep the recurrence over its multi-index set and the
+dense jet route (their ``jet_oracles`` module) as oracles.
 
 Polyharmonic path.  Flat-target polyharmonicity reduces to iterated flat
 Laplacians of the map components.  On the inversive branch (eps = 2)
@@ -128,7 +132,6 @@ and :func:`polyharmonic_closed_form` evaluates it without the recurrence.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -209,69 +212,29 @@ def _residual(g: ConformalGeometry, num, den, terms, tol) -> ResidualVector:
     return ResidualVector(values=values, exact_zero=zero, norm=_norm(values), scale=scale)
 
 
-def _reciprocal_numerators(G, F, S, entries, pw) -> dict[int, object]:
-    """Numerators N_beta of the Taylor coefficients of 1/f over an index set.
-
-    For f(x0 + t) = (F + 2 G.t + S |t|^2) / E the coefficients in t are
-    E N_beta / F^(|beta|+1), where N_0 = 1 and
-
-        N_beta = -2 sum_i G_i N_(beta - e_i) - S F sum_i N_(beta - 2 e_i),
-
-    integers when G, F and S are (a float run over doubles is the same
-    recurrence).  ``entries`` is an index set closed under beta - e_i and
-    beta - 2 e_i, as :func:`_index_set` lists it, with
-    keys sum_i beta_i pw_i; N is returned keyed the same way.
-    """
-    SF = S * F
-    N = {0: 1}
-    for key, ones, twos in entries[1:]:
-        acc = 0
-        for i in ones:
-            acc += G[i] * N[key - pw[i]]
-        acc2 = 0
-        for i in twos:
-            acc2 += N[key - 2 * pw[i]]
-        N[key] = -2 * acc - SF * acc2
-    return N
-
-
-def _index_set(m: int, top: int, max_degree: int) -> tuple[tuple[int, tuple, tuple], ...]:
-    """(key, {i : beta_i >= 1}, {i : beta_i >= 2}) in key order over
-    {beta : sum_i ceil(beta_i/2) <= top, |beta| <= max_degree}.
-
-    Keys use the place values (2 top + 1)^i.  Both bounds are kept by
-    beta - e_i and beta - 2 e_i, so the set is closed under the shifts of
-    :func:`_reciprocal_numerators`.
-    """
-    entries = [(0, top, max_degree, (), ())]
-    for i in range(m):
-        p = (2 * top + 1) ** i
-        grown = []
-        for b in range(2 * top + 1):
-            cost = (b + 1) // 2
-            one = (i,) if b >= 1 else ()
-            two = (i,) if b >= 2 else ()
-            for key, left, deg, ones, twos in entries:
-                if left >= cost and deg >= b:
-                    grown.append((key + b * p, left - cost, deg - b, ones + one, twos + two))
-        entries = grown
-    return tuple((key, ones, twos) for key, _, _, ones, twos in entries)
-
-
-@functools.lru_cache(maxsize=16)
-def _read_set(m: int) -> tuple[tuple[int, tuple, tuple], ...]:
-    """N_2 with |beta| <= 3: every beta of degree <= 2 and every 2 e_i + e_j,
-    the coefficients of lambda that ``ConformalGeometry`` reads (keys in base 5)."""
-    return _index_set(m, 2, 3)
+def _largest_coefficients(W, SF, P2, G, P1) -> tuple[float, float]:
+    """max |L_beta| over |beta| = 2 and over the 2 e_i + e_j, for the float floor."""
+    deg2 = deg3 = 0.0
+    for i, (a, p) in enumerate(zip(G, P1)):
+        deg2 = max(deg2, abs(W * (4 * a * a - SF) - 2 * p * a + P2))
+        deg3 = max(deg3, abs((W * (4 * SF - 8 * a * a) + 4 * p * a - 2 * P2) * a - p * SF))
+        c, d = W * (4 * SF - 24 * a * a) + 8 * p * a - 2 * P2, 4 * a * a - SF
+        for j, (b, q) in enumerate(zip(G, P1)):
+            if j != i:
+                deg2 = max(deg2, abs(8 * W * a * b - 2 * (p * b + q * a)))
+                deg3 = max(deg3, abs(c * b + q * d))
+    return deg2, deg3
 
 
 class ConformalGeometry:
     """Values and gradients the residuals read, at one point of one instance.
 
-    Built from the Taylor coefficients of lambda = P/Q on the read set alone
-    (see the module docstring).  The residuals read the integers W, F, D^4,
-    Kn/Kd, g, |g|^2, Gamma, Lb and grad_Lb, doubles when a coordinate of x
-    is a float.
+    The Taylor recurrence of lambda = P/Q in closed form (module docstring):
+    g, H = 8 W G G^T - 2 (P1 G^T + G P1^T) + c0 I, lap = tr H and t lie in
+    span(X, G), as grad lap of a function of X.h, G.h and |h|^2 must, so the
+    G_j^3 and P1_j G_j^2 terms of t cancel.  The residuals read the integers
+    W, F, D^4, Kn/Kd, g, |g|^2, Gamma, Lb and grad_Lb (doubles when a
+    coordinate of x is a float); no m x m table is formed.
     """
 
     def __init__(self, instance: ConformalInstance, x):
@@ -281,19 +244,15 @@ class ConformalGeometry:
         fq = instance.factor
         m = instance.dim
         c1 = dom.curvature
-        self.m = m
-        self.c1 = c1
-        self.c2 = instance.target.curvature
+        self.m, self.c1, self.c2 = m, c1, instance.target.curvature
         # Scalar set-up, the only step that tells the modes apart.  Exact:
         # x0 = X/D and u0 = x0 - a = U/D over the lcm D of the denominators
-        # of x0 and a, Q(u0 + h) = (F + 2 G.h + S |h|^2) / (den D^2) with
-        # F, G, S integers, and lambda_beta = K L_beta / F^(|beta|+1).
-        # Float: the same code over doubles with every denominator 1.
+        # of x0 and a (module docstring).  Float: the same code over doubles
+        # with every denominator 1.
         if scalar is not float:
             D = math.lcm(fq.a_den, *(v.denominator for v in point))
             X = [v.numerator * (D // v.denominator) for v in point]
-            shift = D // fq.a_den
-            U = [xi - shift * ai for xi, ai in zip(X, fq.a_num)]
+            U = [xi - D // fq.a_den * ai for xi, ai in zip(X, fq.a_num)]
             q0, qg, qs = fq.value, fq.linear, fq.square
             K = rational(fq.den) * fq.kappa / 2
             Kn, Kd = K.numerator, K.denominator
@@ -326,35 +285,27 @@ class ConformalGeometry:
             lam0 = quotient(Kn * W, Kd * F)
             raise NonpositiveFactorError(f"conformal factor {lam0} <= 0 at {point}")
 
-        # Taylor numerators of 1/Q, then of lambda = P/Q with
-        # P = kappa (W + 2 c1 D X.h + c1 D^2 |h|^2) / (2 D^2), on the read set
-        entries = _read_set(m)
-        pw = [5**i for i in range(m)]
-        G = [D * (D * g + qs * u) for g, u in zip(qg, U)]
-        N = _reciprocal_numerators(G, F, qs * D2, entries, pw)
-        L = {}
+        # lambda_beta = K L_beta / F^(|beta|+1) in closed form: gradient g / F^2,
+        # Hessian H / F^3 (applied, never stored), lap / F^3 and its gradient t / F^4
+        G = [D * (D * v + qs * u) for v, u in zip(qg, U)]
+        SF = qs * D2 * F
         P1 = [2 * c1 * D * F * v for v in X]
         P2 = c1 * D2 * F * F
-        for key, ones, twos in entries:
-            acc = W * N[key]
-            if c1:
-                for i in ones:
-                    acc += P1[i] * N[key - pw[i]]
-                for i in twos:
-                    acc += P2 * N[key - 2 * pw[i]]
-            L[key] = acc
+        c0 = 2 * P2 - 2 * W * SF
+        gamma = sum(v * v for v in G)
+        pi = sum(p * v for p, v in zip(P1, G))
+        g = [p - 2 * W * v for p, v in zip(P1, G)]
+        lap = 8 * W * gamma - 4 * pi + m * c0
+        tG = W * ((8 * m + 16) * SF - 48 * gamma) + 16 * pi - (4 * m + 8) * P2
+        tP = 8 * gamma - (2 * m + 4) * SF
+        t = [tG * v + tP * p for v, p in zip(G, P1)]
 
-        # lambda_beta = K L_beta / F^(|beta|+1): gradient g / F^2, Hessian
-        # H / F^3, Laplacian lap / F^3, gradient of the Laplacian t / F^4
-        g = [L[p] for p in pw]
-        H = [[L[p + q] for q in pw] for p in pw]
-        for i in range(m):
-            H[i][i] *= 2
-        lap = sum(H[i][i] for i in range(m))
-        cube = [[L[2 * p + q] for q in pw] for p in pw]
-        t = [2 * sum(row[j] for row in cube) + 4 * cube[j][j] for j in range(m)]
-        xH = [sum(X[i] * H[i][j] for i in range(m)) for j in range(m)]
-        gH = [sum(g[i] * H[i][j] for i in range(m)) for j in range(m)]
+        def apply_H(v):
+            Gv = sum(a * b for a, b in zip(G, v))
+            Pv = sum(a * b for a, b in zip(P1, v))
+            return [(8 * W * Gv - 2 * Pv) * a - 2 * Gv * p + c0 * b for a, p, b in zip(G, P1, v)]
+
+        xH, gH = apply_H(X), apply_H(g)
         gg = sum(v * v for v in g)
         xg = sum(a * b for a, b in zip(X, g))
 
@@ -373,13 +324,11 @@ class ConformalGeometry:
         self.Gamma = [2 * c1 * D * F * X[j] * gg + W * gH[j] for j in range(m)]
         self.W, self.F, self.D4, self.Kn, self.Kd, self.g, self.gg = W, F, D2 * D2, Kn, Kd, g, gg
         # float noise floor of the zero test, from 1 + the largest |lambda_beta|
-        # on the read set; exact verdicts read no floor
+        # over |beta| <= 2 and the 2 e_i + e_j; exact verdicts read no floor
         self.floor = 0.0
         if scalar is float:
-            deg2 = max(abs(L[p + q]) for p in pw for q in pw)
-            deg3 = max(abs(v) for row in cube for v in row)
-            F3 = F2 * F
-            top = max(abs(W) / F, max(map(abs, g)) / F2, deg2 / F3, deg3 / (F3 * F))
+            deg2, deg3 = _largest_coefficients(W, SF, P2, G, P1)
+            top = max(abs(W) / F, max(map(abs, g)) / F2, deg2 / (F2 * F), deg3 / (F2 * F2))
             self.floor = _DEGENERATE_SCALE_EPS * (1.0 + abs(Kn) / Kd * top) ** 4
 
     def harmonic(self) -> bool:
@@ -568,32 +517,33 @@ def polyharmonic_closed_form(mmap: MobiusMap, order: int, x) -> tuple:
 
 # -- radial coefficient extraction --------------------------------------------
 
+_EXTRA_SAMPLES = 1  # samples past the max_degree + 1 nodes that must fit the interpolant
+
 
 def radial_coefficients(
     evaluator: Callable[[tuple], object],
     direction: Sequence,
     max_degree: int,
     ts: Sequence | None = None,
-    extra: int = 1,
 ) -> list:
     """Exact coefficients of a radial polynomial along a ray.
 
     ``evaluator`` receives the point t * direction and must return an exact
     rational that is a polynomial in s = t^2 of degree <= max_degree (the
     caller has already cleared the known denominators).  Samples that raise
-    toolkit errors (singular set hits) are skipped.  ``extra`` additional
-    samples must agree with the interpolant, which catches an underestimated
-    degree.  Returns monomial coefficients in s, constant first.
+    toolkit errors (singular set hits) are skipped.  ``_EXTRA_SAMPLES``
+    additional samples must agree with the interpolant, which catches an
+    underestimated degree.  Returns monomial coefficients in s, constant first.
     """
     direction = tuple(rational(v) for v in direction)
     if sum(v * v for v in direction) != 1:
         raise InterpolationError("direction must have exact unit length")
     if ts is None:
-        ts = [Fraction(j, j + 1) for j in range(1, 4 * (max_degree + extra) + 2)]
+        ts = [Fraction(j, j + 1) for j in range(1, 4 * (max_degree + _EXTRA_SAMPLES) + 2)]
     samples: list[tuple] = []
-    needed = max_degree + 1 + extra
+    needed = max_degree + 1 + _EXTRA_SAMPLES
     for t in ts:
-        tq = rational(t.numerator, t.denominator) if isinstance(t, Fraction) else rational(t)
+        tq = rational(t)
         point = tuple(tq * v for v in direction)
         try:
             val = evaluator(point)
@@ -604,7 +554,7 @@ def radial_coefficients(
             break
     if len(samples) < needed:
         raise InterpolationError(
-            f"only {len(samples)} usable samples for degree {max_degree} + {extra} checks"
+            f"only {len(samples)} usable samples for degree {max_degree} + {_EXTRA_SAMPLES} checks"
         )
     nodes = samples[: max_degree + 1]
     coeffs = _newton_to_monomial(nodes)

@@ -767,7 +767,7 @@ def radial_classification_check(kind: str, c_value, m: int) -> dict:
             -(c * c + 1) * ((m - 4) * c**4 + 4 * (m - 3) * c * c + (m - 4)),
         ]
         # factor positivity needs |x| > c along the ray
-        ts = [Fraction(c.numerator, c.denominator) + Fraction(j, j + 1) for j in range(1, 12)]
+        ts = [c + Fraction(j, j + 1) for j in range(1, 12)]
     elif kind == "hyperbolic-flat":
         domain, target = SpaceFormModel.hyperbolic(m), SpaceFormModel.flat(m)
         sign = 0

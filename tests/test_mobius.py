@@ -130,7 +130,7 @@ class TestCayley:
         it = iter(entries)
         for i in range(m):
             for j in range(i + 1, m):
-                v = rational(next(it).numerator, next(it).denominator) if False else next(it)
+                v = next(it)
                 vq = rational(v.numerator, v.denominator)
                 rows[i][j] = vq
                 rows[j][i] = -vq

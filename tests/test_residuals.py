@@ -16,7 +16,7 @@ from polyharm.errors import (
 )
 from polyharm.jets import seed
 from polyharm.mobius import ConformalInstance, MobiusMap, integer_matrix
-from polyharm.rationals import EXACT, FLOAT, integer_vector, rational
+from polyharm.rationals import EXACT, FLOAT, integer_vector, rational, scalar_of
 from polyharm.residuals import (
     ConformalGeometry,
     closed_form_coefficient,
@@ -237,7 +237,7 @@ def _kernel_fields(g: ConformalGeometry) -> dict:
 
 class TestGeometryKernelOracle:
     """The integer kernel of ConformalGeometry against the dense jet route:
-    its read set, the fields formed from its integers, and its refusals."""
+    the fields formed from its integers, and its refusals."""
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
     def test_exact_equal(self, m):
@@ -265,16 +265,6 @@ class TestGeometryKernelOracle:
             scale = max(abs(v) for v in b)
             assert scale > 0
             assert max(abs(u - v) for u, v in zip(a, b)) <= 1e-12 * scale, f
-
-    def test_read_set_is_degree_two_and_the_2ei_plus_ej(self):
-        for m in range(3, 9):
-            betas = {
-                tuple((key // 5**i) % 5 for i in range(m)) for key, _, _ in residuals._read_set(m)
-            }
-            want = {b for b in jets.multi_indices(m, 3) if sum(b) <= 2 or max(b) >= 2}
-            assert betas == want
-            assert len(betas) == 1 + m + m * (m + 1) // 2 + m * m
-        assert len(residuals._read_set(8)) == 109
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     @pytest.mark.parametrize(
@@ -503,10 +493,59 @@ class TestPolyharmonicJetOracle:
             assert diff <= 1e-12 * scale
 
 
+def _reciprocal_numerators(G, F, S, entries, pw) -> dict:
+    """Numerators N_beta of the Taylor coefficients of 1/f over an index set.
+
+    For f(x0 + t) = (F + 2 G.t + S |t|^2) / E the coefficients in t are
+    E N_beta / F^(|beta|+1), where N_0 = 1 and
+
+        N_beta = -2 sum_i G_i N_(beta - e_i) - S F sum_i N_(beta - 2 e_i),
+
+    integers when G, F and S are (a float run over doubles is the same
+    recurrence).  ``entries`` is an index set closed under beta - e_i and
+    beta - 2 e_i, as :func:`_index_set` lists it, with
+    keys sum_i beta_i pw_i; N is returned keyed the same way.
+    """
+    SF = S * F
+    N = {0: 1}
+    for key, ones, twos in entries[1:]:
+        acc = 0
+        for i in ones:
+            acc += G[i] * N[key - pw[i]]
+        acc2 = 0
+        for i in twos:
+            acc2 += N[key - 2 * pw[i]]
+        N[key] = -2 * acc - SF * acc2
+    return N
+
+
+def _index_set(m: int, top: int, max_degree: int) -> tuple:
+    """(key, {i : beta_i >= 1}, {i : beta_i >= 2}) in key order over
+    {beta : sum_i ceil(beta_i/2) <= top, |beta| <= max_degree}.
+
+    Keys use the place values (2 top + 1)^i.  Both bounds are kept by
+    beta - e_i and beta - 2 e_i, so the set is closed under the shifts of
+    :func:`_reciprocal_numerators`.
+    """
+    entries = [(0, top, max_degree, (), ())]
+    for i in range(m):
+        p = (2 * top + 1) ** i
+        grown = []
+        for b in range(2 * top + 1):
+            cost = (b + 1) // 2
+            one = (i,) if b >= 1 else ()
+            two = (i,) if b >= 2 else ()
+            for key, left, deg, ones, twos in entries:
+                if left >= cost and deg >= b:
+                    grown.append((key + b * p, left - cost, deg - b, ones + one, twos + two))
+        entries = grown
+    return tuple((key, ones, twos) for key, _, _, ones, twos in entries)
+
+
 def _needed_set(m, top):
     """N_top = {beta : sum_i ceil(beta_i/2) <= top}: the Taylor coefficients
     of 1/|u|^2 in the m coordinates of h that Delta^top reads."""
-    return residuals._index_set(m, top, 2 * top)
+    return _index_set(m, top, 2 * top)
 
 
 def _iterlap_weights(m, k):
@@ -540,7 +579,7 @@ def _taylor_route(mmap, orders, x):
     F = s * sum(v * v for v in U) + (1 - s) * D * D
     top = max(orders)
     pw = [(2 * top + 1) ** i for i in range(m)]
-    Q = residuals._reciprocal_numerators([s * v for v in U], F, s, _needed_set(m, top), pw)
+    Q = _reciprocal_numerators([s * v for v in U], F, s, _needed_set(m, top), pw)
     out = {}
     for k in orders:
         N = [0] * m
@@ -576,6 +615,103 @@ class TestPolyharmonicTaylorOracle:
             assert N[0] == 1
             for k in range(1, 9):
                 assert N[k] == closed_form_coefficient(m, k), (m, k)
+
+
+def _read_set_route(instance, x) -> dict:
+    """g, Lb, grad_Lb, Gamma, |g|^2 and the float noise floor the way the
+    kernel formed them before its closed forms: L_beta by the recurrence over
+    every beta of degree <= 2 and every 2 e_i + e_j (_index_set(m, 2, 3), keys
+    in base 5), then the m x m Hessian and third-order tables, contracted.
+    Also the largest |L_beta| of degree 2 and 3 that the floor reads, and the
+    kernel's inputs (W, SF, P2, G, P1) to check the closed-form maxima with."""
+    fq, m, c1 = instance.factor, instance.dim, instance.domain.curvature
+    if scalar_of(x) is not float:
+        point = [rational(v) for v in x]
+        D = math.lcm(fq.a_den, *(v.denominator for v in point))
+        X = [v.numerator * (D // v.denominator) for v in point]
+        U = [xi - D // fq.a_den * ai for xi, ai in zip(X, fq.a_num)]
+        q0, qg, qs = fq.value, fq.linear, fq.square
+    else:
+        D, X = 1, list(x)
+        U = [xi - ai / fq.a_den for xi, ai in zip(X, fq.a_num)]
+        q0, qs = fq.value / fq.den, fq.square / fq.den
+        qg = [v / fq.den for v in fq.linear]
+    D2 = D * D
+    W = (2 - c1 * c1) * D2 + c1 * sum(v * v for v in X)
+    F = q0 * D2 + 2 * D * sum(a * u for a, u in zip(qg, U)) + qs * sum(u * u for u in U)
+    entries = _index_set(m, 2, 3)
+    pw = [5**i for i in range(m)]
+    G = [D * (D * a + qs * u) for a, u in zip(qg, U)]
+    N = _reciprocal_numerators(G, F, qs * D2, entries, pw)
+    P1 = [2 * c1 * D * F * v for v in X]
+    P2 = c1 * D2 * F * F
+    L = {}
+    for key, ones, twos in entries:
+        acc = W * N[key]
+        for i in ones:
+            acc += P1[i] * N[key - pw[i]]
+        for i in twos:
+            acc += P2 * N[key - 2 * pw[i]]
+        L[key] = acc
+    g = [L[p] for p in pw]
+    H = [[L[p + q] * (2 if p == q else 1) for q in pw] for p in pw]
+    lap = sum(H[i][i] for i in range(m))
+    cube = [[L[2 * p + q] for q in pw] for p in pw]
+    t = [2 * sum(row[j] for row in cube) + 4 * cube[j][j] for j in range(m)]
+    xH = [sum(X[i] * H[i][j] for i in range(m)) for j in range(m)]
+    gH = [sum(g[i] * H[i][j] for i in range(m)) for j in range(m)]
+    gg = sum(v * v for v in g)
+    xg = sum(a * b for a, b in zip(X, g))
+    F2, r = F * F, (m - 2) * c1
+    out = {
+        "g": g,
+        "gg": gg,
+        "Lb": W * (W * lap - 2 * r * D * F * xg),
+        "grad_Lb": [
+            4 * c1 * D * F * W * X[j] * lap
+            + W * W * t[j]
+            - r * (4 * c1 * D2 * F2 * X[j] * xg + 2 * D2 * F2 * W * g[j] + 2 * D * F * W * xH[j])
+            for j in range(m)
+        ],
+        "Gamma": [2 * c1 * D * F * X[j] * gg + W * gH[j] for j in range(m)],
+        "deg2": max(abs(L[p + q]) for p in pw for q in pw),
+        "deg3": max(abs(v) for row in cube for v in row),
+        "closed_form_inputs": (W, qs * D2 * F, P2, G, P1),
+    }
+    if scalar_of(x) is float:
+        top = max(abs(W) / F, max(map(abs, g)) / F2, out["deg2"] / F2 / F, out["deg3"] / F2 / F2)
+        out["floor"] = residuals._DEGENERATE_SCALE_EPS * (1.0 + abs(fq.kappa) / 2 * top) ** 4
+    return out
+
+
+class TestGeometryClosedForms:
+    """The closed forms of ConformalGeometry on span(X, G) against the
+    recurrence over the multi-index read set they replaced, at dimensions
+    beyond those of the dense jet oracle."""
+
+    FIELDS = ("g", "gg", "Lb", "grad_Lb", "Gamma")
+
+    @pytest.mark.parametrize("m", [12, 16])
+    def test_exact_equal(self, m):
+        checked = 0
+        for c1, c2 in CURVATURE_PAIRS:
+            for eps in (0, 2):
+                inst, pts = make_instance(f"closed-forms:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, style=2)
+                geo = ConformalGeometry(inst, pts[0])
+                want = _read_set_route(inst, pts[0])
+                assert {f: getattr(geo, f) for f in self.FIELDS} == {f: want[f] for f in self.FIELDS}
+                maxima = residuals._largest_coefficients(*want["closed_form_inputs"])
+                assert maxima == (want["deg2"], want["deg3"])
+                checked += 1
+        assert checked == 9 * 2
+
+    @pytest.mark.parametrize("m,c1,c2,eps", [(5, 1, -1, 2), (8, -1, 1, 0), (12, 1, 0, 2), (16, -1, -1, 2)])
+    def test_float_noise_floor(self, m, c1, c2, eps):
+        inst, pts = make_instance(f"closed-forms-float:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, style=2)
+        pt = floats(pts[0])
+        got, want = ConformalGeometry(inst, pt).floor, _read_set_route(inst, pt)["floor"]
+        assert type(got) is float and got > residuals._DEGENERATE_SCALE_EPS
+        assert abs(got - want) <= 1e-12 * want
 
 
 class TestPolyharmonicFloat:
