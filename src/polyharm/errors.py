@@ -6,7 +6,8 @@ class PolyharmError(Exception):
 
 
 class ShapeMismatchError(PolyharmError):
-    """Jet operands disagree in dimension, base point, or scalar type."""
+    """Jet operands disagree in dimension, base point, or scalar type, or a
+    space form model has a dimension below 2 or a curvature outside -1, 0, 1."""
 
 
 class DegreeError(PolyharmError):

@@ -32,7 +32,7 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import DegreeError, ShapeMismatchError, SingularDivisionError
-from .rationals import coerce, inv, scalar_of
+from .rationals import coerce, scalar_of
 
 MultiIndex = tuple  # exponent tuple (beta_1, ..., beta_m), all entries >= 0
 
@@ -325,7 +325,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return self.scale(inv(coerce(other, self.scalar)))
+            return self.scale(self.scalar(1) / coerce(other, self.scalar))
         a, b = self._aligned(other)
         return _divide(a, b)
 
@@ -370,7 +370,7 @@ def _divide(a: Jet, b: Jet) -> Jet:
     if not b0:
         raise SingularDivisionError("division by a jet vanishing at the base point")
     space = a.space
-    inv_b0 = inv(b0)
+    inv_b0 = a.scalar(1) / b0
     supp = [
         (c, space.downshift(space.exponent(p)))
         for p, c in enumerate(b.coeffs)

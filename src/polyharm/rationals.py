@@ -61,13 +61,6 @@ def coerce(value, scalar: type):
     return float(value) if scalar is float else rational(value)
 
 
-def inv(value):
-    """Multiplicative inverse preserving scalar type."""
-    if isinstance(value, float):
-        return 1.0 / value
-    return 1 / Fraction(value)
-
-
 def integer_vector(values) -> tuple[list, int]:
     """(N, D) with values = N/D: D the lcm of the denominators, N integers."""
     D = math.lcm(*(v.denominator for v in values))

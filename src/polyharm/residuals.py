@@ -37,8 +37,10 @@ its float scale for several orders k at once.
 Both paths run on Python ints and meet a rational once per output value.
 Float mode runs the same code over doubles with every denominator 1.
 Neither entry point takes a mode: a computation is exact exactly when no
-coordinate of its point is a float, and :func:`vanishes` decides exactly
-when no value is a float.
+coordinate of its point is a float.  :func:`vanishes` has one zero rule:
+exact values must all be 0, float values need norm <= tol * scale, the
+scale being the summed norms of the terms that cancel, so a zero scale
+admits only a zero norm.  Terms that cancel are kept apart for that reason.
 
 Biharmonic path.  Every factor of the family is lambda = P/Q: P = kappa w,
 with w = 1/sigma the domain chart weight and kappa = k (flat target) or 2k
@@ -152,14 +154,6 @@ from .rationals import coerce, integer_vector, rational, scalar_of
 
 DEFAULT_FLOAT_TOL = 1e-9
 
-# Float-noise ceiling for a structurally-zero equation, relative to the fourth
-# power of the input-coefficient magnitude (terms are products of at most four
-# factors read off the Taylor coefficients of lambda).  When the term scale S
-# falls below this floor every term vanished identically rather than
-# cancelling, and the relative test norm <= tol*S degenerates to 0/0; the
-# floor then decides.
-_DEGENERATE_SCALE_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class ResidualVector:
@@ -167,10 +161,8 @@ class ResidualVector:
 
     ``scale`` is the sum of Euclidean norms of the equation's constituent
     terms; raw tolerances would be meaningless across lambda^4-sized terms.
-    ``exact_zero`` is the verdict of :func:`vanishes`.  Every term of these
-    equations can vanish identically (e.g. the flat inversive family in
-    dimension 4, whose Laplacian term does), so the bundle passes the floor
-    that marks a scale of pure machine noise.
+    ``exact_zero`` is the verdict of :func:`vanishes`: every exact value is
+    0, or the float norm is at most tol * scale.
     """
 
     values: tuple
@@ -183,20 +175,18 @@ def _norm(values) -> float:
     return math.sqrt(sum(float(v) ** 2 for v in values))
 
 
-def vanishes(values, scale: float, tol: float, floor: float = 0.0) -> bool:
-    """The zero decision every verdict rests on.
+def vanishes(values, scale: float, tol: float) -> bool:
+    """The zero decision every verdict rests on, one rule for both modes.
 
     Exact values (no value is a float): every value is literally zero.
     Float values: the norm is at most ``tol`` times ``scale``, the size of the
     terms that cancel in ``values``, since where the values vanish their
-    rounding error follows those terms.  A caller whose terms can all vanish identically passes the
-    noise ``floor`` of their size: a scale at or below it is rounding noise
-    itself, the relative test would be 0/0, and the norm is held to the floor.
+    rounding error follows those terms, so callers keep terms that cancel
+    apart.  A zero scale admits only a zero norm.
     """
     if scalar_of(values) is not float:
         return all(v == 0 for v in values)
-    nrm = _norm(values)
-    return nrm <= tol * scale if scale > floor else nrm <= floor
+    return _norm(values) <= tol * scale
 
 
 def _residual(g: ConformalGeometry, num, den, terms, tol) -> ResidualVector:
@@ -208,22 +198,8 @@ def _residual(g: ConformalGeometry, num, den, terms, tol) -> ResidualVector:
     """
     values = tuple(g.quotient(num * sum(col), den) for col in zip(*terms))
     scale = sum(_norm([num * v / den for v in t]) for t in terms)
-    zero = vanishes(values, scale, tol, g.floor)
+    zero = vanishes(values, scale, tol)
     return ResidualVector(values=values, exact_zero=zero, norm=_norm(values), scale=scale)
-
-
-def _largest_coefficients(W, SF, P2, G, P1) -> tuple[float, float]:
-    """max |L_beta| over |beta| = 2 and over the 2 e_i + e_j, for the float floor."""
-    deg2 = deg3 = 0.0
-    for i, (a, p) in enumerate(zip(G, P1)):
-        deg2 = max(deg2, abs(W * (4 * a * a - SF) - 2 * p * a + P2))
-        deg3 = max(deg3, abs((W * (4 * SF - 8 * a * a) + 4 * p * a - 2 * P2) * a - p * SF))
-        c, d = W * (4 * SF - 24 * a * a) + 8 * p * a - 2 * P2, 4 * a * a - SF
-        for j, (b, q) in enumerate(zip(G, P1)):
-            if j != i:
-                deg2 = max(deg2, abs(8 * W * a * b - 2 * (p * b + q * a)))
-                deg3 = max(deg3, abs(c * b + q * d))
-    return deg2, deg3
 
 
 class ConformalGeometry:
@@ -323,27 +299,22 @@ class ConformalGeometry:
         ]
         self.Gamma = [2 * c1 * D * F * X[j] * gg + W * gH[j] for j in range(m)]
         self.W, self.F, self.D4, self.Kn, self.Kd, self.g, self.gg = W, F, D2 * D2, Kn, Kd, g, gg
-        # float noise floor of the zero test, from 1 + the largest |lambda_beta|
-        # over |beta| <= 2 and the 2 e_i + e_j; exact verdicts read no floor
-        self.floor = 0.0
-        if scalar is float:
-            deg2, deg3 = _largest_coefficients(W, SF, P2, G, P1)
-            top = max(abs(W) / F, max(map(abs, g)) / F2, deg2 / (F2 * F), deg3 / (F2 * F2))
-            self.floor = _DEGENERATE_SCALE_EPS * (1.0 + abs(Kn) / Kd * top) ** 4
 
     def harmonic(self) -> bool:
         return not any(self.g)
 
 
 def _cl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
-    # lapbar lam, -m/2 (c1 lam - c2 lam^3) and ((m-4)/2) |gradbar lam|^2 / lam
-    # over Kn / (8 Kd^3 D^4 F^3)
+    # lapbar lam, -m/2 c1 lam, m/2 c2 lam^3 and ((m-4)/2) |gradbar lam|^2 / lam
+    # over Kn / (8 Kd^3 D^4 F^3); the middle two are two terms since they
+    # cancel where lam is constant, at an isometry of a curved space form
     m, W, F, D4, Kn, Kd = g.m, g.W, g.F, g.D4, g.Kn, g.Kd
     Kd2 = Kd * Kd
     t1 = (2 * Kd2 * g.Lb,)
-    t2 = (-4 * m * D4 * (g.c1 * Kd2 * W * F * F - g.c2 * Kn * Kn * W**3),)
-    t3 = ((m - 4) * Kd2 * W * g.gg,)
-    return _residual(g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3], tol)
+    t2 = (-4 * m * D4 * g.c1 * Kd2 * W * F * F,)
+    t3 = (4 * m * D4 * g.c2 * Kn * Kn * W**3,)
+    t4 = ((m - 4) * Kd2 * W * g.gg,)
+    return _residual(g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3, t4], tol)
 
 
 def _sdl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
@@ -374,16 +345,17 @@ def _nd_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
 
 
 def _nd2_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
-    # (m-4) gradbar |gradbar lam|^2 and
-    # [4 lapbar lam + (2-3m) c1 lam + 2 m c2 lam^3] gradbar lam
-    # over Kn^2 W^2 / (16 Kd^4 D^8 F^5)
+    # (m-4) gradbar |gradbar lam|^2, 4 lapbar lam gradbar lam and
+    # [(2-3m) c1 lam + 2 m c2 lam^3] gradbar lam over Kn^2 W^2 / (16 Kd^4 D^8 F^5);
+    # the last two are two terms since they cancel where m = 4, c1 = 0
     m, W, F, D4, Kn, Kd = g.m, g.W, g.F, g.D4, g.Kn, g.Kd
     Kd2 = Kd * Kd
     t1 = [2 * (m - 4) * Kd2 * W * v for v in g.Gamma]
-    c = 4 * Kd2 * g.Lb + 4 * D4 * W * ((2 - 3 * m) * g.c1 * Kd2 * F * F + 2 * m * g.c2 * Kn * Kn * W * W)
-    t2 = [c * v for v in g.g]
+    t2 = [4 * Kd2 * g.Lb * v for v in g.g]
+    c = 4 * D4 * W * ((2 - 3 * m) * g.c1 * Kd2 * F * F + 2 * m * g.c2 * Kn * Kn * W * W)
+    t3 = [c * v for v in g.g]
     num = (Kn * W) ** 2
-    return _residual(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2], tol)
+    return _residual(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol)
 
 
 def evaluate_residuals(instance: ConformalInstance, x, tol: float = DEFAULT_FLOAT_TOL) -> dict:

@@ -332,8 +332,8 @@ class TestAcceptance:
                 assert rv.norm <= 1e-9 * rv.scale, (
                     f"ACCEPTANCE 8: FAIL - zero case ratio {rv.norm / rv.scale:.2e}"
                 )
-        # the flat inversive family at m=4 has identically-zero terms: its
-        # scale is machine noise and the floor classification must call it zero
+        # the flat inversive family at m=4 has identically-zero terms: they are
+        # exactly 0.0, so scale and norm are 0.0 and the relative test holds
         inst, pts = _sweep_instance("acc8d:4:0:0:2", 4, 0, 0, 2, 0, 3)
         for x in pts:
             assert evaluate_residuals(inst, floats(x))["SDL"].exact_zero

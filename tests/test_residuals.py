@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ from polyharm.errors import (
 )
 from polyharm.jets import seed
 from polyharm.mobius import ConformalInstance, MobiusMap, integer_matrix
-from polyharm.rationals import EXACT, FLOAT, integer_vector, rational, scalar_of
+from polyharm.rationals import EXACT, FLOAT, integer_vector, rational
 from polyharm.residuals import (
     ConformalGeometry,
     closed_form_coefficient,
@@ -26,7 +27,15 @@ from polyharm.residuals import (
     radial_coefficients,
 )
 from polyharm.spaceform import SpaceFormModel
-from polyharm.verifier import CURVATURE_PAIRS, radial_classification_check, random_mobius
+from polyharm.verifier import (
+    CURVATURE_PAIRS,
+    _random_orthogonal,
+    _verdict,
+    load_config,
+    radial_classification_check,
+    random_mobius,
+    sample_points,
+)
 
 from conftest import floats, make_instance, rand_point, rand_rat, rng_for
 from jet_oracles import conformal_factor, grad_norm_sq_bar, inv_sigma_jet, laplace_beltrami
@@ -288,7 +297,7 @@ class TestGeometryKernelOracle:
         assert raised == _raised(lambda: _dense_geometry(inst, pt))
 
 
-def _field_residuals(instance, geo, floor=0.0, tol=residuals.DEFAULT_FLOAT_TOL) -> dict:
+def _field_residuals(instance, geo, tol=residuals.DEFAULT_FLOAT_TOL) -> dict:
     """CL, SDL, ND and ND2 as products and sums of the dense geometry's
     fields, each term vector normed on its own as the scale."""
     m, c1, c2 = instance.dim, instance.domain.curvature, instance.target.curvature
@@ -303,7 +312,8 @@ def _field_residuals(instance, geo, floor=0.0, tol=residuals.DEFAULT_FLOAT_TOL) 
     scal_m, scal_n = m * (m - 1) * c1, m * (m - 1) * c2
     cl = [
         (lapbar0,),
-        (-rational(1, 2 * (m - 1)) * (lam0 * scal_m - lam0**3 * scal_n),),
+        (-rational(1, 2 * (m - 1)) * lam0 * scal_m,),
+        (rational(1, 2 * (m - 1)) * lam0**3 * scal_n,),
         (half * geo["gnorm0"] / lam0,),
     ]
     sdl = [
@@ -318,13 +328,17 @@ def _field_residuals(instance, geo, floor=0.0, tol=residuals.DEFAULT_FLOAT_TOL) 
         tuple(-4 * lapbar0 * v for v in gb_lam),
         tuple(nd_coef * v for v in gb_lam),
     ]
-    nd2_coef = 4 * lapbar0 + (2 - 3 * m) * c1 * lam0 + 2 * m * c2 * lam0**3
-    nd2 = [tuple((m - 4) * v for v in gb_gnorm), tuple(nd2_coef * v for v in gb_lam)]
+    nd2_coef = (2 - 3 * m) * c1 * lam0 + 2 * m * c2 * lam0**3
+    nd2 = [
+        tuple((m - 4) * v for v in gb_gnorm),
+        tuple(4 * lapbar0 * v for v in gb_lam),
+        tuple(nd2_coef * v for v in gb_lam),
+    ]
     out = {}
     for name, terms in {"CL": cl, "SDL": sdl, "ND": nd, "ND2": nd2}.items():
         values = tuple(sum(t[i] for t in terms) for i in range(len(terms[0])))
         scale = sum(residuals._norm(t) for t in terms)
-        zero = residuals.vanishes(values, scale, tol, floor)
+        zero = residuals.vanishes(values, scale, tol)
         out[name] = residuals.ResidualVector(values, zero, residuals._norm(values), scale)
     return out
 
@@ -356,8 +370,7 @@ class TestResidualAssemblyOracle:
         inst, pts = make_instance(f"assembly-oracle-float:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, style=2)
         pt = floats(pts[0])
         got = evaluate_residuals(inst, pt)
-        floor = ConformalGeometry(inst, pt).floor
-        want = _field_residuals(inst, _dense_geometry(inst, pt), floor)
+        want = _field_residuals(inst, _dense_geometry(inst, pt))
         for name, rv in want.items():
             assert rv.scale > 0
             bound = 1e-12 * rv.scale
@@ -365,6 +378,72 @@ class TestResidualAssemblyOracle:
             assert abs(got[name].norm - rv.norm) <= bound, name
             assert abs(got[name].scale - rv.scale) <= bound, name
             assert got[name].exact_zero == rv.exact_zero, name
+
+
+class TestFloatZeroRule:
+    """One zero rule: exact values are all 0, float norms are at most
+    tol * scale.  Float mode must then flag what exact mode flags."""
+
+    def test_float_flags_match_exact_on_odd_denominators(self):
+        # 18 families at m 3..8, ten points each with denominators 3..13; two
+        # of these points, both at m = 3 on a hyperbolic target, have a nonzero
+        # SDL below an absolute noise floor sized by the Taylor coefficients
+        rng = rng_for("float-flags:0")
+        checked = 0
+        for m in range(3, 9):
+            for c1, c2 in CURVATURE_PAIRS:
+                for eps in (0, 2):
+                    mmap = random_mobius(rng, m, SpaceFormModel(m, c2), eps, style=rng.randrange(3))
+                    inst = ConformalInstance(SpaceFormModel(m, c1), SpaceFormModel(m, c2), mmap)
+                    for _ in range(10):
+                        q = rng.choice((3, 5, 7, 9, 11, 13))
+                        x = tuple(rational(rng.randint(-q // 2, q // 2), q) for _ in range(m))
+                        try:
+                            exact = evaluate_residuals(inst, x)
+                        except PolyharmError:
+                            continue
+                        flt = evaluate_residuals(inst, floats(x))
+                        for name in ("CL", "SDL", "ND", "ND2"):
+                            assert flt[name].exact_zero == exact[name].exact_zero, (name, m, c1, c2, eps, x)
+                        assert _verdict([flt])[0] == _verdict([exact])[0], (m, c1, c2, eps, x)
+                        checked += 1
+        assert checked > 900
+
+    @pytest.mark.parametrize("c", [1, -1])
+    def test_curved_isometry_is_harmonic_in_float(self, c):
+        # a rotation of a curved space form has lam = 1: CL's c1 lam and
+        # c2 lam^3 terms cancel and its other terms are rounding noise, so the
+        # scale counts those two apart
+        rng = rng_for(f"float-isometry:{c}")
+        checked = 0
+        for m in (3, 5, 8):
+            zero = _zeros(m)
+            mmap = MobiusMap.build(a=zero, b=zero, k=1, A=_random_orthogonal(rng, m, 2), epsilon=0)
+            inst = ConformalInstance(SpaceFormModel(m, c), SpaceFormModel(m, c), mmap)
+            for _ in range(8):
+                q = rng.choice((3, 5, 7, 9, 11, 13))
+                x = tuple(rational(rng.randint(-q // 3, q // 3), q) for _ in range(m))
+                exact, flt = evaluate_residuals(inst, x), evaluate_residuals(inst, floats(x))
+                assert exact["CL"].exact_zero and flt["CL"].exact_zero, x
+                assert _verdict([flt])[0] == _verdict([exact])[0] == "harmonic", x
+                checked += 1
+        assert checked == 24
+
+    def test_degenerate_nd2_is_decided_by_the_relative_test(self):
+        # flat -> sphere at m = 4: ND2's (m-4) term is 0, and 4 lapbar lam and
+        # the curvature part, which cancel, are two terms, so the scale is
+        # their size and not the rounding noise of their sum
+        configured, plan = load_config(Path(__file__).parent / "golden" / "curved_check.json")
+        inst = configured[0].instance
+        assert (inst.dim, inst.domain.curvature, inst.target.curvature) == (4, 0, 1)
+        drawn = sample_points(plan, inst)
+        explicit = [
+            tuple(rational(v) for v in p)
+            for p in (("1/3", "1/5", "-1/7", "2/9"), ("-2/11", "1/13", "1/3", "-1/5"), ("3/7", "-1/9", "1/11", "1/13"))
+        ]
+        for x in drawn + explicit:
+            rv = evaluate_residuals(inst, floats(x))["ND2"]
+            assert rv.exact_zero and rv.scale > 1e-3 and rv.norm <= 1e-9 * rv.scale, (x, rv.norm, rv.scale)
 
 
 class TestScalarType:
@@ -618,24 +697,16 @@ class TestPolyharmonicTaylorOracle:
 
 
 def _read_set_route(instance, x) -> dict:
-    """g, Lb, grad_Lb, Gamma, |g|^2 and the float noise floor the way the
-    kernel formed them before its closed forms: L_beta by the recurrence over
-    every beta of degree <= 2 and every 2 e_i + e_j (_index_set(m, 2, 3), keys
-    in base 5), then the m x m Hessian and third-order tables, contracted.
-    Also the largest |L_beta| of degree 2 and 3 that the floor reads, and the
-    kernel's inputs (W, SF, P2, G, P1) to check the closed-form maxima with."""
+    """g, Lb, grad_Lb, Gamma and |g|^2 the way the kernel formed them before
+    its closed forms: L_beta by the recurrence over every beta of degree <= 2
+    and every 2 e_i + e_j (_index_set(m, 2, 3), keys in base 5), then the
+    m x m Hessian and third-order tables, contracted; at an exact point."""
     fq, m, c1 = instance.factor, instance.dim, instance.domain.curvature
-    if scalar_of(x) is not float:
-        point = [rational(v) for v in x]
-        D = math.lcm(fq.a_den, *(v.denominator for v in point))
-        X = [v.numerator * (D // v.denominator) for v in point]
-        U = [xi - D // fq.a_den * ai for xi, ai in zip(X, fq.a_num)]
-        q0, qg, qs = fq.value, fq.linear, fq.square
-    else:
-        D, X = 1, list(x)
-        U = [xi - ai / fq.a_den for xi, ai in zip(X, fq.a_num)]
-        q0, qs = fq.value / fq.den, fq.square / fq.den
-        qg = [v / fq.den for v in fq.linear]
+    point = [rational(v) for v in x]
+    D = math.lcm(fq.a_den, *(v.denominator for v in point))
+    X = [v.numerator * (D // v.denominator) for v in point]
+    U = [xi - D // fq.a_den * ai for xi, ai in zip(X, fq.a_num)]
+    q0, qg, qs = fq.value, fq.linear, fq.square
     D2 = D * D
     W = (2 - c1 * c1) * D2 + c1 * sum(v * v for v in X)
     F = q0 * D2 + 2 * D * sum(a * u for a, u in zip(qg, U)) + qs * sum(u * u for u in U)
@@ -663,7 +734,7 @@ def _read_set_route(instance, x) -> dict:
     gg = sum(v * v for v in g)
     xg = sum(a * b for a, b in zip(X, g))
     F2, r = F * F, (m - 2) * c1
-    out = {
+    return {
         "g": g,
         "gg": gg,
         "Lb": W * (W * lap - 2 * r * D * F * xg),
@@ -674,14 +745,7 @@ def _read_set_route(instance, x) -> dict:
             for j in range(m)
         ],
         "Gamma": [2 * c1 * D * F * X[j] * gg + W * gH[j] for j in range(m)],
-        "deg2": max(abs(L[p + q]) for p in pw for q in pw),
-        "deg3": max(abs(v) for row in cube for v in row),
-        "closed_form_inputs": (W, qs * D2 * F, P2, G, P1),
     }
-    if scalar_of(x) is float:
-        top = max(abs(W) / F, max(map(abs, g)) / F2, out["deg2"] / F2 / F, out["deg3"] / F2 / F2)
-        out["floor"] = residuals._DEGENERATE_SCALE_EPS * (1.0 + abs(fq.kappa) / 2 * top) ** 4
-    return out
 
 
 class TestGeometryClosedForms:
@@ -700,18 +764,8 @@ class TestGeometryClosedForms:
                 geo = ConformalGeometry(inst, pts[0])
                 want = _read_set_route(inst, pts[0])
                 assert {f: getattr(geo, f) for f in self.FIELDS} == {f: want[f] for f in self.FIELDS}
-                maxima = residuals._largest_coefficients(*want["closed_form_inputs"])
-                assert maxima == (want["deg2"], want["deg3"])
                 checked += 1
         assert checked == 9 * 2
-
-    @pytest.mark.parametrize("m,c1,c2,eps", [(5, 1, -1, 2), (8, -1, 1, 0), (12, 1, 0, 2), (16, -1, -1, 2)])
-    def test_float_noise_floor(self, m, c1, c2, eps):
-        inst, pts = make_instance(f"closed-forms-float:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, style=2)
-        pt = floats(pts[0])
-        got, want = ConformalGeometry(inst, pt).floor, _read_set_route(inst, pt)["floor"]
-        assert type(got) is float and got > residuals._DEGENERATE_SCALE_EPS
-        assert abs(got - want) <= 1e-12 * want
 
 
 class TestPolyharmonicFloat:

@@ -605,6 +605,22 @@ class TestFloatBoundary:
             assert tuple(float(rational(v)) for v in p["point"]) == x
             assert all("/" in v for v in p["point"])
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_hyperbolic_inversion_m3_not_biharmonic(self, tmp_path, capsys, mode):
+        # SDL here is 2.3e4 against terms of 1.5e5, far from zero, yet below
+        # 1e-12 (1 + max |lambda_beta|)^4 = 1.3e6: an absolute noise floor
+        # sized by the Taylor coefficients alone calls it zero in float mode
+        cfg = {
+            "domain": {"model": "hyperbolic", "dim": 3},
+            "target": {"model": "hyperbolic", "dim": 3},
+            "map": {"a": ["1/2", "1/2", "0"], "b": ["0", "-1/7", "-1/8"], "k": "3/7", "epsilon": 2},
+            "sample": {"points": [["2/13", "1/11", "-2/11"]]},
+            "expect": "not-biharmonic",
+        }
+        assert main(["check", str(_write(tmp_path, cfg)), "--mode", mode, "--format", "json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["instances"]
+        assert entry["verdict"] == "not-biharmonic"
+
 
 class TestReports:
     def _report(self, seed=3):
