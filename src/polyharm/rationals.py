@@ -3,8 +3,8 @@
 Exact mode works on arbitrary-precision rationals, ``fractions.Fraction``.
 No hot loop runs on them: both residual paths run their integer kernels on
 Python ints (see :mod:`polyharm.residuals`) and meet a rational only once
-per output value, and the rationals carry the map parameters, the points and
-the reports.  Float mode uses plain doubles and exists for speed and for
+per output value read, and the rationals carry the map parameters, the points
+and the reports.  Float mode uses plain doubles and exists for speed and for
 finite-difference cross-validation only.
 
 The mode is the scalar type of the point a computation runs at: it is exact

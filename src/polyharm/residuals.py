@@ -31,10 +31,12 @@ Ric = (m-1) c g.
 
 The module has two entry points: :func:`evaluate_residuals` gives CL, SDL,
 ND, ND2 and the harmonicity flag at one point, all from one
-``ConformalGeometry``, and :func:`polyharmonic_orders` gives Delta^k phi with
-its float scale for several orders k at once.
+``ConformalGeometry`` and each residual formed when it is read, and
+:func:`polyharmonic_orders` gives Delta^k phi with its float scale for
+several orders k at once.
 
-Both paths run on Python ints and meet a rational once per output value.
+Both paths run on Python ints and meet a rational once per output value
+read.
 Float mode runs the same code over doubles with every denominator 1.
 Neither entry point takes a mode: a computation is exact exactly when no
 coordinate of its point is a float.  :func:`vanishes` has one zero rule:
@@ -87,10 +89,15 @@ K grad_Lb / (4 D^4 F^4), Gamma_j = 2 c1 D F X_j |g|^2 + W (H g)_j, and
                                           + 8 (m-1) c1 D^4 F^2 W g_j]
 
 and ND, ND2 the like sums over Kn^2 W^2 / (16 Kd^4 D^8 F^5).  Each term of
-a residual stays one integer vector over that one positive denominator, and
-each output component meets one rational; the float term sizes are int/int
-quotients.  The tests keep the recurrence over its multi-index set and the
-dense jet route (their ``jet_oracles`` module) as oracles.
+a residual stays one integer vector over that one positive denominator.  A
+residual is formed only when read, and then holds only the integer column
+sums of its terms; each output component meets one rational, and the float
+term sizes are int/int quotients, when first read.  Exact zeros are decided
+on the integer numerators: the prefactor numerator Kn or (Kn W)^2 and the
+denominator are nonzero, since the geometry raises unless Kn, W and F are
+positive, so a component is 0 exactly when its integer sum is.  The tests
+keep the recurrence over its multi-index set and the dense jet route (their
+``jet_oracles`` module) as oracles.
 
 Polyharmonic path.  Flat-target polyharmonicity reduces to iterated flat
 Laplacians of the map components.  On the inversive branch (eps = 2)
@@ -136,8 +143,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import (
@@ -155,20 +163,49 @@ from .rationals import coerce, integer_vector, rational, scalar_of
 DEFAULT_FLOAT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class ResidualVector:
-    """Residual of one equation, with its scale for float mode.
+    """Residual of one equation, num/den * sum(terms), each term an integer
+    vector (a double vector in float mode), with its scale for float mode.
 
-    ``scale`` is the sum of Euclidean norms of the equation's constituent
-    terms; raw tolerances would be meaningless across lambda^4-sized terms.
-    ``exact_zero`` is the verdict of :func:`vanishes`: every exact value is
-    0, or the float norm is at most tol * scale.
+    Construction keeps only the integer column sums of the terms; ``values``
+    (one rational per component), ``norm``, ``scale`` and ``exact_zero`` are
+    formed the first time they are read.  ``scale`` is the sum of Euclidean
+    norms of the equation's constituent terms, read off the int/int quotients
+    (num * t)/den: the correctly rounded floats of the exact terms, as
+    ``float`` of those rationals gives.  Raw tolerances would be meaningless
+    across lambda^4-sized terms.
+
+    ``exact_zero`` is the verdict of :func:`vanishes`.  Exact mode decides it
+    on the integer numerators, ``not any(sums)``: each value is num * s / den
+    with num = Kn or (Kn W)^2 and den a positive multiple of powers of Kd, D
+    and F, and ``ConformalGeometry`` raises unless Kn, W and F are positive,
+    so a value is 0 exactly when its sum s is.  Float mode calls
+    ``vanishes(values, scale, tol)``.
     """
 
-    values: tuple
-    exact_zero: bool
-    norm: float
-    scale: float
+    def __init__(self, g: ConformalGeometry, num, den, terms, tol: float):
+        self._quotient, self._exact = g.quotient, g.exact
+        self._num, self._den, self._terms, self._tol = num, den, terms, tol
+        self._sums = [sum(col) for col in zip(*terms)]
+
+    @cached_property
+    def values(self) -> tuple:
+        return tuple(self._quotient(self._num * s, self._den) for s in self._sums)
+
+    @cached_property
+    def norm(self) -> float:
+        return _norm(self.values)
+
+    @cached_property
+    def scale(self) -> float:
+        num, den = self._num, self._den
+        return sum(_norm([num * v / den for v in t]) for t in self._terms)
+
+    @cached_property
+    def exact_zero(self) -> bool:
+        if self._exact:
+            return not any(self._sums)
+        return vanishes(self.values, self.scale, self._tol)
 
 
 def _norm(values) -> float:
@@ -187,19 +224,6 @@ def vanishes(values, scale: float, tol: float) -> bool:
     if scalar_of(values) is not float:
         return all(v == 0 for v in values)
     return _norm(values) <= tol * scale
-
-
-def _residual(g: ConformalGeometry, num, den, terms, tol) -> ResidualVector:
-    """The residual num/den * sum(terms), each term an integer vector.
-
-    Each value meets one rational.  The scale is the sum of the term norms,
-    read off the int/int quotients (num * t)/den: the correctly rounded
-    floats of the exact terms, as ``float`` of those rationals gives.
-    """
-    values = tuple(g.quotient(num * sum(col), den) for col in zip(*terms))
-    scale = sum(_norm([num * v / den for v in t]) for t in terms)
-    zero = vanishes(values, scale, tol)
-    return ResidualVector(values=values, exact_zero=zero, norm=_norm(values), scale=scale)
 
 
 class ConformalGeometry:
@@ -241,7 +265,7 @@ class ConformalGeometry:
             qg = [v / fq.den for v in fq.linear]
             Kn, Kd = float(fq.kappa) / 2, 1
             quotient = operator.truediv
-        self.quotient = quotient
+        self.quotient, self.exact = quotient, scalar is not float
         D2 = D * D
         # 2 D^2 w(x0) for the chart weight w = 1/sigma: 1 on the flat chart,
         # (1 + c1 |x|^2)/2 on the curved ones
@@ -299,9 +323,16 @@ class ConformalGeometry:
         ]
         self.Gamma = [2 * c1 * D * F * X[j] * gg + W * gH[j] for j in range(m)]
         self.W, self.F, self.D4, self.Kn, self.Kd, self.g, self.gg = W, F, D2 * D2, Kn, Kd, g, gg
+        self.P1, self.G = P1, G
 
-    def harmonic(self) -> bool:
-        return not any(self.g)
+    def harmonic(self, tol: float) -> bool:
+        """Whether grad lambda = g / F^2 vanishes, g = P1 - 2 W G: every entry
+        is 0 in exact mode; in float mode :func:`vanishes` judges g against
+        |P1| + 2 |W| |G|, the size of its two terms, which cancel wherever
+        lambda is constant."""
+        if self.exact:
+            return not any(self.g)
+        return vanishes(self.g, _norm(self.P1) + 2 * abs(self.W) * _norm(self.G), tol)
 
 
 def _cl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
@@ -314,7 +345,7 @@ def _cl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     t2 = (-4 * m * D4 * g.c1 * Kd2 * W * F * F,)
     t3 = (4 * m * D4 * g.c2 * Kn * Kn * W**3,)
     t4 = ((m - 4) * Kd2 * W * g.gg,)
-    return _residual(g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3, t4], tol)
+    return ResidualVector(g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3, t4], tol)
 
 
 def _sdl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
@@ -327,7 +358,7 @@ def _sdl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     c = 8 * (m - 1) * g.c1 * D4 * F * F * W
     t4 = [c * v for v in g.g]
     num = (g.Kn * W) ** 2
-    return _residual(g, num, 16 * g.Kd**2 * D4 * D4 * F**5, [t1, t2, t3, t4], tol)
+    return ResidualVector(g, num, 16 * g.Kd**2 * D4 * D4 * F**5, [t1, t2, t3, t4], tol)
 
 
 def _nd_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
@@ -341,7 +372,7 @@ def _nd_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     c = 4 * D4 * W * (2 * m * g.c2 * Kn * Kn * W * W + (m - 2) * g.c1 * Kd2 * F * F)
     t3 = [c * v for v in g.g]
     num = (Kn * W) ** 2
-    return _residual(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol)
+    return ResidualVector(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol)
 
 
 def _nd2_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
@@ -355,22 +386,49 @@ def _nd2_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     c = 4 * D4 * W * ((2 - 3 * m) * g.c1 * Kd2 * F * F + 2 * m * g.c2 * Kn * Kn * W * W)
     t3 = [c * v for v in g.g]
     num = (Kn * W) ** 2
-    return _residual(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol)
+    return ResidualVector(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol)
 
 
-def evaluate_residuals(instance: ConformalInstance, x, tol: float = DEFAULT_FLOAT_TOL) -> dict:
+class _Residuals(Mapping):
+    """CL, SDL, ND and ND2 at one point, each formed the first time its key is
+    read and then kept, and the harmonicity flag, set on construction."""
+
+    # the function forming each residual, looked up on the module by name
+    # when its key is first read, so a replaced module function is the one
+    # that runs
+    _FORMED_BY = {
+        "CL": "_cl_from_geometry",
+        "SDL": "_sdl_from_geometry",
+        "ND": "_nd_from_geometry",
+        "ND2": "_nd2_from_geometry",
+    }
+
+    def __init__(self, geometry: ConformalGeometry, tol: float):
+        self._geometry, self._tol = geometry, tol
+        self._formed = {"harmonic": geometry.harmonic(tol)}
+
+    def __getitem__(self, key):
+        if key not in self._formed:
+            form = globals()[self._FORMED_BY[key]]
+            self._formed[key] = form(self._geometry, self._tol)
+        return self._formed[key]
+
+    def __iter__(self):
+        return iter((*self._FORMED_BY, "harmonic"))
+
+    def __len__(self) -> int:
+        return len(self._FORMED_BY) + 1
+
+
+def evaluate_residuals(instance: ConformalInstance, x, tol: float = DEFAULT_FLOAT_TOL) -> Mapping:
     """All four residuals plus the harmonicity flag, from one ``ConformalGeometry``.
 
     Exact at a rational point x, float at a point with a float coordinate.
+    The geometry and the flag are formed here; each residual is formed when
+    its key of the returned mapping is first read, so a caller that reads
+    only CL, the flag and SDL (a verdict) never forms ND or ND2.
     """
-    g = ConformalGeometry(instance, x)
-    return {
-        "CL": _cl_from_geometry(g, tol),
-        "SDL": _sdl_from_geometry(g, tol),
-        "ND": _nd_from_geometry(g, tol),
-        "ND2": _nd2_from_geometry(g, tol),
-        "harmonic": g.harmonic(),
-    }
+    return _Residuals(ConformalGeometry(instance, x), tol)
 
 
 # -- flat-target polyharmonicity ---------------------------------------------

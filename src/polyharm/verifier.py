@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -563,6 +564,7 @@ def sweep_biharmonic(
     for m in m_values:
         for c1, c2 in pairs:
             for epsilon in eps_values:
+                start = time.perf_counter()
                 expected = expected_proper_biharmonic(m, c1, c2, epsilon)
                 trial_out = []
                 for t in range(trials):
@@ -593,6 +595,10 @@ def sweep_biharmonic(
                         "trials": trial_out,
                         "match": all(t["proper"] == expected for t in trial_out),
                     }
+                )
+                log.info(
+                    "biharmonic cell m=%d c1=%d c2=%d eps=%d: %s, match=%s (%.3fs)",
+                    m, c1, c2, epsilon, cells[-1]["verdict"], cells[-1]["match"], time.perf_counter() - start,
                 )
     return {
         "cells": cells,
@@ -633,6 +639,7 @@ def sweep_polyharmonic(
     cells = []
     for order in orders:
         for m in m_values:
+            start = time.perf_counter()
             expected_zero = expected_polyharmonic_zero(m, order)
             expected_proper = m == 2 * order
             trial_out = []
@@ -671,6 +678,10 @@ def sweep_polyharmonic(
                         for t in trial_out
                     ),
                 }
+            )
+            log.info(
+                "polyharmonic cell k=%d m=%d: match=%s (%.3fs)",
+                order, m, cells[-1]["match"], time.perf_counter() - start,
             )
     return {
         "cells": cells,

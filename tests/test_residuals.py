@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -339,7 +340,7 @@ def _field_residuals(instance, geo, tol=residuals.DEFAULT_FLOAT_TOL) -> dict:
         values = tuple(sum(t[i] for t in terms) for i in range(len(terms[0])))
         scale = sum(residuals._norm(t) for t in terms)
         zero = residuals.vanishes(values, scale, tol)
-        out[name] = residuals.ResidualVector(values, zero, residuals._norm(values), scale)
+        out[name] = SimpleNamespace(values=values, exact_zero=zero, norm=residuals._norm(values), scale=scale)
     return out
 
 
@@ -348,22 +349,39 @@ class TestResidualAssemblyOracle:
     same residuals formed from the dense jet route's lambda, lapbar lambda,
     |gradbar lambda|^2 and their gradients."""
 
-    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
-    def test_exact_equal(self, m):
-        checked = 0
+    @staticmethod
+    def _instances(m):
         for c1, c2 in CURVATURE_PAIRS:
             for eps in (0, 2):
                 for style in (0, 1, 2):
-                    inst, pts = make_instance(f"assembly-oracle:{m}:{c1}:{c2}:{eps}:{style}", m, c1, c2, eps, style)
-                    got = evaluate_residuals(inst, pts[0])
-                    want = _field_residuals(inst, _dense_geometry(inst, pts[0]))
-                    for name, rv in want.items():
-                        assert got[name].values == rv.values, name
-                        assert got[name].exact_zero == rv.exact_zero, name
-                        assert repr(got[name].norm) == repr(rv.norm), name
-                        assert repr(got[name].scale) == repr(rv.scale), name
-                    checked += 1
+                    yield make_instance(f"assembly-oracle:{m}:{c1}:{c2}:{eps}:{style}", m, c1, c2, eps, style)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    def test_exact_equal(self, m):
+        checked = 0
+        for inst, pts in self._instances(m):
+            got = evaluate_residuals(inst, pts[0])
+            want = _field_residuals(inst, _dense_geometry(inst, pts[0]))
+            for name, rv in want.items():
+                assert got[name].values == rv.values, name
+                assert got[name].exact_zero == rv.exact_zero, name
+                assert repr(got[name].norm) == repr(rv.norm), name
+                assert repr(got[name].scale) == repr(rv.scale), name
+            checked += 1
         assert checked == 9 * 2 * 3
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    def test_exact_zero_read_on_integer_numerators(self, m):
+        # exact_zero is read first, from the integer sums alone, and must be
+        # the zero test of the rationals formed afterwards
+        zeros = 0
+        for inst, pts in self._instances(m):
+            got = evaluate_residuals(inst, pts[0])
+            for name in ("CL", "SDL", "ND", "ND2"):
+                zero = got[name].exact_zero
+                assert zero == all(v == 0 for v in got[name].values), name
+                zeros += zero
+        assert zeros > 0
 
     @pytest.mark.parametrize("m,c1,c2,eps", [(5, 1, -1, 2), (6, -1, 1, 0), (7, 1, 0, 2), (8, -1, -1, 2)])
     def test_float_within_relative_tolerance(self, m, c1, c2, eps):
@@ -428,6 +446,19 @@ class TestFloatZeroRule:
                 assert _verdict([flt])[0] == _verdict([exact])[0] == "harmonic", x
                 checked += 1
         assert checked == 24
+
+    def test_hyperbolic_isometry_is_harmonic_in_float(self):
+        # an isometry of the hyperbolic ball off the origin: lam is constant,
+        # so g = P1 - 2 W G cancels to rounding noise in float mode, and the
+        # flag must judge it against the size of its two terms
+        m = 3
+        centre = (rational(5, 4), rational(0), rational(0))
+        mmap = MobiusMap.build(a=centre, b=centre, k=rational(9, 16), epsilon=2)
+        inst = ConformalInstance(SpaceFormModel.hyperbolic(m), SpaceFormModel.hyperbolic(m), mmap)
+        for x in ((rational(1, 3), rational(-1, 5), rational(1, 7)), (rational(-2, 9), rational(1, 11), rational(1, 13))):
+            exact, flt = evaluate_residuals(inst, x), evaluate_residuals(inst, floats(x))
+            assert exact["harmonic"] and flt["harmonic"], x
+            assert _verdict([flt])[0] == _verdict([exact])[0] == "harmonic", x
 
     def test_degenerate_nd2_is_decided_by_the_relative_test(self):
         # flat -> sphere at m = 4: ND2's (m-4) term is 0, and 4 lapbar lam and

@@ -5,8 +5,10 @@ import copy
 import hashlib
 import itertools
 import json
+import logging
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -579,6 +581,59 @@ def _spy(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(residuals, name, spy)
     return seen
+
+
+_RESIDUAL_FUNCTIONS = ("_cl_from_geometry", "_sdl_from_geometry", "_nd_from_geometry", "_nd2_from_geometry")
+
+
+def _count_residual_calls(monkeypatch) -> dict:
+    """Count the calls of the residuals module's function for each residual."""
+    counts = dict.fromkeys(_RESIDUAL_FUNCTIONS, 0)
+
+    def counted(name, original):
+        def form(g, tol):
+            counts[name] += 1
+            return original(g, tol)
+
+        return form
+
+    for name in _RESIDUAL_FUNCTIONS:
+        monkeypatch.setattr(residuals, name, counted(name, getattr(residuals, name)))
+    return counts
+
+
+class TestResidualsOnDemand:
+    """A residual is formed only when read: a verdict reads CL, the flag and
+    SDL, a check report prints all four."""
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_sweep_forms_neither_necessary_condition(self, monkeypatch, mode):
+        counts = _count_residual_calls(monkeypatch)
+        body = sweep_biharmonic(m_values=(4, 5), pairs=((0, 1), (1, 1)), eps_values=(0, 2), trials=1, points=2, mode=mode)
+        assert body["all_match"]
+        assert counts["_cl_from_geometry"] > 0 and counts["_sdl_from_geometry"] > 0
+        assert counts["_nd_from_geometry"] == counts["_nd2_from_geometry"] == 0
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_check_forms_all_four_per_point(self, monkeypatch, mode):
+        counts = _count_residual_calls(monkeypatch)
+        inst = ConformalInstance(
+            SpaceFormModel.flat(4), SpaceFormModel.sphere(4), MobiusMap.inversion(4)
+        )
+        out = run_check(inst, SamplePlan(seed=2, count=3), mode=mode)
+        assert len(out["points"]) == 3
+        assert counts == dict.fromkeys(_RESIDUAL_FUNCTIONS, 3)
+
+
+class TestProgressLog:
+    def test_sweeps_log_one_timed_line_per_cell(self, caplog):
+        with caplog.at_level(logging.INFO, logger="polyharm"):
+            sweep_biharmonic(m_values=(3, 4), pairs=((0, 0),), eps_values=(0, 2), trials=1, points=1)
+            sweep_polyharmonic(orders=(1, 2), m_values=(3,))
+        lines = [r.getMessage() for r in caplog.records if r.name == "polyharm" and r.levelno == logging.INFO]
+        assert sum(line.startswith("biharmonic cell m=") for line in lines) == 4
+        assert sum(line.startswith("polyharmonic cell k=") for line in lines) == 2
+        assert len(lines) == 6 and all(re.search(r"\(\d+\.\d{3}s\)$", line) for line in lines), lines
 
 
 class TestFloatBoundary:
