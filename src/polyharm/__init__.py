@@ -6,13 +6,14 @@ The pipeline: :mod:`polyharm.spaceform` supplies the conformal chart models,
 lambda = P/Q and the conformality cross-check, :mod:`polyharm.residuals` the
 two residual evaluators (``evaluate_residuals`` for the biharmonic table,
 ``polyharmonic_orders`` for the polyharmonic one) with the curved operators
-on integers, and :mod:`polyharm.verifier` sampling, sweeps, and
+on integers, :mod:`polyharm.sampling` the seeded map and point draws, also
+on integers, and :mod:`polyharm.verifier` plans, sweeps, and
 machine-readable reports.  :mod:`polyharm.jets` is truncated Taylor
 arithmetic off the verdict path: the tests build their dense-jet oracles on
 it, and selftest checks it.  Import names from those modules; the package
 itself re-exports none.
 """
 
-from . import jets, mobius, rationals, residuals, spaceform, verifier
+from . import jets, mobius, rationals, residuals, sampling, spaceform, verifier
 
 __version__ = "0.1.0"

@@ -20,9 +20,15 @@ components: with u = x - a and f = |u|^2,
 
 where <A^T b, u> is linear and f a quadratic.  The identity holds only for
 exactly orthogonal A, which ``validate`` certifies for every ``MobiusMap``
-as it is constructed.  It makes every factor of the family a quotient
+as it is constructed, on integers: with A = N/D over one positive D, the
+check is N^T N == D^2 I (``is_orthogonal_integers``).  A drawn matrix is
+formed from its integers (``MobiusMap.from_integers``), which the draw hands
+to validation; a configured one has them read off A (``is_orthogonal``).
+Either way the map keeps them as ``A_integers``, and no map skips the
+check.  It makes every factor of the family a quotient
 lambda = P/Q of two isotropic quadratics, which ``factor_quadratic`` reads
-off the map parameters once per instance (``ConformalInstance.factor``); the
+off the integers of the map parameters once per instance
+(``ConformalInstance.factor``); the
 residual kernel of :mod:`polyharm.residuals` works from that quotient alone.
 It is the one route to the factor in the package.  ``conformality_check``
 tests it against the map itself: the closed Jacobian of phi and the target
@@ -44,6 +50,8 @@ rounding and residuals downstream stay exactly zero where they should.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -64,19 +72,29 @@ def identity_matrix(m: int) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
 
 
-def signed_permutation(perm, signs=None) -> Matrix:
-    """Orthogonal matrix sending e_j to signs[j] * e_perm[j]."""
+def signed_permutation_integers(perm, signs=None) -> list:
+    """Integer rows of the orthogonal matrix sending e_j to signs[j] * e_perm[j]."""
     m = len(perm)
     if sorted(perm) != list(range(m)):
         raise MapValidationError(f"{perm!r} is not a permutation of 0..{m - 1}")
     signs = signs if signs is not None else [1] * m
     if any(s not in (-1, 1) for s in signs):
         raise MapValidationError("signs must be +1 or -1")
-    zero = rational(0)
-    rows = [[zero] * m for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
     for j in range(m):
-        rows[perm[j]][j] = rational(signs[j])
-    return tuple(tuple(r) for r in rows)
+        rows[perm[j]][j] = signs[j]
+    return rows
+
+
+def signed_permutation(perm, signs=None) -> Matrix:
+    """Orthogonal matrix sending e_j to signs[j] * e_perm[j]."""
+    return rational_matrix(signed_permutation_integers(perm, signs), 1)
+
+
+def rational_matrix(N, D: int) -> Matrix:
+    """The matrix N / D as rationals, one Fraction per distinct entry."""
+    entries = {v: rational(v, D) for v in {v for row in N for v in row}}
+    return tuple(tuple(entries[v] for v in row) for row in N)
 
 
 def mat_vec(A: Matrix, v: Vector) -> Vector:
@@ -95,19 +113,24 @@ def integer_matrix(A: Matrix) -> tuple[list, int]:
     return [[next(entries) for _ in row] for row in A], D
 
 
+def is_orthogonal_integers(N, D: int) -> bool:
+    """A = N/D is orthogonal: N^T N == D^2 I, decided on the integers in
+    O(m^3).  The one orthogonality check every map passes."""
+    cols = list(zip(*N))
+    D2 = D * D
+    return all(
+        sum(map(operator.mul, ci, cols[j])) == (D2 if i == j else 0)
+        for i, ci in enumerate(cols)
+        for j in range(i, len(cols))
+    )
+
+
 def is_orthogonal(A: Matrix) -> tuple[list, int] | None:
     """A^T A == I, decided on integers: with A = N/D over the lcm D of its
     denominators, the condition is N^T N == D^2 I.  Returns the witness
     (N, D) when it holds, so a caller keeps the integer form, else None."""
-    m = len(A)
     N, D = integer_matrix(A)
-    D2 = D * D
-    orthogonal = all(
-        sum(N[r][i] * N[r][j] for r in range(m)) == (D2 if i == j else 0)
-        for i in range(m)
-        for j in range(i, m)
-    )
-    return (N, D) if orthogonal else None
+    return (N, D) if is_orthogonal_integers(N, D) else None
 
 
 def cayley_orthogonal(S: Matrix) -> Matrix:
@@ -116,6 +139,11 @@ def cayley_orthogonal(S: Matrix) -> Matrix:
     The transform covers rotations with no -1 eigenvalue (det = +1); signed
     permutations supply the det = -1 cases needed by the tests.
     """
+    return rational_matrix(*cayley_integers(S))
+
+
+def cayley_integers(S: Matrix) -> tuple[list, int]:
+    """(N, D) with ``cayley_orthogonal(S)`` = N/D, as ``integer_matrix`` gives it."""
     m = len(S)
     for i in range(m):
         for j in range(m):
@@ -142,7 +170,10 @@ def cayley_orthogonal(S: Matrix) -> Matrix:
                 r, f = rows[i], rows[i][k]
                 rows[i] = [(pivot * v - f * w) // prev for v, w in zip(r, rows[k])]
         prev = pivot
-    return tuple(tuple(rational(v, rows[i][i]) for v in rows[i][m:]) for i in range(m))
+    # X = right block / det, det = prev = det(dI - N) > 0, the last leading
+    # minor; one gcd brings det to the lcm of the denominators of X
+    g = math.gcd(prev, *(v for row in rows for v in row[m:]))
+    return [[v // g for v in row[m:]] for row in rows], prev // g
 
 
 # -- the map family ----------------------------------------------------------
@@ -176,14 +207,33 @@ class MobiusMap:
         return cls(a=a, b=b, k=rational(k), A=A, epsilon=int(epsilon))
 
     @classmethod
+    def from_integers(cls, a, b, k, A_num, A_den: int, epsilon: int) -> "MobiusMap":
+        """The map with A = A_num / A_den (A_den > 0), forming A from those
+        integers; a, b and k are exact rationals.  A draw that builds A as
+        integers hands them to ``validate`` this way, and ``validate`` runs
+        the integer orthogonality check on them as it would on integers read
+        off A."""
+        mmap = object.__new__(cls)
+        A = rational_matrix(A_num, A_den)
+        for name, value in (("a", a), ("b", b), ("k", k), ("A", A), ("epsilon", epsilon)):
+            object.__setattr__(mmap, name, value)
+        return validate(mmap, (A_num, A_den))
+
+    @classmethod
     def inversion(cls, dim: int) -> "MobiusMap":
         """x -> x / |x|^2, the inversion in the unit sphere."""
         zero = tuple(rational(0) for _ in range(dim))
         return cls.build(a=zero, b=zero, k=1, epsilon=2)
 
 
-def validate(mmap: MobiusMap) -> MobiusMap:
-    """Check the family invariants; returns the map or raises."""
+def validate(mmap: MobiusMap, integers: tuple | None = None) -> MobiusMap:
+    """Check the family invariants; returns the map or raises.
+
+    A is checked by ``is_orthogonal_integers`` on ``integers``, the (A_num,
+    A_den) that ``MobiusMap.from_integers`` formed A from, or, when they are
+    not given, on the integers ``is_orthogonal`` reads off A.  The map keeps
+    them as ``A_integers``.
+    """
     m = mmap.dim
     if len(mmap.b) != m or len(mmap.A) != m or any(len(r) != m for r in mmap.A):
         raise MapValidationError("parameter dimensions disagree")
@@ -191,7 +241,10 @@ def validate(mmap: MobiusMap) -> MobiusMap:
         raise MapValidationError(f"epsilon must be 0 or 2, got {mmap.epsilon}")
     if not mmap.k:
         raise MapValidationError("scale k must be nonzero")
-    integers = is_orthogonal(mmap.A)
+    if integers is None:
+        integers = is_orthogonal(mmap.A)
+    elif not (integers[1] > 0 and is_orthogonal_integers(*integers)):
+        integers = None
     if not integers:
         raise MapValidationError("A is not exactly orthogonal")
     object.__setattr__(mmap, "A_integers", integers)
@@ -247,24 +300,29 @@ def factor_quadratic(target: SpaceFormModel, mmap: MobiusMap) -> FactorQuadratic
     c2 = target.curvature
     k = mmap.k
     kappa = 2 * k if c2 else k
-    alpha = 1 + c2 * sum(v * v for v in mmap.b)
-    # g = c2 k A^T b on integers: A = N/D, b = B/d_b, k = k_n/k_d
+    # alpha, c2 k^2 and g as integer numerators over E = kd^2 d_b^2 D, with
+    # A = N/D, b = B/d_b and k = kn/kd; one gcd reduces them, and E over it
+    # is the lcm of the reduced denominators
     N, D = mmap.A_integers
     B, d_b = integer_vector(mmap.b)
-    g_num = c2 * k.numerator
-    g_den = k.denominator * D * d_b
-    g = [rational(g_num * sum(row[j] * v for row, v in zip(N, B)), g_den) for j in range(len(B))]
-    q0, s = (c2 * k * k, alpha) if mmap.epsilon == 2 else (alpha, c2 * k * k)
-    (value, square, *linear), den = integer_vector([q0, s, *g])
+    kn, kd = k.numerator, k.denominator
+    db2, kd2 = d_b * d_b, kd * kd
+    alpha = (db2 + c2 * sum(v * v for v in B)) * kd2 * D
+    ck2 = c2 * kn * kn * db2 * D
+    gk = c2 * kn * kd * d_b
+    g = [gk * sum(map(operator.mul, col, B)) for col in zip(*N)]
+    q0, s = (ck2, alpha) if mmap.epsilon == 2 else (alpha, ck2)
+    E = kd2 * db2 * D
+    h = math.gcd(E, q0, s, *g)
     a_num, a_den = integer_vector(mmap.a)
     return FactorQuadratic(
         kappa=kappa,
         a_num=tuple(a_num),
         a_den=a_den,
-        value=value,
-        linear=tuple(linear),
-        square=square,
-        den=den,
+        value=q0 // h,
+        linear=tuple(v // h for v in g),
+        square=s // h,
+        den=E // h,
     )
 
 
@@ -280,8 +338,8 @@ class ConformalInstance:
         if not (self.domain.dim == self.target.dim == self.map.dim):
             raise MapValidationError("domain, target, and map dimensions must agree")
         if self.target.curvature == -1:
-            b_sq = sum(v * v for v in self.map.b)
-            if b_sq == 1:
+            B, d_b = integer_vector(self.map.b)
+            if sum(v * v for v in B) == d_b * d_b:
                 raise MapValidationError(
                     "|b| = 1 with a hyperbolic target leaves the reduced factor undefined"
                 )

@@ -1,9 +1,13 @@
 """Scalars of the two computation modes.
 
-Exact mode works on arbitrary-precision rationals, ``fractions.Fraction``.
-No hot loop runs on them: both residual paths run their integer kernels on
-Python ints (see :mod:`polyharm.residuals`) and meet a rational only once
-per output value read, and the rationals carry the map parameters, the points
+Exact mode works on arbitrary-precision rationals, ``fractions.Fraction``,
+met only where a value is read or printed.  A sampled point travels as an
+:class:`IntegerPoint`, integer numerators over one positive denominator,
+from the draw to the residual kernels, and the orthogonal matrix of a drawn
+map as its integers (``MobiusMap.from_integers``); both
+residual paths run their integer kernels on Python ints (see
+:mod:`polyharm.residuals`) and meet a rational only once per output value
+read.  Fractions carry the map parameters a, b and k as configured or drawn,
 and the reports.  Float mode uses plain doubles and exists for speed and for
 finite-difference cross-validation only.
 
@@ -65,3 +69,45 @@ def integer_vector(values) -> tuple[list, int]:
     """(N, D) with values = N/D: D the lcm of the denominators, N integers."""
     D = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (D // v.denominator) for v in values], D
+
+
+class IntegerPoint:
+    """The exact point x = N / den: m integer numerators over one denominator
+    den > 0, not reduced.  Not a sequence, so that nothing reads it as m
+    coordinates by mistake; ``fractions`` and ``floats`` read it explicitly.
+    Points are equal when their (N, den) are."""
+
+    __slots__ = ("N", "den")
+
+    def __init__(self, N, den: int):
+        self.N, self.den = tuple(N), den
+
+    def fractions(self) -> tuple:
+        """The coordinates as rationals, for reports."""
+        return tuple(Fraction(n, self.den) for n in self.N)
+
+    def floats(self) -> tuple:
+        """n / den per coordinate: int/int true division rounds correctly, as
+        ``float`` of the rational does, so the bits are the same."""
+        return tuple(n / self.den for n in self.N)
+
+    def __eq__(self, other):
+        if not isinstance(other, IntegerPoint):
+            return NotImplemented
+        return self.N == other.N and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.N, self.den))
+
+    def __repr__(self):
+        return f"IntegerPoint({self.N}, {self.den})"
+
+
+def exact_point(x) -> IntegerPoint | None:
+    """x as an IntegerPoint: itself when it is one, else its coordinates over
+    the lcm of their denominators; None when a coordinate is a float."""
+    if isinstance(x, IntegerPoint):
+        return x
+    if scalar_of(x) is float:
+        return None
+    return IntegerPoint(*integer_vector([rational(v) for v in x]))

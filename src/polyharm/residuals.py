@@ -36,7 +36,11 @@ ND, ND2 and the harmonicity flag at one point, all from one
 several orders k at once.
 
 Both paths run on Python ints and meet a rational once per output value
-read.
+read.  An exact point arrives as a :class:`~polyharm.rationals.IntegerPoint`,
+integer numerators N over one denominator den, which the sampler draws and
+the kernels read as they are; a sequence of rationals is cleared to one
+over the lcm of its denominators once, at the entry.  No coordinate is
+formed as a rational on the way.
 Float mode runs the same code over doubles with every denominator 1.
 Neither entry point takes a mode: a computation is exact exactly when no
 coordinate of its point is a float.  :func:`vanishes` has one zero rule:
@@ -47,8 +51,10 @@ admits only a zero norm.  Terms that cancel are kept apart for that reason.
 Biharmonic path.  Every factor of the family is lambda = P/Q: P = kappa w,
 with w = 1/sigma the domain chart weight and kappa = k (flat target) or 2k
 (curved target), and Q(u) = q0 + 2 <g, u> + s |u|^2 an isotropic quadratic in
-u = x - a derived from the map (:func:`polyharm.mobius.factor_quadratic`).
-With x0 = X/D, u0 = U/D over one lcm D and h = x - x0, den D^2 Q(u0 + h) =
+u = x - a derived from the map (:func:`polyharm.mobius.factor_quadratic`),
+with integer coefficients over its own den.  With x0 = N/den_x, the set-up
+takes D = lcm(den_x, a_den), x0 = X/D and u0 = U/D straight from the point's
+integers and those of a, and with h = x - x0, den D^2 Q(u0 + h) =
 F + 2 G.h + S |h|^2 with integers F, G = D (D g + s U) den and S = s D^2 den,
 and P = kappa (W + 2 c1 D X.h + c1 D^2 |h|^2) / (2 D^2).  The Taylor
 coefficients of lambda are then lambda_beta = K L_beta / F^(|beta|+1) with
@@ -124,7 +130,8 @@ Write the coefficient of s^a q^b after j steps as N / R^(a+b+1+j).  A term
 that lowers a by 2 brings one factor R and lowers the exponent by one; every
 other term lowers a + b by one and keeps the exponent.  So R cancels from
 every step, the numerators N are integers of (m, k) alone, and
-c_k = N_k / R^(k+1).  With D the lcm of the denominators of u0, U = D u0,
+c_k = N_k / R^(k+1).  With D the lcm of the denominators of u0, U = D u0
+(the point's and a's integers over lcm(den, a_den), reduced by one gcd),
 F = |U|^2 = D^2 R and k A = A_num / den_A over integers,
 
     Delta^k phi(x0) = D^(2k+1) N_k A_num U / (den_A F^(k+1))   (plus b at k = 0),
@@ -158,7 +165,7 @@ from .errors import (
     SingularDivisionError,
 )
 from .mobius import ConformalInstance, MobiusMap
-from .rationals import coerce, integer_vector, rational, scalar_of
+from .rationals import exact_point, integer_vector, rational, scalar_of
 
 DEFAULT_FLOAT_TOL = 1e-9
 
@@ -238,34 +245,34 @@ class ConformalGeometry:
     """
 
     def __init__(self, instance: ConformalInstance, x):
-        scalar = scalar_of(x)
-        point = tuple(coerce(v, scalar) for v in x)
+        point = exact_point(x)
         dom = instance.domain
         fq = instance.factor
         m = instance.dim
         c1 = dom.curvature
         self.m, self.c1, self.c2 = m, c1, instance.target.curvature
         # Scalar set-up, the only step that tells the modes apart.  Exact:
-        # x0 = X/D and u0 = x0 - a = U/D over the lcm D of the denominators
-        # of x0 and a (module docstring).  Float: the same code over doubles
-        # with every denominator 1.
-        if scalar is not float:
-            D = math.lcm(fq.a_den, *(v.denominator for v in point))
-            X = [v.numerator * (D // v.denominator) for v in point]
+        # x0 = N/den, and x0 = X/D and u0 = x0 - a = U/D over D = lcm(den,
+        # a_den) (module docstring), with K = den kappa / 2 = Kn/Kd reduced.
+        # Float: the same code over doubles with every denominator 1.
+        if point is not None:
+            D = math.lcm(fq.a_den, point.den)
+            X = [v * (D // point.den) for v in point.N]
             U = [xi - D // fq.a_den * ai for xi, ai in zip(X, fq.a_num)]
             q0, qg, qs = fq.value, fq.linear, fq.square
-            K = rational(fq.den) * fq.kappa / 2
-            Kn, Kd = K.numerator, K.denominator
+            Kn, Kd = fq.den * fq.kappa.numerator, 2 * fq.kappa.denominator
+            h = math.gcd(Kn, Kd)
+            Kn, Kd = Kn // h, Kd // h
             quotient = rational
         else:
             D = 1
-            X = list(point)
+            X = [float(v) for v in x]
             U = [xi - ai / fq.a_den for xi, ai in zip(X, fq.a_num)]
             q0, qs = fq.value / fq.den, fq.square / fq.den
             qg = [v / fq.den for v in fq.linear]
             Kn, Kd = float(fq.kappa) / 2, 1
             quotient = operator.truediv
-        self.quotient, self.exact = quotient, scalar is not float
+        self.quotient, self.exact = quotient, point is not None
         D2 = D * D
         # 2 D^2 w(x0) for the chart weight w = 1/sigma: 1 on the flat chart,
         # (1 + c1 |x|^2)/2 on the curved ones
@@ -283,7 +290,8 @@ class ConformalGeometry:
         # lambda(x0) = Kn W / (Kd F) with W, F and Kd positive
         if Kn <= 0:
             lam0 = quotient(Kn * W, Kd * F)
-            raise NonpositiveFactorError(f"conformal factor {lam0} <= 0 at {point}")
+            at = tuple(X) if point is None else point.fractions()
+            raise NonpositiveFactorError(f"conformal factor {lam0} <= 0 at {at}")
 
         # lambda_beta = K L_beta / F^(|beta|+1) in closed form: gradient g / F^2,
         # Hessian H / F^3 (applied, never stored), lap / F^3 and its gradient t / F^4
@@ -423,8 +431,8 @@ class _Residuals(Mapping):
 def evaluate_residuals(instance: ConformalInstance, x, tol: float = DEFAULT_FLOAT_TOL) -> Mapping:
     """All four residuals plus the harmonicity flag, from one ``ConformalGeometry``.
 
-    Exact at a rational point x, float at a point with a float coordinate.
-    The geometry and the flag are formed here; each residual is formed when
+    Exact at an integer point or a sequence of rationals x, float at a point
+    with a float coordinate.  The geometry and the flag are formed here; each residual is formed when
     its key of the returned mapping is first read, so a caller that reads
     only CL, the flag and SDL (a verdict) never forms ND or ND2.
     """
@@ -453,7 +461,8 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
     """(Delta^k phi(x), scale) per order k of a flat-to-flat map.
 
     Delta^k phi is the tuple of the iterated Laplacians of the m components,
-    exact at a rational point x and float at a point with a float coordinate.
+    exact at an integer point or a sequence of rationals x and float at a
+    point with a float coordinate.
     The scale is the float size of the terms that cancel in it, the one
     :func:`vanishes` judges Delta^k phi against: the integer N_k is exact in
     both modes, so only the sums of A u0 and the final quotient round, and the
@@ -463,8 +472,9 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
     orders = sorted(set(int(k) for k in orders))
     if orders and orders[0] < 0:
         raise DegreeError("orders must be >= 0")
-    if scalar_of(x) is not float:
-        U, D = integer_vector([rational(xi) - ai for xi, ai in zip(x, mmap.a)])
+    point = exact_point(x)
+    if point is not None:
+        U, D = _offset_integers(point, mmap.a)
         num_A, den_A = mmap.A_integers
         kn, den_A = mmap.k.numerator, den_A * mmap.k.denominator
         quotient = rational
@@ -498,6 +508,16 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
             scale += _norm(b)
         out[k] = (vals, scale)
     return out
+
+
+def _offset_integers(point, a) -> tuple[list, int]:
+    """(U, D) with x - a = U/D, D the lcm of the denominators of x - a: the
+    integers over lcm(den, a_den), reduced by their one gcd with it."""
+    a_num, a_den = integer_vector(a)
+    L = math.lcm(point.den, a_den)
+    U = [n * (L // point.den) - v * (L // a_den) for n, v in zip(point.N, a_num)]
+    g = math.gcd(L, *U)
+    return [u // g for u in U], L // g
 
 
 def _inversion_numerators(m: int, top: int) -> tuple[int, ...]:
@@ -538,7 +558,7 @@ def polyharmonic_closed_form(mmap: MobiusMap, order: int, x) -> tuple:
     """
     if mmap.epsilon != 2:
         raise MapValidationError("closed form applies to the eps = 2 family")
-    U, D = integer_vector([rational(xi) - ai for xi, ai in zip(x, mmap.a)])
+    U, D = _offset_integers(exact_point(x), mmap.a)
     num_A, den_A = mmap.A_integers
     c = closed_form_coefficient(mmap.dim, order) * mmap.k.numerator * D ** (2 * order + 1)
     den = den_A * mmap.k.denominator * sum(u * u for u in U) ** (order + 1)

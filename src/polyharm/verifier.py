@@ -1,4 +1,5 @@
-"""Instance loading, point sampling, verdicts, sweeps, and reports.
+"""Instance loading, verdicts, sweeps, and reports; the draws of maps and
+points are :mod:`polyharm.sampling`'s.
 
 Verdicts from finitely many points are sound because every residual here is a
 real-analytic function of the sample point on the chart: an exact nonzero at
@@ -18,10 +19,9 @@ import csv
 import io
 import json
 import logging
-import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -33,8 +33,9 @@ from .errors import (
     PolyharmError,
 )
 from .mobius import ConformalInstance, MobiusMap
-from .rationals import EXACT, FLOAT, format_rational, integer_vector, rational
+from .rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
 from .residuals import DEFAULT_FLOAT_TOL
+from .sampling import _flat_sample_point, random_mobius, sample_points
 from .spaceform import SpaceFormModel
 
 log = logging.getLogger("polyharm")
@@ -47,11 +48,7 @@ METHOD_NOTE = (
     "the grid together with closed-form cross-checks certify identities"
 )
 
-# small-rational knobs for random parameter draws; numerators and denominators
-# stay <= 16 to bound integer growth in the exact residual kernels
-_POINT_MAX_DEN = 16
 _MAP_RETRIES = 10
-_REJECTION_FACTOR = 400
 
 CURVATURE_PAIRS = tuple((c1, c2) for c1 in (-1, 0, 1) for c2 in (-1, 0, 1))
 
@@ -242,82 +239,6 @@ def load_config(path) -> tuple[list[ConfiguredInstance], SamplePlan]:
     return configured, plan
 
 
-# -- sampling ------------------------------------------------------------------
-
-
-def _default_radius(domain: SpaceFormModel):
-    """Half-width r of the draw cube.  A draw has mean |x|^2 of about m r^2 / 3
-    and the ball keeps only |x| < 1: with 3/4 that mean grows like 0.19 m, so
-    beyond m = 8 the radius is 1/ceil(sqrt m), which holds it near 1/3."""
-    if domain.curvature != -1:
-        return rational(2)
-    m = domain.dim
-    return rational(3, 4) if m <= 8 else rational(1, math.isqrt(m - 1) + 1)
-
-
-def _admissible(instance: ConformalInstance, N, den: int, exclusion) -> bool:
-    """x = N/den (integers, den > 0) lies in the domain chart, off the
-    exclusion ball round a (eps = 2), and lambda(x) > 0; decided on integers.
-
-    With lambda = kappa * w * fq.den / Q(x - a), the chart weight w and
-    ``fq.den`` are positive, so the sign is that of kappa * Q.  Over
-    L = den * a_den, u = x - a = U/L and L^2 Q(u) is an integer.
-    """
-    if instance.domain.curvature < 0 and sum(v * v for v in N) >= den * den:
-        return False  # outside the ball |x| < 1
-    fq = instance.factor
-    L = den * fq.a_den
-    U = [v * fq.a_den - den * a for v, a in zip(N, fq.a_num)]
-    u_sq = sum(v * v for v in U)
-    if instance.map.epsilon == 2 and u_sq * exclusion.denominator**2 <= (exclusion.numerator * L) ** 2:
-        return False
-    q = fq.value * L * L + 2 * L * sum(g * v for g, v in zip(fq.linear, U)) + fq.square * u_sq
-    return fq.kappa > 0 and q > 0
-
-
-def sample_points(plan: SamplePlan, instance: ConformalInstance) -> list[tuple]:
-    """Deterministic admissible rational points for this instance.
-
-    Explicit plan points are validated: m coordinates each, admissible.
-    Otherwise rejection sampling draws coordinates radius * n/16 with integers
-    |n| <= 16 until ``count`` admissible distinct points are found or the
-    retry budget is exhausted.
-    A draw is screened on its integers n and becomes a rational point only
-    when accepted; the radius is positive, so distinct n are distinct points.
-    """
-    exclusion = rational(plan.exclusion)
-    if plan.points is not None:
-        for x in plan.points:
-            if len(x) != instance.dim:
-                point = " ".join(_point_list(x))
-                raise ConfigError(f"explicit point {point} has {len(x)} coordinates, not m = {instance.dim}")
-            N, den = integer_vector([rational(v) for v in x])
-            if not _admissible(instance, N, den, exclusion):
-                raise AdmissibleRegionError(f"explicit point {x} is not admissible")
-        return [tuple(x) for x in plan.points]
-    radius = rational(plan.radius) if plan.radius is not None else _default_radius(instance.domain)
-    r_num = radius.numerator
-    den = _POINT_MAX_DEN * radius.denominator
-    rng = random.Random(f"polyharm:points:{plan.seed}")
-    m = instance.dim
-    found: list[tuple] = []
-    seen = set()
-    budget = _REJECTION_FACTOR * plan.count
-    for _ in range(budget):
-        n = tuple(rng.randint(-_POINT_MAX_DEN, _POINT_MAX_DEN) for _ in range(m))
-        if n in seen:
-            continue
-        seen.add(n)
-        N = [r_num * v for v in n]
-        if _admissible(instance, N, den, exclusion):
-            found.append(tuple(rational(v, den) for v in N))
-            if len(found) == plan.count:
-                return found
-    raise AdmissibleRegionError(
-        f"found {len(found)}/{plan.count} admissible points within {budget} draws"
-    )
-
-
 # -- serialization helpers ----------------------------------------------------
 
 
@@ -335,14 +256,17 @@ def _map_dict(mmap: MobiusMap) -> dict:
     }
 
 
-def _point_list(x) -> list[str]:
-    return [format_rational(v) for v in x]
+def _point_list(x: IntegerPoint) -> list[str]:
+    return [format_rational(v) for v in x.fractions()]
 
 
-def _coordinates(x, mode: str) -> tuple:
+def _coordinates(x, mode: str):
     """The point the evaluators read: x itself in exact mode, its floats in
-    float mode.  Reports print x, the rational point, in either mode."""
-    return tuple(float(v) for v in x) if mode == FLOAT else x
+    float mode, n / den per coordinate of an integer point.  Reports print
+    x, the rational point, in either mode."""
+    if mode != FLOAT:
+        return x
+    return x.floats() if isinstance(x, IntegerPoint) else tuple(float(v) for v in x)
 
 
 def _rv_dict(rv: residuals.ResidualVector, mode: str) -> dict:
@@ -434,10 +358,14 @@ def check_report_body(
     mode: str = EXACT,
     tol: float = DEFAULT_FLOAT_TOL,
 ) -> dict:
-    instances = [
-        run_check(ci.instance, plan, mode=mode, tol=tol, expect=ci.expect)
-        for ci in configured
-    ]
+    instances = []
+    for i, ci in enumerate(configured):
+        start = time.perf_counter()
+        instances.append(run_check(ci.instance, plan, mode=mode, tol=tol, expect=ci.expect))
+        log.info(
+            "check instance %d: %s, match=%s (%.3fs)",
+            i, instances[-1]["verdict"], instances[-1].get("match"), time.perf_counter() - start,
+        )
     mismatches = [
         i for i, entry in enumerate(instances) if entry.get("match") is False
     ]
@@ -446,68 +374,6 @@ def check_report_body(
         "mismatches": mismatches,
         "all_match": not mismatches,
     }
-
-
-# -- random maps ----------------------------------------------------------------
-
-
-def _rand_rational(rng: random.Random, max_num: int, den_lo: int, den_hi: int, nonzero=False):
-    while True:
-        num = rng.randint(-max_num, max_num)
-        if nonzero and num == 0:
-            continue
-        return rational(num, rng.randint(den_lo, den_hi))
-
-
-def _random_orthogonal(rng: random.Random, m: int, style: int):
-    style = style % 3
-    if style == 0:
-        return mobius.identity_matrix(m)
-    if style == 1:
-        perm = list(range(m))
-        rng.shuffle(perm)
-        signs = [rng.choice((-1, 1)) for _ in range(m)]
-        return mobius.signed_permutation(perm, signs)
-    rows = [[rational(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = _rand_rational(rng, 1, 2, 3)
-            rows[i][j] = v
-            rows[j][i] = -v
-    return mobius.cayley_orthogonal(tuple(tuple(r) for r in rows))
-
-
-def random_mobius(
-    rng: random.Random,
-    m: int,
-    target: SpaceFormModel,
-    epsilon: int,
-    style: int = 0,
-) -> MobiusMap:
-    """Small-rational map draw, constrained so admissible points exist.
-
-    k is kept positive (factors must be positive where sampled).  Hyperbolic
-    targets additionally need |b| < 1 (reduced parameters defined) and a small
-    k, otherwise the preimage of the unit ball is a negligible slice of the
-    sampling box and rejection sampling starves: for the inversive branch the
-    admissible shell is |x - a| > k/(1 - |b|), for the affine branch a ball of
-    radius 1/k around the preimage of the origin.
-    """
-    a = tuple(_rand_rational(rng, 2, 2, 4) for _ in range(m))
-    if target.curvature == -1:
-        b = tuple(_rand_rational(rng, 1, 7, 8) for _ in range(m))
-        if epsilon == 2:
-            k = rational(rng.randint(1, 3), rng.randint(6, 8))
-        else:
-            # |phi(x)| <= |b| + k|x - a| and the box reaches |x - a| ~ 3 sqrt(m),
-            # so k ~ 1/16 keeps the whole box inside the ball through m = 12
-            k = rational(1, rng.randint(13, 16))
-    else:
-        b = tuple(_rand_rational(rng, 2, 2, 4) for _ in range(m))
-        k = rational(rng.randint(1, 6), rng.randint(1, 6))
-    # every entry is already rational: construct (and so validate) directly
-    A = _random_orthogonal(rng, m, style)
-    return MobiusMap(a=a, b=b, k=k, A=A, epsilon=epsilon)
 
 
 # -- biharmonic sweep ------------------------------------------------------------
@@ -523,7 +389,7 @@ def expected_proper_biharmonic(m: int, c1: int, c2: int, epsilon: int) -> bool:
 
 def _sweep_instance(
     rng_tag: str, m: int, c1: int, c2: int, epsilon: int, style: int, points: int
-) -> tuple[ConformalInstance, list[tuple]]:
+) -> tuple[ConformalInstance, list[IntegerPoint]]:
     domain = SpaceFormModel(m, c1)
     target = SpaceFormModel(m, c2)
     rng = random.Random(rng_tag)
@@ -728,18 +594,6 @@ def _require_samples(**counts: int) -> None:
     for name, n in counts.items():
         if n < 1:
             raise ConfigError(f"{name} must be >= 1, got {n}")
-
-
-def _flat_sample_point(rng: random.Random, mmap: MobiusMap) -> tuple:
-    """One rational point off the singular set, small numerators."""
-    m = mmap.dim
-    exclusion = rational(1, 4)
-    for _ in range(200):
-        x = tuple(rational(rng.randint(-8, 8), 4) for _ in range(m))
-        dist_sq = sum((xi - ai) ** 2 for xi, ai in zip(x, mmap.a))
-        if dist_sq > exclusion * exclusion:
-            return x
-    raise AdmissibleRegionError("could not place a point away from the singular set")
 
 
 # -- radial classification spot checks --------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from polyharm import jets
 from polyharm.mobius import ConformalInstance, MobiusMap
-from polyharm.rationals import rational
+from polyharm.rationals import IntegerPoint, rational
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import SamplePlan, random_mobius, sample_points
 
@@ -33,7 +33,7 @@ def rand_point(rng, m, max_num=5, max_den=4):
 
 def floats(x) -> tuple:
     """The float point of a rational one: the evaluators run in float mode."""
-    return tuple(float(v) for v in x)
+    return x.floats() if isinstance(x, IntegerPoint) else tuple(float(v) for v in x)
 
 
 def exact_norm_sq(values):
@@ -41,7 +41,9 @@ def exact_norm_sq(values):
 
 
 def make_instance(tag: str, m: int, c1: int, c2: int, epsilon: int, style: int = 0):
-    """Deterministic random instance plus admissible points."""
+    """Deterministic random instance plus admissible points, as tuples of
+    rationals: the oracles read coordinates, which the sampler's integer
+    points do not offer."""
     rng = rng_for(tag)
     domain = SpaceFormModel(m, c1)
     target = SpaceFormModel(m, c2)
@@ -50,7 +52,7 @@ def make_instance(tag: str, m: int, c1: int, c2: int, epsilon: int, style: int =
         instance = ConformalInstance(domain=domain, target=target, map=mmap)
         plan = SamplePlan(seed=rng.randint(0, 2**31), count=4)
         try:
-            return instance, sample_points(plan, instance)
+            return instance, [x.fractions() for x in sample_points(plan, instance)]
         except Exception:
             continue
     raise RuntimeError(f"no admissible instance for {tag}")

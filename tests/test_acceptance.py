@@ -121,7 +121,7 @@ class TestAcceptance:
                 ev = evaluate_residuals(instance, x)
                 cl = ev["CL"].values
                 sdl, nd, nd2 = ev["SDL"].values, ev["ND"].values, ev["ND2"].values
-                where = f"{family} at ({', '.join(map(str, x))})"
+                where = f"{family} at ({', '.join(map(str, x.fractions()))})"
                 assert all(v == 0 for v in cl), (
                     f"ACCEPTANCE 3: FAIL - factor constraint CL = {cl} at {where}"
                 )
@@ -159,7 +159,7 @@ class TestAcceptance:
             )
             pts = sample_points(SamplePlan(seed=m, count=3), instance)
             for x in pts:
-                xj = seed(x, 3)
+                xj = seed(x.fractions(), 3)
                 lam = conformal_factor(instance.domain, instance.target, mmap, xj)
                 lam0 = lam.value()
                 symbolic = tuple(
@@ -181,7 +181,7 @@ class TestAcceptance:
         pts = sample_points(SamplePlan(seed=55, count=20), instance)
         assert len(pts) == 20
         for x in pts:
-            xj = seed(x, 3)
+            xj = seed(x.fractions(), 3)
             lam = conformal_factor(domain, target, mmap, xj)
             assert lam.laplacian().value() == 2 * lam.value() ** 3, (
                 f"ACCEPTANCE 5: FAIL - lap(lam) != 2 lam^3 at {x}"

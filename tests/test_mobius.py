@@ -15,12 +15,14 @@ from polyharm.errors import (
 from polyharm.jets import seed
 from polyharm.mobius import (
     ConformalInstance,
+    FactorQuadratic,
     MobiusMap,
     apply_point,
     cayley_orthogonal,
     conformality_check,
     factor_quadratic,
     identity_matrix,
+    integer_matrix,
     is_orthogonal,
     mat_vec,
     reduced_parameters,
@@ -28,7 +30,7 @@ from polyharm.mobius import (
     transpose,
     validate,
 )
-from polyharm.rationals import rational
+from polyharm.rationals import integer_vector, rational
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import CURVATURE_PAIRS, random_mobius
 
@@ -72,6 +74,26 @@ class TestValidate:
     def test_zero_scale_rejected(self):
         with pytest.raises(MapValidationError):
             MobiusMap.build(a=_zeros(3), b=_zeros(3), k=0, epsilon=0)
+
+    @pytest.mark.parametrize(
+        "N, D",
+        [
+            ([[3, 4], [4, 3]], 5),  # unit columns that are not orthogonal
+            ([[1, 0], [0, 2]], 2),  # orthogonal columns that are not unit
+            ([[2, 0], [0, 2]], 1),  # 2 I
+            ([[1, 0], [0, 1]], -1),  # N^T N = D^2 I, but D is not positive
+        ],
+    )
+    def test_drawn_integers_that_are_not_orthogonal_rejected(self, N, D):
+        # the integers a draw hands over pass the same check as a configured A
+        with pytest.raises(MapValidationError):
+            MobiusMap.from_integers(_zeros(2), _zeros(2), rational(1), N, D, 2)
+
+    def test_drawn_integers_form_the_matrix(self):
+        mmap = MobiusMap.from_integers(_zeros(2), _zeros(2), rational(1), [[3, -4], [4, 3]], 5, 2)
+        assert mmap.A == ((rational(3, 5), rational(-4, 5)), (rational(4, 5), rational(3, 5)))
+        assert mmap.A_integers == integer_matrix(mmap.A) == ([[3, -4], [4, 3]], 5)
+        assert mmap == MobiusMap.build(_zeros(2), _zeros(2), 1, mmap.A, 2)
 
 
 def _gauss_jordan_inverse(A):
@@ -294,6 +316,52 @@ class TestFactorQuadratic:
                     assert tuple(rational(v, den) for v in fq.linear) == g
 
 
+def _fraction_factor_quadratic(target, mmap) -> FactorQuadratic:
+    """The factor formed on Fractions, as ``factor_quadratic`` did before it
+    moved to integer numerators: alpha, c2 k^2 and c2 k A^T b as rationals,
+    cleared over the lcm of their denominators.  A's integers are read off A."""
+    c2 = target.curvature
+    k = mmap.k
+    kappa = 2 * k if c2 else k
+    alpha = 1 + c2 * sum(v * v for v in mmap.b)
+    N, D = integer_matrix(mmap.A)
+    B, d_b = integer_vector(mmap.b)
+    g_num = c2 * k.numerator
+    g_den = k.denominator * D * d_b
+    g = [rational(g_num * sum(row[j] * v for row, v in zip(N, B)), g_den) for j in range(len(B))]
+    q0, s = (c2 * k * k, alpha) if mmap.epsilon == 2 else (alpha, c2 * k * k)
+    (value, square, *linear), den = integer_vector([q0, s, *g])
+    a_num, a_den = integer_vector(mmap.a)
+    return FactorQuadratic(kappa, tuple(a_num), a_den, value, tuple(linear), square, den)
+
+
+class TestFactorIntegerOracle:
+    """The factor on integer numerators against the Fraction route, and the
+    integers a draw hands to validation against those read off A."""
+
+    @pytest.mark.parametrize("m", [3, 5, 8, 12])
+    def test_exact_equal(self, m):
+        rng = rng_for(f"factor-integer-oracle:{m}")
+        checked = 0
+        for c1, c2 in CURVATURE_PAIRS:
+            for eps in (0, 2):
+                target = SpaceFormModel(m, c2)
+                for style in range(3):
+                    drawn = random_mobius(rng, m, target, eps, style)
+                    assert drawn.A_integers == integer_matrix(drawn.A), (c1, c2, eps, style)
+                    # a configured map with either sign of k takes the integer_matrix route
+                    for k in (drawn.k, -drawn.k):
+                        mmap = MobiusMap.build(drawn.a, drawn.b, k, drawn.A, eps)
+                        assert mmap.A_integers == drawn.A_integers
+                        got = factor_quadratic(target, mmap)
+                        want = _fraction_factor_quadratic(target, mmap)
+                        assert got == want and got._asdict() == want._asdict(), (c1, c2, eps, style, k)
+                        assert math.gcd(got.den, got.value, got.square, *got.linear) == 1
+                        checked += 1
+                    assert factor_quadratic(target, drawn) == _fraction_factor_quadratic(target, drawn)
+        assert checked == 18 * 3 * 2
+
+
 class TestReducedParameters:
     def test_flat_to_sphere_basic(self):
         m = MobiusMap.build(a=_zeros(4), b=_zeros(4), k=1, epsilon=2)
@@ -346,7 +414,7 @@ class TestReducedParameters:
                 continue
             params = reduced_parameters(mmap, target)
             for pt in pts:
-                x = seed(pt, 3)
+                x = seed(pt.fractions(), 3)
                 assert conformal_factor(domain, target, mmap, x) == closed_form_factor(
                     params, domain, x
                 )

@@ -17,8 +17,8 @@ from polyharm.errors import (
     SingularDivisionError,
 )
 from polyharm.jets import seed
-from polyharm.mobius import ConformalInstance, MobiusMap, integer_matrix
-from polyharm.rationals import EXACT, FLOAT, integer_vector, rational
+from polyharm.mobius import ConformalInstance, MobiusMap, integer_matrix, rational_matrix
+from polyharm.rationals import EXACT, FLOAT, IntegerPoint, integer_vector, rational
 from polyharm.residuals import (
     ConformalGeometry,
     closed_form_coefficient,
@@ -27,10 +27,11 @@ from polyharm.residuals import (
     polyharmonic_orders,
     radial_coefficients,
 )
+from polyharm.sampling import _flat_sample_point, _random_orthogonal
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
     CURVATURE_PAIRS,
-    _random_orthogonal,
+    _sweep_instance,
     _verdict,
     load_config,
     radial_classification_check,
@@ -436,7 +437,8 @@ class TestFloatZeroRule:
         checked = 0
         for m in (3, 5, 8):
             zero = _zeros(m)
-            mmap = MobiusMap.build(a=zero, b=zero, k=1, A=_random_orthogonal(rng, m, 2), epsilon=0)
+            A = rational_matrix(*_random_orthogonal(rng, m, 2))
+            mmap = MobiusMap.build(a=zero, b=zero, k=1, A=A, epsilon=0)
             inst = ConformalInstance(SpaceFormModel(m, c), SpaceFormModel(m, c), mmap)
             for _ in range(8):
                 q = rng.choice((3, 5, 7, 9, 11, 13))
@@ -498,6 +500,47 @@ class TestScalarType:
         # makes it; the same size as a float passes the relative test
         assert not residuals.vanishes([Fraction(1, 10**40)], 1.0, 1e-9)
         assert residuals.vanishes([1e-40], 1.0, 1e-9)
+
+
+class TestIntegerPoints:
+    """The evaluators read a sampled point as its integers; as a tuple of
+    rationals, or of their floats, the same point gives the same bits."""
+
+    @staticmethod
+    def _same(a, b):
+        for name in ("CL", "SDL", "ND", "ND2"):
+            ra, rb = a[name], b[name]
+            assert ra.values == rb.values and ra.exact_zero == rb.exact_zero, name
+            assert ra.norm.hex() == rb.norm.hex() and ra.scale.hex() == rb.scale.hex(), name
+        assert a["harmonic"] == b["harmonic"]
+
+    @pytest.mark.parametrize("m", [3, 5, 8])
+    def test_residuals_equal_at_the_rational_point(self, m):
+        seen = 0
+        for c1, c2 in CURVATURE_PAIRS:
+            for eps in (0, 2):
+                tag = f"polyharm-tests:integer-points:{m}:{c1}:{c2}:{eps}"
+                inst, pts = _sweep_instance(tag, m, c1, c2, eps, m, 2)
+                for x in pts:
+                    assert type(x) is IntegerPoint and x.den > 0
+                    rat = x.fractions()
+                    assert all(a.hex() == float(b).hex() for a, b in zip(x.floats(), rat))
+                    self._same(evaluate_residuals(inst, x), evaluate_residuals(inst, rat))
+                    self._same(evaluate_residuals(inst, x.floats()), evaluate_residuals(inst, floats(rat)))
+                    seen += 1
+        assert seen == 36
+
+    @pytest.mark.parametrize("m", [3, 4, 7, 10])
+    def test_polyharmonic_equal_at_the_rational_point(self, m):
+        rng = rng_for(f"integer-points-ph:{m}")
+        for style in range(3):
+            mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=style)
+            x = _flat_sample_point(rng, mmap)
+            rat = x.fractions()
+            got, want = polyharmonic_orders(mmap, (0, 1, 2, 3), x), polyharmonic_orders(mmap, (0, 1, 2, 3), rat)
+            for k in got:
+                assert got[k][0] == want[k][0] and got[k][1].hex() == want[k][1].hex(), k
+            assert polyharmonic_closed_form(mmap, 3, x) == polyharmonic_closed_form(mmap, 3, rat)
 
 
 class TestHarmonicity:

@@ -24,7 +24,7 @@ from polyharm import mobius, residuals
 from polyharm.cli import main
 from polyharm.errors import AdmissibleRegionError, ConfigError, PolyharmError
 from polyharm.mobius import ConformalInstance, MobiusMap, apply_point
-from polyharm.rationals import EXACT, FLOAT, rational
+from polyharm.rationals import EXACT, FLOAT, IntegerPoint, rational
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
     ResidualReport,
@@ -204,7 +204,7 @@ class TestSampling:
         inst = self._instance()
         plan = SamplePlan(seed=2, count=12, exclusion=rational(1, 2))
         for pt in sample_points(plan, inst):
-            assert sum(v * v for v in pt) > rational(1, 4)
+            assert sum(v * v for v in pt.fractions()) > rational(1, 4)
 
     def test_points_are_distinct(self):
         # |x| > 33/10 leaves few admissible draws of the 3-d grid, so the
@@ -220,7 +220,7 @@ class TestSampling:
             MobiusMap.inversion(3),
         )
         for pt in sample_points(SamplePlan(seed=3, count=10), inst):
-            assert sum(v * v for v in pt) < 1
+            assert sum(v * v for v in pt.fractions()) < 1
 
     @pytest.mark.parametrize("c2", [-1, 0, 1])
     @pytest.mark.parametrize("eps", [0, 2])
@@ -230,21 +230,21 @@ class TestSampling:
         for t in range(3):
             tag = f"polyharm:bh:0:20:-1:{c2}:{eps}:{t}"
             _, pts = _sweep_instance(tag, 20, -1, c2, eps, t, 5)
-            assert len(pts) == 5 and all(sum(v * v for v in x) < 1 for x in pts)
+            assert len(pts) == 5 and all(sum(v * v for v in x.fractions()) < 1 for x in pts)
 
     def test_sweep_instance_validates_its_map_once(self, monkeypatch):
         # construction validates a map, so an instance built from it does not
-        # check A again
+        # check A again; drawn and configured maps share the integer check
         calls = []
-        original = mobius.is_orthogonal
-        monkeypatch.setattr(mobius, "is_orthogonal", lambda A: calls.append(A) or original(A))
+        original = mobius.is_orthogonal_integers
+        monkeypatch.setattr(mobius, "is_orthogonal_integers", lambda N, D: calls.append(N) or original(N, D))
         _sweep_instance("polyharm:test:validate-once", 4, 0, 0, 2, 2, 3)
         assert len(calls) == 1
 
     def test_explicit_points_validated(self):
         inst = self._instance()
         good = SamplePlan(points=((rational(1), 0, 0, 0),))
-        assert sample_points(good, inst) == [(rational(1), 0, 0, 0)]
+        assert sample_points(good, inst) == [IntegerPoint((1, 0, 0, 0), 1)]
         bad = SamplePlan(points=((rational(0), 0, 0, 0),))
         with pytest.raises(AdmissibleRegionError):
             sample_points(bad, inst)
@@ -350,7 +350,7 @@ class TestSamplerScreen:
             for radius in (None, rational(1), rational(5, 3)):
                 plan = SamplePlan(seed=rng.randint(0, 99), count=3, radius=radius)
                 try:
-                    got = sample_points(plan, inst)
+                    got = [x.fractions() for x in sample_points(plan, inst)]
                 except AdmissibleRegionError:
                     got = None
                 assert got == _rational_draws(plan, inst), (m, c1, c2, eps, radius)
@@ -635,19 +635,78 @@ class TestProgressLog:
         assert sum(line.startswith("polyharmonic cell k=") for line in lines) == 2
         assert len(lines) == 6 and all(re.search(r"\(\d+\.\d{3}s\)$", line) for line in lines), lines
 
+    def test_check_logs_one_timed_line_per_instance(self, caplog):
+        configured, plan = load_config(GOLDEN / "curved_check.json")
+        with caplog.at_level(logging.INFO, logger="polyharm"):
+            body = check_report_body(configured, plan.with_overrides(count=2))
+        lines = [r.getMessage() for r in caplog.records if r.name == "polyharm" and r.levelno == logging.INFO]
+        assert len(lines) == len(configured) == len(body["instances"]) > 1, lines
+        for i, (line, entry) in enumerate(zip(lines, body["instances"])):
+            head = f"check instance {i}: {entry['verdict']}, match={entry.get('match')} "
+            assert line.startswith(head) and re.search(r"\(\d+\.\d{3}s\)$", line), line
+
+
+class TestNoRationalRoundTrip:
+    """A sampled point reaches the kernel as integers: the rationals a sweep
+    forms are the map's and the report's, whatever the number of points."""
+
+    @staticmethod
+    def _counted(monkeypatch, run) -> dict:
+        counts = dict.fromkeys(("rational", "integer_vector", "Fraction"), 0)
+        modules = [m for n, m in sys.modules.items() if n == "polyharm" or n.startswith("polyharm.")]
+        for name in ("rational", "integer_vector"):
+            original = getattr(polyharm.rationals, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for mod in modules:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        new = Fraction.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            counts["Fraction"] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted_new)
+        run()
+        monkeypatch.undo()
+        return counts
+
+    @pytest.mark.parametrize("cell", [(4, 0, 1, 2), (5, 1, -1, 0), (6, -1, 0, 2), (3, 0, 0, 0)])
+    def test_rationals_do_not_grow_with_points(self, monkeypatch, cell):
+        m, c1, c2, eps = cell
+        counts = [
+            self._counted(
+                monkeypatch,
+                lambda: sweep_biharmonic(
+                    m_values=(m,), pairs=((c1, c2),), eps_values=(eps,), trials=1, points=points, seed=3
+                ),
+            )
+            for points in (1, 5)
+        ]
+        assert counts[0] == counts[1] and counts[0]["rational"] > 0, counts
+
 
 class TestFloatBoundary:
     """Float mode is decided at the verifier: the evaluators are handed the
     floats of the rational sample points, and reports print the rationals."""
 
-    @pytest.mark.parametrize("mode, scalar", [(EXACT, Fraction), (FLOAT, float)])
+    @pytest.mark.parametrize("mode, scalar", [(EXACT, IntegerPoint), (FLOAT, float)])
     def test_sweep_cells_hand_the_mode_scalars(self, monkeypatch, mode, scalar):
+        # exact mode hands the sampler's integer point itself, float mode the
+        # float of each coordinate
+        def handed(x):
+            return type(x) is scalar if scalar is IntegerPoint else all(type(v) is scalar for v in x)
+
         seen = _spy(monkeypatch, "evaluate_residuals")
         sweep_biharmonic(m_values=(4,), pairs=((0, 1),), eps_values=(2,), trials=1, points=2, mode=mode)
-        assert len(seen) == 2 and all(type(v) is scalar for x in seen for v in x)
+        assert len(seen) == 2 and all(handed(x) for x in seen)
         seen = _spy(monkeypatch, "polyharmonic_orders")
         sweep_polyharmonic(orders=(2,), m_values=(4,), mode=mode)
-        assert len(seen) == 1 and all(type(v) is scalar for x in seen for v in x)
+        assert len(seen) == 1 and all(handed(x) for x in seen)
 
     def test_float_check_hands_floats_and_prints_rationals(self, monkeypatch):
         seen = _spy(monkeypatch, "evaluate_residuals")
