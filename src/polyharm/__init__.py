@@ -10,10 +10,22 @@ on integers, :mod:`polyharm.sampling` the seeded map and point draws, also
 on integers, and :mod:`polyharm.verifier` plans, sweeps, and
 machine-readable reports.  :mod:`polyharm.jets` is truncated Taylor
 arithmetic off the verdict path: the tests build their dense-jet oracles on
-it, and selftest checks it.  Import names from those modules; the package
-itself re-exports none.
+it, and selftest checks it.  It loads on first use, so ``import polyharm``
+does not compile it; ``polyharm.jets`` resolves through the module
+``__getattr__`` below.  Import names from those modules; the package itself
+re-exports none.
 """
 
-from . import jets, mobius, rationals, residuals, sampling, spaceform, verifier
+import importlib
+
+from . import mobius, rationals, residuals, sampling, spaceform, verifier
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # import_module, not ``from . import jets``: that form looks the name up
+    # on this package first, which lands here again
+    if name == "jets":
+        return importlib.import_module(".jets", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -52,7 +52,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import spaceform
@@ -179,24 +178,51 @@ def cayley_integers(S: Matrix) -> tuple[list, int]:
 # -- the map family ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MobiusMap:
-    """Parameters (a, b, k, A, eps) of the inversive conformal family."""
+    """Parameters (a, b, k, A, eps) of the inversive conformal family.
 
-    a: Vector
-    b: Vector
-    k: object
-    A: Matrix
-    epsilon: int
-    # (A_num, den_A) with A = A_num / den_A, recorded by ``validate``
-    A_integers: tuple = field(init=False, repr=False, compare=False)
+    Construction validates, and the map is immutable after it: the kernels
+    rely on A staying the exactly orthogonal matrix ``validate`` certified.
+    ``A_integers`` = (A_num, den_A) with A = A_num / den_A is recorded by
+    ``validate``.  Maps are equal and hashed by (a, b, k, A, epsilon).
+    A ``__slots__`` class rather than a dataclass, whose import costs the
+    package a few milliseconds at every start.
+    """
+
+    __slots__ = ("a", "b", "k", "A", "epsilon", "A_integers")
+
+    def __init__(self, a: Vector, b: Vector, k, A: Matrix, epsilon: int):
+        _assign(self, a, b, k, A, epsilon)
+        validate(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MobiusMap is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"MobiusMap is immutable: cannot delete {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.a, self.b, self.k, self.A, self.epsilon)
+
+    def __eq__(self, other):
+        if not isinstance(other, MobiusMap):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"MobiusMap(a={self.a!r}, b={self.b!r}, k={self.k!r}, A={self.A!r}, epsilon={self.epsilon!r})"
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through validation: the default
+        # route would restore the slots through the refusing __setattr__
+        return MobiusMap.from_integers, (self.a, self.b, self.k, *self.A_integers, self.epsilon)
 
     @property
     def dim(self) -> int:
         return len(self.a)
-
-    def __post_init__(self):
-        validate(self)
 
     @classmethod
     def build(cls, a, b, k, A=None, epsilon=2) -> "MobiusMap":
@@ -214,9 +240,7 @@ class MobiusMap:
         the integer orthogonality check on them as it would on integers read
         off A."""
         mmap = object.__new__(cls)
-        A = rational_matrix(A_num, A_den)
-        for name, value in (("a", a), ("b", b), ("k", k), ("A", A), ("epsilon", epsilon)):
-            object.__setattr__(mmap, name, value)
+        _assign(mmap, a, b, k, rational_matrix(A_num, A_den), epsilon)
         return validate(mmap, (A_num, A_den))
 
     @classmethod
@@ -224,6 +248,13 @@ class MobiusMap:
         """x -> x / |x|^2, the inversion in the unit sphere."""
         zero = tuple(rational(0) for _ in range(dim))
         return cls.build(a=zero, b=zero, k=1, epsilon=2)
+
+
+def _assign(mmap: MobiusMap, a, b, k, A, epsilon) -> None:
+    """Set the parameters of a map under construction, past its
+    ``__setattr__``; ``validate`` checks them next."""
+    for name, value in (("a", a), ("b", b), ("k", k), ("A", A), ("epsilon", epsilon)):
+        object.__setattr__(mmap, name, value)
 
 
 def validate(mmap: MobiusMap, integers: tuple | None = None) -> MobiusMap:
@@ -251,8 +282,7 @@ def validate(mmap: MobiusMap, integers: tuple | None = None) -> MobiusMap:
     return mmap
 
 
-@dataclass(frozen=True)
-class ReducedFactorParams:
+class ReducedFactorParams(NamedTuple):
     """Center d, scale c and denominator sign of a curved-target factor.
 
     The factor of the map into the sphere (sign +1) or ball (sign -1) chart is
@@ -270,8 +300,6 @@ class FactorQuadratic(NamedTuple):
     w = 1/sigma is the domain chart weight (1 flat, (1 + c1 |x|^2)/2 curved) and
     Q(u) = value + 2 <linear, u> + square |u|^2 an isotropic quadratic with
     integer coefficients, a = a_num / a_den.  See :func:`factor_quadratic`.
-    A named tuple rather than a dataclass: it is built at import for every
-    ``polyharm`` process, where a dataclass costs a millisecond.
     """
 
     kappa: object
@@ -326,23 +354,29 @@ def factor_quadratic(target: SpaceFormModel, mmap: MobiusMap) -> FactorQuadratic
     )
 
 
-@dataclass(frozen=True)
 class ConformalInstance:
-    """A validated (domain, target, map) triple of equal dimension."""
+    """A validated (domain, target, map) triple of equal dimension.
 
-    domain: SpaceFormModel
-    target: SpaceFormModel
-    map: MobiusMap
+    Immutable after construction; the ``factor`` it caches is kept in the
+    instance ``__dict__``, which ``cached_property`` writes directly.
+    """
 
-    def __post_init__(self):
-        if not (self.domain.dim == self.target.dim == self.map.dim):
+    def __init__(self, domain: SpaceFormModel, target: SpaceFormModel, map: MobiusMap):
+        if not (domain.dim == target.dim == map.dim):
             raise MapValidationError("domain, target, and map dimensions must agree")
-        if self.target.curvature == -1:
-            B, d_b = integer_vector(self.map.b)
+        if target.curvature == -1:
+            B, d_b = integer_vector(map.b)
             if sum(v * v for v in B) == d_b * d_b:
                 raise MapValidationError(
                     "|b| = 1 with a hyperbolic target leaves the reduced factor undefined"
                 )
+        self.__dict__.update(domain=domain, target=target, map=map)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ConformalInstance is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ConformalInstance is immutable: cannot delete {name!r}")
 
     @property
     def dim(self) -> int:

@@ -59,8 +59,9 @@ def _admissible(instance: ConformalInstance, N, den: int, exclusion) -> bool:
 def sample_points(plan, instance: ConformalInstance) -> list[IntegerPoint]:
     """Deterministic admissible points for this instance, as integer points.
 
-    Explicit plan points are validated: m coordinates each, admissible; each
-    becomes its integers over the lcm of its denominators.  Otherwise
+    Explicit plan points are configuration, validated as such: a point
+    without m coordinates or off the admissible region is a ``ConfigError``;
+    each becomes its integers over the lcm of its denominators.  Otherwise
     rejection sampling draws coordinates radius * n/16 with integers
     |n| <= 16 until ``count`` admissible distinct points are found or the
     retry budget is exhausted.  A draw is screened on its integers, and an
@@ -77,7 +78,8 @@ def sample_points(plan, instance: ConformalInstance) -> list[IntegerPoint]:
                 raise ConfigError(f"explicit point {point} has {len(x)} coordinates, not m = {instance.dim}")
             N, den = integer_vector([rational(v) for v in x])
             if not _admissible(instance, N, den, exclusion):
-                raise AdmissibleRegionError(f"explicit point {x} is not admissible")
+                point = " ".join(format_rational(v) for v in x)
+                raise ConfigError(f"explicit point {point} is not admissible for this instance")
             out.append(IntegerPoint(N, den))
         return out
     radius = rational(plan.radius) if plan.radius is not None else _default_radius(instance.domain)

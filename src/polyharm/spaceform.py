@@ -15,7 +15,7 @@ for unit curvatures and general values would only rescale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ShapeMismatchError
 
@@ -24,18 +24,27 @@ _NAMES = {0: "flat", 1: "sphere", -1: "hyperbolic"}
 _CURVATURE_OF = {v: k for k, v in _NAMES.items()}
 
 
-@dataclass(frozen=True)
-class SpaceFormModel:
-    """A space form presented in its conformal chart."""
-
+class _Chart(NamedTuple):
     dim: int
     curvature: int
 
-    def __post_init__(self):
-        if self.dim < 2:
+
+class SpaceFormModel(_Chart):
+    """A space form presented in its conformal chart.
+
+    A named tuple (dim, curvature): immutable, and equal, hashed and printed
+    by its fields.  Construction refuses a dimension below 2 and a curvature
+    outside {-1, 0, 1}.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, curvature: int):
+        if dim < 2:
             raise ShapeMismatchError("space forms here need dimension >= 2")
-        if self.curvature not in CURVATURES:
+        if curvature not in CURVATURES:
             raise ShapeMismatchError(f"curvature must be in {CURVATURES}")
+        return super().__new__(cls, dim, curvature)
 
     @property
     def name(self) -> str:

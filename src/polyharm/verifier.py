@@ -21,12 +21,11 @@ import json
 import logging
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import jets, mobius, residuals
+from . import mobius, residuals
 from .errors import (
     AdmissibleRegionError,
     ConfigError,
@@ -56,17 +55,22 @@ CURVATURE_PAIRS = tuple((c1, c2) for c1 in (-1, 0, 1) for c2 in (-1, 0, 1))
 # -- plans and configuration --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """Either explicit points or a seeded rejection-sampling recipe."""
-
+class _Plan(NamedTuple):
     seed: int = 0
     count: int = 20
     radius: object | None = None  # rational; per-domain default when None
     exclusion: object = Fraction(1, 8)
     points: tuple | None = None  # explicit rational points override sampling
 
-    def __post_init__(self):
+
+class SamplePlan(_Plan):
+    """Either explicit points or a seeded rejection-sampling recipe: an
+    immutable named tuple that construction validates."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_samples(points=self.count)
         # a zero radius maps every draw to the origin, a negative one is no radius
         if self.radius is not None and rational(self.radius) <= 0:
@@ -75,6 +79,7 @@ class SamplePlan:
             raise ConfigError(f"sample exclusion must be >= 0, got {self.exclusion}")
         if self.points is not None:
             _require_samples(points=len(self.points))
+        return self
 
     def with_overrides(self, seed=None, count=None) -> "SamplePlan":
         return SamplePlan(
@@ -86,8 +91,7 @@ class SamplePlan:
         )
 
 
-@dataclass(frozen=True)
-class ConfiguredInstance:
+class ConfiguredInstance(NamedTuple):
     instance: ConformalInstance
     expect: str | None = None
 
@@ -710,6 +714,8 @@ def _conservation_battery(mode: str, tol: float) -> tuple[bool, str]:
 
 
 def _jet_oracle_battery(mode: str, tol: float) -> tuple[bool, str]:
+    from . import jets  # off the verdict path: loaded on first use
+
     x, y = jets.seed(_coordinates((0, 0), mode), 2)
     prod = (1 + x) * (1 + y)
     checks = [
@@ -812,17 +818,21 @@ def selftest(mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL) -> dict:
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass
 class ResidualReport:
     """A finished run: payload is serialized, timing is logged only."""
 
-    kind: str
-    mode: str
-    seed: int | None
-    body: dict
-    exit_code: int
-    timing: float = 0.0
-    tol: float | None = None
+    def __init__(
+        self,
+        kind: str,
+        mode: str,
+        seed: int | None,
+        body: dict,
+        exit_code: int,
+        timing: float = 0.0,
+        tol: float | None = None,
+    ):
+        self.kind, self.mode, self.seed, self.body = kind, mode, seed, body
+        self.exit_code, self.timing, self.tol = exit_code, timing, tol
 
     def payload(self) -> dict:
         doc = {

@@ -1,6 +1,8 @@
 """Map family validation, conformal factors, and closed-form cross-checks."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,11 @@ class TestValidate:
         assert mmap.A == ((rational(3, 5), rational(-4, 5)), (rational(4, 5), rational(3, 5)))
         assert mmap.A_integers == integer_matrix(mmap.A) == ([[3, -4], [4, 3]], 5)
         assert mmap == MobiusMap.build(_zeros(2), _zeros(2), 1, mmap.A, 2)
+
+    def test_copy_and_pickle_keep_the_map(self):
+        mmap = MobiusMap.from_integers(_zeros(2), _zeros(2), rational(1), [[3, -4], [4, 3]], 5, 2)
+        for twin in (copy.deepcopy(mmap), pickle.loads(pickle.dumps(mmap))):
+            assert twin == mmap and twin.A_integers == mmap.A_integers
 
 
 def _gauss_jordan_inverse(A):

@@ -4,7 +4,7 @@ and a finite-difference divergence-form oracle."""
 import pytest
 
 from polyharm import jets
-from polyharm.errors import ChartDomainError
+from polyharm.errors import ChartDomainError, ShapeMismatchError
 from polyharm.jets import seed
 from polyharm.rationals import rational
 from polyharm.spaceform import SpaceFormModel, in_domain
@@ -30,6 +30,11 @@ class TestModel:
     def test_named_roundtrip(self):
         for name in ("flat", "sphere", "hyperbolic"):
             assert SpaceFormModel.named(name, 5).name == name
+
+    @pytest.mark.parametrize("dim, curvature", [(1, 0), (3, 2)], ids=["dim-1", "curvature-2"])
+    def test_construction_validates(self, dim, curvature):
+        with pytest.raises(ShapeMismatchError):
+            SpaceFormModel(dim, curvature)
 
     def test_scalar_curvature(self):
         assert scal(SpaceFormModel.flat(4)) == 0
