@@ -148,10 +148,17 @@ def cayley_integers(S: Matrix) -> tuple[list, int]:
         for j in range(m):
             if S[i][j] != -S[j][i]:
                 raise MapValidationError("Cayley input must be skew-symmetric")
-    # With S = N/d, solve (dI - N) X = dI + N by fraction-free Gauss-Jordan
+    return cayley_bareiss(*integer_matrix(S))
+
+
+def cayley_bareiss(N, d: int) -> tuple[list, int]:
+    """The Cayley transform of the skew matrix S = N/d (N integer, d > 0) as
+    (N', D): N'/D = (I - S)^-1 (I + S), D the lcm of its denominators, so the
+    pair does not depend on which d represents S."""
+    m = len(N)
+    # Solve (dI - N) X = dI + N by fraction-free Gauss-Jordan
     # elimination (Bareiss): every division is exact, and at the end the left
     # block is det I and the right block det X, all integers.
-    N, d = integer_matrix(S)
     rows = [
         [(d if i == j else 0) - N[i][j] for j in range(m)]
         + [(d if i == j else 0) + N[i][j] for j in range(m)]

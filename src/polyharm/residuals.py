@@ -80,8 +80,15 @@ H, rank two plus a multiple of I, is never stored: H v reads G.v and P1.v.
 In t the sum over i != j misses the i = j terms of gamma and pi, leaving
 48 W G_j^3 - 24 P1_j G_j^2, which 6 L_(3 e_j) cancels exactly.  It must:
 lambda is a function of X.h, G.h and |h|^2, so the gradient of its
-Laplacian lies in span(X, G), as every vector the residuals read does, at
-O(m) cost.  The curved operators
+Laplacian lies in span(X, G), as every vector the residuals read does.
+
+So the kernel forms three m-vectors, X, U and G, and three Gram scalars,
+xx = |X|^2, xG = <X, G> and GG = |G|^2 (gamma above), besides the two sums
+of F.  Every other vector is a pair (a, b) meaning a X + b G, formed by
+O(1) scalar algebra: P1 = (p, 0) with p = 2 c1 D F, g = (p, -2 W), pi =
+p xG, and with Gv = v_X xG + v_G GG and Pv = p (v_X xx + v_G xG) for a pair
+v, H v = (-2 p Gv + c0 v_X, 8 W Gv - 2 Pv + c0 v_G).  |g|^2 and <X, g> are
+read off the Gram scalars.  The curved operators
 
     lapbar f = w^2 lap f - (m-2) c1 w <x, grad f>,   |gradbar f|^2 = w^2 |grad f|^2
 
@@ -94,16 +101,22 @@ K grad_Lb / (4 D^4 F^4), Gamma_j = 2 c1 D F X_j |g|^2 + W (H g)_j, and
     SDL_j = Kn^2 W^2 / (16 Kd^2 D^8 F^5) [W grad_Lb_j - 3 Lb g_j - (m-4) W Gamma_j
                                           + 8 (m-1) c1 D^4 F^2 W g_j]
 
-and ND, ND2 the like sums over Kn^2 W^2 / (16 Kd^4 D^8 F^5).  Each term of
-a residual stays one integer vector over that one positive denominator.  A
-residual is formed only when read, and then holds only the integer column
-sums of its terms; each output component meets one rational, and the float
-term sizes are int/int quotients, when first read.  Exact zeros are decided
-on the integer numerators: the prefactor numerator Kn or (Kn W)^2 and the
-denominator are nonzero, since the geometry raises unless Kn, W and F are
-positive, so a component is 0 exactly when its integer sum is.  The tests
-keep the recurrence over its multi-index set and the dense jet route (their
-``jet_oracles`` module) as oracles.
+and ND, ND2 the like sums over Kn^2 W^2 / (16 Kd^4 D^8 F^5), each kept to
+its own formula, so the identity chain stays a check of three separate
+assemblies.  Each term of a vector residual is a pair over that one
+positive denominator, and each term of CL a scalar.  A residual is formed
+only when read, and then holds only the coefficients of its terms.  Exact
+zeros are decided without forming a vector: with (a, b) the summed pair,
+|a X + b G|^2 = a^2 xx + 2 a b xG + b^2 GG is 0 exactly when the vector is,
+also where X = 0, G = 0 or X is parallel to G, and the harmonic flag is
+|g|^2 = 0; the prefactor numerator Kn or (Kn W)^2 and the denominator are
+nonzero, since the geometry raises unless Kn, W and F are positive, so a
+component is 0 exactly when its integer sum is.  m-vectors, a X_j + b G_j
+per term, are formed only when a residual's values, norm or scale is read
+(exact: the integers the m-vector kernel formed, so exact reports keep
+their bytes), and for the float harmonic flag.  The tests keep that m-vector
+kernel, the recurrence over its multi-index set and the dense jet route
+(their ``jet_oracles`` module) as oracles.
 
 Polyharmonic path.  Flat-target polyharmonicity reduces to iterated flat
 Laplacians of the map components.  On the inversive branch (eps = 2)
@@ -171,48 +184,84 @@ DEFAULT_FLOAT_TOL = 1e-9
 
 
 class ResidualVector:
-    """Residual of one equation, num/den * sum(terms), each term an integer
-    vector (a double vector in float mode), with its scale for float mode.
+    """Residual of one equation, num/den * sum(terms), over a basis.
 
-    Construction keeps only the integer column sums of the terms; ``values``
-    (one rational per component), ``norm``, ``scale`` and ``exact_zero`` are
-    formed the first time they are read.  ``scale`` is the sum of Euclidean
-    norms of the equation's constituent terms, read off the int/int quotients
-    (num * t)/den: the correctly rounded floats of the exact terms, as
-    ``float`` of those rationals gives.  Raw tolerances would be meaningless
-    across lambda^4-sized terms.
+    ``basis`` is (vectors, norm_sq): each term is a coefficient tuple c over
+    the vectors v_i, the vector sum_i c_i v_i, and norm_sq(c) is its squared
+    norm c^T Gram c.  The vector residuals use (X, G) and the Gram scalars of
+    ``ConformalGeometry``, the scalar CL the one vector (1,).  Integers, or
+    doubles in float mode.
+
+    Construction keeps the coefficient tuples only.  ``sums`` (the column
+    sums of the term vectors), ``values`` (one rational per component),
+    ``norm`` and ``scale`` form the term vectors the first time one of them
+    is read.  ``scale`` is the sum of Euclidean norms of the equation's
+    constituent terms, read off the int/int quotients (num * t)/den: the
+    correctly rounded floats of the exact terms, as ``float`` of those
+    rationals gives.  Raw tolerances would be meaningless across
+    lambda^4-sized terms.
 
     ``exact_zero`` is the verdict of :func:`vanishes`.  Exact mode decides it
-    on the integer numerators, ``not any(sums)``: each value is num * s / den
-    with num = Kn or (Kn W)^2 and den a positive multiple of powers of Kd, D
-    and F, and ``ConformalGeometry`` raises unless Kn, W and F are positive,
-    so a value is 0 exactly when its sum s is.  Float mode calls
-    ``vanishes(values, scale, tol)``.
+    without forming a vector, as norm_sq of the summed coefficients: 0
+    exactly when every sum is, also where a basis vector is 0 or the two are
+    parallel.  Each value is num * s / den with num = Kn or (Kn W)^2 and den
+    a positive multiple of powers of Kd, D and F, and ``ConformalGeometry``
+    raises unless Kn, W and F are positive, so a value is 0 exactly when its
+    sum s is.  Float mode calls ``vanishes(values, scale, tol)``.
     """
 
-    def __init__(self, g: ConformalGeometry, num, den, terms, tol: float):
+    def __init__(self, g: ConformalGeometry, num, den, terms, tol: float, basis):
         self._quotient, self._exact = g.quotient, g.exact
         self._num, self._den, self._terms, self._tol = num, den, terms, tol
-        self._sums = [sum(col) for col in zip(*terms)]
+        self._vectors, self._norm_sq = basis
+
+    @cached_property
+    def _formed(self) -> tuple:
+        # sums and scale both read every term vector, and every reader of
+        # one reads the other: form them together
+        terms = [_combine(t, self._vectors) for t in self._terms]
+        num, den = self._num, self._den
+        return [sum(col) for col in zip(*terms)], sum(_norm([num * v / den for v in t]) for t in terms)
+
+    @property
+    def sums(self) -> list:
+        return self._formed[0]
 
     @cached_property
     def values(self) -> tuple:
-        return tuple(self._quotient(self._num * s, self._den) for s in self._sums)
+        return tuple(self._quotient(self._num * s, self._den) for s in self.sums)
 
     @cached_property
     def norm(self) -> float:
         return _norm(self.values)
 
-    @cached_property
+    @property
     def scale(self) -> float:
-        num, den = self._num, self._den
-        return sum(_norm([num * v / den for v in t]) for t in self._terms)
+        return self._formed[1]
 
-    @cached_property
+    @property
     def exact_zero(self) -> bool:
         if self._exact:
-            return not any(self._sums)
+            return not self._norm_sq(tuple(map(sum, zip(*self._terms))))
         return vanishes(self.values, self.scale, self._tol)
+
+
+def _combine(coef, vectors) -> list:
+    """The vector sum_i coef_i vectors_i, component by component."""
+    c = coef[0]
+    out = [c * v for v in vectors[0]]
+    for i in range(1, len(coef)):
+        c = coef[i]
+        out = [o + c * v for o, v in zip(out, vectors[i])]
+    return out
+
+
+def _square(c):
+    return c[0] * c[0]
+
+
+# the basis of a scalar residual: the one vector (1,) and its squared norm
+_SCALAR = (((1,),), _square)
 
 
 def _norm(values) -> float:
@@ -239,9 +288,14 @@ class ConformalGeometry:
     The Taylor recurrence of lambda = P/Q in closed form (module docstring):
     g, H = 8 W G G^T - 2 (P1 G^T + G P1^T) + c0 I, lap = tr H and t lie in
     span(X, G), as grad lap of a function of X.h, G.h and |h|^2 must, so the
-    G_j^3 and P1_j G_j^2 terms of t cancel.  The residuals read the integers
-    W, F, D^4, Kn/Kd, g, |g|^2, Gamma, Lb and grad_Lb (doubles when a
-    coordinate of x is a float); no m x m table is formed.
+    G_j^3 and P1_j G_j^2 terms of t cancel.  The only m-vectors formed are X,
+    U and G; every vector the residuals read is a pair (a, b) meaning
+    a X + b G, formed by O(1) algebra on the Gram scalars xx = |X|^2,
+    xG = <X, G> and GG = |G|^2.  The residuals read the integers W, F, D^4,
+    Kn/Kd, |g|^2 and Lb and the pairs g, Gamma and grad_Lb (doubles when a
+    coordinate of x is a float); ``basis`` is ((X, G), norm_sq), norm_sq
+    giving |a X + b G|^2 from the Gram scalars, and :meth:`vector` forms
+    the m-vector of a pair.
     """
 
     def __init__(self, instance: ConformalInstance, x):
@@ -274,14 +328,15 @@ class ConformalGeometry:
             quotient = operator.truediv
         self.quotient, self.exact = quotient, point is not None
         D2 = D * D
+        xx = sum(map(operator.mul, X, X))
         # 2 D^2 w(x0) for the chart weight w = 1/sigma: 1 on the flat chart,
         # (1 + c1 |x|^2)/2 on the curved ones
-        W = (2 - c1 * c1) * D2 + c1 * sum(v * v for v in X)
+        W = (2 - c1 * c1) * D2 + c1 * xx
         if W <= 0:
             raise ChartDomainError(f"base point outside the {dom.name} chart")
         if instance.map.epsilon == 2 and not any(U):
             raise SingularDivisionError("factor is singular at x = a")
-        F = q0 * D2 + 2 * D * sum(g * u for g, u in zip(qg, U)) + qs * sum(u * u for u in U)
+        F = q0 * D2 + 2 * D * sum(map(operator.mul, qg, U)) + qs * sum(map(operator.mul, U, U))
         # F has the sign of 1 + c2 |phi(x0)|^2 (constant 1 on a flat target)
         if not F:
             raise ChartDomainError("image point on the target chart boundary")
@@ -294,53 +349,67 @@ class ConformalGeometry:
             raise NonpositiveFactorError(f"conformal factor {lam0} <= 0 at {at}")
 
         # lambda_beta = K L_beta / F^(|beta|+1) in closed form: gradient g / F^2,
-        # Hessian H / F^3 (applied, never stored), lap / F^3 and its gradient t / F^4
+        # Hessian H / F^3 (applied, never stored), lap / F^3 and its gradient
+        # t / F^4, every vector a pair on (X, G)
         G = [D * (D * v + qs * u) for v, u in zip(qg, U)]
+        xG = sum(map(operator.mul, X, G))
+        GG = sum(map(operator.mul, G, G))
+
+        def norm_sq(pair):
+            # |a X + b G|^2 of a pair (a, b), read off the Gram scalars
+            a, b = pair
+            return a * a * xx + 2 * a * b * xG + b * b * GG
+
         SF = qs * D2 * F
-        P1 = [2 * c1 * D * F * v for v in X]
+        p = 2 * c1 * D * F  # P1 = p X
         P2 = c1 * D2 * F * F
         c0 = 2 * P2 - 2 * W * SF
-        gamma = sum(v * v for v in G)
-        pi = sum(p * v for p, v in zip(P1, G))
-        g = [p - 2 * W * v for p, v in zip(P1, G)]
-        lap = 8 * W * gamma - 4 * pi + m * c0
-        tG = W * ((8 * m + 16) * SF - 48 * gamma) + 16 * pi - (4 * m + 8) * P2
-        tP = 8 * gamma - (2 * m + 4) * SF
-        t = [tG * v + tP * p for v, p in zip(G, P1)]
+        pi = p * xG
+        g = (p, -2 * W)
+        lap = 8 * W * GG - 4 * pi + m * c0
+        tG = W * ((8 * m + 16) * SF - 48 * GG) + 16 * pi - (4 * m + 8) * P2
+        tP = 8 * GG - (2 * m + 4) * SF
+        t = (tP * p, tG)
 
         def apply_H(v):
-            Gv = sum(a * b for a, b in zip(G, v))
-            Pv = sum(a * b for a, b in zip(P1, v))
-            return [(8 * W * Gv - 2 * Pv) * a - 2 * Gv * p + c0 * b for a, p, b in zip(G, P1, v)]
+            vx, vG = v
+            Gv = vx * xG + vG * GG
+            Pv = p * (vx * xx + vG * xG)
+            return (-2 * p * Gv + c0 * vx, 8 * W * Gv - 2 * Pv + c0 * vG)
 
-        xH, gH = apply_H(X), apply_H(g)
-        gg = sum(v * v for v in g)
-        xg = sum(a * b for a, b in zip(X, g))
+        xH, gH = apply_H((1, 0)), apply_H(g)
+        gg = norm_sq(g)
+        xg = p * xx - 2 * W * xG
 
         # lapbar = w^2 lap(lam) - (m-2) c1 w <x, grad lam>, with w = W / (2 D^2)
         # and grad w = c1 x: lapbar lam = K Lb / (4 D^4 F^3) and its gradient
         # K grad_Lb / (4 D^4 F^4); grad |gradbar lam|^2 = K^2 W Gamma / (2 D^4 F^5)
         F2 = F * F
         r = (m - 2) * c1
+        W2, rg, rx = W * W, 2 * r * D2 * F2 * W, 2 * r * D * F * W
         self.Lb = W * (W * lap - 2 * r * D * F * xg)
-        self.grad_Lb = [
-            4 * c1 * D * F * W * X[j] * lap
-            + W * W * t[j]
-            - r * (4 * c1 * D2 * F2 * X[j] * xg + 2 * D2 * F2 * W * g[j] + 2 * D * F * W * xH[j])
-            for j in range(m)
-        ]
-        self.Gamma = [2 * c1 * D * F * X[j] * gg + W * gH[j] for j in range(m)]
+        self.grad_Lb = (
+            4 * c1 * D * F * W * lap - 4 * r * c1 * D2 * F2 * xg + W2 * t[0] - rg * g[0] - rx * xH[0],
+            W2 * t[1] - rg * g[1] - rx * xH[1],
+        )
+        self.Gamma = (p * gg + W * gH[0], W * gH[1])
         self.W, self.F, self.D4, self.Kn, self.Kd, self.g, self.gg = W, F, D2 * D2, Kn, Kd, g, gg
-        self.P1, self.G = P1, G
+        self.basis = ((X, G), norm_sq)
+
+    def vector(self, pair) -> list:
+        """The m-vector a X + b G of a pair (a, b)."""
+        return _combine(pair, self.basis[0])
 
     def harmonic(self, tol: float) -> bool:
-        """Whether grad lambda = g / F^2 vanishes, g = P1 - 2 W G: every entry
-        is 0 in exact mode; in float mode :func:`vanishes` judges g against
-        |P1| + 2 |W| |G|, the size of its two terms, which cancel wherever
-        lambda is constant."""
+        """Whether grad lambda = g / F^2 vanishes, g = p X - 2 W G: exactly
+        when |g|^2 = 0 in exact mode; in float mode :func:`vanishes` judges the
+        formed g against |p X| + 2 |W| |G|, the size of its two terms, which
+        cancel wherever lambda is constant."""
         if self.exact:
-            return not any(self.g)
-        return vanishes(self.g, _norm(self.P1) + 2 * abs(self.W) * _norm(self.G), tol)
+            return not self.gg
+        X, G = self.basis[0]
+        p = self.g[0]
+        return vanishes(self.vector(self.g), _norm([p * v for v in X]) + 2 * abs(self.W) * _norm(G), tol)
 
 
 def _cl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
@@ -353,7 +422,7 @@ def _cl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     t2 = (-4 * m * D4 * g.c1 * Kd2 * W * F * F,)
     t3 = (4 * m * D4 * g.c2 * Kn * Kn * W**3,)
     t4 = ((m - 4) * Kd2 * W * g.gg,)
-    return ResidualVector(g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3, t4], tol)
+    return ResidualVector(g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3, t4], tol, _SCALAR)
 
 
 def _sdl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
@@ -366,7 +435,7 @@ def _sdl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     c = 8 * (m - 1) * g.c1 * D4 * F * F * W
     t4 = [c * v for v in g.g]
     num = (g.Kn * W) ** 2
-    return ResidualVector(g, num, 16 * g.Kd**2 * D4 * D4 * F**5, [t1, t2, t3, t4], tol)
+    return ResidualVector(g, num, 16 * g.Kd**2 * D4 * D4 * F**5, [t1, t2, t3, t4], tol, g.basis)
 
 
 def _nd_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
@@ -380,7 +449,7 @@ def _nd_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     c = 4 * D4 * W * (2 * m * g.c2 * Kn * Kn * W * W + (m - 2) * g.c1 * Kd2 * F * F)
     t3 = [c * v for v in g.g]
     num = (Kn * W) ** 2
-    return ResidualVector(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol)
+    return ResidualVector(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol, g.basis)
 
 
 def _nd2_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
@@ -394,7 +463,7 @@ def _nd2_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     c = 4 * D4 * W * ((2 - 3 * m) * g.c1 * Kd2 * F * F + 2 * m * g.c2 * Kn * Kn * W * W)
     t3 = [c * v for v in g.g]
     num = (Kn * W) ** 2
-    return ResidualVector(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol)
+    return ResidualVector(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol, g.basis)
 
 
 class _Residuals(Mapping):

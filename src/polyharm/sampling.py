@@ -8,15 +8,23 @@ matrix as integers (identity, signed permutation or Cayley transform) and
 hands them to validation with ``MobiusMap.from_integers``.  Every draw comes
 from a ``random.Random`` the caller seeds, so the same seed draws the same
 maps and points.
+
+Every integer draw goes through :func:`_randint`, which consumes the
+generator's stream exactly as ``random.Random.randint`` does (one
+``getrandbits(k)`` per try, k the bit length of the range's size, redrawn
+while the result is out of range) at a fraction of its call overhead, so
+seeds keep drawing the maps and points they drew through ``randint``.
+``shuffle`` and ``choice`` are used as they are.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 from .errors import AdmissibleRegionError, ConfigError
-from .mobius import ConformalInstance, MobiusMap, cayley_integers, signed_permutation_integers
+from .mobius import ConformalInstance, MobiusMap, cayley_bareiss, signed_permutation_integers
 from .rationals import IntegerPoint, format_rational, integer_vector, rational
 from .spaceform import SpaceFormModel
 
@@ -36,24 +44,53 @@ def _default_radius(domain: SpaceFormModel):
     return rational(3, 4) if m <= 8 else rational(1, math.isqrt(m - 1) + 1)
 
 
-def _admissible(instance: ConformalInstance, N, den: int, exclusion) -> bool:
-    """x = N/den (integers, den > 0) lies in the domain chart, off the
-    exclusion ball round a (eps = 2), and lambda(x) > 0; decided on integers.
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``, drawn from the same stream: CPython's
+    ``_randbelow_with_getrandbits`` on n = hi - lo + 1."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+def _screen(instance: ConformalInstance, exclusion, den: int, r: int = 1):
+    """The admissibility test of the points x = r v / den (v integers,
+    den > 0) of this instance: x lies in the domain chart, off the exclusion
+    ball round a (eps = 2), and lambda(x) > 0; decided on integers.
 
     With lambda = kappa * w * fq.den / Q(x - a), the chart weight w and
     ``fq.den`` are positive, so the sign is that of kappa * Q.  Over
-    L = den * a_den, u = x - a = U/L and L^2 Q(u) is an integer.
+    L = den * a_den, u = x - a = U/L with U = r a_den v - den a_num, and
+    L^2 Q(u) is an integer.  Everything but U is formed once, here.
     """
-    if instance.domain.curvature < 0 and sum(v * v for v in N) >= den * den:
-        return False  # outside the ball |x| < 1
     fq = instance.factor
+    if fq.kappa <= 0:
+        return lambda v: False
     L = den * fq.a_den
-    U = [v * fq.a_den - den * a for v, a in zip(N, fq.a_num)]
-    u_sq = sum(v * v for v in U)
-    if instance.map.epsilon == 2 and u_sq * exclusion.denominator**2 <= (exclusion.numerator * L) ** 2:
-        return False
-    q = fq.value * L * L + 2 * L * sum(g * v for g, v in zip(fq.linear, U)) + fq.square * u_sq
-    return fq.kappa > 0 and q > 0
+    ra = r * fq.a_den
+    shift = [den * a for a in fq.a_num]
+    # |x| < 1 on the ball: r^2 |v|^2 < den^2
+    ball = den * den if instance.domain.curvature < 0 else None
+    r2 = r * r
+    # |u| > exclusion round a: |U|^2 e_den^2 > (e_num L)^2
+    excl = (exclusion.numerator * L) ** 2 if instance.map.epsilon == 2 else None
+    excl_den2 = exclusion.denominator**2
+    q0 = fq.value * L * L
+    lin = [2 * L * g for g in fq.linear]
+    qs = fq.square
+
+    def admissible(v) -> bool:
+        if ball is not None and r2 * sum(map(operator.mul, v, v)) >= ball:
+            return False
+        U = [ra * x - s for x, s in zip(v, shift)]
+        u_sq = sum(map(operator.mul, U, U))
+        if excl is not None and u_sq * excl_den2 <= excl:
+            return False
+        return q0 + sum(map(operator.mul, lin, U)) + qs * u_sq > 0
+
+    return admissible
 
 
 def sample_points(plan, instance: ConformalInstance) -> list[IntegerPoint]:
@@ -64,10 +101,11 @@ def sample_points(plan, instance: ConformalInstance) -> list[IntegerPoint]:
     each becomes its integers over the lcm of its denominators.  Otherwise
     rejection sampling draws coordinates radius * n/16 with integers
     |n| <= 16 until ``count`` admissible distinct points are found or the
-    retry budget is exhausted.  A draw is screened on its integers, and an
-    accepted one is kept as those integers over the one denominator
-    16 * den(radius); the radius is positive, so distinct n are distinct
-    points.  No point is formed as rationals: reports print them.
+    retry budget is exhausted.  A draw is screened on its integers n, and an
+    accepted one is kept as r n over the one denominator 16 * den(radius),
+    r = num(radius); the radius is positive, so distinct n are distinct
+    points.  No point is formed as rationals: reports print them.  Both
+    paths test admissibility with one :func:`_screen` per denominator.
     """
     exclusion = rational(plan.exclusion)
     if plan.points is not None:
@@ -77,7 +115,7 @@ def sample_points(plan, instance: ConformalInstance) -> list[IntegerPoint]:
                 point = " ".join(format_rational(v) for v in x)
                 raise ConfigError(f"explicit point {point} has {len(x)} coordinates, not m = {instance.dim}")
             N, den = integer_vector([rational(v) for v in x])
-            if not _admissible(instance, N, den, exclusion):
+            if not _screen(instance, exclusion, den)(N):
                 point = " ".join(format_rational(v) for v in x)
                 raise ConfigError(f"explicit point {point} is not admissible for this instance")
             out.append(IntegerPoint(N, den))
@@ -85,19 +123,19 @@ def sample_points(plan, instance: ConformalInstance) -> list[IntegerPoint]:
     radius = rational(plan.radius) if plan.radius is not None else _default_radius(instance.domain)
     r_num = radius.numerator
     den = _POINT_MAX_DEN * radius.denominator
+    admissible = _screen(instance, exclusion, den, r_num)
     rng = random.Random(f"polyharm:points:{plan.seed}")
     m = instance.dim
     found: list[IntegerPoint] = []
     seen = set()
     budget = _REJECTION_FACTOR * plan.count
     for _ in range(budget):
-        n = tuple(rng.randint(-_POINT_MAX_DEN, _POINT_MAX_DEN) for _ in range(m))
+        n = tuple([_randint(rng, -_POINT_MAX_DEN, _POINT_MAX_DEN) for _ in range(m)])
         if n in seen:
             continue
         seen.add(n)
-        N = [r_num * v for v in n]
-        if _admissible(instance, N, den, exclusion):
-            found.append(IntegerPoint(N, den))
+        if admissible(n):
+            found.append(IntegerPoint([r_num * v for v in n], den))
             if len(found) == plan.count:
                 return found
     raise AdmissibleRegionError(
@@ -111,18 +149,15 @@ def _flat_sample_point(rng: random.Random, mmap: MobiusMap) -> IntegerPoint:
     m = mmap.dim
     a_num, a_den = integer_vector(mmap.a)
     for _ in range(200):
-        n = [rng.randint(-8, 8) for _ in range(m)]
+        n = [_randint(rng, -8, 8) for _ in range(m)]
         if sum((v * a_den - 4 * a) ** 2 for v, a in zip(n, a_num)) > a_den * a_den:
             return IntegerPoint(n, 4)
     raise AdmissibleRegionError("could not place a point away from the singular set")
 
 
-def _rand_rational(rng: random.Random, max_num: int, den_lo: int, den_hi: int, nonzero=False):
-    while True:
-        num = rng.randint(-max_num, max_num)
-        if nonzero and num == 0:
-            continue
-        return rational(num, rng.randint(den_lo, den_hi))
+def _rand_rational(rng: random.Random, max_num: int, den_lo: int, den_hi: int):
+    num = _randint(rng, -max_num, max_num)
+    return rational(num, _randint(rng, den_lo, den_hi))
 
 
 def _random_orthogonal(rng: random.Random, m: int, style: int) -> tuple[list, int]:
@@ -136,13 +171,15 @@ def _random_orthogonal(rng: random.Random, m: int, style: int) -> tuple[list, in
         rng.shuffle(perm)
         signs = [rng.choice((-1, 1)) for _ in range(m)]
         return signed_permutation_integers(perm, signs), 1
-    rows = [[rational(0)] * m for _ in range(m)]
+    # a skew S with entries n / d, |n| <= 1 and d in {2, 3}, as the
+    # integers 6 S over 6
+    N = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            v = _rand_rational(rng, 1, 2, 3)
-            rows[i][j] = v
-            rows[j][i] = -v
-    return cayley_integers(rows)
+            v = _randint(rng, -1, 1) * (6 // _randint(rng, 2, 3))
+            N[i][j] = v
+            N[j][i] = -v
+    return cayley_bareiss(N, 6)
 
 
 def random_mobius(
@@ -165,14 +202,14 @@ def random_mobius(
     if target.curvature == -1:
         b = tuple(_rand_rational(rng, 1, 7, 8) for _ in range(m))
         if epsilon == 2:
-            k = rational(rng.randint(1, 3), rng.randint(6, 8))
+            k = rational(_randint(rng, 1, 3), _randint(rng, 6, 8))
         else:
             # |phi(x)| <= |b| + k|x - a| and the box reaches |x - a| ~ 3 sqrt(m),
             # so k ~ 1/16 keeps the whole box inside the ball through m = 12
-            k = rational(1, rng.randint(13, 16))
+            k = rational(1, _randint(rng, 13, 16))
     else:
         b = tuple(_rand_rational(rng, 2, 2, 4) for _ in range(m))
-        k = rational(rng.randint(1, 6), rng.randint(1, 6))
+        k = rational(_randint(rng, 1, 6), _randint(rng, 1, 6))
     # every entry is already rational and A comes as integers: construction
     # validates the map on them
     N, D = _random_orthogonal(rng, m, style)

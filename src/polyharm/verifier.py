@@ -34,7 +34,7 @@ from .errors import (
 from .mobius import ConformalInstance, MobiusMap
 from .rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
 from .residuals import DEFAULT_FLOAT_TOL
-from .sampling import _flat_sample_point, random_mobius, sample_points
+from .sampling import _flat_sample_point, _randint, random_mobius, sample_points
 from .spaceform import SpaceFormModel
 
 log = logging.getLogger("polyharm")
@@ -400,7 +400,7 @@ def _sweep_instance(
     for attempt in range(_MAP_RETRIES):
         mmap = random_mobius(rng, m, target, epsilon, style)
         instance = ConformalInstance(domain=domain, target=target, map=mmap)
-        plan = SamplePlan(seed=rng.randint(0, 2**31), count=points)
+        plan = SamplePlan(seed=_randint(rng, 0, 2**31), count=points)
         try:
             return instance, sample_points(plan, instance)
         except AdmissibleRegionError:

@@ -18,7 +18,7 @@ from polyharm.errors import (
 )
 from polyharm.jets import seed
 from polyharm.mobius import ConformalInstance, MobiusMap, integer_matrix, rational_matrix
-from polyharm.rationals import EXACT, FLOAT, IntegerPoint, integer_vector, rational
+from polyharm.rationals import EXACT, FLOAT, IntegerPoint, exact_point, integer_vector, rational
 from polyharm.residuals import (
     ConformalGeometry,
     closed_form_coefficient,
@@ -230,19 +230,21 @@ GEOMETRY_FIELDS = (
 def _kernel_fields(g: ConformalGeometry) -> dict:
     """The fields of _dense_geometry from the kernel's integers alone: lambda
     = Kn W / (Kd F), its gradient over F^2, lapbar lambda from Lb and grad_Lb,
-    |gradbar lambda|^2 from |g|^2 and Gamma (see the residuals docstring)."""
+    |gradbar lambda|^2 from |g|^2 and Gamma (see the residuals docstring),
+    the pairs on (X, G) formed as m-vectors by the kernel's ``vector``."""
     q, Kn, Kd, W, F, D4 = g.quotient, g.Kn, g.Kd, g.W, g.F, g.D4
+    grad, grad_Lb, Gamma = g.vector(g.g), g.vector(g.grad_Lb), g.vector(g.Gamma)
     return {
         "lam0": q(Kn * W, Kd * F),
-        "grad_lam": tuple(q(Kn * v, Kd * F * F) for v in g.g),
+        "grad_lam": tuple(q(Kn * v, Kd * F * F) for v in grad),
         "w0_sq": q(W * W, 4 * D4),
         "lapbar0": q(Kn * g.Lb, Kd * 4 * D4 * F**3),
-        "grad_lapbar": tuple(q(Kn * v, Kd * 4 * D4 * F**4) for v in g.grad_Lb),
+        "grad_lapbar": tuple(q(Kn * v, Kd * 4 * D4 * F**4) for v in grad_Lb),
         "grad_lam_lapbar": tuple(
-            q(Kn**2 * (g.Lb * gj + W * v), Kd**2 * 4 * D4 * F**5) for gj, v in zip(g.g, g.grad_Lb)
+            q(Kn**2 * (g.Lb * gj + W * v), Kd**2 * 4 * D4 * F**5) for gj, v in zip(grad, grad_Lb)
         ),
         "gnorm0": q(Kn**2 * W * W * g.gg, Kd**2 * 4 * D4 * F**4),
-        "grad_gnorm": tuple(q(Kn**2 * W * v, Kd**2 * 2 * D4 * F**5) for v in g.Gamma),
+        "grad_gnorm": tuple(q(Kn**2 * W * v, Kd**2 * 2 * D4 * F**5) for v in Gamma),
     }
 
 
@@ -837,9 +839,207 @@ class TestGeometryClosedForms:
                 inst, pts = make_instance(f"closed-forms:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, style=2)
                 geo = ConformalGeometry(inst, pts[0])
                 want = _read_set_route(inst, pts[0])
-                assert {f: getattr(geo, f) for f in self.FIELDS} == {f: want[f] for f in self.FIELDS}
+                assert _geometry_vectors(geo) == {f: want[f] for f in self.FIELDS}
                 checked += 1
         assert checked == 9 * 2
+
+
+def _geometry_vectors(geo) -> dict:
+    """g, |g|^2, Lb, grad_Lb and Gamma of the kernel, the pairs on (X, G)
+    formed as m-vectors by its ``vector``."""
+    return {
+        "g": geo.vector(geo.g),
+        "gg": geo.gg,
+        "Lb": geo.Lb,
+        "grad_Lb": geo.vector(geo.grad_Lb),
+        "Gamma": geo.vector(geo.Gamma),
+    }
+
+
+def _vector_kernel(instance, x) -> dict:
+    """The biharmonic kernel on m-vectors, as it ran before the Gram basis:
+    g, t, H X, H g, grad_Lb and Gamma formed component by component.  At an
+    exact point, the fields of ``_geometry_vectors`` and the four residuals'
+    integer column sums by their term formulas."""
+    point = exact_point(x)
+    fq, m = instance.factor, instance.dim
+    c1, c2 = instance.domain.curvature, instance.target.curvature
+    D = math.lcm(fq.a_den, point.den)
+    X = [v * (D // point.den) for v in point.N]
+    U = [xi - D // fq.a_den * ai for xi, ai in zip(X, fq.a_num)]
+    q0, qg, qs = fq.value, fq.linear, fq.square
+    Kn, Kd = fq.den * fq.kappa.numerator, 2 * fq.kappa.denominator
+    h = math.gcd(Kn, Kd)
+    Kn, Kd = Kn // h, Kd // h
+    D2 = D * D
+    W = (2 - c1 * c1) * D2 + c1 * sum(v * v for v in X)
+    F = q0 * D2 + 2 * D * sum(g * u for g, u in zip(qg, U)) + qs * sum(u * u for u in U)
+    G = [D * (D * v + qs * u) for v, u in zip(qg, U)]
+    SF = qs * D2 * F
+    P1 = [2 * c1 * D * F * v for v in X]
+    P2 = c1 * D2 * F * F
+    c0 = 2 * P2 - 2 * W * SF
+    gamma = sum(v * v for v in G)
+    pi = sum(p * v for p, v in zip(P1, G))
+    g = [p - 2 * W * v for p, v in zip(P1, G)]
+    lap = 8 * W * gamma - 4 * pi + m * c0
+    tG = W * ((8 * m + 16) * SF - 48 * gamma) + 16 * pi - (4 * m + 8) * P2
+    tP = 8 * gamma - (2 * m + 4) * SF
+    t = [tG * v + tP * p for v, p in zip(G, P1)]
+
+    def apply_H(v):
+        Gv = sum(a * b for a, b in zip(G, v))
+        Pv = sum(a * b for a, b in zip(P1, v))
+        return [(8 * W * Gv - 2 * Pv) * a - 2 * Gv * p + c0 * b for a, p, b in zip(G, P1, v)]
+
+    xH, gH = apply_H(X), apply_H(g)
+    gg = sum(v * v for v in g)
+    xg = sum(a * b for a, b in zip(X, g))
+    F2, D4 = F * F, D2 * D2
+    r = (m - 2) * c1
+    Lb = W * (W * lap - 2 * r * D * F * xg)
+    grad_Lb = [
+        4 * c1 * D * F * W * X[j] * lap
+        + W * W * t[j]
+        - r * (4 * c1 * D2 * F2 * X[j] * xg + 2 * D2 * F2 * W * g[j] + 2 * D * F * W * xH[j])
+        for j in range(m)
+    ]
+    Gamma = [2 * c1 * D * F * X[j] * gg + W * gH[j] for j in range(m)]
+    Kd2 = Kd * Kd
+    terms = {
+        "CL": [
+            (2 * Kd2 * Lb,),
+            (-4 * m * D4 * c1 * Kd2 * W * F2,),
+            (4 * m * D4 * c2 * Kn * Kn * W**3,),
+            ((m - 4) * Kd2 * W * gg,),
+        ],
+        "SDL": [
+            [W * v for v in grad_Lb],
+            [-3 * Lb * v for v in g],
+            [-(m - 4) * W * v for v in Gamma],
+            [8 * (m - 1) * c1 * D4 * F2 * W * v for v in g],
+        ],
+        "ND": [
+            [2 * Kd2 * (Lb * gj + W * v) for gj, v in zip(g, grad_Lb)],
+            [-4 * Kd2 * Lb * v for v in g],
+            [4 * D4 * W * (2 * m * c2 * Kn * Kn * W * W + (m - 2) * c1 * Kd2 * F2) * v for v in g],
+        ],
+        "ND2": [
+            [2 * (m - 4) * Kd2 * W * v for v in Gamma],
+            [4 * Kd2 * Lb * v for v in g],
+            [4 * D4 * W * ((2 - 3 * m) * c1 * Kd2 * F2 + 2 * m * c2 * Kn * Kn * W * W) * v for v in g],
+        ],
+    }
+    fields = {"g": g, "gg": gg, "Lb": Lb, "grad_Lb": grad_Lb, "Gamma": Gamma}
+    return fields, {name: [sum(col) for col in zip(*ts)] for name, ts in terms.items()}
+
+
+def _residual_sums(instance, x) -> dict:
+    e = evaluate_residuals(instance, x)
+    return {name: e[name].sums for name in ("CL", "SDL", "ND", "ND2")}
+
+
+class TestGramKernelOracle:
+    """The kernel on the Gram basis (X, G) against the m-vector kernel it
+    replaced: every vector formed from its pair, every scalar and every
+    residual's integer sums equal."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 12, 16])
+    def test_exact_equal(self, m):
+        checked = 0
+        for c1, c2 in CURVATURE_PAIRS:
+            for eps in (0, 2):
+                for style in (0, 1, 2):
+                    inst, pts = make_instance(f"gram-oracle:{m}:{c1}:{c2}:{eps}:{style}", m, c1, c2, eps, style)
+                    for x in pts[:2]:
+                        fields, sums = _vector_kernel(inst, x)
+                        assert _geometry_vectors(ConformalGeometry(inst, x)) == fields
+                        assert _residual_sums(inst, x) == sums
+                    checked += 1
+        assert checked == 9 * 2 * 3
+
+
+def _degenerate_cases():
+    """(kind, instance, point) where the basis degenerates: X = 0 at the
+    origin, G = 0 on a flat target with eps = 0 (Q is constant), and X
+    parallel to G when a = b = 0 (Q is a function of |x|^2 alone), the last
+    with rotations and isometries of the curved charts among the maps."""
+    rng = rng_for("gram-degenerate")
+    for m in (3, 4, 5):
+        zero = (0,) * m
+        for c1, c2 in CURVATURE_PAIRS:
+            domain, target = SpaceFormModel(m, c1), SpaceFormModel(m, c2)
+            for eps, style in itertools.product((0, 2), (0, 1, 2)):
+                A = rational_matrix(*_random_orthogonal(rng, m, style))
+                k = rational(1, 3) if c2 == -1 else rational(1)
+                maps = {
+                    "X=0": MobiusMap.build((rational(1, 2),) + zero[1:], zero, k, A, eps),
+                    "X||G": MobiusMap.build(zero, zero, k, A, eps),
+                }
+                if c2 == 0 and eps == 0:
+                    maps["G=0"] = MobiusMap.build(rand_point(rng, m, 2, 3), zero, k, A, eps)
+                for kind, mmap in maps.items():
+                    inst = ConformalInstance(domain, target, mmap)
+                    if kind == "X=0":
+                        points = [zero]
+                    else:
+                        points = [rand_point(rng, m, 1, 3) for _ in range(3)]
+                    for x in points:
+                        try:
+                            ConformalGeometry(inst, x)
+                        except PolyharmError:
+                            continue
+                        yield kind, inst, x
+
+
+class TestGramDegenerateBases:
+    """Where X = 0, G = 0 or X is parallel to G a pair (a, b) need not be 0
+    for a X + b G to be: the zero tests read |a X + b G|^2 off the Gram
+    scalars, and must agree with the formed vectors."""
+
+    def test_pair_zero_test_agrees_with_components(self):
+        seen = dict.fromkeys(("X=0", "G=0", "X||G"), 0)
+        # a nonzero pair whose vector is 0, per kind: only X || G needs the
+        # cross term 2 a b <X, G> of the zero test
+        hidden = dict.fromkeys(seen, 0)
+        for kind, inst, x in _degenerate_cases():
+            geo = ConformalGeometry(inst, x)
+            X, G = geo.basis[0]
+            xx, xG, GG = (sum(a * b for a, b in zip(u, v)) for u, v in ((X, X), (X, G), (G, G)))
+            assert {"X=0": xx == 0, "G=0": GG == 0, "X||G": xG * xG == xx * GG}[kind]
+            e = evaluate_residuals(inst, x)
+            grad = geo.vector(geo.g)
+            assert e["harmonic"] == (not any(grad))
+            hidden[kind] += any(geo.g) and not any(grad)
+            for name in ("CL", "SDL", "ND", "ND2"):
+                rv = e[name]
+                assert rv.exact_zero == (not any(rv.sums)), (kind, name, x)
+                coef = tuple(map(sum, zip(*rv._terms)))
+                hidden[kind] += any(coef) and not any(rv.sums)
+            fields, sums = _vector_kernel(inst, x)
+            assert _geometry_vectors(geo) == fields
+            assert _residual_sums(inst, x) == sums
+            seen[kind] += 1
+        assert all(seen.values()), seen
+        assert all(hidden.values()), hidden
+
+
+class TestVerdictFormsNoVector:
+    """An exact verdict reads CL, the harmonic flag and SDL off scalars and
+    pairs: no vector beyond X, U and G is formed."""
+
+    def test_exact_verdict_forms_no_vector(self, monkeypatch):
+        def refuse(coef, vectors):
+            raise AssertionError("an m-vector was formed on the exact verdict path")
+
+        monkeypatch.setattr(residuals, "_combine", refuse)
+        verdicts = set()
+        for c1, c2 in CURVATURE_PAIRS:
+            for eps in (0, 2):
+                for m in (3, 4, 6):
+                    inst, pts = _sweep_instance(f"no-vector:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, 2, 3)
+                    verdicts.add(_verdict([evaluate_residuals(inst, x) for x in pts])[0])
+        assert verdicts == {"harmonic", "proper-biharmonic", "not-biharmonic"}
 
 
 class TestPolyharmonicFloat:

@@ -20,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyharm
-from polyharm import mobius, residuals
+from polyharm import mobius, residuals, sampling
 from polyharm.cli import main
 from polyharm.errors import AdmissibleRegionError, ConfigError, PolyharmError
 from polyharm.mobius import ConformalInstance, MobiusMap, apply_point
 from polyharm.rationals import EXACT, FLOAT, IntegerPoint, rational
+from polyharm.sampling import _randint
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
     ResidualReport,
@@ -401,6 +402,142 @@ def _rational_draws(plan, instance):
     return None
 
 
+# every (lo, hi) the package draws integers from
+_DRAW_RANGES = [
+    (-16, 16), (-8, 8), (-2, 2), (-1, 1), (2, 3), (2, 4), (7, 8), (1, 3), (6, 8), (13, 16), (1, 6), (0, 2**31),
+]
+
+
+def _randint_admissible(instance, N, den, exclusion) -> bool:
+    """x = N/den admissible, decided on integers as the sampler did before
+    its screen was hoisted: ball, exclusion ball round a, sign of kappa Q."""
+    if instance.domain.curvature < 0 and sum(v * v for v in N) >= den * den:
+        return False
+    fq = instance.factor
+    L = den * fq.a_den
+    U = [v * fq.a_den - den * a for v, a in zip(N, fq.a_num)]
+    u_sq = sum(v * v for v in U)
+    if instance.map.epsilon == 2 and u_sq * exclusion.denominator**2 <= (exclusion.numerator * L) ** 2:
+        return False
+    q = fq.value * L * L + 2 * L * sum(g * v for g, v in zip(fq.linear, U)) + fq.square * u_sq
+    return fq.kappa > 0 and q > 0
+
+
+def _randint_sample_points(plan, instance):
+    """The sampler's drawn path through ``random.Random.randint``."""
+    radius = rational(plan.radius) if plan.radius is not None else sampling._default_radius(instance.domain)
+    den = 16 * radius.denominator
+    rng = random.Random(f"polyharm:points:{plan.seed}")
+    found, seen = [], set()
+    for _ in range(400 * plan.count):
+        n = tuple(rng.randint(-16, 16) for _ in range(instance.dim))
+        if n in seen:
+            continue
+        seen.add(n)
+        N = [radius.numerator * v for v in n]
+        if _randint_admissible(instance, N, den, rational(plan.exclusion)):
+            found.append(IntegerPoint(N, den))
+            if len(found) == plan.count:
+                return found
+    return None
+
+
+def _randint_random_mobius(rng, m, target, epsilon, style):
+    """``random_mobius`` through ``random.Random.randint``, with the Cayley
+    input formed as rows of rationals."""
+
+    def rand_rational(max_num, den_lo, den_hi):
+        return rational(rng.randint(-max_num, max_num), rng.randint(den_lo, den_hi))
+
+    a = tuple(rand_rational(2, 2, 4) for _ in range(m))
+    if target.curvature == -1:
+        b = tuple(rand_rational(1, 7, 8) for _ in range(m))
+        if epsilon == 2:
+            k = rational(rng.randint(1, 3), rng.randint(6, 8))
+        else:
+            k = rational(1, rng.randint(13, 16))
+    else:
+        b = tuple(rand_rational(2, 2, 4) for _ in range(m))
+        k = rational(rng.randint(1, 6), rng.randint(1, 6))
+    style %= 3
+    if style == 0:
+        A = mobius.identity_matrix(m)
+    elif style == 1:
+        perm = list(range(m))
+        rng.shuffle(perm)
+        signs = [rng.choice((-1, 1)) for _ in range(m)]
+        A = mobius.rational_matrix(mobius.signed_permutation_integers(perm, signs), 1)
+    else:
+        rows = [[rational(0)] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                rows[i][j] = rand_rational(1, 2, 3)
+                rows[j][i] = -rows[i][j]
+        A = mobius.cayley_orthogonal(rows)
+    return MobiusMap.build(a, b, k, A, epsilon)
+
+
+class TestStreamIdentity:
+    """Every integer draw goes through ``sampling._randint``, which must
+    consume the generator's stream as ``random.Random.randint`` does: the
+    same seeds draw the same maps and points."""
+
+    @pytest.mark.parametrize("lo,hi", _DRAW_RANGES)
+    def test_randint_matches_random(self, lo, hi):
+        for seed in (0, 17, "polyharm:points:3"):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert [_randint(ours, lo, hi) for _ in range(10_000)] == [
+                theirs.randint(lo, hi) for _ in range(10_000)
+            ]
+            assert ours.getstate() == theirs.getstate()
+
+    def test_interleaved_ranges_keep_the_stream(self):
+        ours, theirs = random.Random("interleaved"), random.Random("interleaved")
+        for lo, hi in _DRAW_RANGES * 500:
+            assert _randint(ours, lo, hi) == theirs.randint(lo, hi)
+        assert ours.getstate() == theirs.getstate()
+
+    def test_sample_points_match_randint_loop(self):
+        rng = rng_for("stream-points")
+        drawn = 0
+        for m, c1, c2, eps in itertools.product((3, 5, 9, 12), (-1, 0, 1), (-1, 0, 1), (0, 2)):
+            domain, target = SpaceFormModel(m, c1), SpaceFormModel(m, c2)
+            inst = ConformalInstance(domain, target, random_mobius(rng, m, target, eps, style=m))
+            for radius in (None, rational(3, 5)):
+                plan = SamplePlan(seed=rng.randint(0, 2**31), count=3, radius=radius, exclusion=rational(1, 8))
+                try:
+                    got = sample_points(plan, inst)
+                except AdmissibleRegionError:
+                    got = None
+                assert got == _randint_sample_points(plan, inst), (m, c1, c2, eps, radius)
+                drawn += len(got or ())
+        assert drawn
+
+    def test_drawn_maps_match_randint_draws(self):
+        for m, c2, eps, style in itertools.product((3, 4, 7), (-1, 0, 1), (0, 2), (0, 1, 2)):
+            target = SpaceFormModel(m, c2)
+            tag = f"stream-maps:{m}:{c2}:{eps}:{style}"
+            ours, theirs = random.Random(tag), random.Random(tag)
+            for _ in range(3):
+                assert random_mobius(ours, m, target, eps, style) == _randint_random_mobius(theirs, m, target, eps, style)
+            assert ours.getstate() == theirs.getstate()
+
+    def test_cayley_over_any_denominator(self):
+        # the pair (N', D) is the reduced Cayley transform whatever d
+        # represents S, so the draw's 6 S over 6 gives what S itself gives
+        rng = rng_for("cayley-denominators")
+        for m in (2, 3, 5, 8):
+            S = [[rational(0)] * m for _ in range(m)]
+            for i in range(m):
+                for j in range(i + 1, m):
+                    S[i][j] = rational(rng.randint(-3, 3), rng.randint(1, 5))
+                    S[j][i] = -S[i][j]
+            N, d = mobius.integer_matrix(S)
+            want = mobius.cayley_integers(S)
+            for scale in (1, 2, 6):
+                assert mobius.cayley_bareiss([[scale * v for v in row] for row in N], scale * d) == want
+
+
 class TestRunCheck:
     def test_inversion_m4_proper_biharmonic(self):
         inst = ConformalInstance(
@@ -568,16 +705,16 @@ class TestSelftest:
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_sign_mutation_detected(self, monkeypatch, mode):
         # flip the energy-gradient term of the second necessary condition,
-        # through the sign of the integer Gamma it alone reads there; the
-        # identity chain battery must catch it in either mode
+        # through the sign of the Gamma pair on (X, G) it alone reads there;
+        # the identity chain battery must catch it in either mode
         original = residuals._nd2_from_geometry
 
         def mutated(g, tol):
-            g.Gamma = [-v for v in g.Gamma]
+            g.Gamma = tuple(-v for v in g.Gamma)
             try:
                 return original(g, tol)
             finally:
-                g.Gamma = [-v for v in g.Gamma]
+                g.Gamma = tuple(-v for v in g.Gamma)
 
         monkeypatch.setattr(residuals, "_nd2_from_geometry", mutated)
         body = selftest(mode=mode)
