@@ -122,11 +122,10 @@ def _run(args) -> int:
     """Run one subcommand and print or write its report; returns the exit code."""
     if args.tol is not None and args.mode != FLOAT:
         raise ConfigError("--tol only applies to --mode float")
-    # a residual's norm never exceeds its scale, so from tol = 1 on every
-    # float residual counts as zero
-    if args.tol is not None and not 0 < args.tol < 1:
-        raise ConfigError(f"--tol must lie strictly between 0 and 1, got {args.tol}")
     tol = DEFAULT_FLOAT_TOL if args.tol is None else args.tol
+    # the verifier checks both again; here a bad --tol is named by its flag
+    # before any config is read
+    verifier.require_mode(args.mode, tol, "--tol")
     t0 = time.perf_counter()
     seed, body, ok = args.run(args, tol)
     report = verifier.ResidualReport(

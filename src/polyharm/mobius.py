@@ -20,11 +20,10 @@ components: with u = x - a and f = |u|^2,
 
 where <A^T b, u> is linear and f a quadratic.  The identity holds only for
 exactly orthogonal A, which ``validate`` certifies for every ``MobiusMap``
-as it is constructed, on integers: with A = N/D over one positive D, the
-check is N^T N == D^2 I (``is_orthogonal_integers``).  A drawn matrix is
-formed from its integers (``MobiusMap.from_integers``), which the draw hands
-to validation; a configured one has them read off A (``is_orthogonal``).
-Either way the map keeps them as ``A_integers``, and no map skips the
+as it is constructed, on integers: a map holds A only as A = N/D, integer
+rows N over one positive D (``A_integers``), and the check is
+N^T N == D^2 I (``is_orthogonal_integers``).  Drawn and configured maps
+alike reach the one constructor with those integers, and no map skips the
 check.  It makes every factor of the family a quotient
 lambda = P/Q of two isotropic quadratics, which ``factor_quadratic`` reads
 off the integers of the map parameters once per instance
@@ -42,9 +41,10 @@ reduced parameters are what the classification arguments manipulate, and
 ``reduced_parameters`` provides them as an independent cross-check of the
 quotient.
 
-Everything here is exact: orthogonal matrices come from Cayley transforms of
-rational skew matrices or signed permutations, so A^T A = I holds with no
-rounding and residuals downstream stay exactly zero where they should.
+Everything here is exact: A is integers over one denominator (drawn maps
+take signed permutations and Cayley transforms of rational skew matrices),
+so A^T A = I holds with no rounding and residuals downstream stay exactly
+zero where they should.
 """
 
 from __future__ import annotations
@@ -59,16 +59,11 @@ from .errors import ChartDomainError, MapValidationError, SingularDivisionError
 from .rationals import integer_vector, rational
 from .spaceform import SpaceFormModel
 
-Matrix = tuple  # tuple of row tuples, exact rationals
+Matrix = tuple  # tuple of row tuples
 Vector = tuple
 
 
-# -- exact rational matrix helpers ------------------------------------------
-
-
-def identity_matrix(m: int) -> Matrix:
-    one, zero = rational(1), rational(0)
-    return tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
+# -- exact integer matrix helpers --------------------------------------------
 
 
 def signed_permutation_integers(perm, signs=None) -> list:
@@ -83,26 +78,6 @@ def signed_permutation_integers(perm, signs=None) -> list:
     for j in range(m):
         rows[perm[j]][j] = signs[j]
     return rows
-
-
-def signed_permutation(perm, signs=None) -> Matrix:
-    """Orthogonal matrix sending e_j to signs[j] * e_perm[j]."""
-    return rational_matrix(signed_permutation_integers(perm, signs), 1)
-
-
-def rational_matrix(N, D: int) -> Matrix:
-    """The matrix N / D as rationals, one Fraction per distinct entry."""
-    entries = {v: rational(v, D) for v in {v for row in N for v in row}}
-    return tuple(tuple(entries[v] for v in row) for row in N)
-
-
-def mat_vec(A: Matrix, v: Vector) -> Vector:
-    return tuple(sum(Ai[j] * v[j] for j in range(len(v))) for Ai in A)
-
-
-def transpose(A: Matrix) -> Matrix:
-    m = len(A)
-    return tuple(tuple(A[i][j] for i in range(m)) for j in range(m))
 
 
 def integer_matrix(A: Matrix) -> tuple[list, int]:
@@ -124,25 +99,13 @@ def is_orthogonal_integers(N, D: int) -> bool:
     )
 
 
-def is_orthogonal(A: Matrix) -> tuple[list, int] | None:
-    """A^T A == I, decided on integers: with A = N/D over the lcm D of its
-    denominators, the condition is N^T N == D^2 I.  Returns the witness
-    (N, D) when it holds, so a caller keeps the integer form, else None."""
-    N, D = integer_matrix(A)
-    return (N, D) if is_orthogonal_integers(N, D) else None
-
-
-def cayley_orthogonal(S: Matrix) -> Matrix:
-    """(I - S)^-1 (I + S) for rational skew-symmetric S: exactly orthogonal.
+def cayley_integers(S: Matrix) -> tuple[list, int]:
+    """(N, D) with N/D = (I - S)^-1 (I + S) for rational skew-symmetric S,
+    as ``integer_matrix`` gives it: exactly orthogonal.
 
     The transform covers rotations with no -1 eigenvalue (det = +1); signed
     permutations supply the det = -1 cases needed by the tests.
     """
-    return rational_matrix(*cayley_integers(S))
-
-
-def cayley_integers(S: Matrix) -> tuple[list, int]:
-    """(N, D) with ``cayley_orthogonal(S)`` = N/D, as ``integer_matrix`` gives it."""
     m = len(S)
     for i in range(m):
         for j in range(m):
@@ -186,20 +149,28 @@ def cayley_bareiss(N, d: int) -> tuple[list, int]:
 
 
 class MobiusMap:
-    """Parameters (a, b, k, A, eps) of the inversive conformal family.
+    """Parameters (a, b, k, A, eps) of the inversive conformal family, with
+    A held once, as integers: ``A_integers`` = (A_num, A_den), A = A_num /
+    A_den, A_num a tuple of integer row tuples and A_den > 0, reduced by
+    their one gcd.
 
-    Construction validates, and the map is immutable after it: the kernels
-    rely on A staying the exactly orthogonal matrix ``validate`` certified.
-    ``A_integers`` = (A_num, den_A) with A = A_num / den_A is recorded by
-    ``validate``.  Maps are equal and hashed by (a, b, k, A, epsilon).
-    A ``__slots__`` class rather than a dataclass, whose import costs the
-    package a few milliseconds at every start.
+    Construction validates, and the map is immutable after it: a and b are
+    tuples, and the kernels rely on A staying the exactly orthogonal matrix
+    ``validate`` certified.  Maps are equal and hashed by (a, b, k,
+    A_integers, epsilon); the gcd reduction makes (2N, 2D) the map (N, D)
+    is.  A ``__slots__`` class rather than a dataclass, whose import costs
+    the package a few milliseconds at every start.
     """
 
-    __slots__ = ("a", "b", "k", "A", "epsilon", "A_integers")
+    __slots__ = ("a", "b", "k", "A_integers", "epsilon")
 
-    def __init__(self, a: Vector, b: Vector, k, A: Matrix, epsilon: int):
-        _assign(self, a, b, k, A, epsilon)
+    def __init__(self, a: Vector, b: Vector, k, A_num, A_den: int, epsilon: int):
+        g = math.gcd(A_den, *(v for row in A_num for v in row)) or 1
+        A_num = tuple(tuple(v // g for v in row) for row in A_num)
+        # the slots in order, set past the refusing __setattr__
+        values = (tuple(a), tuple(b), k, (A_num, A_den // g), epsilon)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         validate(self)
 
     def __setattr__(self, name, value):
@@ -209,7 +180,7 @@ class MobiusMap:
         raise AttributeError(f"MobiusMap is immutable: cannot delete {name!r}")
 
     def _fields(self) -> tuple:
-        return (self.a, self.b, self.k, self.A, self.epsilon)
+        return (self.a, self.b, self.k, self.A_integers, self.epsilon)
 
     def __eq__(self, other):
         if not isinstance(other, MobiusMap):
@@ -220,12 +191,16 @@ class MobiusMap:
         return hash(self._fields())
 
     def __repr__(self):
-        return f"MobiusMap(a={self.a!r}, b={self.b!r}, k={self.k!r}, A={self.A!r}, epsilon={self.epsilon!r})"
+        A_num, A_den = self.A_integers
+        return (
+            f"MobiusMap(a={self.a!r}, b={self.b!r}, k={self.k!r}, "
+            f"A_num={A_num!r}, A_den={A_den!r}, epsilon={self.epsilon!r})"
+        )
 
     def __reduce__(self):
         # copies and pickles are rebuilt through validation: the default
         # route would restore the slots through the refusing __setattr__
-        return MobiusMap.from_integers, (self.a, self.b, self.k, *self.A_integers, self.epsilon)
+        return MobiusMap, (self.a, self.b, self.k, *self.A_integers, self.epsilon)
 
     @property
     def dim(self) -> int:
@@ -233,22 +208,15 @@ class MobiusMap:
 
     @classmethod
     def build(cls, a, b, k, A=None, epsilon=2) -> "MobiusMap":
-        """Coerce entries to exact rationals; construction validates."""
+        """Coerce entries to exact rationals, A (the identity when None) to
+        its integers by ``integer_matrix``; construction validates."""
         a = tuple(rational(v) for v in a)
         b = tuple(rational(v) for v in b)
-        A = identity_matrix(len(a)) if A is None else tuple(tuple(rational(v) for v in row) for row in A)
-        return cls(a=a, b=b, k=rational(k), A=A, epsilon=int(epsilon))
-
-    @classmethod
-    def from_integers(cls, a, b, k, A_num, A_den: int, epsilon: int) -> "MobiusMap":
-        """The map with A = A_num / A_den (A_den > 0), forming A from those
-        integers; a, b and k are exact rationals.  A draw that builds A as
-        integers hands them to ``validate`` this way, and ``validate`` runs
-        the integer orthogonality check on them as it would on integers read
-        off A."""
-        mmap = object.__new__(cls)
-        _assign(mmap, a, b, k, rational_matrix(A_num, A_den), epsilon)
-        return validate(mmap, (A_num, A_den))
+        if A is None:
+            N, D = signed_permutation_integers(range(len(a))), 1
+        else:
+            N, D = integer_matrix([[rational(v) for v in row] for row in A])
+        return cls(a, b, rational(k), N, D, int(epsilon))
 
     @classmethod
     def inversion(cls, dim: int) -> "MobiusMap":
@@ -257,35 +225,19 @@ class MobiusMap:
         return cls.build(a=zero, b=zero, k=1, epsilon=2)
 
 
-def _assign(mmap: MobiusMap, a, b, k, A, epsilon) -> None:
-    """Set the parameters of a map under construction, past its
-    ``__setattr__``; ``validate`` checks them next."""
-    for name, value in (("a", a), ("b", b), ("k", k), ("A", A), ("epsilon", epsilon)):
-        object.__setattr__(mmap, name, value)
-
-
-def validate(mmap: MobiusMap, integers: tuple | None = None) -> MobiusMap:
-    """Check the family invariants; returns the map or raises.
-
-    A is checked by ``is_orthogonal_integers`` on ``integers``, the (A_num,
-    A_den) that ``MobiusMap.from_integers`` formed A from, or, when they are
-    not given, on the integers ``is_orthogonal`` reads off A.  The map keeps
-    them as ``A_integers``.
-    """
+def validate(mmap: MobiusMap) -> MobiusMap:
+    """Check the family invariants; returns the map or raises.  A is checked
+    by ``is_orthogonal_integers`` on the map's own ``A_integers``."""
     m = mmap.dim
-    if len(mmap.b) != m or len(mmap.A) != m or any(len(r) != m for r in mmap.A):
+    N, D = mmap.A_integers
+    if len(mmap.b) != m or len(N) != m or any(len(r) != m for r in N):
         raise MapValidationError("parameter dimensions disagree")
     if mmap.epsilon not in (0, 2):
         raise MapValidationError(f"epsilon must be 0 or 2, got {mmap.epsilon}")
     if not mmap.k:
         raise MapValidationError("scale k must be nonzero")
-    if integers is None:
-        integers = is_orthogonal(mmap.A)
-    elif not (integers[1] > 0 and is_orthogonal_integers(*integers)):
-        integers = None
-    if not integers:
+    if not (D > 0 and is_orthogonal_integers(N, D)):
         raise MapValidationError("A is not exactly orthogonal")
-    object.__setattr__(mmap, "A_integers", integers)
     return mmap
 
 
@@ -400,15 +352,17 @@ class ConformalInstance:
 
 
 def apply_point(mmap: MobiusMap, x: Vector) -> Vector:
-    """phi(x) on exact scalars."""
+    """phi(x) on exact scalars, k A u = (k/D) N u with A = N/D."""
+    N, D = mmap.A_integers
     u = tuple(xi - ai for xi, ai in zip(x, mmap.a))
-    v = mat_vec(mmap.A, u)
+    kD = rational(mmap.k, D)
+    v = tuple(kD * sum(map(operator.mul, row, u)) for row in N)
     if mmap.epsilon == 0:
-        return tuple(bi + mmap.k * vi for bi, vi in zip(mmap.b, v))
+        return tuple(bi + vi for bi, vi in zip(mmap.b, v))
     f = sum(ui * ui for ui in u)
     if not f:
         raise SingularDivisionError("map is singular at x = a")
-    return tuple(bi + mmap.k * vi / f for bi, vi in zip(mmap.b, v))
+    return tuple(bi + vi / f for bi, vi in zip(mmap.b, v))
 
 
 def reduced_parameters(mmap: MobiusMap, target: SpaceFormModel) -> ReducedFactorParams:
@@ -416,7 +370,8 @@ def reduced_parameters(mmap: MobiusMap, target: SpaceFormModel) -> ReducedFactor
     if target.curvature == 0:
         raise MapValidationError("reduced parameters exist for curved targets only")
     sign = target.curvature
-    at_b = mat_vec(transpose(mmap.A), mmap.b)
+    N, D = mmap.A_integers
+    at_b = tuple(rational(sum(map(operator.mul, col, mmap.b)), D) for col in zip(*N))
     if mmap.epsilon == 2:
         den = 1 + sign * sum(v * v for v in mmap.b)
         if not den:
@@ -464,13 +419,15 @@ def conformality_check(
     f = sum(v * v for v in u)
     Q = fq.value + 2 * sum(g * v for g, v in zip(fq.linear, u)) + fq.square * f
     lam = fq.kappa * fq.den * sig_den / (sig_num * Q)
-    A, k = mmap.A, mmap.k
+    N, D = mmap.A_integers
+    kD = rational(mmap.k, D)
     if mmap.epsilon == 0:
-        jac = [[k * v for v in row] for row in A]  # jac[i][j] = d phi_i / d x_j
+        jac = [[kD * v for v in row] for row in N]  # jac[i][j] = d phi_i / d x_j
     else:
-        # (k/f) A (I - 2 u u^T/f) = (k/f^2) A (f I - 2 u u^T)
-        Au = [sum(r * v for r, v in zip(row, u)) for row in A]
-        jac = [[k * (f * A[i][j] - 2 * Au[i] * u[j]) / (f * f) for j in range(m)] for i in range(m)]
+        # (k/f) A (I - 2 u u^T/f) = (k/(D f^2)) N (f I - 2 u u^T), A = N/D
+        Nu = [sum(map(operator.mul, row, u)) for row in N]
+        c = kD / (f * f)
+        jac = [[c * (f * N[i][j] - 2 * Nu[i] * u[j]) for j in range(m)] for i in range(m)]
     # rho^2 * (J^T J)_{pq} * sig_den^2 == lam^2 * sig_num^2 * rho_den^2 * delta_{pq}
     lhs_scale = rho_num * rho_num * sig_den * sig_den
     rhs_scale = lam * lam * sig_num * sig_num * rho_den * rho_den

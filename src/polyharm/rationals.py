@@ -3,8 +3,8 @@
 Exact mode works on arbitrary-precision rationals, ``fractions.Fraction``,
 met only where a value is read or printed.  A sampled point travels as an
 :class:`IntegerPoint`, integer numerators over one positive denominator,
-from the draw to the residual kernels, and the orthogonal matrix of a drawn
-map as its integers (``MobiusMap.from_integers``); both
+from the draw to the residual kernels, and the orthogonal matrix of every
+map as integers over one denominator (``MobiusMap.A_integers``); both
 residual paths run their integer kernels on Python ints (see
 :mod:`polyharm.residuals`) and meet a rational only once per output value
 read.  Fractions carry the map parameters a, b and k as configured or drawn,

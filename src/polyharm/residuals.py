@@ -551,7 +551,9 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
     else:
         D, den_A, quotient = 1, 1, operator.truediv
         U = [float(xi) - float(ai) for xi, ai in zip(x, mmap.a)]
-        num_A = [[float(v) for v in row] for row in mmap.A]
+        # int / int rounds correctly, as float of the rational n/D does
+        num_A, A_den = mmap.A_integers
+        num_A = [[v / A_den for v in row] for row in num_A]
         kn = float(mmap.k)
         b = [float(v) for v in mmap.b]
     # eps = 2: phi = b + k A u/|u|^2; eps = 0: phi = b + k A u, harmonic

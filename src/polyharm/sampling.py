@@ -5,7 +5,8 @@ numerators over one positive denominator, from the draw to the residual
 kernels: the sampler screens each draw on its integers and keeps them, and
 no rational point is formed on the way.  A drawn map forms its orthogonal
 matrix as integers (identity, signed permutation or Cayley transform) and
-hands them to validation with ``MobiusMap.from_integers``.  Every draw comes
+hands them to the ``MobiusMap`` constructor, which validates them and keeps
+them as the map's only matrix.  Every draw comes
 from a ``random.Random`` the caller seeds, so the same seed draws the same
 maps and points.
 
@@ -165,7 +166,7 @@ def _random_orthogonal(rng: random.Random, m: int, style: int) -> tuple[list, in
     or the Cayley transform of a small skew matrix, by style mod 3."""
     style = style % 3
     if style == 0:
-        return [[int(i == j) for j in range(m)] for i in range(m)], 1
+        return signed_permutation_integers(range(m)), 1
     if style == 1:
         perm = list(range(m))
         rng.shuffle(perm)
@@ -213,4 +214,4 @@ def random_mobius(
     # every entry is already rational and A comes as integers: construction
     # validates the map on them
     N, D = _random_orthogonal(rng, m, style)
-    return MobiusMap.from_integers(a, b, k, N, D, epsilon)
+    return MobiusMap(a, b, k, N, D, epsilon)

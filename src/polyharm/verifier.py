@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import logging
+import math
 import random
 import time
 from fractions import Fraction
@@ -135,28 +136,30 @@ def _parse_rational_list(values, where: str) -> tuple:
         return tuple(_json_rational(v) for v in values)
 
 
-def _parse_matrix(entry, dim: int, where: str):
+def _parse_matrix(entry, dim: int, where: str) -> tuple[list, int]:
+    """(N, D) of the configured orthogonal matrix A = N/D, every kind read
+    to integers; the map's construction checks that it is orthogonal."""
     if entry is None:
-        return mobius.identity_matrix(dim)
+        entry = {"kind": "identity"}
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError(f"{where}: matrix entry needs a 'kind'")
     kind = entry["kind"]
     data = entry.get("data")
     with _parsing(where):
         if kind == "identity":
-            return mobius.identity_matrix(dim)
+            return mobius.signed_permutation_integers(range(dim)), 1
         if kind == "permutation":
             perm, signs = (data["perm"], data.get("signs")) if isinstance(data, dict) else (data, None)
             # entries are JSON integers: True == 1 would pass as a sign
             perm = [_json_int(v, f"{where}.perm") for v in perm]
             if signs is not None:
                 signs = [_json_int(v, f"{where}.signs") for v in signs]
-            return mobius.signed_permutation(perm, signs)
+            return mobius.signed_permutation_integers(perm, signs), 1
         if kind == "cayley":
             skew = tuple(_parse_rational_list(row, where) for row in data)
-            return mobius.cayley_orthogonal(skew)
+            return mobius.cayley_integers(skew)
         if kind == "matrix":
-            return tuple(_parse_rational_list(row, where) for row in data)
+            return mobius.integer_matrix([_parse_rational_list(row, where) for row in data])
     raise ConfigError(f"{where}: unknown matrix kind {kind!r}")
 
 
@@ -169,10 +172,10 @@ def _parse_map(obj, where: str) -> MobiusMap:
     a = _parse_rational_list(obj["a"], f"{where}.a")
     b = _parse_rational_list(obj["b"], f"{where}.b")
     k = _parse_rational_list([obj["k"]], f"{where}.k")[0]
-    A = _parse_matrix(obj.get("A"), len(a), f"{where}.A")
+    N, D = _parse_matrix(obj.get("A"), len(a), f"{where}.A")
     epsilon = _json_int(obj["epsilon"], f"{where}.epsilon")
     with _parsing(where):
-        return MobiusMap.build(a=a, b=b, k=k, A=A, epsilon=epsilon)
+        return MobiusMap(a, b, k, N, D, epsilon)
 
 
 def _parse_plan(obj) -> SamplePlan:
@@ -250,12 +253,22 @@ def _model_dict(model: SpaceFormModel) -> dict:
     return {"model": model.name, "dim": model.dim}
 
 
+def _matrix_text(N, D: int) -> list[list[str]]:
+    """The rows of N / D as lowest-terms ``"p/q"`` strings, one gcd per
+    distinct entry: the text ``format_rational`` gives each entry's rational."""
+    text = {}
+    for v in {v for row in N for v in row}:
+        g = math.gcd(v, D)
+        text[v] = f"{v // g}/{D // g}"
+    return [[text[v] for v in row] for row in N]
+
+
 def _map_dict(mmap: MobiusMap) -> dict:
     return {
         "a": [format_rational(v) for v in mmap.a],
         "b": [format_rational(v) for v in mmap.b],
         "k": format_rational(mmap.k),
-        "A": [[format_rational(v) for v in row] for row in mmap.A],
+        "A": _matrix_text(*mmap.A_integers),
         "epsilon": mmap.epsilon,
     }
 
@@ -314,6 +327,7 @@ def run_check(
     expect: str | None = None,
 ) -> dict:
     """Evaluate the full residual battery and classify one instance."""
+    require_mode(mode, tol)
     pts = sample_points(plan, instance)
     evals = []
     points_out = []
@@ -362,6 +376,7 @@ def check_report_body(
     mode: str = EXACT,
     tol: float = DEFAULT_FLOAT_TOL,
 ) -> dict:
+    require_mode(mode, tol)
     instances = []
     for i, ci in enumerate(configured):
         start = time.perf_counter()
@@ -425,6 +440,7 @@ def sweep_biharmonic(
     A cell matches only when every trial's properness agrees with the truth
     table; exact arithmetic admits no majority voting.
     """
+    require_mode(mode, tol)
     m_values = _window("m", m_values)
     pairs = _window("curvature pair", pairs)
     eps_values = _window("eps", eps_values)
@@ -500,6 +516,7 @@ def sweep_polyharmonic(
     One point per trial is the default: the verdict is exact and the closed
     form is an independent route at the same point.
     """
+    require_mode(mode, tol)
     orders = _window("order", orders)
     m_values = _window("m", m_values)
     if min(orders) < 1:
@@ -584,6 +601,17 @@ def _window(name: str, values: Iterable) -> tuple:
     if not values:
         raise ConfigError(f"empty {name} window")
     return values
+
+
+def require_mode(mode: str, tol: float, tol_name: str = "tol") -> None:
+    """Refuse an unknown mode, which would run exact under another name, and
+    a tol outside (0, 1): a residual's norm never exceeds its scale, so from
+    tol = 1 on every float residual counts as zero.  ``tol_name`` is how the
+    caller calls tol in its message."""
+    if mode not in (EXACT, FLOAT):
+        raise ConfigError(f"unknown mode {mode!r}, expected {EXACT!r} or {FLOAT!r}")
+    if not 0 < tol < 1:
+        raise ConfigError(f"{tol_name} must lie strictly between 0 and 1, got {tol}")
 
 
 def _require_dimensions(m_values: tuple) -> None:
@@ -796,6 +824,7 @@ def _float_separation_battery(mode: str, tol: float) -> tuple[bool, str]:
 
 def selftest(mode: str = EXACT, tol: float = DEFAULT_FLOAT_TOL) -> dict:
     """Run the invariant suites; the CLI turns failures into a nonzero exit."""
+    require_mode(mode, tol)
     batteries: list[tuple[str, Callable]] = [
         ("jet-oracles", _jet_oracle_battery),
         ("factor-constraint-conservation", _conservation_battery),

@@ -26,15 +26,7 @@ from __future__ import annotations
 from polyharm import jets, spaceform
 from polyharm.errors import ChartDomainError, NonpositiveFactorError, SingularDivisionError
 from polyharm.jets import Jet
-from polyharm.mobius import (
-    Matrix,
-    MobiusMap,
-    ReducedFactorParams,
-    Vector,
-    apply_point,
-    mat_vec,
-    transpose,
-)
+from polyharm.mobius import Matrix, MobiusMap, ReducedFactorParams, Vector, apply_point
 from polyharm.rationals import rational
 from polyharm.spaceform import SpaceFormModel
 
@@ -108,6 +100,21 @@ def grad_norm_sq_bar(f: Jet, model: SpaceFormModel, x: tuple[Jet, ...]) -> Jet:
 # -- the map and its factors as jets -----------------------------------------
 
 
+def fraction_matrix(N, D: int) -> Matrix:
+    """The matrix N / D as rationals: a map holds A only as its integers, and
+    the oracles read it as ``fraction_matrix(*mmap.A_integers)``."""
+    return tuple(tuple(rational(v, D) for v in row) for row in N)
+
+
+def mat_vec(A: Matrix, v: Vector) -> Vector:
+    return tuple(sum(Ai[j] * v[j] for j in range(len(v))) for Ai in A)
+
+
+def transpose(A: Matrix) -> Matrix:
+    m = len(A)
+    return tuple(tuple(A[i][j] for i in range(m)) for j in range(m))
+
+
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     m = len(A)
     return tuple(
@@ -118,12 +125,13 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 def apply_jet(mmap: MobiusMap, x: tuple[Jet, ...]) -> tuple[Jet, ...]:
     """Jets of the map components at the base point of x."""
     u = tuple(xi - ai for xi, ai in zip(x, mmap.a))
+    A = fraction_matrix(*mmap.A_integers)
     rotated = []
     for i in range(mmap.dim):
         acc = None
         for j in range(mmap.dim):
-            if mmap.A[i][j]:
-                term = u[j].scale(mmap.A[i][j])
+            if A[i][j]:
+                term = u[j].scale(A[i][j])
                 acc = term if acc is None else acc + term
         rotated.append(acc if acc is not None else x[0].zero_like())
     if mmap.epsilon == 0:
@@ -173,7 +181,7 @@ def conformal_factor(
     else:
         lam = x[0].constant_like(k)
     if target.curvature != 0:
-        at_b = mat_vec(transpose(mmap.A), mmap.b)
+        at_b = mat_vec(transpose(fraction_matrix(*mmap.A_integers)), mmap.b)
         b_sq = sum(v * v for v in mmap.b)
         lin0 = sum(v * w for v, w in zip(at_b, u0))
         if mmap.epsilon == 2:

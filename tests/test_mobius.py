@@ -20,16 +20,13 @@ from polyharm.mobius import (
     FactorQuadratic,
     MobiusMap,
     apply_point,
-    cayley_orthogonal,
+    cayley_integers,
     conformality_check,
     factor_quadratic,
-    identity_matrix,
     integer_matrix,
-    is_orthogonal,
-    mat_vec,
+    is_orthogonal_integers,
     reduced_parameters,
-    signed_permutation,
-    transpose,
+    signed_permutation_integers,
     validate,
 )
 from polyharm.rationals import integer_vector, rational
@@ -43,9 +40,12 @@ from jet_oracles import (
     conformal_factor,
     conformal_factor_value,
     euclidean_factor,
+    fraction_matrix,
     inv_sigma_jet,
     laplace_beltrami,
     mat_mul,
+    mat_vec,
+    transpose,
 )
 
 
@@ -65,9 +65,9 @@ class TestValidate:
 
     def test_raw_construction_validates(self):
         # every MobiusMap is valid by construction, not only those from build
-        two_i = tuple(tuple(rational(2 if i == j else 0) for j in range(3)) for i in range(3))
+        two_i = [[2 if i == j else 0 for j in range(3)] for i in range(3)]
         with pytest.raises(MapValidationError):
-            MobiusMap(a=_zeros(3), b=_zeros(3), k=rational(1), A=two_i, epsilon=2)
+            MobiusMap(_zeros(3), _zeros(3), rational(1), two_i, 1, 2)
 
     def test_epsilon_one_rejected(self):
         with pytest.raises(MapValidationError):
@@ -89,23 +89,62 @@ class TestValidate:
     def test_drawn_integers_that_are_not_orthogonal_rejected(self, N, D):
         # the integers a draw hands over pass the same check as a configured A
         with pytest.raises(MapValidationError):
-            MobiusMap.from_integers(_zeros(2), _zeros(2), rational(1), N, D, 2)
+            MobiusMap(_zeros(2), _zeros(2), rational(1), N, D, 2)
 
     def test_drawn_integers_form_the_matrix(self):
-        mmap = MobiusMap.from_integers(_zeros(2), _zeros(2), rational(1), [[3, -4], [4, 3]], 5, 2)
-        assert mmap.A == ((rational(3, 5), rational(-4, 5)), (rational(4, 5), rational(3, 5)))
-        assert mmap.A_integers == integer_matrix(mmap.A) == ([[3, -4], [4, 3]], 5)
-        assert mmap == MobiusMap.build(_zeros(2), _zeros(2), 1, mmap.A, 2)
+        mmap = MobiusMap(_zeros(2), _zeros(2), rational(1), [[3, -4], [4, 3]], 5, 2)
+        assert mmap.A_integers == (((3, -4), (4, 3)), 5)
+        rows = ((rational(3, 5), rational(-4, 5)), (rational(4, 5), rational(3, 5)))
+        assert fraction_matrix(*mmap.A_integers) == rows
+        assert integer_matrix(rows) == ([[3, -4], [4, 3]], 5)
+        assert mmap == MobiusMap.build(_zeros(2), _zeros(2), 1, rows, 2)
 
     def test_copy_and_pickle_keep_the_map(self):
-        mmap = MobiusMap.from_integers(_zeros(2), _zeros(2), rational(1), [[3, -4], [4, 3]], 5, 2)
+        mmap = MobiusMap(_zeros(2), _zeros(2), rational(1), [[3, -4], [4, 3]], 5, 2)
         for twin in (copy.deepcopy(mmap), pickle.loads(pickle.dumps(mmap))):
             assert twin == mmap and twin.A_integers == mmap.A_integers
 
 
+class TestEquality:
+    """A map is its (a, b, k, A_integers, epsilon), with A_integers reduced
+    by their one gcd: the same rational matrix gives the same map."""
+
+    def test_scaled_integers_are_the_same_map(self):
+        rng = rng_for("map-equality")
+        for m, eps, style in ((3, 2, 0), (4, 0, 1), (5, 2, 2), (8, 0, 2)):
+            drawn = random_mobius(rng, m, SpaceFormModel.flat(m), eps, style)
+            N, D = drawn.A_integers
+            for s in (2, 3, 6):
+                scaled = MobiusMap(drawn.a, drawn.b, drawn.k, [[s * v for v in row] for row in N], s * D, eps)
+                assert scaled == drawn and hash(scaled) == hash(drawn)
+                assert scaled.A_integers == drawn.A_integers
+            assert MobiusMap(drawn.a, drawn.b, -drawn.k, N, D, eps) != drawn
+
+    def test_build_is_the_constructor_on_integer_matrix(self):
+        rows = [
+            [rational(3, 5), rational(0), rational(-4, 5)],
+            [rational(0), rational(-1), rational(0)],
+            [rational(4, 5), rational(0), rational(3, 5)],
+        ]
+        a, b, k = _zeros(3), (rational(1, 2), rational(0), rational(-1, 3)), rational(2, 3)
+        built = MobiusMap.build(a, b, k, A=rows, epsilon=0)
+        assert built == MobiusMap(a, b, k, *integer_matrix(rows), 0)
+        assert hash(built) == hash(MobiusMap(a, b, k, *integer_matrix(rows), 0))
+        identity = MobiusMap.build(a, b, k, epsilon=2)
+        assert identity == MobiusMap(a, b, k, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, 2)
+
+    def test_copy_and_pickle_round_trip(self):
+        rng = rng_for("map-round-trip")
+        for style in range(3):
+            mmap = random_mobius(rng, 5, SpaceFormModel.sphere(5), 2, style)
+            for twin in (copy.copy(mmap), copy.deepcopy(mmap), pickle.loads(pickle.dumps(mmap))):
+                assert twin == mmap and hash(twin) == hash(mmap)
+                assert twin.A_integers == mmap.A_integers and repr(twin) == repr(mmap)
+
+
 def _gauss_jordan_inverse(A):
     """Exact inverse by Gauss-Jordan elimination on rationals: the oracle of
-    the fraction-free solve in cayley_orthogonal."""
+    the fraction-free solve in cayley_integers."""
     m = len(A)
     aug = [list(A[i]) + [rational(1 if i == j else 0) for j in range(m)] for i in range(m)]
     for col in range(m):
@@ -130,20 +169,28 @@ def _random_skew(rng, m, density=0.7):
     return tuple(tuple(r) for r in rows)
 
 
+def _identity(m):
+    return fraction_matrix(signed_permutation_integers(range(m)), 1)
+
+
+def _cayley(S):
+    return fraction_matrix(*cayley_integers(S))
+
+
 class TestCayley:
     def test_zero_skew_gives_identity(self):
         S = tuple(tuple(rational(0) for _ in range(3)) for _ in range(3))
-        assert cayley_orthogonal(S) == identity_matrix(3)
+        assert _cayley(S) == _identity(3)
 
     def test_two_by_two(self):
         S = ((rational(0), rational(1)), (rational(-1), rational(0)))
-        got = cayley_orthogonal(S)
+        got = _cayley(S)
         assert got == ((rational(0), rational(1)), (rational(-1), rational(0)))
 
     def test_symmetric_input_rejected(self):
         S = ((rational(0), rational(1)), (rational(1), rational(0)))
         with pytest.raises(MapValidationError):
-            cayley_orthogonal(S)
+            cayley_integers(S)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -163,8 +210,8 @@ class TestCayley:
                 vq = rational(v.numerator, v.denominator)
                 rows[i][j] = vq
                 rows[j][i] = -vq
-        A = cayley_orthogonal(tuple(tuple(r) for r in rows))
-        assert is_orthogonal(A)
+        A = _cayley(tuple(tuple(r) for r in rows))
+        assert is_orthogonal_integers(*integer_matrix(A))
 
     def test_matches_gauss_jordan_route(self):
         # the fraction-free solve against (I - S)^-1 (I + S) on rationals
@@ -172,14 +219,14 @@ class TestCayley:
         for m in range(1, 9):
             for density in (0.0, 0.3, 1.0):
                 S = _random_skew(rng, m, density)
-                one = identity_matrix(m)
+                one = _identity(m)
                 i_minus = tuple(tuple(one[i][j] - S[i][j] for j in range(m)) for i in range(m))
                 i_plus = tuple(tuple(one[i][j] + S[i][j] for j in range(m)) for i in range(m))
-                assert cayley_orthogonal(S) == mat_mul(_gauss_jordan_inverse(i_minus), i_plus)
+                assert _cayley(S) == mat_mul(_gauss_jordan_inverse(i_minus), i_plus)
 
     def test_signed_permutation_orthogonal(self):
-        A = signed_permutation([2, 0, 1], [1, -1, 1])
-        assert is_orthogonal(A)
+        A = fraction_matrix(signed_permutation_integers([2, 0, 1], [1, -1, 1]), 1)
+        assert is_orthogonal_integers(*integer_matrix(A))
 
     @pytest.mark.parametrize(
         "rows",
@@ -193,7 +240,7 @@ class TestCayley:
         ],
     )
     def test_non_orthogonal_rejected(self, rows):
-        assert not is_orthogonal(rows)
+        assert not is_orthogonal_integers(*integer_matrix(rows))
 
 
 class TestApply:
@@ -313,7 +360,8 @@ class TestFactorQuadratic:
                     target = SpaceFormModel(m, c2)
                     mmap = random_mobius(rng, m, target, eps, style=rng.randint(0, 2))
                     k = mmap.k
-                    g = tuple(c2 * k * v for v in mat_vec(transpose(mmap.A), mmap.b))
+                    A = fraction_matrix(*mmap.A_integers)
+                    g = tuple(c2 * k * v for v in mat_vec(transpose(A), mmap.b))
                     alpha = 1 + c2 * exact_norm_sq(mmap.b)
                     q0, s = (c2 * k * k, alpha) if eps == 2 else (alpha, c2 * k * k)
                     den = math.lcm(q0.denominator, s.denominator, *(v.denominator for v in g))
@@ -326,12 +374,13 @@ class TestFactorQuadratic:
 def _fraction_factor_quadratic(target, mmap) -> FactorQuadratic:
     """The factor formed on Fractions, as ``factor_quadratic`` did before it
     moved to integer numerators: alpha, c2 k^2 and c2 k A^T b as rationals,
-    cleared over the lcm of their denominators.  A's integers are read off A."""
+    cleared over the lcm of their denominators.  A's integers are read off
+    A as rationals."""
     c2 = target.curvature
     k = mmap.k
     kappa = 2 * k if c2 else k
     alpha = 1 + c2 * sum(v * v for v in mmap.b)
-    N, D = integer_matrix(mmap.A)
+    N, D = integer_matrix(fraction_matrix(*mmap.A_integers))
     B, d_b = integer_vector(mmap.b)
     g_num = c2 * k.numerator
     g_den = k.denominator * D * d_b
@@ -343,8 +392,8 @@ def _fraction_factor_quadratic(target, mmap) -> FactorQuadratic:
 
 
 class TestFactorIntegerOracle:
-    """The factor on integer numerators against the Fraction route, and the
-    integers a draw hands to validation against those read off A."""
+    """The factor on integer numerators against the Fraction route, and a
+    drawn map against the one ``build`` makes from its matrix as rationals."""
 
     @pytest.mark.parametrize("m", [3, 5, 8, 12])
     def test_exact_equal(self, m):
@@ -355,10 +404,11 @@ class TestFactorIntegerOracle:
                 target = SpaceFormModel(m, c2)
                 for style in range(3):
                     drawn = random_mobius(rng, m, target, eps, style)
-                    assert drawn.A_integers == integer_matrix(drawn.A), (c1, c2, eps, style)
+                    A = fraction_matrix(*drawn.A_integers)
+                    assert MobiusMap.build(drawn.a, drawn.b, drawn.k, A, eps) == drawn, (c1, c2, eps, style)
                     # a configured map with either sign of k takes the integer_matrix route
                     for k in (drawn.k, -drawn.k):
-                        mmap = MobiusMap.build(drawn.a, drawn.b, k, drawn.A, eps)
+                        mmap = MobiusMap.build(drawn.a, drawn.b, k, A, eps)
                         assert mmap.A_integers == drawn.A_integers
                         got = factor_quadratic(target, mmap)
                         want = _fraction_factor_quadratic(target, mmap)
@@ -454,12 +504,9 @@ class TestConformality:
 
     def test_non_orthogonal_matrix_detected(self):
         # smuggle a non-orthogonal A past construction, which validates
-        bad = tuple(
-            tuple(rational(1 if i == j else (1 if (i, j) == (0, 1) else 0)) for j in range(4))
-            for i in range(4)
-        )
+        bad = tuple(tuple(1 if i == j or (i, j) == (0, 1) else 0 for j in range(4)) for i in range(4))
         m = MobiusMap.inversion(4)
-        object.__setattr__(m, "A", bad)
+        object.__setattr__(m, "A_integers", (bad, 1))
         assert not conformality_check(
             SpaceFormModel.flat(4), SpaceFormModel.flat(4), m, (1, 1, 0, 0)
         )
@@ -481,11 +528,12 @@ class TestRotationInvariance:
         from polyharm.residuals import evaluate_residuals
 
         rng = rng_for("rot-target")
-        Q = signed_permutation([1, 2, 0, 3], [1, -1, 1, -1])
+        Q = fraction_matrix(signed_permutation_integers([1, 2, 0, 3], [1, -1, 1, -1]), 1)
         a = rand_point(rng, 4)
         k = rational(4, 3)
         base = MobiusMap.build(a=a, b=_zeros(4), k=k, epsilon=2)
-        rotated = MobiusMap.build(a=a, b=_zeros(4), k=k, A=mat_mul(Q, base.A), epsilon=2)
+        A = fraction_matrix(*base.A_integers)
+        rotated = MobiusMap.build(a=a, b=_zeros(4), k=k, A=mat_mul(Q, A), epsilon=2)
         domain, target = SpaceFormModel.flat(4), SpaceFormModel.sphere(4)
         inst1 = ConformalInstance(domain=domain, target=target, map=base)
         inst2 = ConformalInstance(domain=domain, target=target, map=rotated)
@@ -508,11 +556,12 @@ class TestRotationInvariance:
         from polyharm.residuals import evaluate_residuals
 
         rng = rng_for("rot-domain")
-        Q = signed_permutation([3, 0, 2, 1], [-1, 1, 1, 1])
+        Q = fraction_matrix(signed_permutation_integers([3, 0, 2, 1], [-1, 1, 1, 1]), 1)
         b = rand_point(rng, 4, max_num=1, max_den=4)
         k = rational(3, 4)
         base = MobiusMap.build(a=_zeros(4), b=b, k=k, epsilon=2)
-        rotated = MobiusMap.build(a=_zeros(4), b=b, k=k, A=mat_mul(base.A, Q), epsilon=2)
+        A = fraction_matrix(*base.A_integers)
+        rotated = MobiusMap.build(a=_zeros(4), b=b, k=k, A=mat_mul(A, Q), epsilon=2)
         domain, target = SpaceFormModel.flat(4), SpaceFormModel.sphere(4)
         inst1 = ConformalInstance(domain=domain, target=target, map=base)
         inst2 = ConformalInstance(domain=domain, target=target, map=rotated)

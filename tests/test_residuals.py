@@ -17,7 +17,7 @@ from polyharm.errors import (
     SingularDivisionError,
 )
 from polyharm.jets import seed
-from polyharm.mobius import ConformalInstance, MobiusMap, integer_matrix, rational_matrix
+from polyharm.mobius import ConformalInstance, MobiusMap, integer_matrix
 from polyharm.rationals import EXACT, FLOAT, IntegerPoint, exact_point, integer_vector, rational
 from polyharm.residuals import (
     ConformalGeometry,
@@ -40,7 +40,7 @@ from polyharm.verifier import (
 )
 
 from conftest import floats, make_instance, rand_point, rand_rat, rng_for
-from jet_oracles import conformal_factor, grad_norm_sq_bar, inv_sigma_jet, laplace_beltrami
+from jet_oracles import conformal_factor, fraction_matrix, grad_norm_sq_bar, inv_sigma_jet, laplace_beltrami
 
 
 def _zeros(m):
@@ -439,7 +439,7 @@ class TestFloatZeroRule:
         checked = 0
         for m in (3, 5, 8):
             zero = _zeros(m)
-            A = rational_matrix(*_random_orthogonal(rng, m, 2))
+            A = fraction_matrix(*_random_orthogonal(rng, m, 2))
             mmap = MobiusMap.build(a=zero, b=zero, k=1, A=A, epsilon=0)
             inst = ConformalInstance(SpaceFormModel(m, c), SpaceFormModel(m, c), mmap)
             for _ in range(8):
@@ -606,7 +606,7 @@ def _jet_route(mmap, orders, x):
     u = [xi - ai for xi, ai in zip(xs, mmap.a)]
     recip = 1 / jets.norm_sq(u) if mmap.epsilon == 2 else xs[0].constant_like(1)
     comps = []
-    for row in mmap.A:
+    for row in fraction_matrix(*mmap.A_integers):
         c = xs[0].zero_like()
         for aij, uj in zip(row, u):
             c = c + uj * (mmap.k * aij)
@@ -729,7 +729,8 @@ def _taylor_route(mmap, orders, x):
     """
     m = mmap.dim
     U, D = integer_vector([rational(xi) - ai for xi, ai in zip(x, mmap.a)])
-    num_A, den_A = integer_matrix([[mmap.k * v for v in row] for row in mmap.A])
+    A = fraction_matrix(*mmap.A_integers)
+    num_A, den_A = integer_matrix([[mmap.k * v for v in row] for row in A])
     s = mmap.epsilon // 2
     F = s * sum(v * v for v in U) + (1 - s) * D * D
     top = max(orders)
@@ -970,7 +971,7 @@ def _degenerate_cases():
         for c1, c2 in CURVATURE_PAIRS:
             domain, target = SpaceFormModel(m, c1), SpaceFormModel(m, c2)
             for eps, style in itertools.product((0, 2), (0, 1, 2)):
-                A = rational_matrix(*_random_orthogonal(rng, m, style))
+                A = fraction_matrix(*_random_orthogonal(rng, m, style))
                 k = rational(1, 3) if c2 == -1 else rational(1)
                 maps = {
                     "X=0": MobiusMap.build((rational(1, 2),) + zero[1:], zero, k, A, eps),

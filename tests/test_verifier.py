@@ -7,6 +7,7 @@ import itertools
 import json
 import logging
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -24,12 +25,15 @@ from polyharm import mobius, residuals, sampling
 from polyharm.cli import main
 from polyharm.errors import AdmissibleRegionError, ConfigError, PolyharmError
 from polyharm.mobius import ConformalInstance, MobiusMap, apply_point
-from polyharm.rationals import EXACT, FLOAT, IntegerPoint, rational
+from polyharm.rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
 from polyharm.sampling import _randint
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
+    CURVATURE_PAIRS,
+    ConfiguredInstance,
     ResidualReport,
     SamplePlan,
+    _map_dict,
     _sweep_instance,
     check_report_body,
     emit_report,
@@ -46,7 +50,7 @@ from polyharm.verifier import (
 )
 
 from conftest import rng_for
-from jet_oracles import conformal_factor_value
+from jet_oracles import conformal_factor_value, fraction_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -286,7 +290,8 @@ def _target_boundary_point(mmap):
     m = mmap.dim
     y = (rational(3, 5), rational(4, 5)) + (rational(0),) * (m - 2)
     v = tuple((yi - bi) / mmap.k for yi, bi in zip(y, mmap.b))
-    at_v = tuple(sum(mmap.A[i][j] * v[i] for i in range(m)) for j in range(m))
+    A = fraction_matrix(*mmap.A_integers)
+    at_v = tuple(sum(A[i][j] * v[i] for i in range(m)) for j in range(m))
     if mmap.epsilon == 2:  # u / |u|^2 = A^T v inverts to u = A^T v / |v|^2
         v_sq = sum(c * c for c in v)
         at_v = tuple(c / v_sq for c in at_v)
@@ -301,13 +306,13 @@ class TestImmutable:
         [
             (lambda: SpaceFormModel.flat(3), "dim"),
             (lambda: SpaceFormModel.flat(3), "curvature"),
-            (lambda: MobiusMap.inversion(3), "A"),
+            (lambda: MobiusMap.inversion(3), "A_integers"),
             (lambda: MobiusMap.inversion(3), "k"),
             (lambda: ConformalInstance(SpaceFormModel.flat(3), SpaceFormModel.flat(3), MobiusMap.inversion(3)), "map"),
             (lambda: ConformalInstance(SpaceFormModel.flat(3), SpaceFormModel.flat(3), MobiusMap.inversion(3)), "factor"),
             (lambda: SamplePlan(seed=1, count=3), "count"),
         ],
-        ids=["model-dim", "model-curvature", "map-A", "map-k", "instance-map", "instance-factor", "plan-count"],
+        ids=["model-dim", "model-curvature", "map-A_integers", "map-k", "instance-map", "instance-factor", "plan-count"],
     )
     def test_assignment_refused(self, make, field):
         obj = make()
@@ -315,6 +320,103 @@ class TestImmutable:
         with pytest.raises(AttributeError):
             setattr(obj, field, None)
         assert getattr(obj, field) is before
+
+    @pytest.mark.parametrize("route", ["drawn", "built", "configured", "unpickled"])
+    def test_map_parameters_are_immutable(self, tmp_path, route):
+        # A and a are held as tuples: no entry of a validated map can change
+        if route == "configured":
+            cfg = _inversion_config()
+            cfg["map"]["A"] = {"kind": "cayley", "data": [["0", "1/2", "0", "0"], ["-1/2", "0", "0", "0"], ["0"] * 4, ["0"] * 4]}
+            mmap = load_config(_write(tmp_path, cfg))[0][0].instance.map
+        else:
+            drawn = random_mobius(rng_for("immutable-map"), 4, SpaceFormModel.flat(4), 2, style=2)
+            mmap = {
+                "drawn": drawn,
+                "built": MobiusMap.build(drawn.a, drawn.b, drawn.k, fraction_matrix(*drawn.A_integers), 2),
+                "unpickled": pickle.loads(pickle.dumps(drawn)),
+            }[route]
+        before = (mmap.a, mmap.A_integers)
+        with pytest.raises(TypeError):
+            mmap.A_integers[0][0][0] += 1
+        with pytest.raises(TypeError):
+            mmap.a[0] = rational(7)
+        assert (mmap.a, mmap.A_integers) == before
+
+
+class TestReportMaps:
+    """The report's A, formatted from the map's integers, against the text
+    format_rational gives each entry as a Fraction."""
+
+    @staticmethod
+    def _oracle(mmap):
+        N, D = mmap.A_integers
+        return [[format_rational(Fraction(n, D)) for n in row] for row in N]
+
+    def test_drawn_maps(self):
+        rng = rng_for("report-map-oracle")
+        dens = set()
+        for m in (3, 4, 5, 6, 7, 8, 12, 16):
+            for (c1, c2), eps, style in itertools.product(CURVATURE_PAIRS, (0, 2), (0, 1, 2)):
+                mmap = random_mobius(rng, m, SpaceFormModel(m, c2), eps, style)
+                assert _map_dict(mmap)["A"] == self._oracle(mmap), (m, c1, c2, eps, style)
+                dens.add(mmap.A_integers[1])
+        assert 1 in dens and len(dens) > 1
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"kind": "matrix", "data": [["3/5", "0", "-4/5"], ["0", "-1", "0"], ["4/5", "0", "3/5"]]},
+            {"kind": "matrix", "data": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "1"]]},
+            {"kind": "cayley", "data": [["0", "1/2", "0"], ["-1/2", "0", "0"], ["0", "0", "0"]]},
+            {"kind": "permutation", "data": {"perm": [2, 0, 1], "signs": [-1, 1, -1]}},
+        ],
+        ids=["matrix", "matrix-D1", "cayley", "permutation"],
+    )
+    def test_configured_maps(self, tmp_path, entry):
+        cfg = _inversion_config(m=3)
+        cfg["map"]["A"] = entry
+        mmap = load_config(_write(tmp_path, cfg))[0][0].instance.map
+        text = _map_dict(mmap)["A"]
+        assert text == self._oracle(mmap)
+        flat = [v for row in text for v in row]
+        assert "0/1" in flat and any(v.startswith("-") for v in flat)
+
+
+class TestModeAndTol:
+    """An unknown mode or a tol outside (0, 1) is a ConfigError at every
+    entry point of the API, not only behind the CLI's flags."""
+
+    BAD = [("Float", 1e-9), ("flaot", 1e-9), ("nope", 1e-9), (EXACT, 1.0), (FLOAT, 0.0), (FLOAT, float("nan"))]
+
+    @staticmethod
+    def _instance():
+        return ConformalInstance(SpaceFormModel.flat(4), SpaceFormModel.flat(4), MobiusMap.inversion(4))
+
+    @pytest.mark.parametrize("mode,tol", BAD)
+    def test_run_check(self, mode, tol):
+        with pytest.raises(ConfigError):
+            run_check(self._instance(), SamplePlan(seed=1, count=2), mode=mode, tol=tol)
+
+    @pytest.mark.parametrize("mode,tol", BAD)
+    def test_check_report_body(self, mode, tol):
+        configured = [ConfiguredInstance(self._instance(), "proper-biharmonic")]
+        with pytest.raises(ConfigError):
+            check_report_body(configured, SamplePlan(seed=1, count=2), mode=mode, tol=tol)
+
+    @pytest.mark.parametrize("mode,tol", BAD)
+    def test_sweep_biharmonic(self, mode, tol):
+        with pytest.raises(ConfigError):
+            sweep_biharmonic(m_values=[4], trials=1, points=1, mode=mode, tol=tol)
+
+    @pytest.mark.parametrize("mode,tol", BAD)
+    def test_sweep_polyharmonic(self, mode, tol):
+        with pytest.raises(ConfigError):
+            sweep_polyharmonic(orders=[1], m_values=[4], mode=mode, tol=tol)
+
+    @pytest.mark.parametrize("mode,tol", BAD)
+    def test_selftest(self, mode, tol):
+        with pytest.raises(ConfigError):
+            selftest(mode=mode, tol=tol)
 
 
 class TestSamplerScreen:
@@ -328,7 +430,7 @@ class TestSamplerScreen:
             domain, target = SpaceFormModel(m, c1), SpaceFormModel(m, c2)
             drawn = random_mobius(rng, m, target, eps, style=rng.randint(0, 2))
             for k in (drawn.k, -drawn.k):  # a config may give k < 0
-                mmap = MobiusMap.build(drawn.a, drawn.b, k, drawn.A, eps)
+                mmap = MobiusMap.build(drawn.a, drawn.b, k, fraction_matrix(*drawn.A_integers), eps)
                 inst = ConformalInstance(domain, target, mmap)
                 points = [
                     tuple(rational(rng.randint(-32, 32), 16) for _ in range(m)) for _ in range(6)
@@ -461,19 +563,19 @@ def _randint_random_mobius(rng, m, target, epsilon, style):
         k = rational(rng.randint(1, 6), rng.randint(1, 6))
     style %= 3
     if style == 0:
-        A = mobius.identity_matrix(m)
+        A = None
     elif style == 1:
         perm = list(range(m))
         rng.shuffle(perm)
         signs = [rng.choice((-1, 1)) for _ in range(m)]
-        A = mobius.rational_matrix(mobius.signed_permutation_integers(perm, signs), 1)
+        A = fraction_matrix(mobius.signed_permutation_integers(perm, signs), 1)
     else:
         rows = [[rational(0)] * m for _ in range(m)]
         for i in range(m):
             for j in range(i + 1, m):
                 rows[i][j] = rand_rational(1, 2, 3)
                 rows[j][i] = -rows[i][j]
-        A = mobius.cayley_orthogonal(rows)
+        A = fraction_matrix(*mobius.cayley_integers(rows))
     return MobiusMap.build(a, b, k, A, epsilon)
 
 
