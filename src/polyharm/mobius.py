@@ -22,16 +22,17 @@ where <A^T b, u> is linear and f a quadratic.  The identity holds only for
 exactly orthogonal A, which ``validate`` certifies for every ``MobiusMap``
 as it is constructed, on integers: a map holds A only as A = N/D, integer
 rows N over one positive D (``A_integers``), and the check is
-N^T N == D^2 I (``is_orthogonal_integers``).  Drawn and configured maps
-alike reach the one constructor with those integers, and no map skips the
-check.  It makes every factor of the family a quotient
-lambda = P/Q of two isotropic quadratics, which ``factor_quadratic`` reads
-off the integers of the map parameters once per instance
-(``ConformalInstance.factor``); the
-residual kernel of :mod:`polyharm.residuals` works from that quotient alone.
-It is the one route to the factor in the package.  ``conformality_check``
-tests it against the map itself: the closed Jacobian of phi and the target
-weight at phi(x) from ``apply_point``, the one map-application route.
+N^T N == D^2 I (``is_orthogonal_integers``).  Maps and instances are
+validated named tuples: drawn and configured maps alike, and every
+``_replace``, copy and pickle, reach the one constructor, so no map skips
+the check.  It makes every factor of the family a quotient lambda = P/Q
+of two isotropic quadratics, which ``factor_quadratic`` reads off the
+integers of the map parameters once per instance
+(``ConformalInstance.factor``); the residual kernel of
+:mod:`polyharm.residuals` works from that quotient alone.  It is the one
+route to the factor in the package.  ``conformality_check`` tests it
+against the map itself: the closed Jacobian of phi and the target weight at
+phi(x) from ``apply_point``, the one map-application route.
 For curved targets lambda collapses to the closed forms
 
     2c * w(x) / (s*c^2 + |x - d|^2),    s = +1 sphere target, -1 hyperbolic,
@@ -49,9 +50,10 @@ zero where they should.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import operator
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import spaceform
@@ -148,59 +150,42 @@ def cayley_bareiss(N, d: int) -> tuple[list, int]:
 # -- the map family ----------------------------------------------------------
 
 
-class MobiusMap:
+class _Map(NamedTuple):
+    a: Vector
+    b: Vector
+    k: object
+    A_integers: tuple
+    epsilon: int
+
+
+class MobiusMap(_Map):
     """Parameters (a, b, k, A, eps) of the inversive conformal family, with
     A held once, as integers: ``A_integers`` = (A_num, A_den), A = A_num /
     A_den, A_num a tuple of integer row tuples and A_den > 0, reduced by
     their one gcd.
 
-    Construction validates, and the map is immutable after it: a and b are
-    tuples, and the kernels rely on A staying the exactly orthogonal matrix
-    ``validate`` certified.  Maps are equal and hashed by (a, b, k,
-    A_integers, epsilon); the gcd reduction makes (2N, 2D) the map (N, D)
-    is.  A ``__slots__`` class rather than a dataclass, whose import costs
-    the package a few milliseconds at every start.
+    A named tuple of tuples whose every construction validates: the
+    constructor, ``_make`` (so ``_replace``), and copies and pickles, which
+    the default ``__getnewargs__`` sends through the constructor.  So the
+    kernels can rely on A being the exactly orthogonal matrix ``validate``
+    certified.  Equality and hash are by fields; the gcd reduction makes
+    (2N, 2D) the map (N, D) is.
     """
 
-    __slots__ = ("a", "b", "k", "A_integers", "epsilon")
+    __slots__ = ()
 
-    def __init__(self, a: Vector, b: Vector, k, A_num, A_den: int, epsilon: int):
-        g = math.gcd(A_den, *(v for row in A_num for v in row)) or 1
-        A_num = tuple(tuple(v // g for v in row) for row in A_num)
-        # the slots in order, set past the refusing __setattr__
-        values = (tuple(a), tuple(b), k, (A_num, A_den // g), epsilon)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-        validate(self)
+    def __new__(cls, a: Vector, b: Vector, k, A_integers, epsilon: int):
+        N, D = A_integers
+        N = tuple(map(tuple, N))
+        mmap = validate(super().__new__(cls, tuple(a), tuple(b), k, (N, D), epsilon))
+        # validated, so N and D are ints and D > 0: reduce by their one gcd
+        g = math.gcd(D, *itertools.chain.from_iterable(N))
+        if g == 1:
+            return mmap
+        N = tuple(tuple(v // g for v in row) for row in N)
+        return super().__new__(cls, mmap.a, mmap.b, k, (N, D // g), epsilon)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MobiusMap is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"MobiusMap is immutable: cannot delete {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.a, self.b, self.k, self.A_integers, self.epsilon)
-
-    def __eq__(self, other):
-        if not isinstance(other, MobiusMap):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        A_num, A_den = self.A_integers
-        return (
-            f"MobiusMap(a={self.a!r}, b={self.b!r}, k={self.k!r}, "
-            f"A_num={A_num!r}, A_den={A_den!r}, epsilon={self.epsilon!r})"
-        )
-
-    def __reduce__(self):
-        # copies and pickles are rebuilt through validation: the default
-        # route would restore the slots through the refusing __setattr__
-        return MobiusMap, (self.a, self.b, self.k, *self.A_integers, self.epsilon)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def dim(self) -> int:
@@ -213,10 +198,10 @@ class MobiusMap:
         a = tuple(rational(v) for v in a)
         b = tuple(rational(v) for v in b)
         if A is None:
-            N, D = signed_permutation_integers(range(len(a))), 1
+            A_integers = signed_permutation_integers(range(len(a))), 1
         else:
-            N, D = integer_matrix([[rational(v) for v in row] for row in A])
-        return cls(a, b, rational(k), N, D, int(epsilon))
+            A_integers = integer_matrix([[rational(v) for v in row] for row in A])
+        return cls(a, b, rational(k), A_integers, int(epsilon))
 
     @classmethod
     def inversion(cls, dim: int) -> "MobiusMap":
@@ -226,14 +211,20 @@ class MobiusMap:
 
 
 def validate(mmap: MobiusMap) -> MobiusMap:
-    """Check the family invariants; returns the map or raises.  A is checked
-    by ``is_orthogonal_integers`` on the map's own ``A_integers``."""
+    """Check the family invariants; returns the map or raises.  Entries of
+    a, b and k have type int or Fraction (a bool is neither), those of
+    A_integers type int, and A is checked by ``is_orthogonal_integers`` on
+    the map's own integers."""
     m = mmap.dim
     N, D = mmap.A_integers
     if len(mmap.b) != m or len(N) != m or any(len(r) != m for r in N):
         raise MapValidationError("parameter dimensions disagree")
-    if mmap.epsilon not in (0, 2):
-        raise MapValidationError(f"epsilon must be 0 or 2, got {mmap.epsilon}")
+    if not {*map(type, mmap.a), *map(type, mmap.b), type(mmap.k)} <= {int, Fraction}:
+        raise MapValidationError("entries of a, b and k must be ints or Fractions")
+    if {type(D), *map(type, itertools.chain.from_iterable(N))} != {int}:
+        raise MapValidationError("A_integers must hold ints")
+    if type(mmap.epsilon) is not int or mmap.epsilon not in (0, 2):
+        raise MapValidationError(f"epsilon must be the integer 0 or 2, got {mmap.epsilon!r}")
     if not mmap.k:
         raise MapValidationError("scale k must be nonzero")
     if not (D > 0 and is_orthogonal_integers(N, D)):
@@ -282,7 +273,9 @@ def factor_quadratic(target: SpaceFormModel, mmap: MobiusMap) -> FactorQuadratic
 
     so on a curved target Q = |u|^2 (1 + c2 |phi|^2) for eps = 2 and
     Q = 1 + c2 |phi|^2 for eps = 0.  The reduced parameters are not used, so
-    ``reduced_parameters`` stays an independent route.
+    ``reduced_parameters`` stays an independent route.  alpha = 0, exactly
+    when c2 = -1 and |b| = 1, leaves the reduced factor undefined and is
+    refused here, the one such check on the verdict path.
     """
     c2 = target.curvature
     k = mmap.k
@@ -295,6 +288,10 @@ def factor_quadratic(target: SpaceFormModel, mmap: MobiusMap) -> FactorQuadratic
     kn, kd = k.numerator, k.denominator
     db2, kd2 = d_b * d_b, kd * kd
     alpha = (db2 + c2 * sum(v * v for v in B)) * kd2 * D
+    if not alpha:
+        raise MapValidationError(
+            "|b| = 1 with a hyperbolic target leaves the reduced factor undefined"
+        )
     ck2 = c2 * kn * kn * db2 * D
     gk = c2 * kn * kd * d_b
     g = [gk * sum(map(operator.mul, col, B)) for col in zip(*N)]
@@ -313,39 +310,37 @@ def factor_quadratic(target: SpaceFormModel, mmap: MobiusMap) -> FactorQuadratic
     )
 
 
-class ConformalInstance:
-    """A validated (domain, target, map) triple of equal dimension.
+class _Instance(NamedTuple):
+    domain: SpaceFormModel
+    target: SpaceFormModel
+    map: MobiusMap
+    factor: FactorQuadratic
 
-    Immutable after construction; the ``factor`` it caches is kept in the
-    instance ``__dict__``, which ``cached_property`` writes directly.
+
+class ConformalInstance(_Instance):
+    """A validated (domain, target, map) triple of equal dimension, and the
+    ``factor_quadratic`` of its map, built once as a fourth field.  A named
+    tuple whose ``_make`` (so ``_replace``) and ``__getnewargs__`` (copies,
+    pickles) hand the constructor only (domain, target, map): no route pairs
+    a map with another map's factor.
     """
 
-    def __init__(self, domain: SpaceFormModel, target: SpaceFormModel, map: MobiusMap):
+    __slots__ = ()
+
+    def __new__(cls, domain: SpaceFormModel, target: SpaceFormModel, map: MobiusMap):
         if not (domain.dim == target.dim == map.dim):
             raise MapValidationError("domain, target, and map dimensions must agree")
-        if target.curvature == -1:
-            B, d_b = integer_vector(map.b)
-            if sum(v * v for v in B) == d_b * d_b:
-                raise MapValidationError(
-                    "|b| = 1 with a hyperbolic target leaves the reduced factor undefined"
-                )
-        self.__dict__.update(domain=domain, target=target, map=map)
+        return super().__new__(cls, domain, target, map, factor_quadratic(target, map))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ConformalInstance is immutable: cannot set {name!r}")
+    # the factor is never taken from the caller: _replace(factor=...) is refused
+    _make = classmethod(lambda cls, fields: cls(*itertools.islice(fields, 3)))
 
-    def __delattr__(self, name):
-        raise AttributeError(f"ConformalInstance is immutable: cannot delete {name!r}")
+    def __getnewargs__(self):
+        return self[:3]
 
     @property
     def dim(self) -> int:
         return self.domain.dim
-
-    @functools.cached_property
-    def factor(self) -> FactorQuadratic:
-        """lambda = P/Q of this instance, built once: A^T b, |b|^2 and the
-        map-only parts of P and Q are the same at every point."""
-        return factor_quadratic(self.target, self.map)
 
 
 # -- evaluation ---------------------------------------------------------------

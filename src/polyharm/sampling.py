@@ -213,5 +213,4 @@ def random_mobius(
         k = rational(_randint(rng, 1, 6), _randint(rng, 1, 6))
     # every entry is already rational and A comes as integers: construction
     # validates the map on them
-    N, D = _random_orthogonal(rng, m, style)
-    return MobiusMap(a, b, k, N, D, epsilon)
+    return MobiusMap(a, b, k, _random_orthogonal(rng, m, style), epsilon)

@@ -34,7 +34,8 @@ class SpaceFormModel(_Chart):
 
     A named tuple (dim, curvature): immutable, and equal, hashed and printed
     by its fields.  Construction refuses a dimension below 2 and a curvature
-    outside {-1, 0, 1}.
+    outside {-1, 0, 1}, and ``_make`` (so ``_replace``), copies and pickles
+    all go through it.
     """
 
     __slots__ = ()
@@ -45,6 +46,8 @@ class SpaceFormModel(_Chart):
         if curvature not in CURVATURES:
             raise ShapeMismatchError(f"curvature must be in {CURVATURES}")
         return super().__new__(cls, dim, curvature)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def name(self) -> str:

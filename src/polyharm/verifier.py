@@ -66,7 +66,8 @@ class _Plan(NamedTuple):
 
 class SamplePlan(_Plan):
     """Either explicit points or a seeded rejection-sampling recipe: an
-    immutable named tuple that construction validates."""
+    immutable named tuple that construction validates, ``_make`` (so
+    ``_replace``), copies and pickles included."""
 
     __slots__ = ()
 
@@ -82,13 +83,12 @@ class SamplePlan(_Plan):
             _require_samples(points=len(self.points))
         return self
 
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def with_overrides(self, seed=None, count=None) -> "SamplePlan":
-        return SamplePlan(
+        return self._replace(
             seed=self.seed if seed is None else seed,
             count=self.count if count is None else count,
-            radius=self.radius,
-            exclusion=self.exclusion,
-            points=self.points,
         )
 
 
@@ -172,10 +172,10 @@ def _parse_map(obj, where: str) -> MobiusMap:
     a = _parse_rational_list(obj["a"], f"{where}.a")
     b = _parse_rational_list(obj["b"], f"{where}.b")
     k = _parse_rational_list([obj["k"]], f"{where}.k")[0]
-    N, D = _parse_matrix(obj.get("A"), len(a), f"{where}.A")
+    A_integers = _parse_matrix(obj.get("A"), len(a), f"{where}.A")
     epsilon = _json_int(obj["epsilon"], f"{where}.epsilon")
     with _parsing(where):
-        return MobiusMap(a, b, k, N, D, epsilon)
+        return MobiusMap(a, b, k, A_integers, epsilon)
 
 
 def _parse_plan(obj) -> SamplePlan:

@@ -3,6 +3,8 @@
 import copy
 import math
 import pickle
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -67,7 +69,7 @@ class TestValidate:
         # every MobiusMap is valid by construction, not only those from build
         two_i = [[2 if i == j else 0 for j in range(3)] for i in range(3)]
         with pytest.raises(MapValidationError):
-            MobiusMap(_zeros(3), _zeros(3), rational(1), two_i, 1, 2)
+            MobiusMap(_zeros(3), _zeros(3), rational(1), (two_i, 1), 2)
 
     def test_epsilon_one_rejected(self):
         with pytest.raises(MapValidationError):
@@ -89,18 +91,40 @@ class TestValidate:
     def test_drawn_integers_that_are_not_orthogonal_rejected(self, N, D):
         # the integers a draw hands over pass the same check as a configured A
         with pytest.raises(MapValidationError):
-            MobiusMap(_zeros(2), _zeros(2), rational(1), N, D, 2)
+            MobiusMap(_zeros(2), _zeros(2), rational(1), (N, D), 2)
 
     def test_drawn_integers_form_the_matrix(self):
-        mmap = MobiusMap(_zeros(2), _zeros(2), rational(1), [[3, -4], [4, 3]], 5, 2)
+        mmap = MobiusMap(_zeros(2), _zeros(2), rational(1), ([[3, -4], [4, 3]], 5), 2)
         assert mmap.A_integers == (((3, -4), (4, 3)), 5)
         rows = ((rational(3, 5), rational(-4, 5)), (rational(4, 5), rational(3, 5)))
         assert fraction_matrix(*mmap.A_integers) == rows
         assert integer_matrix(rows) == ([[3, -4], [4, 3]], 5)
         assert mmap == MobiusMap.build(_zeros(2), _zeros(2), 1, rows, 2)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("A_integers", ([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]], 1)),
+            ("A_integers", ([[1, 0], [0, 1]], Fraction(1))),
+            ("A_integers", ([[True, False], [False, True]], 1)),
+            ("epsilon", False),
+            ("epsilon", 2.0),
+            ("k", 1.5),
+            ("k", True),
+            ("a", (rational(0), 0.5)),
+            ("b", (rational(0), "1/2")),
+        ],
+        ids=["N-fraction", "D-fraction", "N-bool", "eps-false", "eps-float", "k-float", "k-bool", "a-float", "b-str"],
+    )
+    def test_entry_types_rejected(self, field, value):
+        # a wrong type is a validation error, never a TypeError or a stored value
+        fields = {"a": _zeros(2), "b": _zeros(2), "k": rational(1), "A_integers": ([[1, 0], [0, 1]], 1), "epsilon": 2}
+        MobiusMap(**fields)
+        with pytest.raises(MapValidationError):
+            MobiusMap(**{**fields, field: value})
+
     def test_copy_and_pickle_keep_the_map(self):
-        mmap = MobiusMap(_zeros(2), _zeros(2), rational(1), [[3, -4], [4, 3]], 5, 2)
+        mmap = MobiusMap(_zeros(2), _zeros(2), rational(1), ([[3, -4], [4, 3]], 5), 2)
         for twin in (copy.deepcopy(mmap), pickle.loads(pickle.dumps(mmap))):
             assert twin == mmap and twin.A_integers == mmap.A_integers
 
@@ -115,10 +139,10 @@ class TestEquality:
             drawn = random_mobius(rng, m, SpaceFormModel.flat(m), eps, style)
             N, D = drawn.A_integers
             for s in (2, 3, 6):
-                scaled = MobiusMap(drawn.a, drawn.b, drawn.k, [[s * v for v in row] for row in N], s * D, eps)
+                scaled = MobiusMap(drawn.a, drawn.b, drawn.k, ([[s * v for v in row] for row in N], s * D), eps)
                 assert scaled == drawn and hash(scaled) == hash(drawn)
                 assert scaled.A_integers == drawn.A_integers
-            assert MobiusMap(drawn.a, drawn.b, -drawn.k, N, D, eps) != drawn
+            assert MobiusMap(drawn.a, drawn.b, -drawn.k, (N, D), eps) != drawn
 
     def test_build_is_the_constructor_on_integer_matrix(self):
         rows = [
@@ -128,10 +152,10 @@ class TestEquality:
         ]
         a, b, k = _zeros(3), (rational(1, 2), rational(0), rational(-1, 3)), rational(2, 3)
         built = MobiusMap.build(a, b, k, A=rows, epsilon=0)
-        assert built == MobiusMap(a, b, k, *integer_matrix(rows), 0)
-        assert hash(built) == hash(MobiusMap(a, b, k, *integer_matrix(rows), 0))
+        assert built == MobiusMap(a, b, k, integer_matrix(rows), 0)
+        assert hash(built) == hash(MobiusMap(a, b, k, integer_matrix(rows), 0))
         identity = MobiusMap.build(a, b, k, epsilon=2)
-        assert identity == MobiusMap(a, b, k, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, 2)
+        assert identity == MobiusMap(a, b, k, ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1), 2)
 
     def test_copy_and_pickle_round_trip(self):
         rng = rng_for("map-round-trip")
@@ -450,6 +474,22 @@ class TestReducedParameters:
         with pytest.raises(MapValidationError):
             reduced_parameters(m, SpaceFormModel.hyperbolic(3))
 
+    @pytest.mark.parametrize("epsilon", [0, 2])
+    def test_unit_b_hyperbolic_factor_rejected(self, epsilon):
+        # alpha = 1 - |b|^2 = 0: the factor refuses, and so every instance
+        b = (rational(3, 5), rational(0), rational(-4, 5))
+        m = MobiusMap.build(a=_zeros(3), b=b, k=1, epsilon=epsilon)
+        hyperbolic = SpaceFormModel.hyperbolic(3)
+        message = "|b| = 1 with a hyperbolic target leaves the reduced factor undefined"
+        for build in (
+            lambda: factor_quadratic(hyperbolic, m),
+            lambda: ConformalInstance(SpaceFormModel.flat(3), hyperbolic, m),
+        ):
+            with pytest.raises(MapValidationError, match=re.escape(message)):
+                build()
+        for c2 in (0, 1):
+            assert ConformalInstance(SpaceFormModel.flat(3), SpaceFormModel(3, c2), m).map is m
+
     @pytest.mark.parametrize("domain_c", [-1, 0, 1])
     @pytest.mark.parametrize("target_c", [-1, 1])
     @pytest.mark.parametrize("epsilon", [0, 2])
@@ -505,8 +545,8 @@ class TestConformality:
     def test_non_orthogonal_matrix_detected(self):
         # smuggle a non-orthogonal A past construction, which validates
         bad = tuple(tuple(1 if i == j or (i, j) == (0, 1) else 0 for j in range(4)) for i in range(4))
-        m = MobiusMap.inversion(4)
-        object.__setattr__(m, "A_integers", (bad, 1))
+        inv = MobiusMap.inversion(4)
+        m = tuple.__new__(MobiusMap, (inv.a, inv.b, inv.k, (bad, 1), inv.epsilon))
         assert not conformality_check(
             SpaceFormModel.flat(4), SpaceFormModel.flat(4), m, (1, 1, 0, 0)
         )

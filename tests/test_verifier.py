@@ -23,7 +23,13 @@ from hypothesis import strategies as st
 import polyharm
 from polyharm import mobius, residuals, sampling
 from polyharm.cli import main
-from polyharm.errors import AdmissibleRegionError, ConfigError, PolyharmError
+from polyharm.errors import (
+    AdmissibleRegionError,
+    ConfigError,
+    MapValidationError,
+    PolyharmError,
+    ShapeMismatchError,
+)
 from polyharm.mobius import ConformalInstance, MobiusMap, apply_point
 from polyharm.rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
 from polyharm.sampling import _randint
@@ -300,7 +306,7 @@ def _target_boundary_point(mmap):
 
 class TestImmutable:
     # the kernels rely on A staying the exactly orthogonal matrix validate
-    # certified, and an instance caches the factor of its map
+    # certified, and an instance holds the factor of its map
     @pytest.mark.parametrize(
         "make, field",
         [
@@ -341,6 +347,61 @@ class TestImmutable:
         with pytest.raises(TypeError):
             mmap.a[0] = rational(7)
         assert (mmap.a, mmap.A_integers) == before
+
+
+def _record_cases():
+    """(valid record, field, invalid value, error) for each validated record."""
+    flat, hyperbolic = SpaceFormModel.flat(3), SpaceFormModel.hyperbolic(3)
+    drawn = random_mobius(rng_for("record-routes"), 3, hyperbolic, 2, style=2)
+    unit_b = MobiusMap.build(a=[0, 0, 0], b=["3/5", "-4/5", "0"], k=1, epsilon=2)
+    two_i = (((2, 0, 0), (0, 2, 0), (0, 0, 2)), 1)
+    return {
+        "model": (SpaceFormModel(3, 0), "curvature", 5, ShapeMismatchError),
+        "plan": (SamplePlan(seed=1, count=3), "count", 0, ConfigError),
+        "map": (drawn, "A_integers", two_i, MapValidationError),
+        "instance": (ConformalInstance(flat, hyperbolic, drawn), "map", unit_b, MapValidationError),
+    }
+
+
+_COPIES = {
+    "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestRecordRoutes:
+    """Every way of building a record runs its validation: the constructor,
+    ``_replace`` (through ``_make``), and pickles and copies (through
+    ``__getnewargs__``)."""
+
+    @pytest.mark.parametrize("route", ["constructor", "replace", *_COPIES])
+    @pytest.mark.parametrize("record", ["model", "plan", "map", "instance"])
+    def test_route_validates(self, record, route):
+        valid, field, bad, error = _record_cases()[record]
+        cls, i = type(valid), valid._fields.index(field)
+        if route == "constructor":
+            n = len(valid.__getnewargs__())  # an instance takes no factor
+            rebuild = lambda fields: cls(*fields[:n])
+        elif route == "replace":
+            rebuild = lambda fields: valid._replace(**{field: fields[i]})
+        else:
+            # the invalid record is smuggled past validation, as a corrupt
+            # pickle or a hand-built tuple would carry it
+            rebuild = lambda fields: _COPIES[route](tuple.__new__(cls, fields))
+        with pytest.raises(error):
+            rebuild(valid[:i] + (bad,) + valid[i + 1 :])
+        twin = rebuild(tuple(valid))
+        assert type(twin) is cls and twin == valid and hash(twin) == hash(valid)
+
+    def test_replaced_map_carries_its_factor(self):
+        valid, *_ = _record_cases()["instance"]
+        other = random_mobius(rng_for("record-routes-other"), 3, valid.target, 0, style=1)
+        replaced = valid._replace(map=other)
+        assert replaced.map is other
+        assert replaced.factor == mobius.factor_quadratic(valid.target, other) != valid.factor
+        with pytest.raises(ValueError, match="factor"):
+            valid._replace(factor=replaced.factor)
 
 
 class TestReportMaps:
@@ -1251,6 +1312,15 @@ class TestCli:
                 imported.update((node.module or "").split("."))
                 imported.update(alias.name for alias in node.names)
         assert not imported & {"jets", "Jet"}
+
+    def test_no_hand_written_immutability(self):
+        # records are validated named tuples: no module refuses assignment by
+        # hand or writes past such a refusal
+        for path in sorted(Path(polyharm.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                defines = isinstance(node, ast.FunctionDef) and node.name in ("__setattr__", "__delattr__")
+                bypasses = isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__"
+                assert not (defines or bypasses), (path.name, node.lineno)
 
     def test_identical_seeds_identical_bytes(self, tmp_path, capsys):
         cfg = _write(tmp_path, _inversion_config())
