@@ -7,13 +7,13 @@ lambda = P/Q and the conformality cross-check, :mod:`polyharm.residuals` the
 two residual evaluators (``evaluate_residuals`` for the biharmonic table,
 ``polyharmonic_orders`` for the polyharmonic one) with the curved operators
 on integers, :mod:`polyharm.sampling` the seeded map and point draws, also
-on integers, and :mod:`polyharm.verifier` plans, sweeps, and
-machine-readable reports.  :mod:`polyharm.jets` is truncated Taylor
-arithmetic off the verdict path: the tests build their dense-jet oracles on
-it, and selftest checks it.  It loads on first use, so ``import polyharm``
-does not compile it; ``polyharm.jets`` resolves through the module
-``__getattr__`` below.  Import names from those modules; the package itself
-re-exports none.
+on integers, and :mod:`polyharm.verifier` plans, verdicts and sweeps.  The
+other commands' modules, :mod:`polyharm.check`, :mod:`polyharm.selftest` and
+:mod:`polyharm.report`, and the jets load on use, not here.
+:mod:`polyharm.jets` is truncated Taylor arithmetic off the verdict path: the
+tests build their dense-jet oracles on it, and selftest checks it;
+``polyharm.jets`` resolves through the module ``__getattr__`` below.  Import
+names from those modules; the package itself re-exports none.
 """
 
 import importlib

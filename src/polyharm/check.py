@@ -1,0 +1,255 @@
+"""The ``check`` command: JSON configs read exactly into instances and a
+plan, and one residual report per configured instance."""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import time
+from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple, Sequence
+
+from . import mobius, residuals
+from .errors import AdmissibleRegionError, ConfigError, PolyharmError
+from .mobius import ConformalInstance, MobiusMap
+from .rationals import EXACT, format_rational, rational
+from .residuals import DEFAULT_FLOAT_TOL
+from .sampling import sample_points
+from .spaceform import SpaceFormModel
+from .verifier import SamplePlan, _coordinates, _map_dict, _point_list, _require_dimensions, _verdict, log, require_mode
+
+
+class ConfiguredInstance(NamedTuple):
+    instance: ConformalInstance
+    expect: str | None = None
+
+
+@contextlib.contextmanager
+def _parsing(where: str):
+    """Turn a malformed entry met inside into a ConfigError naming ``where``:
+    a wrong type, value or length is a usage error, never a traceback."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (PolyharmError, KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _json_int(value, where: str) -> int:
+    """A JSON integer; a bool, a float or a numeric string is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _json_rational(value):
+    """An integer or a ``"p/q"`` string read exactly; a bool or float is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer or a 'p/q' string, got {value!r}")
+    return rational(value)
+
+
+def _parse_model(obj, where: str) -> SpaceFormModel:
+    if not isinstance(obj, dict) or "model" not in obj or "dim" not in obj:
+        raise ConfigError(f"{where}: expected {{'model': ..., 'dim': ...}}")
+    dim = _json_int(obj["dim"], f"{where}.dim")
+    with _parsing(where):
+        return SpaceFormModel.named(str(obj["model"]), dim)
+
+
+def _parse_rational_list(values, where: str) -> tuple:
+    with _parsing(f"{where}: bad rational entry"):
+        return tuple(_json_rational(v) for v in values)
+
+
+def _parse_matrix(entry, dim: int, where: str) -> tuple[list, int]:
+    """(N, D) of the configured orthogonal matrix A = N/D, every kind read
+    to integers; the map's construction checks that it is orthogonal."""
+    if entry is None:
+        entry = {"kind": "identity"}
+    if not isinstance(entry, dict) or "kind" not in entry:
+        raise ConfigError(f"{where}: matrix entry needs a 'kind'")
+    kind = entry["kind"]
+    data = entry.get("data")
+    with _parsing(where):
+        if kind == "identity":
+            return mobius.signed_permutation_integers(range(dim)), 1
+        if kind == "permutation":
+            perm, signs = (data["perm"], data.get("signs")) if isinstance(data, dict) else (data, None)
+            # entries are JSON integers: True == 1 would pass as a sign
+            perm = [_json_int(v, f"{where}.perm") for v in perm]
+            if signs is not None:
+                signs = [_json_int(v, f"{where}.signs") for v in signs]
+            return mobius.signed_permutation_integers(perm, signs), 1
+        if kind == "cayley":
+            skew = tuple(_parse_rational_list(row, where) for row in data)
+            return mobius.cayley_integers(skew)
+        if kind == "matrix":
+            return mobius.integer_matrix([_parse_rational_list(row, where) for row in data])
+    raise ConfigError(f"{where}: unknown matrix kind {kind!r}")
+
+
+def _parse_map(obj, where: str) -> MobiusMap:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: map must be an object")
+    for key in ("a", "b", "k", "epsilon"):
+        if key not in obj:
+            raise ConfigError(f"{where}: map is missing {key!r}")
+    a = _parse_rational_list(obj["a"], f"{where}.a")
+    b = _parse_rational_list(obj["b"], f"{where}.b")
+    k = _parse_rational_list([obj["k"]], f"{where}.k")[0]
+    A_integers = _parse_matrix(obj.get("A"), len(a), f"{where}.A")
+    epsilon = _json_int(obj["epsilon"], f"{where}.epsilon")
+    with _parsing(where):
+        return MobiusMap(a, b, k, A_integers, epsilon)
+
+
+def _parse_plan(obj) -> SamplePlan:
+    if obj is None:
+        return SamplePlan()
+    if not isinstance(obj, dict):
+        raise ConfigError("sample: expected an object")
+    with _parsing("sample"):
+        points = None
+        if "points" in obj:
+            points = tuple(_parse_rational_list(p, "sample.points") for p in obj["points"])
+        radius = None
+        if "radius" in obj:
+            radius = _parse_rational_list([obj["radius"]], "sample.radius")[0]
+        exclusion = Fraction(1, 8)
+        if "exclusion" in obj:
+            exclusion = _parse_rational_list([obj["exclusion"]], "sample.exclusion")[0]
+        return SamplePlan(
+            seed=_json_int(obj.get("seed", 0), "sample.seed"),
+            count=_json_int(obj.get("count", 20), "sample.count"),
+            radius=radius,
+            exclusion=exclusion,
+            points=points,
+        )
+
+
+def _parse_instance(obj, where: str) -> ConfiguredInstance:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: instance must be an object")
+    for key in ("domain", "target", "map"):
+        if key not in obj:
+            raise ConfigError(f"{where}: missing {key!r}")
+    domain = _parse_model(obj["domain"], f"{where}.domain")
+    target = _parse_model(obj["target"], f"{where}.target")
+    mmap = _parse_map(obj["map"], f"{where}.map")
+    with _parsing(where):
+        instance = ConformalInstance(domain=domain, target=target, map=mmap)
+    _require_dimensions((instance.dim,))
+    expect = obj.get("expect")
+    if expect is not None and expect not in ("harmonic", "proper-biharmonic", "not-biharmonic"):
+        raise ConfigError(f"{where}: unknown expected verdict {expect!r}")
+    return ConfiguredInstance(instance=instance, expect=expect)
+
+
+def load_config(path) -> tuple[list[ConfiguredInstance], SamplePlan]:
+    """Parse and validate a JSON config; rationals are read exactly."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"config file not found: {p}")
+    try:
+        doc = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config root must be an object")
+    plan = _parse_plan(doc.get("sample"))
+    if "instances" in doc:
+        entries = doc["instances"]
+        if not isinstance(entries, list) or not entries:
+            raise ConfigError("instances must be a nonempty list")
+        configured = [_parse_instance(e, f"instances[{i}]") for i, e in enumerate(entries)]
+    else:
+        configured = [_parse_instance(doc, "config")]
+    return configured, plan
+
+
+# -- check ---------------------------------------------------------------------
+
+
+def _model_dict(model: SpaceFormModel) -> dict:
+    return {"model": model.name, "dim": model.dim}
+
+
+def _rv_dict(rv: residuals.ResidualVector, mode: str) -> dict:
+    out = {"norm": rv.norm, "scale": rv.scale, "exact_zero": rv.exact_zero}
+    if mode == EXACT:
+        out["values"] = [format_rational(v) for v in rv.values]
+    return out
+
+
+def run_check(
+    instance: ConformalInstance,
+    plan: SamplePlan,
+    mode: str = EXACT,
+    tol: float = DEFAULT_FLOAT_TOL,
+    expect: str | None = None,
+) -> dict:
+    """Evaluate the full residual battery and classify one instance."""
+    require_mode(mode, tol)
+    pts = sample_points(plan, instance)
+    evals = []
+    points_out = []
+    skipped: list[str] = []
+    for x in pts:
+        try:
+            e = residuals.evaluate_residuals(instance, _coordinates(x, mode), tol)
+        except PolyharmError as exc:
+            # admissibility screening makes this unreachable for seeded plans,
+            # but explicit plan points can graze singular sets in float mode
+            log.warning("skipping point %s: %s", _point_list(x), exc)
+            skipped.append(f"skipped {' '.join(_point_list(x))}: {exc}")
+            continue
+        evals.append(e)
+        points_out.append(
+            {
+                "point": _point_list(x),
+                "harmonic": e["harmonic"],
+                "residuals": {name: _rv_dict(e[name], mode) for name in ("CL", "SDL", "ND", "ND2")},
+            }
+        )
+    if not evals:
+        raise AdmissibleRegionError("every sampled point was skipped")
+    verdict, warnings = _verdict(evals)
+    warnings = skipped + warnings
+    out = {
+        "domain": _model_dict(instance.domain),
+        "target": _model_dict(instance.target),
+        "map": _map_dict(instance.map),
+        "points": points_out,
+        "verdict": verdict,
+        "warnings": warnings,
+    }
+    if expect is not None:
+        out["expect"] = expect
+        out["match"] = verdict == expect
+    return out
+
+
+def check_report_body(
+    configured: Sequence[ConfiguredInstance],
+    plan: SamplePlan,
+    mode: str = EXACT,
+    tol: float = DEFAULT_FLOAT_TOL,
+) -> dict:
+    require_mode(mode, tol)
+    instances = []
+    for i, ci in enumerate(configured):
+        start = time.perf_counter()
+        instances.append(run_check(ci.instance, plan, mode=mode, tol=tol, expect=ci.expect))
+        log.info(
+            "check instance %d: %s, match=%s (%.3fs)",
+            i, instances[-1]["verdict"], instances[-1].get("match"), time.perf_counter() - start,
+        )
+    mismatches = [i for i, entry in enumerate(instances) if entry.get("match") is False]
+    return {
+        "instances": instances,
+        "mismatches": mismatches,
+        "all_match": not mismatches,
+    }

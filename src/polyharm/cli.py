@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import verifier
+from . import report, verifier
 from .errors import ConfigError, PolyharmError
 from .rationals import EXACT, FLOAT
 from .residuals import DEFAULT_FLOAT_TOL
@@ -82,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check(args, tol):
-    configured, plan = verifier.load_config(args.config)
+    from . import check  # here, not at the top: the sweeps never compile it
+    configured, plan = check.load_config(args.config)
     plan = plan.with_overrides(seed=args.seed, count=args.points)
-    body = verifier.check_report_body(configured, plan, mode=args.mode, tol=tol)
+    body = check.check_report_body(configured, plan, mode=args.mode, tol=tol)
     return plan.seed, body, body["all_match"]
 
 
@@ -114,7 +115,8 @@ def _sweep_polyharmonic(args, tol):
 
 
 def _selftest(args, tol):
-    body = verifier.selftest(mode=args.mode, tol=tol)
+    from . import selftest  # nor this
+    body = selftest.selftest(mode=args.mode, tol=tol)
     return None, body, body["all_ok"]
 
 
@@ -123,12 +125,12 @@ def _run(args) -> int:
     if args.tol is not None and args.mode != FLOAT:
         raise ConfigError("--tol only applies to --mode float")
     tol = DEFAULT_FLOAT_TOL if args.tol is None else args.tol
-    # the verifier checks both again; here a bad --tol is named by its flag
+    # each command checks both again; here a bad --tol is named by its flag
     # before any config is read
     verifier.require_mode(args.mode, tol, "--tol")
     t0 = time.perf_counter()
     seed, body, ok = args.run(args, tol)
-    report = verifier.ResidualReport(
+    result = report.ResidualReport(
         kind=args.command,
         mode=args.mode,
         seed=seed,
@@ -143,11 +145,11 @@ def _run(args) -> int:
         if not out.is_absolute() and os.environ.get(OUT_DIR_ENV):
             out = Path(os.environ[OUT_DIR_ENV]) / out
         out.parent.mkdir(parents=True, exist_ok=True)
-        verifier.emit_report(report, fmt or "json", out)
+        report.emit_report(result, fmt or "json", out)
         print(f"report written to {out}")
     else:
-        print(verifier.render_report(report, fmt or "table"), end="")
-    return report.exit_code
+        print(report.render_report(result, fmt or "table"), end="")
+    return result.exit_code
 
 
 def main(argv=None) -> int:

@@ -165,8 +165,8 @@ class MobiusMap(_Map):
     their one gcd.
 
     A named tuple of tuples whose every construction validates: the
-    constructor, ``_make`` (so ``_replace``), and copies and pickles, which
-    the default ``__getnewargs__`` sends through the constructor.  So the
+    constructor, ``_make`` (so ``_replace``), and copies and pickles at every
+    protocol, which ``__reduce_ex__`` sends through the constructor.  So the
     kernels can rely on A being the exactly orthogonal matrix ``validate``
     certified.  Equality and hash are by fields; the gcd reduction makes
     (2N, 2D) the map (N, D) is.
@@ -186,6 +186,7 @@ class MobiusMap(_Map):
         return super().__new__(cls, mmap.a, mmap.b, k, (N, D // g), epsilon)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
+    __reduce_ex__ = spaceform._reduce_through_constructor
 
     @property
     def dim(self) -> int:
@@ -334,6 +335,7 @@ class ConformalInstance(_Instance):
 
     # the factor is never taken from the caller: _replace(factor=...) is refused
     _make = classmethod(lambda cls, fields: cls(*itertools.islice(fields, 3)))
+    __reduce_ex__ = spaceform._reduce_through_constructor
 
     def __getnewargs__(self):
         return self[:3]

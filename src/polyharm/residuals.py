@@ -164,17 +164,14 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     ChartDomainError,
     DegreeError,
-    InterpolationError,
     MapValidationError,
     NonpositiveFactorError,
-    PolyharmError,
     SingularDivisionError,
 )
 from .mobius import ConformalInstance, MobiusMap
@@ -634,80 +631,3 @@ def polyharmonic_closed_form(mmap: MobiusMap, order: int, x) -> tuple:
     c = closed_form_coefficient(mmap.dim, order) * mmap.k.numerator * D ** (2 * order + 1)
     den = den_A * mmap.k.denominator * sum(u * u for u in U) ** (order + 1)
     return tuple(rational(c * sum(a * u for a, u in zip(row, U)), den) for row in num_A)
-
-
-# -- radial coefficient extraction --------------------------------------------
-
-_EXTRA_SAMPLES = 1  # samples past the max_degree + 1 nodes that must fit the interpolant
-
-
-def radial_coefficients(
-    evaluator: Callable[[tuple], object],
-    direction: Sequence,
-    max_degree: int,
-    ts: Sequence | None = None,
-) -> list:
-    """Exact coefficients of a radial polynomial along a ray.
-
-    ``evaluator`` receives the point t * direction and must return an exact
-    rational that is a polynomial in s = t^2 of degree <= max_degree (the
-    caller has already cleared the known denominators).  Samples that raise
-    toolkit errors (singular set hits) are skipped.  ``_EXTRA_SAMPLES``
-    additional samples must agree with the interpolant, which catches an
-    underestimated degree.  Returns monomial coefficients in s, constant first.
-    """
-    direction = tuple(rational(v) for v in direction)
-    if sum(v * v for v in direction) != 1:
-        raise InterpolationError("direction must have exact unit length")
-    if ts is None:
-        ts = [Fraction(j, j + 1) for j in range(1, 4 * (max_degree + _EXTRA_SAMPLES) + 2)]
-    samples: list[tuple] = []
-    needed = max_degree + 1 + _EXTRA_SAMPLES
-    for t in ts:
-        tq = rational(t)
-        point = tuple(tq * v for v in direction)
-        try:
-            val = evaluator(point)
-        except PolyharmError:
-            continue
-        samples.append((tq * tq, val))
-        if len(samples) == needed:
-            break
-    if len(samples) < needed:
-        raise InterpolationError(
-            f"only {len(samples)} usable samples for degree {max_degree} + {_EXTRA_SAMPLES} checks"
-        )
-    nodes = samples[: max_degree + 1]
-    coeffs = _newton_to_monomial(nodes)
-    for sv, val in samples[max_degree + 1 :]:
-        acc = rational(0)
-        power = rational(1)
-        for cfr in coeffs:
-            acc += cfr * power
-            power *= sv
-        if acc != val:
-            raise InterpolationError(
-                "extra sample inconsistent with the interpolant: degree underestimated"
-            )
-    return coeffs
-
-
-def _newton_to_monomial(nodes: list[tuple]) -> list:
-    """Exact interpolation through the nodes via Newton divided differences."""
-    xs = [p for p, _ in nodes]
-    divided = [v for _, v in nodes]
-    n = len(nodes)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    # Horner expansion of the Newton form into ascending monomial coefficients
-    coeffs = [divided[n - 1]]
-    for i in range(n - 2, -1, -1):
-        xi = xs[i]
-        new = [rational(0)] * (len(coeffs) + 1)
-        for j, cj in enumerate(coeffs):
-            new[j] = new[j] - xi * cj
-            new[j + 1] = new[j + 1] + cj
-        new[0] = new[0] + divided[i]
-        coeffs = new
-    return coeffs

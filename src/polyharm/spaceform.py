@@ -24,6 +24,11 @@ _NAMES = {0: "flat", 1: "sphere", -1: "hyperbolic"}
 _CURVATURE_OF = {v: k for k, v in _NAMES.items()}
 
 
+def _reduce_through_constructor(self, protocol):
+    """Copies and pickles call the class at every protocol; 0 and 1 would not."""
+    return type(self), self.__getnewargs__()
+
+
 class _Chart(NamedTuple):
     dim: int
     curvature: int
@@ -48,6 +53,7 @@ class SpaceFormModel(_Chart):
         return super().__new__(cls, dim, curvature)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
+    __reduce_ex__ = _reduce_through_constructor
 
     @property
     def name(self) -> str:

@@ -29,12 +29,12 @@ from polyharm.jets import seed
 from polyharm.mobius import ConformalInstance, MobiusMap
 from polyharm.rationals import EXACT, rational
 from polyharm.residuals import evaluate_residuals
+from polyharm.selftest import radial_classification_check
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
     CURVATURE_PAIRS,
     SamplePlan,
     _sweep_instance,
-    radial_classification_check,
     random_mobius,
     sample_points,
     sweep_biharmonic,

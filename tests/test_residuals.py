@@ -25,16 +25,15 @@ from polyharm.residuals import (
     evaluate_residuals,
     polyharmonic_closed_form,
     polyharmonic_orders,
-    radial_coefficients,
 )
+from polyharm.check import load_config
 from polyharm.sampling import _flat_sample_point, _random_orthogonal
+from polyharm.selftest import radial_classification_check, radial_coefficients
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
     CURVATURE_PAIRS,
     _sweep_instance,
     _verdict,
-    load_config,
-    radial_classification_check,
     random_mobius,
     sample_points,
 )

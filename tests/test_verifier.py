@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import polyharm
 from polyharm import mobius, residuals, sampling
+from polyharm.check import ConfiguredInstance, check_report_body, load_config, run_check
 from polyharm.cli import main
 from polyharm.errors import (
     AdmissibleRegionError,
@@ -32,25 +33,19 @@ from polyharm.errors import (
 )
 from polyharm.mobius import ConformalInstance, MobiusMap, apply_point
 from polyharm.rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
+from polyharm.report import ResidualReport, emit_report, render_report
 from polyharm.sampling import _randint
+from polyharm.selftest import selftest
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
     CURVATURE_PAIRS,
-    ConfiguredInstance,
-    ResidualReport,
     SamplePlan,
     _map_dict,
     _sweep_instance,
-    check_report_body,
-    emit_report,
     expected_polyharmonic_zero,
     expected_proper_biharmonic,
-    load_config,
     random_mobius,
-    render_report,
-    run_check,
     sample_points,
-    selftest,
     sweep_biharmonic,
     sweep_polyharmonic,
 )
@@ -81,6 +76,13 @@ def _inversion_config(m=4, expect=None, seed=5, count=6):
     if expect:
         cfg["expect"] = expect
     return cfg
+
+
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run the interpreter on ``args`` in a new process that imports this
+    checkout's polyharm."""
+    env = {**os.environ, "PYTHONPATH": str(Path(polyharm.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -365,6 +367,12 @@ def _record_cases():
 
 _COPIES = {
     "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+    # protocols 0 and 1 rebuild a tuple subclass by tuple.__new__ unless the
+    # record's own __reduce_ex__ routes them through the constructor
+    **{
+        f"pickle-{p}": lambda r, p=p: pickle.loads(pickle.dumps(r, p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    },
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
 }
@@ -372,8 +380,8 @@ _COPIES = {
 
 class TestRecordRoutes:
     """Every way of building a record runs its validation: the constructor,
-    ``_replace`` (through ``_make``), and pickles and copies (through
-    ``__getnewargs__``)."""
+    ``_replace`` (through ``_make``), and pickles at every protocol and
+    copies (through ``__reduce_ex__``)."""
 
     @pytest.mark.parametrize("route", ["constructor", "replace", *_COPIES])
     @pytest.mark.parametrize("record", ["model", "plan", "map", "instance"])
@@ -1065,8 +1073,6 @@ class TestReports:
         inst = ConformalInstance(
             SpaceFormModel.flat(4), SpaceFormModel.flat(4), MobiusMap.inversion(4)
         )
-        from polyharm.verifier import ConfiguredInstance
-
         body = check_report_body([ConfiguredInstance(inst, "proper-biharmonic")], SamplePlan(seed=seed, count=4))
         return ResidualReport(
             kind="check", mode=EXACT, seed=seed, body=body, exit_code=0 if body["all_match"] else 1
@@ -1272,22 +1278,57 @@ class TestCli:
         assert main(["check", str(_write(tmp_path, cfg))]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("module", ["numpy", "polyharm.jets", "dataclasses", "inspect"])
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "numpy", "polyharm.jets", "dataclasses", "inspect",
+            "json", "csv", "polyharm.check", "polyharm.selftest", "polyharm.report",
+        ],
+    )
     def test_import_loads_no_numpy(self, module):
         # every CLI call pays the package import: the package needs no numpy,
-        # the jets are off the verdict path, and dataclasses pulls in inspect;
+        # the jets are off the verdict path, dataclasses pulls in inspect, and
+        # config reading, selftest and reports belong to their own commands;
+        # judged on the modules the import adds, whatever start-up preloads.
         # polyharm.jets still resolves on first use, as the benchmark tracer reads it
-        src = str(Path(polyharm.__file__).resolve().parents[1])
         code = (
-            "import sys, polyharm\n"
-            f"print({module!r} in sys.modules)\n"
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import polyharm\n"
+            f"print({module!r} in set(sys.modules) - before)\n"
             "print(getattr(polyharm, 'jets').__name__)\n"
         )
-        env = {**os.environ, "PYTHONPATH": src}
-        run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
+        run = _fresh_python("-c", code)
+        assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["False", "polyharm.jets"]
+
+    @pytest.mark.parametrize(
+        "argv, loaded, absent",
+        [
+            (["sweep-biharmonic", "--m-min", "3", "--m-max", "3"], [], ["polyharm.check", "polyharm.selftest"]),
+            (["check", str(GOLDEN / "curved_check.json")], ["polyharm.check"], ["polyharm.selftest"]),
+            (["selftest"], ["polyharm.selftest"], []),
+        ],
+        ids=["sweep-biharmonic", "check", "selftest"],
+    )
+    def test_command_loads_only_its_modules(self, argv, loaded, absent):
+        # a sweep compiles neither the config reader nor the selftest batteries
+        code = (
+            "import sys\n"
+            "from polyharm.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('polyharm.')), file=sys.stderr)\n"
+        )
+        run = _fresh_python("-c", code)
+        assert run.returncode == 0, run.stderr
+        exit_code, *modules = run.stderr.splitlines()[-1].split()
+        assert exit_code == "0"
+        assert set(loaded) <= set(modules) and not set(absent) & set(modules), modules
+
+    def test_python_dash_m_runs_the_cli(self):
+        run = _fresh_python("-m", "polyharm", "selftest")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.rstrip().endswith("kind=selftest mode=exact exit=0")
 
     def test_inadmissible_explicit_point_exits_two(self, tmp_path, capsys):
         # a configured point on the inversion's singular set is a usage error,
