@@ -84,6 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check(args, tol):
     from . import check  # here, not at the top: the sweeps never compile it
     configured, plan = check.load_config(args.config)
+    if plan.points is not None and (args.seed is not None or args.points is not None):
+        raise ConfigError("--seed and --points do not apply: the config lists explicit sample.points")
     plan = plan.with_overrides(seed=args.seed, count=args.points)
     body = check.check_report_body(configured, plan, mode=args.mode, tol=tol)
     return plan.seed, body, body["all_match"]

@@ -12,9 +12,11 @@ and the reports.  Float mode uses plain doubles and exists for speed and for
 finite-difference cross-validation only.
 
 The mode is the scalar type of the point a computation runs at: it is exact
-exactly when no input is a float (:func:`scalar_of`).  Only the verifier
-names the mode, as the ``EXACT``/``FLOAT`` strings of its reports, and hands
-the evaluators float coordinates in float mode.
+exactly when no input is a float (:func:`scalar_of`).  Only the command
+modules name the mode, as the ``EXACT``/``FLOAT`` strings: ``verifier``,
+``check``, ``selftest`` and ``cli`` take it and hand the evaluators float
+coordinates in float mode, and ``report`` prints it.  The evaluators never
+see it.
 """
 
 from __future__ import annotations

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from pathlib import Path
 
 from .errors import ConfigError
@@ -109,8 +106,11 @@ def _table_text(report: ResidualReport) -> str:
 
 def render_report(report: ResidualReport, fmt: str = "json") -> str:
     if fmt == "json":
+        import json  # here, not at the top: the default table needs no serializer
         return json.dumps(report.payload(), sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+        import io
         buf = io.StringIO(newline="")
         writer = csv.writer(buf, lineterminator="\n")
         header, rows = _csv_rows(report)

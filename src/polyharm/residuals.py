@@ -82,13 +82,14 @@ In t the sum over i != j misses the i = j terms of gamma and pi, leaving
 lambda is a function of X.h, G.h and |h|^2, so the gradient of its
 Laplacian lies in span(X, G), as every vector the residuals read does.
 
-So the kernel forms three m-vectors, X, U and G, and three Gram scalars,
-xx = |X|^2, xG = <X, G> and GG = |G|^2 (gamma above), besides the two sums
-of F.  Every other vector is a pair (a, b) meaning a X + b G, formed by
-O(1) scalar algebra: P1 = (p, 0) with p = 2 c1 D F, g = (p, -2 W), pi =
-p xG, and with Gv = v_X xG + v_G GG and Pv = p (v_X xx + v_G xG) for a pair
-v, H v = (-2 p Gv + c0 v_X, 8 W Gv - 2 Pv + c0 v_G).  |g|^2 and <X, g> are
-read off the Gram scalars.  The curved operators
+So the kernel's chart set-up forms three m-vectors, X, U and G, and three
+Gram scalars, xx = |X|^2, xG = <X, G> and GG = |G|^2 (gamma above),
+besides the two sums of F.  Every other vector is a pair (a, b) meaning
+a X + b G, formed by O(1) ring algebra in :func:`_geometry_algebra`:
+P1 = (p, 0) with p = 2 c1 D F, g = (p, -2 W), pi = p xG, and with Gv =
+v_X xG + v_G GG and Pv = p (v_X xx + v_G xG) for a pair v, H v = (-2 p Gv
++ c0 v_X, 8 W Gv - 2 Pv + c0 v_G).  |g|^2 and <X, g> are read off the Gram
+scalars.  The curved operators
 
     lapbar f = w^2 lap f - (m-2) c1 w <x, grad f>,   |gradbar f|^2 = w^2 |grad f|^2
 
@@ -164,7 +165,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 from .errors import (
@@ -282,17 +283,15 @@ def vanishes(values, scale: float, tol: float) -> bool:
 class ConformalGeometry:
     """Values and gradients the residuals read, at one point of one instance.
 
-    The Taylor recurrence of lambda = P/Q in closed form (module docstring):
-    g, H = 8 W G G^T - 2 (P1 G^T + G P1^T) + c0 I, lap = tr H and t lie in
-    span(X, G), as grad lap of a function of X.h, G.h and |h|^2 must, so the
-    G_j^3 and P1_j G_j^2 terms of t cancel.  The only m-vectors formed are X,
-    U and G; every vector the residuals read is a pair (a, b) meaning
-    a X + b G, formed by O(1) algebra on the Gram scalars xx = |X|^2,
-    xG = <X, G> and GG = |G|^2.  The residuals read the integers W, F, D^4,
-    Kn/Kd, |g|^2 and Lb and the pairs g, Gamma and grad_Lb (doubles when a
-    coordinate of x is a float); ``basis`` is ((X, G), norm_sq), norm_sq
-    giving |a X + b G|^2 from the Gram scalars, and :meth:`vector` forms
-    the m-vector of a pair.
+    The constructor is the chart set-up: the one step that tells exact from
+    float mode, the chart checks, the only m-vectors formed (X, U and G) and
+    the Gram scalars xx = |X|^2, xG = <X, G> and GG = |G|^2.  The closed
+    forms of the module docstring, every vector a pair (a, b) meaning
+    a X + b G, are :func:`_geometry_algebra`'s.  The residuals read the
+    integers W, F, D^4, Kn/Kd, |g|^2 and Lb and the pairs g, Gamma and
+    grad_Lb (doubles when a coordinate of x is a float); ``basis`` is
+    ((X, G), norm_sq), norm_sq giving |a X + b G|^2 from the Gram scalars,
+    and :meth:`vector` forms the m-vector of a pair.
     """
 
     def __init__(self, instance: ConformalInstance, x):
@@ -345,53 +344,12 @@ class ConformalGeometry:
             at = tuple(X) if point is None else point.fractions()
             raise NonpositiveFactorError(f"conformal factor {lam0} <= 0 at {at}")
 
-        # lambda_beta = K L_beta / F^(|beta|+1) in closed form: gradient g / F^2,
-        # Hessian H / F^3 (applied, never stored), lap / F^3 and its gradient
-        # t / F^4, every vector a pair on (X, G)
         G = [D * (D * v + qs * u) for v, u in zip(qg, U)]
         xG = sum(map(operator.mul, X, G))
         GG = sum(map(operator.mul, G, G))
-
-        def norm_sq(pair):
-            # |a X + b G|^2 of a pair (a, b), read off the Gram scalars
-            a, b = pair
-            return a * a * xx + 2 * a * b * xG + b * b * GG
-
-        SF = qs * D2 * F
-        p = 2 * c1 * D * F  # P1 = p X
-        P2 = c1 * D2 * F * F
-        c0 = 2 * P2 - 2 * W * SF
-        pi = p * xG
-        g = (p, -2 * W)
-        lap = 8 * W * GG - 4 * pi + m * c0
-        tG = W * ((8 * m + 16) * SF - 48 * GG) + 16 * pi - (4 * m + 8) * P2
-        tP = 8 * GG - (2 * m + 4) * SF
-        t = (tP * p, tG)
-
-        def apply_H(v):
-            vx, vG = v
-            Gv = vx * xG + vG * GG
-            Pv = p * (vx * xx + vG * xG)
-            return (-2 * p * Gv + c0 * vx, 8 * W * Gv - 2 * Pv + c0 * vG)
-
-        xH, gH = apply_H((1, 0)), apply_H(g)
-        gg = norm_sq(g)
-        xg = p * xx - 2 * W * xG
-
-        # lapbar = w^2 lap(lam) - (m-2) c1 w <x, grad lam>, with w = W / (2 D^2)
-        # and grad w = c1 x: lapbar lam = K Lb / (4 D^4 F^3) and its gradient
-        # K grad_Lb / (4 D^4 F^4); grad |gradbar lam|^2 = K^2 W Gamma / (2 D^4 F^5)
-        F2 = F * F
-        r = (m - 2) * c1
-        W2, rg, rx = W * W, 2 * r * D2 * F2 * W, 2 * r * D * F * W
-        self.Lb = W * (W * lap - 2 * r * D * F * xg)
-        self.grad_Lb = (
-            4 * c1 * D * F * W * lap - 4 * r * c1 * D2 * F2 * xg + W2 * t[0] - rg * g[0] - rx * xH[0],
-            W2 * t[1] - rg * g[1] - rx * xH[1],
-        )
-        self.Gamma = (p * gg + W * gH[0], W * gH[1])
-        self.W, self.F, self.D4, self.Kn, self.Kd, self.g, self.gg = W, F, D2 * D2, Kn, Kd, g, gg
-        self.basis = ((X, G), norm_sq)
+        self.g, self.gg, self.Lb, self.grad_Lb, self.Gamma = _geometry_algebra(m, c1, D, W, F, qs, xx, xG, GG)
+        self.W, self.F, self.D4, self.Kn, self.Kd = W, F, D2 * D2, Kn, Kd
+        self.basis = ((X, G), partial(_gram_norm_sq, xx, xG, GG))
 
     def vector(self, pair) -> list:
         """The m-vector a X + b G of a pair (a, b)."""
@@ -407,6 +365,55 @@ class ConformalGeometry:
         X, G = self.basis[0]
         p = self.g[0]
         return vanishes(self.vector(self.g), _norm([p * v for v in X]) + 2 * abs(self.W) * _norm(G), tol)
+
+
+def _gram_norm_sq(xx, xG, GG, pair):
+    """|a X + b G|^2 of a pair (a, b), read off the Gram scalars."""
+    a, b = pair
+    return a * a * xx + 2 * a * b * xG + b * b * GG
+
+
+def _geometry_algebra(m, c1, D, W, F, qs, xx, xG, GG) -> tuple:
+    """(g, |g|^2, Lb, grad_Lb, Gamma) of the module docstring from the chart
+    scalars and the Gram scalars: ring operations alone, no comparison and no
+    mode, so the formulas run unchanged on ints, doubles or a symbolic m."""
+    # lambda_beta = K L_beta / F^(|beta|+1) in closed form: gradient g / F^2,
+    # Hessian H / F^3 (applied, never stored), lap / F^3 and its gradient
+    # t / F^4, every vector a pair on (X, G)
+    D2 = D * D
+    SF = qs * D2 * F
+    p = 2 * c1 * D * F  # P1 = p X
+    P2 = c1 * D2 * F * F
+    c0 = 2 * P2 - 2 * W * SF
+    pi = p * xG
+    g = (p, -2 * W)
+    lap = 8 * W * GG - 4 * pi + m * c0
+    tG = W * ((8 * m + 16) * SF - 48 * GG) + 16 * pi - (4 * m + 8) * P2
+    tP = 8 * GG - (2 * m + 4) * SF
+    t = (tP * p, tG)
+
+    def apply_H(v):
+        vx, vG = v
+        Gv = vx * xG + vG * GG
+        Pv = p * (vx * xx + vG * xG)
+        return (-2 * p * Gv + c0 * vx, 8 * W * Gv - 2 * Pv + c0 * vG)
+
+    xH, gH = apply_H((1, 0)), apply_H(g)
+    gg = _gram_norm_sq(xx, xG, GG, g)
+    xg = p * xx - 2 * W * xG
+
+    # lapbar = w^2 lap(lam) - (m-2) c1 w <x, grad lam>, with w = W / (2 D^2)
+    # and grad w = c1 x: lapbar lam = K Lb / (4 D^4 F^3) and its gradient
+    # K grad_Lb / (4 D^4 F^4); grad |gradbar lam|^2 = K^2 W Gamma / (2 D^4 F^5)
+    F2 = F * F
+    r = (m - 2) * c1
+    W2, rg, rx = W * W, 2 * r * D2 * F2 * W, 2 * r * D * F * W
+    Lb = W * (W * lap - 2 * r * D * F * xg)
+    grad_Lb = (
+        4 * c1 * D * F * W * lap - 4 * r * c1 * D2 * F2 * xg + W2 * t[0] - rg * g[0] - rx * xH[0],
+        W2 * t[1] - rg * g[1] - rx * xH[1],
+    )
+    return g, gg, Lb, grad_Lb, (p * gg + W * gH[0], W * gH[1])
 
 
 def _cl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:

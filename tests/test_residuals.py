@@ -21,6 +21,11 @@ from polyharm.mobius import ConformalInstance, MobiusMap, integer_matrix
 from polyharm.rationals import EXACT, FLOAT, IntegerPoint, exact_point, integer_vector, rational
 from polyharm.residuals import (
     ConformalGeometry,
+    _cl_from_geometry,
+    _geometry_algebra,
+    _nd2_from_geometry,
+    _nd_from_geometry,
+    _sdl_from_geometry,
     closed_form_coefficient,
     evaluate_residuals,
     polyharmonic_closed_form,
@@ -1040,6 +1045,54 @@ class TestVerdictFormsNoVector:
                     inst, pts = _sweep_instance(f"no-vector:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, 2, 3)
                     verdicts.add(_verdict([evaluate_residuals(inst, x) for x in pts])[0])
         assert verdicts == {"harmonic", "proper-biharmonic", "not-biharmonic"}
+
+
+class TestGeometryAlgebraEveryM:
+    """``_geometry_algebra`` on a symbolic m, its output fed to the unchanged
+    residual builders: at sweep points of every curvature pair and branch
+    the identity chain holds as polynomials in m, and SDL at m = 4 vanishes
+    exactly where the domain is flat."""
+
+    def test_identity_chain_for_every_m(self):
+        import sympy as sp
+
+        m = sp.Symbol("m")
+        checked, nonharmonic, failed = 0, set(), []
+        for c1, c2 in CURVATURE_PAIRS:
+            for eps in (0, 2):
+                inst, pts = _sweep_instance(f"every-m:{c1}:{c2}:{eps}", 5, c1, c2, eps, 2, 2)
+                for x in pts:
+                    geo = ConformalGeometry(inst, x)
+                    (X, G), norm_sq = geo.basis
+                    xx, xG, GG = (sum(a * b for a, b in zip(u, v)) for u, v in ((X, X), (X, G), (G, G)))
+                    D = math.lcm(inst.factor.a_den, x.den)
+                    fields = _geometry_algebra(m, c1, D, geo.W, geo.F, inst.factor.square, xx, xG, GG)
+                    # at the point's own m the formulas are the geometry's
+                    assert [sp.sympify(f).subs(m, 5) for f in fields] == [geo.g, geo.gg, geo.Lb, geo.grad_Lb, geo.Gamma]
+                    sym = SimpleNamespace(**vars(geo))
+                    sym.m = m
+                    sym.g, sym.gg, sym.Lb, sym.grad_Lb, sym.Gamma = fields
+                    sums = {
+                        name: [sp.expand(sum(col)) for col in zip(*form(sym, 0.0)._terms)]
+                        for name, form in (
+                            ("CL", _cl_from_geometry),
+                            ("SDL", _sdl_from_geometry),
+                            ("ND", _nd_from_geometry),
+                            ("ND2", _nd2_from_geometry),
+                        )
+                    }
+                    Kd2 = geo.Kd**2
+                    ok = sums["CL"] == [0]
+                    ok &= all(sp.expand(n - Kd2 * s) == 0 for n, s in zip(sums["ND"], sums["SDL"]))
+                    ok &= all(sp.expand(n + Kd2 * s) == 0 for n, s in zip(sums["ND2"], sums["SDL"]))
+                    if geo.gg:
+                        nonharmonic.add(c1)
+                        ok &= (norm_sq([s.subs(m, 4) for s in sums["SDL"]]) == 0) == (c1 == 0)
+                    if not ok:
+                        failed.append((c1, c2, eps, x))
+                    checked += 1
+        assert checked == 9 * 2 * 2 and nonharmonic == {-1, 0, 1}
+        assert not failed, f"{len(failed)} of {checked} points fail: {failed}"
 
 
 class TestPolyharmonicFloat:

@@ -60,6 +60,10 @@ def _zeros(m):
     return ["0"] * m
 
 
+# three admissible points of the m = 4 inversion of ``_inversion_config``
+_EXPLICIT_POINTS = [["1", "0", "0", "0"], ["0", "1/2", "0", "0"], ["1/3", "1/3", "0", "1"]]
+
+
 def _inversion_config(m=4, expect=None, seed=5, count=6):
     cfg = {
         "domain": {"model": "flat", "dim": m},
@@ -1223,8 +1227,14 @@ class TestCli:
             ([], {"points": []}, 4, None),
             # x/|x|^2 is harmonic in the plane, which the residuals do not see
             ([], {}, 2, "harmonic"),
+            # --points and --seed choose nothing where the config lists its points
+            (["--points", "1"], {"points": _EXPLICIT_POINTS}, 4, None),
+            (["--seed", "3"], {"points": _EXPLICIT_POINTS}, 4, None),
         ],
-        ids=["points-zero", "points-negative", "count-zero", "no-explicit-points", "plane"],
+        ids=[
+            "points-zero", "points-negative", "count-zero", "no-explicit-points", "plane",
+            "points-with-explicit-points", "seed-with-explicit-points",
+        ],
     )
     def test_degenerate_check_input_exits_two(self, tmp_path, capsys, flags, sample, m, expect):
         cfg = _inversion_config(m=m, expect=expect)
@@ -1283,6 +1293,8 @@ class TestCli:
         [
             "numpy", "polyharm.jets", "dataclasses", "inspect",
             "json", "csv", "polyharm.check", "polyharm.selftest", "polyharm.report",
+            # the tests' symbolic oracle, never a runtime import
+            "sympy",
         ],
     )
     def test_import_loads_no_numpy(self, module):
@@ -1305,7 +1317,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, loaded, absent",
         [
-            (["sweep-biharmonic", "--m-min", "3", "--m-max", "3"], [], ["polyharm.check", "polyharm.selftest"]),
+            # the default table format needs neither serializer
+            (["sweep-biharmonic", "--m-min", "3", "--m-max", "3"], [], ["polyharm.check", "polyharm.selftest", "json", "csv"]),
             (["check", str(GOLDEN / "curved_check.json")], ["polyharm.check"], ["polyharm.selftest"]),
             (["selftest"], ["polyharm.selftest"], []),
         ],
@@ -1317,7 +1330,7 @@ class TestCli:
             "import sys\n"
             "from polyharm.cli import main\n"
             f"code = main({argv!r})\n"
-            "print(code, *sorted(m for m in sys.modules if m.startswith('polyharm.')), file=sys.stderr)\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('polyharm.') or m in ('json', 'csv')), file=sys.stderr)\n"
         )
         run = _fresh_python("-c", code)
         assert run.returncode == 0, run.stderr
