@@ -112,12 +112,14 @@ zeros are decided without forming a vector: with (a, b) the summed pair,
 also where X = 0, G = 0 or X is parallel to G, and the harmonic flag is
 |g|^2 = 0; the prefactor numerator Kn or (Kn W)^2 and the denominator are
 nonzero, since the geometry raises unless Kn, W and F are positive, so a
-component is 0 exactly when its integer sum is.  m-vectors, a X_j + b G_j
-per term, are formed only when a residual's values, norm or scale is read
-(exact: the integers the m-vector kernel formed, so exact reports keep
-their bytes), and for the float harmonic flag.  The tests keep that m-vector
-kernel, the recurrence over its multi-index set and the dense jet route
-(their ``jet_oracles`` module) as oracles.
+component is 0 exactly when its integer sum is.  Float zero tests read the
+same pairs; as the Gram form cancels on doubles where X is parallel to G,
+the float set-up orthogonalises once: mu = xG / xx, pp = |G - mu X|^2 and
+|a X + b G|^2 = (a + b mu)^2 xx + b^2 pp.  m-vectors, a X_j + b G_j per
+term, are formed only when a residual's values, or its exact norm or scale,
+are read (the integers the m-vector kernel formed, so exact reports keep
+their bytes).  The tests keep that m-vector kernel, the recurrence over its
+multi-index set and the dense jet route (``jet_oracles``) as oracles.
 
 Polyharmonic path.  Flat-target polyharmonicity reduces to iterated flat
 Laplacians of the map components.  On the inversive branch (eps = 2)
@@ -191,21 +193,22 @@ class ResidualVector:
     doubles in float mode.
 
     Construction keeps the coefficient tuples only.  ``sums`` (the column
-    sums of the term vectors), ``values`` (one rational per component),
-    ``norm`` and ``scale`` form the term vectors the first time one of them
-    is read.  ``scale`` is the sum of Euclidean norms of the equation's
-    constituent terms, read off the int/int quotients (num * t)/den: the
-    correctly rounded floats of the exact terms, as ``float`` of those
-    rationals gives.  Raw tolerances would be meaningless across
-    lambda^4-sized terms.
+    sums of the term vectors), ``values`` (one rational per component) and
+    exact ``norm`` and ``scale`` form the term vectors the first time one
+    of them is read.  ``scale`` is the sum of Euclidean norms of the
+    equation's constituent terms (raw tolerances would be meaningless
+    across lambda^4-sized terms); exact, the norms of the int/int quotients
+    (num * t)/den, the correctly rounded floats of the exact terms.  Float
+    ``norm`` and ``scale`` are |num/den| sqrt(norm_sq) of the summed and of
+    each term's coefficients.
 
-    ``exact_zero`` is the verdict of :func:`vanishes`.  Exact mode decides it
-    without forming a vector, as norm_sq of the summed coefficients: 0
-    exactly when every sum is, also where a basis vector is 0 or the two are
+    ``exact_zero`` is the verdict of :func:`vanishes`, without forming a
+    vector.  Exact mode reads norm_sq of the summed coefficients: 0 exactly
+    when every sum is, also where a basis vector is 0 or the two are
     parallel.  Each value is num * s / den with num = Kn or (Kn W)^2 and den
     a positive multiple of powers of Kd, D and F, and ``ConformalGeometry``
     raises unless Kn, W and F are positive, so a value is 0 exactly when its
-    sum s is.  Float mode calls ``vanishes(values, scale, tol)``.
+    sum s is.  Float mode tests norm <= tol * scale, the rule of vanishes.
     """
 
     def __init__(self, g: ConformalGeometry, num, den, terms, tol: float, basis):
@@ -215,8 +218,8 @@ class ResidualVector:
 
     @cached_property
     def _formed(self) -> tuple:
-        # sums and scale both read every term vector, and every reader of
-        # one reads the other: form them together
+        # exact sums and scale both read every term vector, and every reader
+        # of one reads the other: form them together
         terms = [_combine(t, self._vectors) for t in self._terms]
         num, den = self._num, self._den
         return [sum(col) for col in zip(*terms)], sum(_norm([num * v / den for v in t]) for t in terms)
@@ -231,17 +234,21 @@ class ResidualVector:
 
     @cached_property
     def norm(self) -> float:
-        return _norm(self.values)
+        if self._exact:
+            return _norm(self.values)
+        return abs(self._num / self._den) * math.sqrt(self._norm_sq(tuple(map(sum, zip(*self._terms)))))
 
-    @property
+    @cached_property
     def scale(self) -> float:
-        return self._formed[1]
+        if self._exact:
+            return self._formed[1]
+        return abs(self._num / self._den) * sum(math.sqrt(self._norm_sq(t)) for t in self._terms)
 
     @property
     def exact_zero(self) -> bool:
         if self._exact:
             return not self._norm_sq(tuple(map(sum, zip(*self._terms))))
-        return vanishes(self.values, self.scale, self._tol)
+        return self.norm <= self._tol * self.scale
 
 
 def _combine(coef, vectors) -> list:
@@ -290,8 +297,8 @@ class ConformalGeometry:
     a X + b G, are :func:`_geometry_algebra`'s.  The residuals read the
     integers W, F, D^4, Kn/Kd, |g|^2 and Lb and the pairs g, Gamma and
     grad_Lb (doubles when a coordinate of x is a float); ``basis`` is
-    ((X, G), norm_sq), norm_sq giving |a X + b G|^2 from the Gram scalars,
-    and :meth:`vector` forms the m-vector of a pair.
+    ((X, G), norm_sq), norm_sq giving |a X + b G|^2 from the Gram scalars
+    (float: xx, mu and pp), and :meth:`vector` forms the m-vector of a pair.
     """
 
     def __init__(self, instance: ConformalInstance, x):
@@ -349,7 +356,11 @@ class ConformalGeometry:
         GG = sum(map(operator.mul, G, G))
         self.g, self.gg, self.Lb, self.grad_Lb, self.Gamma = _geometry_algebra(m, c1, D, W, F, qs, xx, xG, GG)
         self.W, self.F, self.D4, self.Kn, self.Kd = W, F, D2 * D2, Kn, Kd
-        self.basis = ((X, G), partial(_gram_norm_sq, xx, xG, GG))
+        norm_sq = partial(_gram_norm_sq, xx, xG, GG)
+        if point is None:  # the Gram form cancels on doubles where X || G
+            mu = xG / xx if xx else 0.0
+            norm_sq = partial(_ortho_norm_sq, xx, mu, sum((v - mu * u) ** 2 for u, v in zip(X, G)))
+        self.basis = ((X, G), norm_sq)
 
     def vector(self, pair) -> list:
         """The m-vector a X + b G of a pair (a, b)."""
@@ -357,20 +368,26 @@ class ConformalGeometry:
 
     def harmonic(self, tol: float) -> bool:
         """Whether grad lambda = g / F^2 vanishes, g = p X - 2 W G: exactly
-        when |g|^2 = 0 in exact mode; in float mode :func:`vanishes` judges the
-        formed g against |p X| + 2 |W| |G|, the size of its two terms, which
-        cancel wherever lambda is constant."""
+        when |g|^2 = 0 in exact mode; in float mode by the rule of
+        :func:`vanishes`, |g| against |p| |X| + 2 |W| |G|, the size of its two
+        terms, which cancel wherever lambda is constant, all off the basis."""
         if self.exact:
             return not self.gg
-        X, G = self.basis[0]
-        p = self.g[0]
-        return vanishes(self.vector(self.g), _norm([p * v for v in X]) + 2 * abs(self.W) * _norm(G), tol)
+        norm_sq = self.basis[1]
+        size = abs(self.g[0]) * math.sqrt(norm_sq((1, 0))) + 2 * abs(self.W) * math.sqrt(norm_sq((0, 1)))
+        return math.sqrt(norm_sq(self.g)) <= tol * size
 
 
 def _gram_norm_sq(xx, xG, GG, pair):
     """|a X + b G|^2 of a pair (a, b), read off the Gram scalars."""
     a, b = pair
     return a * a * xx + 2 * a * b * xG + b * b * GG
+
+
+def _ortho_norm_sq(xx, mu, pp, pair):
+    """|a X + b G|^2 of a pair (a, b) on X and G - mu X, pp = |G - mu X|^2."""
+    a, b = pair
+    return (a + b * mu) ** 2 * xx + b * b * pp
 
 
 def _geometry_algebra(m, c1, D, W, F, qs, xx, xG, GG) -> tuple:

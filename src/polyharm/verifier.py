@@ -56,11 +56,14 @@ class SamplePlan(_Plan):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for name in ("seed", "count"):
+            if type(getattr(self, name)) is not int:  # a bool is not a count
+                raise ConfigError(f"sample {name} must be an integer, got {getattr(self, name)!r}")
         _require_samples(points=self.count)
         # a zero radius maps every draw to the origin, a negative one is no radius
-        if self.radius is not None and rational(self.radius) <= 0:
+        if self.radius is not None and _plan_rational("radius", self.radius) <= 0:
             raise ConfigError(f"sample radius must be > 0, got {self.radius}")
-        if rational(self.exclusion) < 0:
+        if _plan_rational("exclusion", self.exclusion) < 0:
             raise ConfigError(f"sample exclusion must be >= 0, got {self.exclusion}")
         if self.points is not None:
             _require_samples(points=len(self.points))
@@ -74,6 +77,17 @@ class SamplePlan(_Plan):
             seed=self.seed if seed is None else seed,
             count=self.count if count is None else count,
         )
+
+
+def _plan_rational(name: str, value) -> Fraction:
+    """A plan's radius or exclusion read exactly: an int, a Fraction or "p/q"
+    text; a float, a bool or text that is no rational is a ConfigError."""
+    if type(value) in (int, Fraction, str):
+        try:
+            return rational(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"sample {name} must be a rational, got {value!r}")
 
 
 # -- serialization helpers ----------------------------------------------------

@@ -1028,14 +1028,58 @@ class TestGramDegenerateBases:
         assert all(seen.values()), seen
         assert all(hidden.values()), hidden
 
+    def test_float_pairs_agree_with_formed_vectors(self):
+        # the float norm, scale and flags read off X and G - mu X against
+        # the float definition they replaced, which formed every vector, and
+        # the flags against exact mode; at X || G the Gram form would cancel
+        seen = dict.fromkeys(("X=0", "G=0", "X||G"), 0)
+        hidden = dict.fromkeys(seen, 0)
+        tol = residuals.DEFAULT_FLOAT_TOL
+        for kind, inst, x in _degenerate_cases():
+            exact, flt = evaluate_residuals(inst, x), evaluate_residuals(inst, floats(x))
+            geo = ConformalGeometry(inst, floats(x))
+            X, G = geo.basis[0]
+            grad = geo.vector(geo.g)
+            size = residuals._norm([geo.g[0] * v for v in X]) + 2 * abs(geo.W) * residuals._norm(G)
+            assert residuals.vanishes(grad, size, tol) == flt["harmonic"] == exact["harmonic"], (kind, x)
+            hidden[kind] += exact["harmonic"] and any(geo.g)
+            for name in ("CL", "SDL", "ND", "ND2"):
+                rv, want = flt[name], _formed_float_residual(flt[name])
+                assert rv.exact_zero == want.exact_zero, (kind, name, x)
+                if want.scale and not exact[name].scale:
+                    # every exact term is 0 (lambda is constant on a curved
+                    # space form) and every float term rounding noise, the
+                    # scale too, which no relative test decides: both
+                    # definitions call SDL and ND nonzero at some such points
+                    continue
+                assert abs(rv.norm - want.norm) <= 1e-12 * want.scale, (kind, name, x)
+                assert abs(rv.scale - want.scale) <= 1e-12 * want.scale, (kind, name, x)
+                assert rv.exact_zero == exact[name].exact_zero, (kind, name, x)
+                if name != "CL":
+                    hidden[kind] += rv.exact_zero and any(map(sum, zip(*rv._terms)))
+            seen[kind] += 1
+        assert all(seen.values()), seen
+        assert all(hidden.values()), hidden
+
+
+def _formed_float_residual(rv) -> SimpleNamespace:
+    """The float definition of norm, scale and zero flag that formed the
+    m-vector of every term: the oracle of the pair-based ones."""
+    terms = [residuals._combine(t, rv._vectors) for t in rv._terms]
+    values = [rv._num * sum(col) / rv._den for col in zip(*terms)]
+    scale = sum(residuals._norm([rv._num * v / rv._den for v in t]) for t in terms)
+    zero = residuals.vanishes(values, scale, rv._tol)
+    return SimpleNamespace(norm=residuals._norm(values), scale=scale, exact_zero=zero)
+
 
 class TestVerdictFormsNoVector:
-    """An exact verdict reads CL, the harmonic flag and SDL off scalars and
-    pairs: no vector beyond X, U and G is formed."""
+    """A verdict, exact or float, reads CL, the harmonic flag and SDL off
+    scalars and pairs: no vector beyond X, U and G is formed."""
 
-    def test_exact_verdict_forms_no_vector(self, monkeypatch):
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_verdict_forms_no_vector(self, monkeypatch, mode):
         def refuse(coef, vectors):
-            raise AssertionError("an m-vector was formed on the exact verdict path")
+            raise AssertionError(f"an m-vector was formed on the {mode} verdict path")
 
         monkeypatch.setattr(residuals, "_combine", refuse)
         verdicts = set()
@@ -1043,6 +1087,8 @@ class TestVerdictFormsNoVector:
             for eps in (0, 2):
                 for m in (3, 4, 6):
                     inst, pts = _sweep_instance(f"no-vector:{m}:{c1}:{c2}:{eps}", m, c1, c2, eps, 2, 3)
+                    if mode == FLOAT:
+                        pts = [x.floats() for x in pts]
                     verdicts.add(_verdict([evaluate_residuals(inst, x) for x in pts])[0])
         assert verdicts == {"harmonic", "proper-biharmonic", "not-biharmonic"}
 

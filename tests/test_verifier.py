@@ -406,6 +406,34 @@ class TestRecordRoutes:
         twin = rebuild(tuple(valid))
         assert type(twin) is cls and twin == valid and hash(twin) == hash(valid)
 
+    @pytest.mark.parametrize("route", ["constructor", "replace"])
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("seed", False),
+            ("seed", 1.0),
+            ("count", True),
+            ("count", 2.5),
+            ("count", "3"),
+            ("radius", 0.5),
+            ("radius", True),
+            ("radius", "two"),
+            ("radius", "1/0"),
+            ("exclusion", 0.1),
+            ("exclusion", "1/"),
+        ],
+    )
+    def test_plan_field_types(self, field, bad, route):
+        # seed and count are ints and not bools, radius and exclusion
+        # rationals: ints, Fractions or "p/q" text (copies and pickles go
+        # through the constructor, as test_route_validates shows)
+        valid = SamplePlan(seed=1, count=3, radius="1/2", exclusion=0)
+        with pytest.raises(ConfigError, match=field):
+            if route == "constructor":
+                SamplePlan(**{**valid._asdict(), field: bad})
+            else:
+                valid._replace(**{field: bad})
+
     def test_replaced_map_carries_its_factor(self):
         valid, *_ = _record_cases()["instance"]
         other = random_mobius(rng_for("record-routes-other"), 3, valid.target, 0, style=1)
@@ -757,6 +785,11 @@ class TestSweeps:
             assert proper == g["proper_biharmonic"]
             if "verdict" in g:
                 assert cell["verdict"] == g["verdict"]
+
+    @pytest.mark.parametrize("kwargs", [{}, {"m_values": range(3, 11), "seed": 7}], ids=["default", "m3-10-seed7"])
+    def test_float_sweep_agrees_trial_by_trial(self, kwargs):
+        # every float verdict of the table, map by map, is the exact one
+        assert sweep_biharmonic(mode=FLOAT, **kwargs) == sweep_biharmonic(**kwargs)
 
     def test_expected_proper_rule_against_golden(self):
         for c in json.loads((GOLDEN / "biharmonic_truth_table.json").read_text()):
