@@ -6,7 +6,6 @@ from __future__ import annotations
 import contextlib
 import json
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -37,31 +36,16 @@ def _parsing(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _json_int(value, where: str) -> int:
-    """A JSON integer; a bool, a float or a numeric string is not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _json_rational(value):
-    """An integer or a ``"p/q"`` string read exactly; a bool or float is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"expected an integer or a 'p/q' string, got {value!r}")
-    return rational(value)
-
-
 def _parse_model(obj, where: str) -> SpaceFormModel:
     if not isinstance(obj, dict) or "model" not in obj or "dim" not in obj:
         raise ConfigError(f"{where}: expected {{'model': ..., 'dim': ...}}")
-    dim = _json_int(obj["dim"], f"{where}.dim")
     with _parsing(where):
-        return SpaceFormModel.named(str(obj["model"]), dim)
+        return SpaceFormModel.named(str(obj["model"]), obj["dim"])
 
 
 def _parse_rational_list(values, where: str) -> tuple:
     with _parsing(f"{where}: bad rational entry"):
-        return tuple(_json_rational(v) for v in values)
+        return tuple(rational(v) for v in values)
 
 
 def _parse_matrix(entry, dim: int, where: str) -> tuple[list, int]:
@@ -78,10 +62,6 @@ def _parse_matrix(entry, dim: int, where: str) -> tuple[list, int]:
             return mobius.signed_permutation_integers(range(dim)), 1
         if kind == "permutation":
             perm, signs = (data["perm"], data.get("signs")) if isinstance(data, dict) else (data, None)
-            # entries are JSON integers: True == 1 would pass as a sign
-            perm = [_json_int(v, f"{where}.perm") for v in perm]
-            if signs is not None:
-                signs = [_json_int(v, f"{where}.signs") for v in signs]
             return mobius.signed_permutation_integers(perm, signs), 1
         if kind == "cayley":
             skew = tuple(_parse_rational_list(row, where) for row in data)
@@ -101,33 +81,18 @@ def _parse_map(obj, where: str) -> MobiusMap:
     b = _parse_rational_list(obj["b"], f"{where}.b")
     k = _parse_rational_list([obj["k"]], f"{where}.k")[0]
     A_integers = _parse_matrix(obj.get("A"), len(a), f"{where}.A")
-    epsilon = _json_int(obj["epsilon"], f"{where}.epsilon")
     with _parsing(where):
-        return MobiusMap(a, b, k, A_integers, epsilon)
+        return MobiusMap(a, b, k, A_integers, obj["epsilon"])
 
 
 def _parse_plan(obj) -> SamplePlan:
+    """The plan reads and checks its fields itself; other keys are ignored."""
     if obj is None:
         return SamplePlan()
     if not isinstance(obj, dict):
         raise ConfigError("sample: expected an object")
     with _parsing("sample"):
-        points = None
-        if "points" in obj:
-            points = tuple(_parse_rational_list(p, "sample.points") for p in obj["points"])
-        radius = None
-        if "radius" in obj:
-            radius = _parse_rational_list([obj["radius"]], "sample.radius")[0]
-        exclusion = Fraction(1, 8)
-        if "exclusion" in obj:
-            exclusion = _parse_rational_list([obj["exclusion"]], "sample.exclusion")[0]
-        return SamplePlan(
-            seed=_json_int(obj.get("seed", 0), "sample.seed"),
-            count=_json_int(obj.get("count", 20), "sample.count"),
-            radius=radius,
-            exclusion=exclusion,
-            points=points,
-        )
+        return SamplePlan(**{key: obj[key] for key in SamplePlan._fields if key in obj})
 
 
 def _parse_instance(obj, where: str) -> ConfiguredInstance:

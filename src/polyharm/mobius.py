@@ -69,13 +69,16 @@ Vector = tuple
 
 
 def signed_permutation_integers(perm, signs=None) -> list:
-    """Integer rows of the orthogonal matrix sending e_j to signs[j] * e_perm[j]."""
+    """Integer rows of the orthogonal matrix sending e_j to signs[j] * e_perm[j];
+    every entry is an int (``True == 1`` would pass as a sign)."""
     m = len(perm)
+    signs = signs if signs is not None else [1] * m
+    if {*map(type, perm), *map(type, signs)} - {int}:
+        raise MapValidationError("permutation and sign entries must be integers")
     if sorted(perm) != list(range(m)):
         raise MapValidationError(f"{perm!r} is not a permutation of 0..{m - 1}")
-    signs = signs if signs is not None else [1] * m
-    if any(s not in (-1, 1) for s in signs):
-        raise MapValidationError("signs must be +1 or -1")
+    if len(signs) != m or any(s not in (-1, 1) for s in signs):
+        raise MapValidationError(f"signs must be {m} entries +1 or -1")
     rows = [[0] * m for _ in range(m)]
     for j in range(m):
         rows[perm[j]][j] = signs[j]
@@ -194,15 +197,15 @@ class MobiusMap(_Map):
 
     @classmethod
     def build(cls, a, b, k, A=None, epsilon=2) -> "MobiusMap":
-        """Coerce entries to exact rationals, A (the identity when None) to
-        its integers by ``integer_matrix``; construction validates."""
+        """Read entries as exact rationals, A (the identity when None) as its
+        integers by ``integer_matrix``; construction validates every field."""
         a = tuple(rational(v) for v in a)
         b = tuple(rational(v) for v in b)
         if A is None:
             A_integers = signed_permutation_integers(range(len(a))), 1
         else:
             A_integers = integer_matrix([[rational(v) for v in row] for row in A])
-        return cls(a, b, rational(k), A_integers, int(epsilon))
+        return cls(a, b, rational(k), A_integers, epsilon)
 
     @classmethod
     def inversion(cls, dim: int) -> "MobiusMap":

@@ -8,8 +8,8 @@ map as integers over one denominator (``MobiusMap.A_integers``); both
 residual paths run their integer kernels on Python ints (see
 :mod:`polyharm.residuals`) and meet a rational only once per output value
 read.  Fractions carry the map parameters a, b and k as configured or drawn,
-and the reports.  Float mode uses plain doubles and exists for speed and for
-finite-difference cross-validation only.
+and the reports.  Float mode uses plain doubles: an independent float route
+over the same formulas, also read by the tests' finite-difference checks.
 
 The mode is the scalar type of the point a computation runs at: it is exact
 exactly when no input is a float (:func:`scalar_of`).  Only the command
@@ -29,13 +29,14 @@ FLOAT = "float"
 
 
 def rational(value=0, den=None):
-    """Build an exact rational from ints, strings like ``"p/q"``, or Fractions."""
+    """Build an exact rational from ints, strings like ``"p/q"``, or Fractions;
+    a float or a bool is a TypeError (the kernels' ``den`` form is unchecked)."""
     if den is not None:
         return Fraction(value, den)
     if isinstance(value, str):
         return parse_rational(value)
-    if isinstance(value, float):
-        raise TypeError("floats are not accepted as exact rationals")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{value!r} is not an exact rational: floats and bools are refused")
     return Fraction(value)
 
 

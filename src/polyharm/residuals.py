@@ -559,9 +559,9 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
     scale is |N_k| D^(2k+1) |(|k A_num| |U|)| / (den_A F^(k+1)) (plus |b| at
     order 0).  A zero N_k makes every value 0 in either mode.
     """
-    orders = sorted(set(int(k) for k in orders))
-    if orders and orders[0] < 0:
-        raise DegreeError("orders must be >= 0")
+    orders = sorted(set(orders))
+    if any(type(k) is not int or k < 0 for k in orders):
+        raise DegreeError(f"orders must be integers >= 0, got {orders}")
     point = exact_point(x)
     if point is not None:
         U, D = _offset_integers(point, mmap.a)

@@ -97,7 +97,7 @@ def _screen(instance: ConformalInstance, exclusion, den: int, r: int = 1):
 def sample_points(plan, instance: ConformalInstance) -> list[IntegerPoint]:
     """Deterministic admissible points for this instance, as integer points.
 
-    Explicit plan points are configuration, validated as such: a point
+    Explicit points, held by the plan as rationals, are configuration: a point
     without m coordinates or off the admissible region is a ``ConfigError``;
     each becomes its integers over the lcm of its denominators.  Otherwise
     rejection sampling draws coordinates radius * n/16 with integers
@@ -108,23 +108,22 @@ def sample_points(plan, instance: ConformalInstance) -> list[IntegerPoint]:
     points.  No point is formed as rationals: reports print them.  Both
     paths test admissibility with one :func:`_screen` per denominator.
     """
-    exclusion = rational(plan.exclusion)
     if plan.points is not None:
         out = []
         for x in plan.points:
             if len(x) != instance.dim:
                 point = " ".join(format_rational(v) for v in x)
                 raise ConfigError(f"explicit point {point} has {len(x)} coordinates, not m = {instance.dim}")
-            N, den = integer_vector([rational(v) for v in x])
-            if not _screen(instance, exclusion, den)(N):
+            N, den = integer_vector(x)
+            if not _screen(instance, plan.exclusion, den)(N):
                 point = " ".join(format_rational(v) for v in x)
                 raise ConfigError(f"explicit point {point} is not admissible for this instance")
             out.append(IntegerPoint(N, den))
         return out
-    radius = rational(plan.radius) if plan.radius is not None else _default_radius(instance.domain)
+    radius = plan.radius if plan.radius is not None else _default_radius(instance.domain)
     r_num = radius.numerator
     den = _POINT_MAX_DEN * radius.denominator
-    admissible = _screen(instance, exclusion, den, r_num)
+    admissible = _screen(instance, plan.exclusion, den, r_num)
     rng = random.Random(f"polyharm:points:{plan.seed}")
     m = instance.dim
     found: list[IntegerPoint] = []

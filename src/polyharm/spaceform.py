@@ -38,14 +38,16 @@ class SpaceFormModel(_Chart):
     """A space form presented in its conformal chart.
 
     A named tuple (dim, curvature): immutable, and equal, hashed and printed
-    by its fields.  Construction refuses a dimension below 2 and a curvature
-    outside {-1, 0, 1}, and ``_make`` (so ``_replace``), copies and pickles
-    all go through it.
+    by its fields.  Construction refuses a dimension or curvature that is not
+    an int, a dimension below 2 and a curvature outside {-1, 0, 1}, and
+    ``_make`` (so ``_replace``), copies and pickles all go through it.
     """
 
     __slots__ = ()
 
     def __new__(cls, dim: int, curvature: int):
+        if type(dim) is not int or type(curvature) is not int:
+            raise ShapeMismatchError(f"dimension and curvature must be integers, got {dim!r} and {curvature!r}")
         if dim < 2:
             raise ShapeMismatchError("space forms here need dimension >= 2")
         if curvature not in CURVATURES:

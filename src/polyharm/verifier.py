@@ -50,24 +50,31 @@ class _Plan(NamedTuple):
 class SamplePlan(_Plan):
     """Either explicit points or a seeded rejection-sampling recipe: an
     immutable named tuple that construction validates, ``_make`` (so
-    ``_replace``), copies and pickles included."""
+    ``_replace``), copies and pickles included.  Seed and count are ints;
+    radius, exclusion and every explicit point coordinate are read by
+    ``rational`` and held as Fractions."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name in ("seed", "count"):
-            if type(getattr(self, name)) is not int:  # a bool is not a count
-                raise ConfigError(f"sample {name} must be an integer, got {getattr(self, name)!r}")
-        _require_samples(points=self.count)
-        # a zero radius maps every draw to the origin, a negative one is no radius
-        if self.radius is not None and _plan_rational("radius", self.radius) <= 0:
-            raise ConfigError(f"sample radius must be > 0, got {self.radius}")
-        if _plan_rational("exclusion", self.exclusion) < 0:
-            raise ConfigError(f"sample exclusion must be >= 0, got {self.exclusion}")
-        if self.points is not None:
-            _require_samples(points=len(self.points))
-        return self
+        seed, count, radius, exclusion, points = super().__new__(cls, *args, **kwargs)
+        _require_int("sample seed", seed)
+        _require_samples(count=count)
+        if radius is not None:
+            radius = _plan_rational("radius", radius)
+            # a zero radius maps every draw to the origin, a negative one is no radius
+            if radius <= 0:
+                raise ConfigError(f"sample radius must be > 0, got {radius}")
+        exclusion = _plan_rational("exclusion", exclusion)
+        if exclusion < 0:
+            raise ConfigError(f"sample exclusion must be >= 0, got {exclusion}")
+        if points is not None:
+            try:
+                points = tuple(tuple(_plan_rational("point coordinate", v) for v in x) for x in points)
+            except TypeError:
+                raise ConfigError(f"sample points must be a list of points, got {points!r}") from None
+            _require_samples(points=len(points))
+        return super().__new__(cls, seed, count, radius, exclusion, points)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
     __reduce_ex__ = _reduce_through_constructor
@@ -80,14 +87,12 @@ class SamplePlan(_Plan):
 
 
 def _plan_rational(name: str, value) -> Fraction:
-    """A plan's radius or exclusion read exactly: an int, a Fraction or "p/q"
+    """A plan's rational read by ``rational``: an int, a Fraction or "p/q"
     text; a float, a bool or text that is no rational is a ConfigError."""
-    if type(value) in (int, Fraction, str):
-        try:
-            return rational(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ConfigError(f"sample {name} must be a rational, got {value!r}")
+    try:
+        return rational(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ConfigError(f"sample {name} must be a rational, got {value!r}") from None
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -195,9 +200,10 @@ def sweep_biharmonic(
     """
     require_mode(mode, tol)
     m_values = _window("m", m_values)
-    pairs = _window("curvature pair", pairs)
+    pairs = _window("curvature pair", pairs, _require_pair)
     eps_values = _window("eps", eps_values)
     _require_dimensions(m_values)
+    _require_int("seed", seed)
     _require_samples(trials=trials, points=points)
     cells = []
     for m in m_values:
@@ -275,6 +281,7 @@ def sweep_polyharmonic(
     if min(orders) < 1:
         raise ConfigError(f"orders must be >= 1, got {min(orders)}")
     _require_dimensions(m_values)
+    _require_int("seed", seed)
     _require_samples(trials=trials, points=points)
     cells = []
     for order in orders:
@@ -348,23 +355,42 @@ def _polyharmonic_point(mmap: MobiusMap, order: int, x, mode: str, tol: float) -
     )
 
 
-def _window(name: str, values: Iterable) -> tuple:
-    """A sweep axis as a tuple; an empty one would make the sweep pass vacuously."""
-    values = tuple(values)
+def _require_int(name: str, value) -> int:
+    """The one integer check of plans' and sweeps' seeds, counts and axes."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _window(name: str, values, entry=_require_int) -> tuple:
+    """A sweep axis as a tuple, each entry checked by ``entry(name, v)``, an
+    integer by default; an empty one would make the sweep pass vacuously."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ConfigError(f"the {name} window must be a sequence, got {values!r}") from None
     if not values:
         raise ConfigError(f"empty {name} window")
+    for v in values:
+        entry(name, v)
     return values
+
+
+def _require_pair(name: str, pair) -> None:
+    # the models a cell builds refuse a curvature outside -1, 0, 1
+    if len(_window("curvature", pair)) != 2:
+        raise ConfigError(f"a {name} is (c1, c2), got {pair!r}")
 
 
 def require_mode(mode: str, tol: float, tol_name: str = "tol") -> None:
     """Refuse an unknown mode, which would run exact under another name, and
-    a tol outside (0, 1): a residual's norm never exceeds its scale, so from
-    tol = 1 on every float residual counts as zero.  ``tol_name`` is how the
-    caller calls tol in its message."""
+    a tol that is not an int or float in (0, 1): a residual's norm never
+    exceeds its scale, so from tol = 1 on every float residual counts as
+    zero.  ``tol_name`` is how the caller calls tol in its message."""
     if mode not in (EXACT, FLOAT):
         raise ConfigError(f"unknown mode {mode!r}, expected {EXACT!r} or {FLOAT!r}")
-    if not 0 < tol < 1:
-        raise ConfigError(f"{tol_name} must lie strictly between 0 and 1, got {tol}")
+    if not (isinstance(tol, (int, float)) and 0 < tol < 1):
+        raise ConfigError(f"{tol_name} must lie strictly between 0 and 1, got {tol!r}")
 
 
 def _require_dimensions(m_values: tuple) -> None:
@@ -377,5 +403,5 @@ def _require_dimensions(m_values: tuple) -> None:
 def _require_samples(**counts: int) -> None:
     # a verdict over no trials or no points would pass vacuously
     for name, n in counts.items():
-        if n < 1:
+        if _require_int(name, n) < 1:
             raise ConfigError(f"{name} must be >= 1, got {n}")

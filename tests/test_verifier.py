@@ -27,6 +27,7 @@ from polyharm.cli import main
 from polyharm.errors import (
     AdmissibleRegionError,
     ConfigError,
+    DegreeError,
     MapValidationError,
     PolyharmError,
     ShapeMismatchError,
@@ -442,6 +443,136 @@ class TestRecordRoutes:
         assert replaced.factor == mobius.factor_quadratic(valid.target, other) != valid.factor
         with pytest.raises(ValueError, match="factor"):
             valid._replace(factor=replaced.factor)
+
+
+# one call per value a record or sweep used to take unchecked: each ran with
+# the value coerced or of the wrong type, or failed with a TypeError, a
+# KeyError or, after a draw, a MapValidationError
+_API_GAPS = {
+    "model-float-curvature": (lambda: SpaceFormModel(4, 1.0), ShapeMismatchError),
+    "model-bool-curvature": (lambda: SpaceFormModel(4, True), ShapeMismatchError),
+    "model-float-dim": (lambda: SpaceFormModel(2.5, 0), ShapeMismatchError),
+    "bih-float-pair": (lambda: sweep_biharmonic(pairs=((1.0, 0),)), ConfigError),
+    "bih-bool-pair": (lambda: sweep_biharmonic(pairs=((True, 0),)), ConfigError),
+    "bih-float-m": (lambda: sweep_biharmonic(m_values=(4.0,)), ConfigError),
+    "bih-float-trials": (lambda: sweep_biharmonic(trials=1.5), ConfigError),
+    "bih-float-eps": (lambda: sweep_biharmonic(eps_values=(2.0,)), ConfigError),
+    "poly-float-order": (lambda: sweep_polyharmonic(orders=(1.0,)), ConfigError),
+    "poly-fractional-order": (lambda: sweep_polyharmonic(orders=(2.5,)), ConfigError),
+    "build-fractional-eps": (lambda: MobiusMap.build([0, 0, 0], [0, 0, 0], 1, epsilon=2.9), MapValidationError),
+    "orders-fractional": (
+        lambda: residuals.polyharmonic_orders(MobiusMap.inversion(3), (1.5,), (1, 2, 3)),
+        DegreeError,
+    ),
+    "plan-float-point": (lambda: SamplePlan(points=((0.5, 0.25, 1),)), ConfigError),
+    "plan-bool-point": (lambda: SamplePlan(points=((True, 1, 1),)), ConfigError),
+    "plan-text-point": (lambda: SamplePlan(points=(("x", 1, 1),)), ConfigError),
+    "rational-bool": (lambda: rational(True), TypeError),
+    "permutation-bool": (lambda: mobius.signed_permutation_integers([True, 0]), MapValidationError),
+    "signs-bool": (lambda: mobius.signed_permutation_integers([1, 0], [True, -1]), MapValidationError),
+}
+
+
+class TestOneValidationPath:
+    """Records and sweeps refuse a wrong value themselves, so the Python API
+    refuses what a config file is refused, by the same rule."""
+
+    @pytest.mark.parametrize("case", list(_API_GAPS))
+    def test_api_refuses(self, case):
+        call, error = _API_GAPS[case]
+        with pytest.raises(error):
+            call()
+
+    def test_plan_holds_fractions(self):
+        plan = SamplePlan(radius="1/2", exclusion=0, points=(("1/2", 0, Fraction(3, 4)),))
+        assert plan.radius == Fraction(1, 2) and plan.exclusion == 0 and plan.points == ((Fraction(1, 2), 0, Fraction(3, 4)),)
+        assert {type(v) for v in (plan.radius, plan.exclusion, *plan.points[0])} == {Fraction}
+        assert SamplePlan().exclusion == Fraction(1, 8) and type(SamplePlan().exclusion) is Fraction
+
+
+# small valid sweep calls; the mutations below replace one argument, or the
+# one entry of a window, and never ask for a large trials, points or m
+_SMALL_SWEEPS = {
+    "biharmonic": (
+        sweep_biharmonic,
+        {"m_values": (4,), "pairs": ((0, 1),), "eps_values": (2,), "trials": 1, "seed": 0, "points": 2,
+         "mode": EXACT, "tol": residuals.DEFAULT_FLOAT_TOL},
+    ),
+    "polyharmonic": (
+        sweep_polyharmonic,
+        {"orders": (2,), "m_values": (4,), "trials": 1, "seed": 0, "points": 1,
+         "mode": EXACT, "tol": residuals.DEFAULT_FLOAT_TOL},
+    ),
+}
+_SWEEP_VALUES = (4, 4.0, True, "4", None, 2.5, -1)
+
+
+def _sweep_mutations():
+    """(sweep, argument, value, whether value replaces one window entry)."""
+    for sweep, (_, base) in _SMALL_SWEEPS.items():
+        for arg, valid in base.items():
+            for value in _SWEEP_VALUES:
+                yield pytest.param(sweep, arg, value, False, id=f"{sweep}-{arg}-{value!r}")
+                if isinstance(valid, tuple):
+                    yield pytest.param(sweep, arg, value, True, id=f"{sweep}-{arg}-entry-{value!r}")
+
+
+class TestSweepArguments:
+    @pytest.mark.parametrize("sweep, arg, value, entry", list(_sweep_mutations()))
+    def test_one_argument_mutation_reports_or_is_a_polyharm_error(self, sweep, arg, value, entry):
+        # whatever one argument becomes, the sweep reports or raises a usage
+        # error, and a value that is not an int never yields a report
+        fn, base = _SMALL_SWEEPS[sweep]
+        replaced = value
+        if entry:
+            replaced = ((value, base[arg][0][1]),) if arg == "pairs" else (value,)
+        try:
+            report = fn(**{**base, arg: replaced})
+        except PolyharmError:
+            return
+        assert type(value) is int and report["cells"]
+
+
+def _readme_config() -> str:
+    """The JSON example under README's "### Config format" heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("### Config format") :]
+    return section[section.index("```json") + len("```json") : section.index("```", section.index("```json") + 1)]
+
+
+def _refusal_config():
+    """A valid config that sets every value the cases below replace."""
+    cfg = _inversion_config()
+    cfg["map"]["A"] = {"kind": "permutation", "data": {"perm": [1, 0, 2, 3], "signs": [1, -1, 1, 1]}}
+    cfg["sample"] = {"seed": 1, "count": 2, "radius": "2", "exclusion": "1/8", "points": [["1", "0", "0", "0"]]}
+    return cfg
+
+
+_JSON_REFUSALS = [
+    *((("domain", "dim"), v) for v in (4.0, True, "4")),
+    *((("map", "epsilon"), v) for v in (2.0, True)),
+    *((("sample", key), v) for key in ("seed", "count") for v in (1.0, True, "1")),
+    *((("map", "A", "data", key, 0), v) for key in ("perm", "signs") for v in (True, 1.0)),
+    *((path, v) for path in (("map", "a", 0), ("map", "b", 0), ("map", "k")) for v in (0.5, True)),
+    *((("sample", key), v) for key in ("radius", "exclusion") for v in (0.5, True, "two")),
+    *((("sample", "points", 0, 0), v) for v in (0.5, True, "x")),
+]
+
+
+class TestConfigRefusals:
+    def test_readme_config_checks(self, tmp_path, capsys):
+        path = tmp_path / "readme.json"
+        path.write_text(_readme_config())
+        assert main(["check", str(path)]) == 0
+
+    def test_refusal_base_checks(self, tmp_path, capsys):
+        assert main(["check", str(_write(tmp_path, _refusal_config()))]) == 0
+
+    @pytest.mark.parametrize("path, value", _JSON_REFUSALS, ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v in _JSON_REFUSALS])
+    def test_wrong_json_value_is_a_usage_error(self, tmp_path, capsys, path, value):
+        cfg = _write(tmp_path, _replaced(_refusal_config(), path, value))
+        assert main(["check", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestReportMaps:
