@@ -44,6 +44,9 @@ def _parse_model(obj, where: str) -> SpaceFormModel:
 
 
 def _parse_rational_list(values, where: str) -> tuple:
+    # a JSON string is iterable too, and would be read one character a value
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}: expected a list of rationals, got {values!r}")
     with _parsing(f"{where}: bad rational entry"):
         return tuple(rational(v) for v in values)
 

@@ -31,9 +31,9 @@ Ric = (m-1) c g.
 
 The module has two entry points: :func:`evaluate_residuals` gives CL, SDL,
 ND, ND2 and the harmonicity flag at one point, all from one
-``ConformalGeometry`` and each residual formed when it is read, and
-:func:`polyharmonic_orders` gives Delta^k phi with its float scale for
-several orders k at once.
+``ConformalGeometry`` and each formed when it is read, and
+:func:`polyharmonic_orders` gives the terms of Delta^k phi for several
+orders k at once.
 
 Both paths run on Python ints and meet a rational once per output value
 read.  An exact point arrives as a :class:`~polyharm.rationals.IntegerPoint`,
@@ -43,10 +43,11 @@ over the lcm of its denominators once, at the entry.  No coordinate is
 formed as a rational on the way.
 Float mode runs the same code over doubles with every denominator 1.
 Neither entry point takes a mode: a computation is exact exactly when no
-coordinate of its point is a float.  :func:`vanishes` has one zero rule:
-exact values must all be 0, float values need norm <= tol * scale, the
-scale being the summed norms of the terms that cancel, so a zero scale
-admits only a zero norm.  Terms that cancel are kept apart for that reason.
+coordinate of its point is a float.  Every zero flag is :func:`vanishes`
+on the terms that cancel in its value, coefficient tuples over one basis:
+exact, their sum is literally 0; float, its norm is at most tol times the
+summed norms of the terms, so a zero scale admits only a zero norm.  Terms
+that cancel are kept apart for that reason.
 
 Biharmonic path.  Every factor of the family is lambda = P/Q: P = kappa w,
 with w = 1/sigma the domain chart weight and kappa = k (flat target) or 2k
@@ -167,7 +168,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Sequence
 
 from .errors import (
@@ -178,7 +179,7 @@ from .errors import (
     SingularDivisionError,
 )
 from .mobius import ConformalInstance, MobiusMap
-from .rationals import exact_point, integer_vector, rational, scalar_of
+from .rationals import exact_point, integer_vector, rational
 
 DEFAULT_FLOAT_TOL = 1e-9
 
@@ -192,36 +193,27 @@ class ResidualVector:
     ``ConformalGeometry``, the scalar CL the one vector (1,).  Integers, or
     doubles in float mode.
 
-    Construction keeps the coefficient tuples only.  ``sums`` (the column
-    sums of the term vectors), ``values`` (one rational per component) and
-    exact ``norm`` and ``scale`` form the term vectors the first time one
-    of them is read.  ``scale`` is the sum of Euclidean norms of the
-    equation's constituent terms (raw tolerances would be meaningless
-    across lambda^4-sized terms); exact, the norms of the int/int quotients
-    (num * t)/den, the correctly rounded floats of the exact terms.  Float
-    ``norm`` and ``scale`` are |num/den| sqrt(norm_sq) of the summed and of
-    each term's coefficients.
-
-    ``exact_zero`` is the verdict of :func:`vanishes`, without forming a
-    vector.  Exact mode reads norm_sq of the summed coefficients: 0 exactly
-    when every sum is, also where a basis vector is 0 or the two are
-    parallel.  Each value is num * s / den with num = Kn or (Kn W)^2 and den
-    a positive multiple of powers of Kd, D and F, and ``ConformalGeometry``
-    raises unless Kn, W and F are positive, so a value is 0 exactly when its
-    sum s is.  Float mode tests norm <= tol * scale, the rule of vanishes.
+    ``exact_zero`` is :func:`vanishes` on the terms, without forming a
+    vector: num and den are nonzero (``ConformalGeometry`` raises unless Kn,
+    W and F are positive), so a value is 0 exactly when its sum is.
+    ``norm`` and ``scale``, which ``check`` reports print, are the norm of
+    the value and the summed norms of the terms: exact, of the int/int
+    quotients (num * t)/den, formed with ``sums`` and ``values`` the first
+    time one of them is read; float, |num/den| sqrt(norm_sq) of the
+    coefficients.
     """
 
     def __init__(self, g: ConformalGeometry, num, den, terms, tol: float, basis):
         self._quotient, self._exact = g.quotient, g.exact
-        self._num, self._den, self._terms, self._tol = num, den, terms, tol
-        self._vectors, self._norm_sq = basis
+        self.num, self.den, self.terms, self._tol = num, den, terms, tol
+        self._vectors, self.norm_sq = basis
 
     @cached_property
     def _formed(self) -> tuple:
         # exact sums and scale both read every term vector, and every reader
         # of one reads the other: form them together
-        terms = [_combine(t, self._vectors) for t in self._terms]
-        num, den = self._num, self._den
+        terms = [_combine(t, self._vectors) for t in self.terms]
+        num, den = self.num, self.den
         return [sum(col) for col in zip(*terms)], sum(_norm([num * v / den for v in t]) for t in terms)
 
     @property
@@ -230,25 +222,23 @@ class ResidualVector:
 
     @cached_property
     def values(self) -> tuple:
-        return tuple(self._quotient(self._num * s, self._den) for s in self.sums)
+        return tuple(self._quotient(self.num * s, self.den) for s in self.sums)
 
     @cached_property
     def norm(self) -> float:
         if self._exact:
             return _norm(self.values)
-        return abs(self._num / self._den) * math.sqrt(self._norm_sq(tuple(map(sum, zip(*self._terms)))))
+        return abs(self.num / self.den) * math.sqrt(self.norm_sq(tuple(map(sum, zip(*self.terms)))))
 
     @cached_property
     def scale(self) -> float:
         if self._exact:
             return self._formed[1]
-        return abs(self._num / self._den) * sum(math.sqrt(self._norm_sq(t)) for t in self._terms)
+        return abs(self.num / self.den) * sum(math.sqrt(self.norm_sq(t)) for t in self.terms)
 
     @property
     def exact_zero(self) -> bool:
-        if self._exact:
-            return not self._norm_sq(tuple(map(sum, zip(*self._terms))))
-        return self.norm <= self._tol * self.scale
+        return vanishes(self.terms, self._tol, self.norm_sq)
 
 
 def _combine(coef, vectors) -> list:
@@ -273,18 +263,25 @@ def _norm(values) -> float:
     return math.sqrt(sum(float(v) ** 2 for v in values))
 
 
-def vanishes(values, scale: float, tol: float) -> bool:
-    """The zero decision every verdict rests on, one rule for both modes.
+def vanishes(terms, tol: float, norm_sq=None) -> bool:
+    """The zero decision every flag rests on, one rule for both modes.
 
-    Exact values (no value is a float): every value is literally zero.
-    Float values: the norm is at most ``tol`` times ``scale``, the size of the
-    terms that cancel in ``values``, since where the values vanish their
-    rounding error follows those terms, so callers keep terms that cancel
-    apart.  A zero scale admits only a zero norm.
+    ``terms`` are the coefficient tuples, over one basis, of the terms that
+    cancel in a value, their sum; ``norm_sq`` gives a tuple's squared norm,
+    None meaning the standard basis.  Exact (no coefficient of the sum is a
+    float): the sum is literally zero, norm_sq(sum) = 0 on any basis, a
+    degenerate one too, and every component 0 on the standard one, so no
+    rational is squared.  Float: the sum's norm is at most ``tol`` times the
+    summed norms of the terms, which its rounding error follows where it
+    vanishes, so callers keep terms that cancel apart; a zero scale admits
+    only a zero sum.
     """
-    if scalar_of(values) is not float:
-        return all(v == 0 for v in values)
-    return _norm(values) <= tol * scale
+    # reduce, not sum: a one-term sum is that term, with no rational formed
+    total = [reduce(operator.add, col) for col in zip(*terms)]
+    if float not in map(type, total):
+        return not (any(total) if norm_sq is None else norm_sq(total))
+    norm = _norm if norm_sq is None else lambda c: math.sqrt(norm_sq(c))
+    return norm(total) <= tol * sum(map(norm, terms))
 
 
 class ConformalGeometry:
@@ -367,15 +364,11 @@ class ConformalGeometry:
         return _combine(pair, self.basis[0])
 
     def harmonic(self, tol: float) -> bool:
-        """Whether grad lambda = g / F^2 vanishes, g = p X - 2 W G: exactly
-        when |g|^2 = 0 in exact mode; in float mode by the rule of
-        :func:`vanishes`, |g| against |p| |X| + 2 |W| |G|, the size of its two
-        terms, which cancel wherever lambda is constant, all off the basis."""
-        if self.exact:
-            return not self.gg
-        norm_sq = self.basis[1]
-        size = abs(self.g[0]) * math.sqrt(norm_sq((1, 0))) + 2 * abs(self.W) * math.sqrt(norm_sq((0, 1)))
-        return math.sqrt(norm_sq(self.g)) <= tol * size
+        """Whether grad lambda = g / F^2 vanishes: g = p X - 2 W G is the sum
+        of the terms (p, 0) and (0, -2 W), which cancel wherever lambda is
+        constant, judged by :func:`vanishes` on the basis."""
+        p, w = self.g
+        return vanishes(((p, 0), (0, w)), tol, self.basis[1])
 
 
 def _gram_norm_sq(xx, xG, GG, pair):
@@ -488,8 +481,9 @@ def _nd2_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
 
 
 class _Residuals(Mapping):
-    """CL, SDL, ND and ND2 at one point, each formed the first time its key is
-    read and then kept, and the harmonicity flag, set on construction."""
+    """CL, SDL, ND, ND2 and the harmonicity flag at one point, each formed
+    the first time its key is read and then kept: a verdict stops reading
+    the flag at its first non-harmonic point."""
 
     # the function forming each residual, looked up on the module by name
     # when its key is first read, so a replaced module function is the one
@@ -503,12 +497,14 @@ class _Residuals(Mapping):
 
     def __init__(self, geometry: ConformalGeometry, tol: float):
         self._geometry, self._tol = geometry, tol
-        self._formed = {"harmonic": geometry.harmonic(tol)}
+        self._formed = {}
 
     def __getitem__(self, key):
         if key not in self._formed:
-            form = globals()[self._FORMED_BY[key]]
-            self._formed[key] = form(self._geometry, self._tol)
+            if key == "harmonic":
+                self._formed[key] = self._geometry.harmonic(self._tol)
+            else:
+                self._formed[key] = globals()[self._FORMED_BY[key]](self._geometry, self._tol)
         return self._formed[key]
 
     def __iter__(self):
@@ -522,9 +518,10 @@ def evaluate_residuals(instance: ConformalInstance, x, tol: float = DEFAULT_FLOA
     """All four residuals plus the harmonicity flag, from one ``ConformalGeometry``.
 
     Exact at an integer point or a sequence of rationals x, float at a point
-    with a float coordinate.  The geometry and the flag are formed here; each residual is formed when
-    its key of the returned mapping is first read, so a caller that reads
-    only CL, the flag and SDL (a verdict) never forms ND or ND2.
+    with a float coordinate.  The geometry is formed here; each residual and
+    the flag is formed when its key of the returned mapping is first read, so
+    a caller that reads only CL, the flag and SDL (a verdict) never forms ND
+    or ND2.
     """
     return _Residuals(ConformalGeometry(instance, x), tol)
 
@@ -547,17 +544,15 @@ def closed_form_coefficient(m: int, order: int):
     return coeff
 
 
-def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, tuple[tuple, float]]:
-    """(Delta^k phi(x), scale) per order k of a flat-to-flat map.
+def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, tuple[tuple, ...]]:
+    """The terms that sum to Delta^k phi(x), per order k of a flat-to-flat map.
 
     Delta^k phi is the tuple of the iterated Laplacians of the m components,
     exact at an integer point or a sequence of rationals x and float at a
-    point with a float coordinate.
-    The scale is the float size of the terms that cancel in it, the one
-    :func:`vanishes` judges Delta^k phi against: the integer N_k is exact in
-    both modes, so only the sums of A u0 and the final quotient round, and the
-    scale is |N_k| D^(2k+1) |(|k A_num| |U|)| / (den_A F^(k+1)) (plus |b| at
-    order 0).  A zero N_k makes every value 0 in either mode.
+    point with a float coordinate.  Its terms, the ones :func:`vanishes`
+    judges it by, are the map part k A Delta^k (u/|u|^2) alone for k >= 1
+    and that part and b at k = 0: the integer N_k is exact in both modes,
+    so a zero N_k makes every value 0 in either mode.
     """
     orders = sorted(set(orders))
     if any(type(k) is not int or k < 0 for k in orders):
@@ -588,17 +583,12 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
         F = D * D
         N = (1,) + (0,) * top
     AU = [kn * sum(a * u for a, u in zip(row, U)) for row in num_A]
-    size = abs(kn) * _norm([sum(abs(a * u) for a, u in zip(row, U)) for row in num_A])
-    out: dict[int, tuple[tuple, float]] = {}
+    out: dict[int, tuple[tuple, ...]] = {}
     for k in orders:
         c = N[k] * D ** (2 * k + 1)
         den = den_A * F ** (k + 1)
         vals = tuple(quotient(c * v, den) for v in AU)
-        scale = abs(c) / den * size
-        if k == 0:
-            vals = tuple(v + bi for v, bi in zip(vals, b))
-            scale += _norm(b)
-        out[k] = (vals, scale)
+        out[k] = (vals, tuple(b)) if k == 0 else (vals,)
     return out
 
 

@@ -69,10 +69,11 @@ class SamplePlan(_Plan):
         if exclusion < 0:
             raise ConfigError(f"sample exclusion must be >= 0, got {exclusion}")
         if points is not None:
-            try:
-                points = tuple(tuple(_plan_rational("point coordinate", v) for v in x) for x in points)
-            except TypeError:
-                raise ConfigError(f"sample points must be a list of points, got {points!r}") from None
+            # only lists and tuples: a string or a dict is iterable too, and
+            # would be read as its characters or its keys
+            if not isinstance(points, (list, tuple)) or not all(isinstance(x, (list, tuple)) for x in points):
+                raise ConfigError(f"sample points must be a list of points, got {points!r}")
+            points = tuple(tuple(_plan_rational("point coordinate", v) for v in x) for x in points)
             _require_samples(points=len(points))
         return super().__new__(cls, seed, count, radius, exclusion, points)
 
@@ -201,7 +202,7 @@ def sweep_biharmonic(
     require_mode(mode, tol)
     m_values = _window("m", m_values)
     pairs = _window("curvature pair", pairs, _require_pair)
-    eps_values = _window("eps", eps_values)
+    eps_values = _window("eps", eps_values, among=(0, 2))
     _require_dimensions(m_values)
     _require_int("seed", seed)
     _require_samples(trials=trials, points=points)
@@ -338,20 +339,15 @@ def sweep_polyharmonic(
 
 
 def _polyharmonic_point(mmap: MobiusMap, order: int, x, mode: str, tol: float) -> tuple:
-    """(Delta^k phi = 0, Delta^(k-1) phi = 0, Delta^k phi = closed form) at x.
-
-    Float mode judges each order, and the closed-form difference at order k,
-    against the size of the terms that cancel in that order's Delta phi.
-    """
+    """(Delta^k phi = 0, Delta^(k-1) phi = 0, Delta^k phi = closed form) at x,
+    each by ``residuals.vanishes`` on the terms of the value: the closed-form
+    difference has Delta^k phi's terms and the closed form negated."""
     terms = residuals.polyharmonic_orders(mmap, (order - 1, order), _coordinates(x, mode))
-    vals, scale = terms[order]
-    prev, prev_scale = terms[order - 1]
     closed = residuals.polyharmonic_closed_form(mmap, order, x)
-    diff = [v - c for v, c in zip(vals, closed)]
     return (
-        residuals.vanishes(vals, scale, tol),
-        residuals.vanishes(prev, prev_scale, tol),
-        residuals.vanishes(diff, scale, tol),
+        residuals.vanishes(terms[order], tol),
+        residuals.vanishes(terms[order - 1], tol),
+        residuals.vanishes(terms[order] + (tuple(-v for v in closed),), tol),
     )
 
 
@@ -362,9 +358,10 @@ def _require_int(name: str, value) -> int:
     return value
 
 
-def _window(name: str, values, entry=_require_int) -> tuple:
+def _window(name: str, values, entry=_require_int, among=None) -> tuple:
     """A sweep axis as a tuple, each entry checked by ``entry(name, v)``, an
-    integer by default; an empty one would make the sweep pass vacuously."""
+    integer by default, and refused outside ``among`` when that is given, so
+    before any draw; an empty one would make the sweep pass vacuously."""
     try:
         values = tuple(values)
     except TypeError:
@@ -373,12 +370,13 @@ def _window(name: str, values, entry=_require_int) -> tuple:
         raise ConfigError(f"empty {name} window")
     for v in values:
         entry(name, v)
+        if among is not None and v not in among:
+            raise ConfigError(f"{name} must be one of {', '.join(map(str, among))}, got {v}")
     return values
 
 
 def _require_pair(name: str, pair) -> None:
-    # the models a cell builds refuse a curvature outside -1, 0, 1
-    if len(_window("curvature", pair)) != 2:
+    if len(_window("curvature", pair, among=(-1, 0, 1))) != 2:
         raise ConfigError(f"a {name} is (c1, c2), got {pair!r}")
 
 

@@ -33,10 +33,11 @@ from polyharm.residuals import (
 )
 from polyharm.check import load_config
 from polyharm.sampling import _flat_sample_point, _random_orthogonal
-from polyharm.selftest import radial_classification_check, radial_coefficients
+from polyharm.selftest import _chain_identity_battery, _jet_oracle_battery, radial_classification_check, radial_coefficients
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
     CURVATURE_PAIRS,
+    _polyharmonic_point,
     _sweep_instance,
     _verdict,
     random_mobius,
@@ -53,6 +54,11 @@ def _zeros(m):
 
 def _flat_pair(m):
     return SpaceFormModel.flat(m), SpaceFormModel.flat(m)
+
+
+def _summed(terms) -> tuple:
+    """The value whose terms ``polyharmonic_orders`` gives: their sum."""
+    return tuple(map(sum, zip(*terms)))
 
 
 class TestFactorConstraint:
@@ -346,7 +352,7 @@ def _field_residuals(instance, geo, tol=residuals.DEFAULT_FLOAT_TOL) -> dict:
     for name, terms in {"CL": cl, "SDL": sdl, "ND": nd, "ND2": nd2}.items():
         values = tuple(sum(t[i] for t in terms) for i in range(len(terms[0])))
         scale = sum(residuals._norm(t) for t in terms)
-        zero = residuals.vanishes(values, scale, tol)
+        zero = residuals.vanishes(terms, tol)
         out[name] = SimpleNamespace(values=values, exact_zero=zero, norm=residuals._norm(values), scale=scale)
     return out
 
@@ -496,16 +502,42 @@ class TestScalarType:
             assert all(type(v) is float for v in flt[name].values), name
         mmap = random_mobius(rng_for("scalar-type-ph"), 5, SpaceFormModel.flat(5), 2, style=2)
         pt = tuple(ai + rational(1, 2) for ai in mmap.a)
-        for k, (vals, _) in polyharmonic_orders(mmap, (0, 1, 2), pt).items():
-            assert all(type(v) is Fraction for v in vals), k
-        for k, (vals, _) in polyharmonic_orders(mmap, (0, 1, 2), floats(pt)).items():
-            assert all(type(v) is float for v in vals), k
+        for k, terms in polyharmonic_orders(mmap, (0, 1, 2), pt).items():
+            assert all(type(v) is Fraction for v in _summed(terms)), k
+        for k, terms in polyharmonic_orders(mmap, (0, 1, 2), floats(pt)).items():
+            assert all(type(v) is float for v in _summed(terms)), k
 
     def test_vanishes_is_exact_unless_a_value_is_a_float(self):
-        # an exact value is zero only when it is 0, however small the scale
-        # makes it; the same size as a float passes the relative test
-        assert not residuals.vanishes([Fraction(1, 10**40)], 1.0, 1e-9)
-        assert residuals.vanishes([1e-40], 1.0, 1e-9)
+        # an exact value is zero only when it is 0, however small against
+        # its terms; the same sizes as floats pass the relative test
+        assert not residuals.vanishes([(1,), (-1,), (Fraction(1, 10**40),)], 1e-9)
+        assert residuals.vanishes([(1.0,), (-1.0,), (1e-40,)], 1e-9)
+
+
+class TestVanishesBoundary:
+    """The float rule at its boundary, where the norm of the sum is exactly
+    tol times the summed norms of the terms: every term's norm counts, and
+    the boundary itself is zero."""
+
+    @pytest.mark.parametrize(
+        "terms, norm_sq",
+        [
+            # sum 2, term norms 5 + 2 + 1 = 8
+            (((5.0,), (-2.0,), (-1.0,)), None),
+            # sum (0, 4), term norms 5 + 3 = 8, on an orthonormal pair basis
+            (((3.0, 4.0), (-3.0, 0.0)), lambda c: c[0] * c[0] + c[1] * c[1]),
+        ],
+        ids=["standard", "pairs"],
+    )
+    def test_boundary_is_zero_and_every_term_counts(self, terms, norm_sq):
+        assert residuals.vanishes(terms, 0.25 if norm_sq is None else 0.5, norm_sq)
+        assert not residuals.vanishes(terms, 0.2 if norm_sq is None else 0.45, norm_sq)
+
+    def test_only_a_zero_sum_is_zero_without_cancellation(self):
+        # terms that are 0.0 are a zero sum on a zero scale; a sum that is
+        # its one nonzero term is never within tol < 1 of it
+        assert residuals.vanishes([(0.0, 0.0), (0.0, 0.0)], 1e-9)
+        assert not residuals.vanishes([(0.0, 0.0), (0.0, 1e-100)], 1e-9)
 
 
 class TestIntegerPoints:
@@ -545,7 +577,7 @@ class TestIntegerPoints:
             rat = x.fractions()
             got, want = polyharmonic_orders(mmap, (0, 1, 2, 3), x), polyharmonic_orders(mmap, (0, 1, 2, 3), rat)
             for k in got:
-                assert got[k][0] == want[k][0] and got[k][1].hex() == want[k][1].hex(), k
+                assert got[k] == want[k], k
             assert polyharmonic_closed_form(mmap, 3, x) == polyharmonic_closed_form(mmap, 3, rat)
 
 
@@ -637,7 +669,7 @@ class TestPolyharmonicJetOracle:
         pt = tuple(ai + rand_rat(rng, 2, 3, nonzero=True) for ai in mmap.a)
         orders = (0, 1, 2, 3)
         got = polyharmonic_orders(mmap, orders, pt)
-        assert {k: vals for k, (vals, _) in got.items()} == _jet_route(mmap, orders, pt)
+        assert {k: _summed(terms) for k, terms in got.items()} == _jet_route(mmap, orders, pt)
 
     def test_float_within_relative_tolerance(self):
         rng = rng_for("ph-oracle-float")
@@ -766,7 +798,7 @@ class TestPolyharmonicTaylorOracle:
         pt = tuple(ai + rand_rat(rng, 2, 3, nonzero=True) for ai in mmap.a)
         orders = (0, 1, 2, 3)
         got = polyharmonic_orders(mmap, orders, pt)
-        assert {k: vals for k, (vals, _) in got.items()} == _taylor_route(mmap, orders, pt)
+        assert {k: _summed(terms) for k, terms in got.items()} == _taylor_route(mmap, orders, pt)
 
     def test_numerators_are_the_closed_form(self):
         # Delta^k (u/|u|^2)(x0) = N_k u0 / R^(k+1) with N_k of (m, k) alone
@@ -1019,7 +1051,7 @@ class TestGramDegenerateBases:
             for name in ("CL", "SDL", "ND", "ND2"):
                 rv = e[name]
                 assert rv.exact_zero == (not any(rv.sums)), (kind, name, x)
-                coef = tuple(map(sum, zip(*rv._terms)))
+                coef = tuple(map(sum, zip(*rv.terms)))
                 hidden[kind] += any(coef) and not any(rv.sums)
             fields, sums = _vector_kernel(inst, x)
             assert _geometry_vectors(geo) == fields
@@ -1039,9 +1071,8 @@ class TestGramDegenerateBases:
             exact, flt = evaluate_residuals(inst, x), evaluate_residuals(inst, floats(x))
             geo = ConformalGeometry(inst, floats(x))
             X, G = geo.basis[0]
-            grad = geo.vector(geo.g)
-            size = residuals._norm([geo.g[0] * v for v in X]) + 2 * abs(geo.W) * residuals._norm(G)
-            assert residuals.vanishes(grad, size, tol) == flt["harmonic"] == exact["harmonic"], (kind, x)
+            terms = ([geo.g[0] * v for v in X], [geo.g[1] * v for v in G])
+            assert residuals.vanishes(terms, tol) == flt["harmonic"] == exact["harmonic"], (kind, x)
             hidden[kind] += exact["harmonic"] and any(geo.g)
             for name in ("CL", "SDL", "ND", "ND2"):
                 rv, want = flt[name], _formed_float_residual(flt[name])
@@ -1056,7 +1087,7 @@ class TestGramDegenerateBases:
                 assert abs(rv.scale - want.scale) <= 1e-12 * want.scale, (kind, name, x)
                 assert rv.exact_zero == exact[name].exact_zero, (kind, name, x)
                 if name != "CL":
-                    hidden[kind] += rv.exact_zero and any(map(sum, zip(*rv._terms)))
+                    hidden[kind] += rv.exact_zero and any(map(sum, zip(*rv.terms)))
             seen[kind] += 1
         assert all(seen.values()), seen
         assert all(hidden.values()), hidden
@@ -1065,11 +1096,47 @@ class TestGramDegenerateBases:
 def _formed_float_residual(rv) -> SimpleNamespace:
     """The float definition of norm, scale and zero flag that formed the
     m-vector of every term: the oracle of the pair-based ones."""
-    terms = [residuals._combine(t, rv._vectors) for t in rv._terms]
-    values = [rv._num * sum(col) / rv._den for col in zip(*terms)]
-    scale = sum(residuals._norm([rv._num * v / rv._den for v in t]) for t in terms)
-    zero = residuals.vanishes(values, scale, rv._tol)
-    return SimpleNamespace(norm=residuals._norm(values), scale=scale, exact_zero=zero)
+    terms = [residuals._combine(t, rv._vectors) for t in rv.terms]
+    values = [rv.num * sum(col) / rv.den for col in zip(*terms)]
+    scale = sum(residuals._norm([rv.num * v / rv.den for v in t]) for t in terms)
+    norm = residuals._norm(values)
+    return SimpleNamespace(norm=norm, scale=scale, exact_zero=norm <= rv._tol * scale)
+
+
+class _Judged(Exception):
+    pass
+
+
+class TestOneZeroRule:
+    """Every zero flag is ``residuals.vanishes``: with it replaced by one
+    that raises, each reader of a flag raises, in both modes."""
+
+    @pytest.fixture
+    def judged(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise _Judged
+
+        return lambda: monkeypatch.setattr(residuals, "vanishes", refuse)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_every_flag_calls_vanishes(self, judged, mode):
+        inst, pts = _sweep_instance("one-zero-rule", 5, 1, -1, 2, 1, 1)
+        x = floats(pts[0].fractions()) if mode == FLOAT else pts[0]
+        geo, evals = ConformalGeometry(inst, x), evaluate_residuals(inst, x)
+        rng = rng_for("one-zero-rule-ph")
+        mmap = random_mobius(rng, 6, SpaceFormModel.flat(6), 2, style=1)
+        y = _flat_sample_point(rng, mmap)
+        judged()
+        readers = {
+            "harmonic": lambda: geo.harmonic(residuals.DEFAULT_FLOAT_TOL),
+            **{name: lambda rv=evals[name]: rv.exact_zero for name in ("CL", "SDL", "ND", "ND2")},
+            "polyharmonic": lambda: _polyharmonic_point(mmap, 2, y, mode, residuals.DEFAULT_FLOAT_TOL),
+            "chain": lambda: _chain_identity_battery(mode, residuals.DEFAULT_FLOAT_TOL),
+            "jets": lambda: _jet_oracle_battery(mode, residuals.DEFAULT_FLOAT_TOL),
+        }
+        for name, read in readers.items():
+            with pytest.raises(_Judged):
+                read()
 
 
 class TestVerdictFormsNoVector:
@@ -1119,7 +1186,7 @@ class TestGeometryAlgebraEveryM:
                     sym.m = m
                     sym.g, sym.gg, sym.Lb, sym.grad_Lb, sym.Gamma = fields
                     sums = {
-                        name: [sp.expand(sum(col)) for col in zip(*form(sym, 0.0)._terms)]
+                        name: [sp.expand(sum(col)) for col in zip(*form(sym, 0.0).terms)]
                         for name, form in (
                             ("CL", _cl_from_geometry),
                             ("SDL", _sdl_from_geometry),
@@ -1151,18 +1218,19 @@ class TestPolyharmonicFloat:
         return mmap, pt, polyharmonic_orders(mmap, (k,), floats(pt))[k]
 
     def test_zero_cell_is_literally_zero(self):
-        _, _, (vals, scale) = self._cell("ph-float-4-8", 4, 8)
+        _, _, terms = self._cell("ph-float-4-8", 4, 8)
+        (vals,) = terms
         assert all(v == 0.0 and type(v) is float for v in vals)
-        assert scale == 0.0 and residuals.vanishes(vals, scale, 1e-9)
+        assert residuals.vanishes(terms, 1e-9)
 
     def test_deep_nonzero_cell_reads_nonzero(self):
         # |N_k| is far below a majorant of the Taylor terms at (8, 11); the
-        # scale follows |N_k|, so the value stays well above tol * scale
-        mmap, pt, (vals, scale) = self._cell("ph-float-8-11", 8, 11)
-        assert not residuals.vanishes(vals, scale, 1e-9)
+        # one term is the value itself, so a nonzero value is never zero,
+        # and against the closed form it cancels to rounding
+        mmap, pt, terms = self._cell("ph-float-8-11", 8, 11)
+        assert not residuals.vanishes(terms, 1e-9)
         closed = polyharmonic_closed_form(mmap, 8, pt)
-        diff = [v - c for v, c in zip(vals, closed)]
-        assert residuals.vanishes(diff, scale, 1e-9)
+        assert residuals.vanishes(terms + (tuple(-c for c in closed),), 1e-9)
 
 
 class TestClosedFormCoefficient:

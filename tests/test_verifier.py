@@ -467,6 +467,10 @@ _API_GAPS = {
     "plan-float-point": (lambda: SamplePlan(points=((0.5, 0.25, 1),)), ConfigError),
     "plan-bool-point": (lambda: SamplePlan(points=((True, 1, 1),)), ConfigError),
     "plan-text-point": (lambda: SamplePlan(points=(("x", 1, 1),)), ConfigError),
+    "plan-string-point": (lambda: SamplePlan(points=("111",)), ConfigError),
+    "plan-string-points": (lambda: SamplePlan(points="111"), ConfigError),
+    "plan-dict-point": (lambda: SamplePlan(points=({"1": 0, "0": 0, "2": 0},)), ConfigError),
+    "plan-dict-points": (lambda: SamplePlan(points={(1, 1, 1): 0}), ConfigError),
     "rational-bool": (lambda: rational(True), TypeError),
     "permutation-bool": (lambda: mobius.signed_permutation_integers([True, 0]), MapValidationError),
     "signs-bool": (lambda: mobius.signed_permutation_integers([1, 0], [True, -1]), MapValidationError),
@@ -533,6 +537,18 @@ class TestSweepArguments:
         assert type(value) is int and report["cells"]
 
 
+    @pytest.mark.parametrize(
+        "window",
+        [{"pairs": CURVATURE_PAIRS + ((5, 0),)}, {"pairs": ((0, -2),)}, {"eps_values": (0, 1)}, {"eps_values": (2, 3)}],
+        ids=["curvature-5", "curvature-minus-2", "eps-1", "eps-3"],
+    )
+    def test_curvature_or_eps_outside_the_family_is_refused_before_any_draw(self, monkeypatch, window):
+        seen = _spy(monkeypatch, "evaluate_residuals")
+        with pytest.raises(ConfigError):
+            sweep_biharmonic(**window)
+        assert seen == []
+
+
 def _readme_config() -> str:
     """The JSON example under README's "### Config format" heading."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -556,6 +572,11 @@ _JSON_REFUSALS = [
     *((path, v) for path in (("map", "a", 0), ("map", "b", 0), ("map", "k")) for v in (0.5, True)),
     *((("sample", key), v) for key in ("radius", "exclusion") for v in (0.5, True, "two")),
     *((("sample", "points", 0, 0), v) for v in (0.5, True, "x")),
+    # a string where a list belongs, once read one character per entry
+    *((("map", key), "0000") for key in ("a", "b")),
+    (("map", "A"), {"kind": "matrix", "data": ["1000", "0100", "0010", "0001"]}),
+    (("map", "A"), {"kind": "cayley", "data": ["0000"] * 4}),
+    *((("sample", "points"), v) for v in ("1000", ["1000"], [{"1": "0", "0": "0", "00": "0", "000": "0"}])),
 ]
 
 
@@ -961,7 +982,7 @@ class TestSweeps:
 
         def perturbed(mmap, orders, x):
             out = original(mmap, orders, x)
-            return {k: (tuple(v + 1 for v in vals), scale) for k, (vals, scale) in out.items()}
+            return {k: (tuple(v + 1 for v in terms[0]), *terms[1:]) for k, terms in out.items()}
 
         assert sweep_polyharmonic(orders=(2,), m_values=(4,))["all_match"]
         monkeypatch.setattr(residuals, "polyharmonic_orders", perturbed)
@@ -1279,12 +1300,14 @@ class TestReports:
         assert "timing" not in json.loads(render_report(rep, "json"))
 
     def test_exact_reports_match_golden_digests(self, monkeypatch, capsys):
-        # SHA-256 of the exact reports of these command lines, run from the
-        # repository root; float reports are left out, since their norms go
-        # through the platform's libm pow and are not portable bytes
+        # SHA-256 of the reports of these command lines, run from the
+        # repository root: every exact report, and the float sweeps and
+        # selftest, which print flags and no norm; float check is left out,
+        # since its norms go through the platform's libm pow and are not
+        # portable bytes
         monkeypatch.chdir(GOLDEN.parents[1])
         digests = json.loads((GOLDEN / "report_digests.json").read_text())
-        assert len(digests) == 8
+        assert len(digests) == 11
         for command, digest in digests.items():
             prog, *argv = command.split()
             assert prog == "polyharm"
