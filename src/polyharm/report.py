@@ -81,10 +81,11 @@ def _csv_rows(report: ResidualReport) -> tuple[list[str], list[list]]:
         header = ["order", "m", "expected_zero", "zero", "expected_proper", "proper", "closed_form_match", "match"]
         rows = []
         for c in body["cells"]:
-            t = c["trials"][0]
-            rows.append(
-                [c["order"], c["m"], c["expected_zero"], t["zero"], c["expected_proper"], t["proper"], t["closed_form_match"], c["match"]]
-            )
+            # the trials' one value, or "mixed" where they differ, as a
+            # biharmonic cell's verdict reads
+            seen = ({t[key] for t in c["trials"]} for key in ("zero", "proper", "closed_form_match"))
+            zero, proper, closed = (v.pop() if len(v) == 1 else "mixed" for v in seen)
+            rows.append([c["order"], c["m"], c["expected_zero"], zero, c["expected_proper"], proper, closed, c["match"]])
         return header, rows
     if report.kind == "selftest":
         header = ["name", "ok", "detail"]

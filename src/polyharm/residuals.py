@@ -29,9 +29,9 @@ operators (bars) and domain/target curvatures c1/c2, the toolkit evaluates:
 The Ricci term of SDL enters as the scalar (m-1) c1 since space forms have
 Ric = (m-1) c g.
 
-The module has two entry points: :func:`evaluate_residuals` gives CL, SDL,
-ND, ND2 and the harmonicity flag at one point, all from one
-``ConformalGeometry`` and each formed when it is read, and
+The module has two entry points: :func:`evaluate_residuals` gives the
+``ConformalGeometry`` of one point, which forms CL, SDL, ND, ND2 and the
+harmonicity flag each when it is first read, and
 :func:`polyharmonic_orders` gives the terms of Delta^k phi for several
 orders k at once.
 
@@ -167,8 +167,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping
 from functools import cached_property, partial, reduce
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -203,9 +203,10 @@ class ResidualVector:
     coefficients.
     """
 
-    def __init__(self, g: ConformalGeometry, num, den, terms, tol: float, basis):
-        self._quotient, self._exact = g.quotient, g.exact
-        self.num, self.den, self.terms, self._tol = num, den, terms, tol
+    def __init__(self, g: ConformalGeometry, num, den, terms, basis):
+        # g's fields, not g, which keeps this vector: no cycle per point
+        self._quotient, self._exact, self._tol = g.quotient, g.exact, g.tol
+        self.num, self.den, self.terms = num, den, terms
         self._vectors, self.norm_sq = basis
 
     @cached_property
@@ -243,20 +244,11 @@ class ResidualVector:
 
 def _combine(coef, vectors) -> list:
     """The vector sum_i coef_i vectors_i, component by component."""
-    c = coef[0]
-    out = [c * v for v in vectors[0]]
-    for i in range(1, len(coef)):
-        c = coef[i]
-        out = [o + c * v for o, v in zip(out, vectors[i])]
-    return out
-
-
-def _square(c):
-    return c[0] * c[0]
+    return [reduce(operator.add, map(operator.mul, coef, col)) for col in zip(*vectors)]
 
 
 # the basis of a scalar residual: the one vector (1,) and its squared norm
-_SCALAR = (((1,),), _square)
+_SCALAR = (((1,),), lambda c: c[0] * c[0])
 
 
 def _norm(values) -> float:
@@ -274,18 +266,30 @@ def vanishes(terms, tol: float, norm_sq=None) -> bool:
     rational is squared.  Float: the sum's norm is at most ``tol`` times the
     summed norms of the terms, which its rounding error follows where it
     vanishes, so callers keep terms that cancel apart; a zero scale admits
-    only a zero sum.
+    only a zero sum.  Where a square overflows, or the scale is below 2^-256
+    (above it no square that underflows moves the test at a tol over
+    2^-255), every coefficient is first scaled by the power of two of the
+    largest, clamped where subnormal: exact, as norm_sq is homogeneous.
     """
     # reduce, not sum: a one-term sum is that term, with no rational formed
     total = [reduce(operator.add, col) for col in zip(*terms)]
     if float not in map(type, total):
         return not (any(total) if norm_sq is None else norm_sq(total))
     norm = _norm if norm_sq is None else lambda c: math.sqrt(norm_sq(c))
-    return norm(total) <= tol * sum(map(norm, terms))
+    try:
+        size, scale = norm(total), sum(map(norm, terms))
+    except OverflowError:
+        scale = math.inf
+    if not 2.0**-256 < scale < 2.0**256:
+        s = math.ldexp(1.0, min(1023, -math.frexp(max(map(abs, chain.from_iterable(terms))))[1]))
+        terms = [[c * s for c in t] for t in terms]
+        total = [reduce(operator.add, col) for col in zip(*terms)]
+        size, scale = norm(total), sum(map(norm, terms))
+    return size <= tol * scale
 
 
 class ConformalGeometry:
-    """Values and gradients the residuals read, at one point of one instance.
+    """One evaluated point of one instance: its geometry and its readings.
 
     The constructor is the chart set-up: the one step that tells exact from
     float mode, the chart checks, the only m-vectors formed (X, U and G) and
@@ -296,9 +300,12 @@ class ConformalGeometry:
     grad_Lb (doubles when a coordinate of x is a float); ``basis`` is
     ((X, G), norm_sq), norm_sq giving |a X + b G|^2 from the Gram scalars
     (float: xx, mu and pp), and :meth:`vector` forms the m-vector of a pair.
+    ``geometry[key]``, CL, SDL, ND, ND2 (a :class:`ResidualVector`) or
+    "harmonic", is formed by the function ``_FORMED_BY`` names when first
+    read, and kept; every flag reads the one ``tol`` stored here.
     """
 
-    def __init__(self, instance: ConformalInstance, x):
+    def __init__(self, instance: ConformalInstance, x, tol: float = DEFAULT_FLOAT_TOL):
         point = exact_point(x)
         dom = instance.domain
         fq = instance.factor
@@ -358,17 +365,18 @@ class ConformalGeometry:
             mu = xG / xx if xx else 0.0
             norm_sq = partial(_ortho_norm_sq, xx, mu, sum((v - mu * u) ** 2 for u, v in zip(X, G)))
         self.basis = ((X, G), norm_sq)
+        self.tol, self._read = tol, {}
+
+    def __getitem__(self, key):
+        read = self._read
+        if key not in read:
+            # looked up when first read, so a replaced function is the one that runs
+            read[key] = globals()[_FORMED_BY[key]](self)
+        return read[key]
 
     def vector(self, pair) -> list:
         """The m-vector a X + b G of a pair (a, b)."""
         return _combine(pair, self.basis[0])
-
-    def harmonic(self, tol: float) -> bool:
-        """Whether grad lambda = g / F^2 vanishes: g = p X - 2 W G is the sum
-        of the terms (p, 0) and (0, -2 W), which cancel wherever lambda is
-        constant, judged by :func:`vanishes` on the basis."""
-        p, w = self.g
-        return vanishes(((p, 0), (0, w)), tol, self.basis[1])
 
 
 def _gram_norm_sq(xx, xG, GG, pair):
@@ -426,7 +434,7 @@ def _geometry_algebra(m, c1, D, W, F, qs, xx, xG, GG) -> tuple:
     return g, gg, Lb, grad_Lb, (p * gg + W * gH[0], W * gH[1])
 
 
-def _cl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
+def _cl_from_geometry(g: ConformalGeometry) -> ResidualVector:
     # lapbar lam, -m/2 c1 lam, m/2 c2 lam^3 and ((m-4)/2) |gradbar lam|^2 / lam
     # over Kn / (8 Kd^3 D^4 F^3); the middle two are two terms since they
     # cancel where lam is constant, at an isometry of a curved space form
@@ -436,10 +444,10 @@ def _cl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     t2 = (-4 * m * D4 * g.c1 * Kd2 * W * F * F,)
     t3 = (4 * m * D4 * g.c2 * Kn * Kn * W**3,)
     t4 = ((m - 4) * Kd2 * W * g.gg,)
-    return ResidualVector(g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3, t4], tol, _SCALAR)
+    return ResidualVector(g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3, t4], _SCALAR)
 
 
-def _sdl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
+def _sdl_from_geometry(g: ConformalGeometry) -> ResidualVector:
     # lam gradbar lapbar lam, -3 lapbar lam gradbar lam, -((m-4)/2) gradbar
     # |gradbar lam|^2 and 2 (m-1) c1 lam gradbar lam over Kn^2 W^2 / (16 Kd^2 D^8 F^5)
     m, W, F, D4 = g.m, g.W, g.F, g.D4
@@ -449,10 +457,10 @@ def _sdl_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     c = 8 * (m - 1) * g.c1 * D4 * F * F * W
     t4 = [c * v for v in g.g]
     num = (g.Kn * W) ** 2
-    return ResidualVector(g, num, 16 * g.Kd**2 * D4 * D4 * F**5, [t1, t2, t3, t4], tol, g.basis)
+    return ResidualVector(g, num, 16 * g.Kd**2 * D4 * D4 * F**5, [t1, t2, t3, t4], g.basis)
 
 
-def _nd_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
+def _nd_from_geometry(g: ConformalGeometry) -> ResidualVector:
     # 2 gradbar(lam lapbar lam), -4 lapbar lam gradbar lam and
     # [2 m c2 lam^2 + (m-2) c1] lam gradbar lam over Kn^2 W^2 / (16 Kd^4 D^8 F^5)
     m, W, F, D4, Kn, Kd = g.m, g.W, g.F, g.D4, g.Kn, g.Kd
@@ -463,10 +471,10 @@ def _nd_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     c = 4 * D4 * W * (2 * m * g.c2 * Kn * Kn * W * W + (m - 2) * g.c1 * Kd2 * F * F)
     t3 = [c * v for v in g.g]
     num = (Kn * W) ** 2
-    return ResidualVector(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol, g.basis)
+    return ResidualVector(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], g.basis)
 
 
-def _nd2_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
+def _nd2_from_geometry(g: ConformalGeometry) -> ResidualVector:
     # (m-4) gradbar |gradbar lam|^2, 4 lapbar lam gradbar lam and
     # [(2-3m) c1 lam + 2 m c2 lam^3] gradbar lam over Kn^2 W^2 / (16 Kd^4 D^8 F^5);
     # the last two are two terms since they cancel where m = 4, c1 = 0
@@ -477,53 +485,25 @@ def _nd2_from_geometry(g: ConformalGeometry, tol) -> ResidualVector:
     c = 4 * D4 * W * ((2 - 3 * m) * g.c1 * Kd2 * F * F + 2 * m * g.c2 * Kn * Kn * W * W)
     t3 = [c * v for v in g.g]
     num = (Kn * W) ** 2
-    return ResidualVector(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], tol, g.basis)
+    return ResidualVector(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], g.basis)
 
 
-class _Residuals(Mapping):
-    """CL, SDL, ND, ND2 and the harmonicity flag at one point, each formed
-    the first time its key is read and then kept: a verdict stops reading
-    the flag at its first non-harmonic point."""
-
-    # the function forming each residual, looked up on the module by name
-    # when its key is first read, so a replaced module function is the one
-    # that runs
-    _FORMED_BY = {
-        "CL": "_cl_from_geometry",
-        "SDL": "_sdl_from_geometry",
-        "ND": "_nd_from_geometry",
-        "ND2": "_nd2_from_geometry",
-    }
-
-    def __init__(self, geometry: ConformalGeometry, tol: float):
-        self._geometry, self._tol = geometry, tol
-        self._formed = {}
-
-    def __getitem__(self, key):
-        if key not in self._formed:
-            if key == "harmonic":
-                self._formed[key] = self._geometry.harmonic(self._tol)
-            else:
-                self._formed[key] = globals()[self._FORMED_BY[key]](self._geometry, self._tol)
-        return self._formed[key]
-
-    def __iter__(self):
-        return iter((*self._FORMED_BY, "harmonic"))
-
-    def __len__(self) -> int:
-        return len(self._FORMED_BY) + 1
+def _harmonic_from_geometry(g: ConformalGeometry) -> bool:
+    # grad lambda = g / F^2, and g = p X - 2 W G is the sum of the terms
+    # (p, 0) and (0, -2 W), which cancel wherever lambda is constant
+    p, w = g.g
+    return vanishes(((p, 0), (0, w)), g.tol, g.basis[1])
 
 
-def evaluate_residuals(instance: ConformalInstance, x, tol: float = DEFAULT_FLOAT_TOL) -> Mapping:
-    """All four residuals plus the harmonicity flag, from one ``ConformalGeometry``.
+# the module function forming each reading of a ConformalGeometry
+_FORMED_BY = {"CL": "_cl_from_geometry", "SDL": "_sdl_from_geometry", "ND": "_nd_from_geometry",
+              "ND2": "_nd2_from_geometry", "harmonic": "_harmonic_from_geometry"}
 
-    Exact at an integer point or a sequence of rationals x, float at a point
-    with a float coordinate.  The geometry is formed here; each residual and
-    the flag is formed when its key of the returned mapping is first read, so
-    a caller that reads only CL, the flag and SDL (a verdict) never forms ND
-    or ND2.
-    """
-    return _Residuals(ConformalGeometry(instance, x), tol)
+
+def evaluate_residuals(instance: ConformalInstance, x, tol: float = DEFAULT_FLOAT_TOL) -> ConformalGeometry:
+    """The ``ConformalGeometry`` of x, keyed by the four residuals and the
+    harmonicity flag; exact unless a coordinate of x is a float."""
+    return ConformalGeometry(instance, x, tol)
 
 
 # -- flat-target polyharmonicity ---------------------------------------------

@@ -101,12 +101,14 @@ def sample_points(plan, instance: ConformalInstance) -> list[IntegerPoint]:
     without m coordinates or off the admissible region is a ``ConfigError``;
     each becomes its integers over the lcm of its denominators.  Otherwise
     rejection sampling draws coordinates radius * n/16 with integers
-    |n| <= 16 until ``count`` admissible distinct points are found or the
-    retry budget is exhausted.  A draw is screened on its integers n, and an
-    accepted one is kept as r n over the one denominator 16 * den(radius),
-    r = num(radius); the radius is positive, so distinct n are distinct
-    points.  No point is formed as rationals: reports print them.  Both
-    paths test admissibility with one :func:`_screen` per denominator.
+    |n| <= 16 until ``count`` admissible distinct points are found; it
+    raises once the retry budget is spent or all 33^m lattice points n
+    have been drawn, and a count above 33^m is a ``ConfigError`` before any
+    draw.  A draw is screened on its integers n, and an accepted one is
+    kept as r n over the one denominator 16 * den(radius), r = num(radius);
+    the radius is positive, so distinct n are distinct points.  No point is
+    formed as rationals: reports print them.  Both paths test admissibility
+    with one :func:`_screen` per denominator.
     """
     if plan.points is not None:
         out = []
@@ -120,27 +122,39 @@ def sample_points(plan, instance: ConformalInstance) -> list[IntegerPoint]:
                 raise ConfigError(f"explicit point {point} is not admissible for this instance")
             out.append(IntegerPoint(N, den))
         return out
+    m = instance.dim
+    lattice = require_lattice(plan.count, m)
     radius = plan.radius if plan.radius is not None else _default_radius(instance.domain)
     r_num = radius.numerator
     den = _POINT_MAX_DEN * radius.denominator
     admissible = _screen(instance, plan.exclusion, den, r_num)
     rng = random.Random(f"polyharm:points:{plan.seed}")
-    m = instance.dim
     found: list[IntegerPoint] = []
     seen = set()
     budget = _REJECTION_FACTOR * plan.count
     for _ in range(budget):
         n = tuple([_randint(rng, -_POINT_MAX_DEN, _POINT_MAX_DEN) for _ in range(m)])
         if n in seen:
+            # once every lattice point is seen, every draw is a repeat
+            if len(seen) == lattice:
+                break
             continue
         seen.add(n)
         if admissible(n):
             found.append(IntegerPoint([r_num * v for v in n], den))
             if len(found) == plan.count:
                 return found
-    raise AdmissibleRegionError(
-        f"found {len(found)}/{plan.count} admissible points within {budget} draws"
-    )
+    where = f"all {lattice} lattice points" if len(seen) == lattice else f"{budget} draws"
+    raise AdmissibleRegionError(f"found {len(found)}/{plan.count} admissible points within {where}")
+
+
+def require_lattice(count: int, m: int) -> int:
+    """The 33^m points of the draw lattice at dimension m, refusing a count
+    of random points above it: no budget of draws could find them."""
+    lattice = (2 * _POINT_MAX_DEN + 1) ** m
+    if count > lattice:
+        raise ConfigError(f"{count} sample points asked for, but the m = {m} draw lattice holds {lattice}")
+    return lattice
 
 
 def _flat_sample_point(rng: random.Random, mmap: MobiusMap) -> IntegerPoint:

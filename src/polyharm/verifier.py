@@ -26,7 +26,7 @@ from .errors import AdmissibleRegionError, ConfigError
 from .mobius import ConformalInstance, MobiusMap
 from .rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
 from .residuals import DEFAULT_FLOAT_TOL
-from .sampling import _flat_sample_point, _randint, random_mobius, sample_points
+from .sampling import _flat_sample_point, _randint, random_mobius, require_lattice, sample_points
 from .spaceform import SpaceFormModel, _reduce_through_constructor
 
 log = logging.getLogger("polyharm")
@@ -135,7 +135,7 @@ def _coordinates(x, mode: str):
 # -- verdicts ------------------------------------------------------------------
 
 
-def _verdict(evals: list[dict]) -> tuple[str, list[str]]:
+def _verdict(evals: list[residuals.ConformalGeometry]) -> tuple[str, list[str]]:
     """Classify one instance from its ``evaluate_residuals`` results."""
     warnings: list[str] = []
     if not all(e["CL"].exact_zero for e in evals):
@@ -206,6 +206,7 @@ def sweep_biharmonic(
     _require_dimensions(m_values)
     _require_int("seed", seed)
     _require_samples(trials=trials, points=points)
+    require_lattice(points, min(m_values))
     cells = []
     for m in m_values:
         for c1, c2 in pairs:

@@ -1,7 +1,9 @@
 """Residual evaluators: conservation law, identity chain, closed forms."""
 
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -533,11 +535,43 @@ class TestVanishesBoundary:
         assert residuals.vanishes(terms, 0.25 if norm_sq is None else 0.5, norm_sq)
         assert not residuals.vanishes(terms, 0.2 if norm_sq is None else 0.45, norm_sq)
 
+    def test_coefficients_are_scaled_before_squaring(self):
+        # squared as they are, 1e-300 underflows to a zero norm on a zero
+        # scale, 1e200 overflows, and on a pair basis reads inf <= tol * inf;
+        # a subnormal largest coefficient is scaled as far as a double goes
+        assert not residuals.vanishes([(0.0, 0.0), (0.0, 1e-300)], 1e-9)
+        assert not residuals.vanishes([(1e200,), (0.0,)], 1e-9)
+        assert not residuals.vanishes([(1e200, 0.0)], 1e-9, lambda c: c[0] * c[0] + c[1] * c[1])
+        assert not residuals.vanishes([(5e-324,), (0.0,)], 1e-9)
+        assert residuals.vanishes([(1e200, 1e-300), (-1e200, -1e-300)], 1e-9)
+
     def test_only_a_zero_sum_is_zero_without_cancellation(self):
         # terms that are 0.0 are a zero sum on a zero scale; a sum that is
         # its one nonzero term is never within tol < 1 of it
         assert residuals.vanishes([(0.0, 0.0), (0.0, 0.0)], 1e-9)
         assert not residuals.vanishes([(0.0, 0.0), (0.0, 1e-100)], 1e-9)
+
+
+class TestEvaluatedPointLifetime:
+    """A residual keeps its geometry's fields, not the geometry, which keeps
+    the residual: an evaluated point is no reference cycle, and reference
+    counting frees it with the cyclic collector off."""
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_freed_by_reference_counting(self, mode):
+        inst, pts = make_instance("point-lifetime", 5, 1, -1, 2, style=1)
+        e = evaluate_residuals(inst, floats(pts[0]) if mode == FLOAT else pts[0])
+        gc.disable()
+        try:
+            e["harmonic"]
+            for name in ("CL", "SDL", "ND", "ND2"):
+                rv = e[name]
+                rv.values, rv.norm, rv.scale, rv.exact_zero
+            point = weakref.ref(e)
+            del e, rv
+            assert point() is None
+        finally:
+            gc.enable()
 
 
 class TestIntegerPoints:
@@ -1128,7 +1162,7 @@ class TestOneZeroRule:
         y = _flat_sample_point(rng, mmap)
         judged()
         readers = {
-            "harmonic": lambda: geo.harmonic(residuals.DEFAULT_FLOAT_TOL),
+            "harmonic": lambda: geo["harmonic"],
             **{name: lambda rv=evals[name]: rv.exact_zero for name in ("CL", "SDL", "ND", "ND2")},
             "polyharmonic": lambda: _polyharmonic_point(mmap, 2, y, mode, residuals.DEFAULT_FLOAT_TOL),
             "chain": lambda: _chain_identity_battery(mode, residuals.DEFAULT_FLOAT_TOL),
@@ -1186,7 +1220,7 @@ class TestGeometryAlgebraEveryM:
                     sym.m = m
                     sym.g, sym.gg, sym.Lb, sym.grad_Lb, sym.Gamma = fields
                     sums = {
-                        name: [sp.expand(sum(col)) for col in zip(*form(sym, 0.0).terms)]
+                        name: [sp.expand(sum(col)) for col in zip(*form(sym).terms)]
                         for name, form in (
                             ("CL", _cl_from_geometry),
                             ("SDL", _sdl_from_geometry),

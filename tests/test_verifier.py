@@ -277,6 +277,30 @@ class TestSampling:
         with pytest.raises(AdmissibleRegionError):
             sample_points(SamplePlan(seed=1, count=4, radius=rational(1, 8)), inst)
 
+    def test_count_above_the_draw_lattice_is_refused_before_any_draw(self, monkeypatch):
+        # the sampler draws n in [-16, 16]^m, 33^3 = 35937 points at m = 3:
+        # no budget finds one more, so the plan and the sweep refuse it
+        def refuse(*args):
+            raise AssertionError("drew before refusing the count")
+
+        monkeypatch.setattr(sampling, "_randint", refuse)
+        monkeypatch.setattr("polyharm.verifier._randint", refuse)
+        with pytest.raises(ConfigError, match="draw lattice holds 35937"):
+            sample_points(SamplePlan(seed=1, count=33**3 + 1), self._instance(3))
+        with pytest.raises(ConfigError, match="draw lattice holds 35937"):
+            sweep_biharmonic(m_values=(4, 3), trials=1, points=33**3 + 1)
+
+    def test_exhausted_lattice_raises_within_the_budget(self, monkeypatch):
+        # the hyperbolic disc holds fewer than the 33^2 = 1089 lattice points
+        # of m = 2: once each has been drawn, no further draw can add one,
+        # and the sampler stops long before its 400 * 1089 draws
+        calls = []
+        monkeypatch.setattr(sampling, "_randint", lambda rng, lo, hi: calls.append(lo) or _randint(rng, lo, hi))
+        inst = ConformalInstance(SpaceFormModel.hyperbolic(2), SpaceFormModel.flat(2), MobiusMap.inversion(2))
+        with pytest.raises(AdmissibleRegionError, match="all 1089 lattice points"):
+            sample_points(SamplePlan(seed=0, count=1089), inst)
+        assert len(calls) // 2 < 400 * 1089 // 20
+
 
 def _screen(instance, x, exclusion) -> bool:
     """The sampler's admissibility verdict on one explicit point."""
@@ -1069,10 +1093,10 @@ class TestSelftest:
         # the identity chain battery must catch it in either mode
         original = residuals._nd2_from_geometry
 
-        def mutated(g, tol):
+        def mutated(g):
             g.Gamma = tuple(-v for v in g.Gamma)
             try:
-                return original(g, tol)
+                return original(g)
             finally:
                 g.Gamma = tuple(-v for v in g.Gamma)
 
@@ -1112,9 +1136,9 @@ def _count_residual_calls(monkeypatch) -> dict:
     counts = dict.fromkeys(_RESIDUAL_FUNCTIONS, 0)
 
     def counted(name, original):
-        def form(g, tol):
+        def form(g):
             counts[name] += 1
-            return original(g, tol)
+            return original(g)
 
         return form
 
@@ -1256,6 +1280,24 @@ class TestFloatBoundary:
         (entry,) = json.loads(capsys.readouterr().out)["instances"]
         assert entry["verdict"] == "not-biharmonic"
 
+    def test_float_check_skips_a_point_whose_doubles_leave_the_chart(self):
+        # 1 - 2^-60 lies inside the unit ball, but its double is 1.0, on the
+        # hyperbolic chart's boundary: float mode skips that point with a
+        # warning and classifies from the others; exact mode keeps all three
+        mmap = MobiusMap.build(a=_zeros(3), b=_zeros(3), k=1, epsilon=0)
+        inst = ConformalInstance(SpaceFormModel.hyperbolic(3), SpaceFormModel.flat(3), mmap)
+        edge = (1 - Fraction(1, 2**60), 0, 0)
+        plan = SamplePlan(points=(edge, ("1/2", 0, 0), (0, "1/3", "1/4")))
+        exact, flt = run_check(inst, plan), run_check(inst, plan, mode=FLOAT)
+        assert len(exact["points"]) == 3 and not exact["warnings"]
+        assert [p["point"] for p in flt["points"]] == [p["point"] for p in exact["points"][1:]]
+        (warning,) = flt["warnings"]
+        assert warning.startswith(f"skipped {format_rational(edge[0])} 0/1 0/1: ")
+        assert warning.endswith("outside the hyperbolic chart")
+        assert flt["verdict"] == exact["verdict"] == "not-biharmonic"
+        with pytest.raises(AdmissibleRegionError, match="every sampled point was skipped"):
+            run_check(inst, SamplePlan(points=(edge,)), mode=FLOAT)
+
 
 class TestReports:
     def _report(self, seed=3):
@@ -1293,6 +1335,27 @@ class TestReports:
         lines = [l for l in text.strip().splitlines()]
         assert len(lines) == 1 + 4  # header + one row per sampled point
 
+    def test_polyharmonic_rows_read_every_trial(self, monkeypatch):
+        # with trial 1 disagreeing with trial 0 on every flag, a row prints
+        # "mixed" where it once printed trial 0's values
+        original = polyharm.verifier._polyharmonic_point
+        calls = []
+
+        def second_trial_flipped(*args):
+            calls.append(args)
+            flags = original(*args)
+            return tuple(not f for f in flags) if len(calls) == 2 else flags
+
+        def rows():
+            body = sweep_polyharmonic(orders=(2,), m_values=(4,), trials=2)
+            rep = ResidualReport(kind="sweep-polyharmonic", mode=EXACT, seed=0, body=body, exit_code=0)
+            return render_report(rep, "csv").splitlines()[1:]
+
+        assert rows() == ["2,4,True,True,True,True,True,True"]
+        monkeypatch.setattr(polyharm.verifier, "_polyharmonic_point", second_trial_flipped)
+        assert rows() == ["2,4,True,mixed,True,mixed,mixed,False"]
+        assert len(calls) == 2
+
     def test_timing_never_serialized(self):
         rep = self._report()
         rep.timing = 123.456
@@ -1317,6 +1380,10 @@ class TestReports:
 
 
 class TestCli:
+    def test_points_beyond_the_draw_lattice_exit_two(self, capsys):
+        assert main(["sweep-biharmonic", "--m-max", "3", "--points", "40000"]) == 2
+        assert "draw lattice holds 35937" in capsys.readouterr().err
+
     def test_check_exit_zero_and_report_file(self, tmp_path, capsys):
         cfg = _write(tmp_path, _inversion_config(expect="proper-biharmonic"))
         out = tmp_path / "report.json"
