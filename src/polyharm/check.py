@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import time
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -16,7 +17,9 @@ from .rationals import EXACT, format_rational, rational
 from .residuals import DEFAULT_FLOAT_TOL
 from .sampling import sample_points
 from .spaceform import SpaceFormModel
-from .verifier import SamplePlan, _coordinates, _map_dict, _point_list, _require_dimensions, _verdict, log, require_mode
+from .verifier import SamplePlan, _coordinates, _map_dict, _point_list, _require_dimensions, _verdict, require_mode
+
+log = logging.getLogger("polyharm")
 
 
 class ConfiguredInstance(NamedTuple):

@@ -30,17 +30,15 @@ of two isotropic quadratics, which ``factor_quadratic`` reads off the
 integers of the map parameters once per instance
 (``ConformalInstance.factor``); the residual kernel of
 :mod:`polyharm.residuals` works from that quotient alone.  It is the one
-route to the factor in the package.  ``conformality_check`` tests it
-against the map itself: the closed Jacobian of phi and the target weight at
-phi(x) from ``apply_point``, the one map-application route.
-For curved targets lambda collapses to the closed forms
+route to the factor in the package, and no verdict forms phi(x).  The
+tests check the quotient against the map itself (the closed Jacobian of phi
+and the target weight at phi(x)) and against the closed forms
 
     2c * w(x) / (s*c^2 + |x - d|^2),    s = +1 sphere target, -1 hyperbolic,
 
-with w = 1/sigma and (c, d) rational functions of the map parameters; those
-reduced parameters are what the classification arguments manipulate, and
-``reduced_parameters`` provides them as an independent cross-check of the
-quotient.
+that lambda collapses to on curved targets, with w = 1/sigma and (c, d)
+rational functions of the map parameters, the reduced parameters the
+classification arguments manipulate.
 
 Everything here is exact: A is integers over one denominator (drawn maps
 take signed permutations and Cayley transforms of rational skew matrices),
@@ -57,7 +55,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import spaceform
-from .errors import ChartDomainError, MapValidationError, SingularDivisionError
+from .errors import MapValidationError
 from .rationals import integer_vector, rational
 from .spaceform import SpaceFormModel
 
@@ -236,18 +234,6 @@ def validate(mmap: MobiusMap) -> MobiusMap:
     return mmap
 
 
-class ReducedFactorParams(NamedTuple):
-    """Center d, scale c and denominator sign of a curved-target factor.
-
-    The factor of the map into the sphere (sign +1) or ball (sign -1) chart is
-    2c * w_domain(x) / (sign * c^2 + |x - d|^2).
-    """
-
-    c: object
-    d: Vector
-    sign: int
-
-
 class FactorQuadratic(NamedTuple):
     """The factor as lambda(x) = kappa * w(x) * den / Q(x - a), in integers.
 
@@ -277,9 +263,9 @@ def factor_quadratic(target: SpaceFormModel, mmap: MobiusMap) -> FactorQuadratic
 
     so on a curved target Q = |u|^2 (1 + c2 |phi|^2) for eps = 2 and
     Q = 1 + c2 |phi|^2 for eps = 0.  The reduced parameters are not used, so
-    ``reduced_parameters`` stays an independent route.  alpha = 0, exactly
-    when c2 = -1 and |b| = 1, leaves the reduced factor undefined and is
-    refused here, the one such check on the verdict path.
+    the tests' reduced-parameter closed form stays an independent route.
+    alpha = 0, exactly when c2 = -1 and |b| = 1, leaves the reduced factor
+    undefined and is refused here, the one such check on the verdict path.
     """
     c2 = target.curvature
     k = mmap.k
@@ -346,95 +332,3 @@ class ConformalInstance(_Instance):
     @property
     def dim(self) -> int:
         return self.domain.dim
-
-
-# -- evaluation ---------------------------------------------------------------
-
-
-def apply_point(mmap: MobiusMap, x: Vector) -> Vector:
-    """phi(x) on exact scalars, k A u = (k/D) N u with A = N/D."""
-    N, D = mmap.A_integers
-    u = tuple(xi - ai for xi, ai in zip(x, mmap.a))
-    kD = rational(mmap.k, D)
-    v = tuple(kD * sum(map(operator.mul, row, u)) for row in N)
-    if mmap.epsilon == 0:
-        return tuple(bi + vi for bi, vi in zip(mmap.b, v))
-    f = sum(ui * ui for ui in u)
-    if not f:
-        raise SingularDivisionError("map is singular at x = a")
-    return tuple(bi + vi / f for bi, vi in zip(mmap.b, v))
-
-
-def reduced_parameters(mmap: MobiusMap, target: SpaceFormModel) -> ReducedFactorParams:
-    """Closed-form (c, d, sign) of the curved-target factor for this map."""
-    if target.curvature == 0:
-        raise MapValidationError("reduced parameters exist for curved targets only")
-    sign = target.curvature
-    N, D = mmap.A_integers
-    at_b = tuple(rational(sum(map(operator.mul, col, mmap.b)), D) for col in zip(*N))
-    if mmap.epsilon == 2:
-        den = 1 + sign * sum(v * v for v in mmap.b)
-        if not den:
-            raise MapValidationError("|b| = 1 leaves the hyperbolic-target factor undefined")
-        c = mmap.k / den
-        d = tuple(ai - sign * c * v for ai, v in zip(mmap.a, at_b))
-    else:
-        c = sign * 1 / mmap.k
-        d = tuple(ai - v / mmap.k for ai, v in zip(mmap.a, at_b))
-    return ReducedFactorParams(c=c, d=d, sign=sign)
-
-
-def conformality_check(
-    domain: SpaceFormModel, target: SpaceFormModel, mmap: MobiusMap, x: Vector
-) -> bool:
-    """Exact check of phi^* h = lambda^2 g at a point from the closed Jacobian.
-
-    With u = x - a and f = |u|^2 the chart expression of the map has Jacobian
-    J = k A (eps = 0) or J = (k/f) A (I - 2 u u^T/f) (eps = 2).  The pullback
-    condition reads rho(phi(x))^2 J^T J = lambda(x)^2 sigma(x)^2 I, with
-    lambda read off ``factor_quadratic`` (the verdict's own factor) and phi(x)
-    from ``apply_point``.  It is verified cross-multiplied on exact scalars,
-    so no square root appears.
-    """
-    if not spaceform.in_domain(domain, x):
-        raise ChartDomainError(f"point outside the {domain.name} chart")
-    y = apply_point(mmap, x)  # raises on the singular set x = a
-    m = mmap.dim
-    # rho^2 and sigma^2 as exact quotients: rho = 2/(1 + c|y|^2), sigma likewise.
-    rho_num, rho_den = (
-        (rational(2), 1 + target.curvature * sum(v * v for v in y))
-        if target.curvature
-        else (rational(1), rational(1))
-    )
-    if rho_den <= 0:
-        raise ChartDomainError("image point outside the target chart")
-    sig_num, sig_den = (
-        (rational(2), 1 + domain.curvature * sum(v * v for v in x))
-        if domain.curvature
-        else (rational(1), rational(1))
-    )
-    # lambda = kappa w den / Q(u), with w = 1/sigma the domain chart weight
-    fq = factor_quadratic(target, mmap)
-    u = [xi - ai for xi, ai in zip(x, mmap.a)]
-    f = sum(v * v for v in u)
-    Q = fq.value + 2 * sum(g * v for g, v in zip(fq.linear, u)) + fq.square * f
-    lam = fq.kappa * fq.den * sig_den / (sig_num * Q)
-    N, D = mmap.A_integers
-    kD = rational(mmap.k, D)
-    if mmap.epsilon == 0:
-        jac = [[kD * v for v in row] for row in N]  # jac[i][j] = d phi_i / d x_j
-    else:
-        # (k/f) A (I - 2 u u^T/f) = (k/(D f^2)) N (f I - 2 u u^T), A = N/D
-        Nu = [sum(map(operator.mul, row, u)) for row in N]
-        c = kD / (f * f)
-        jac = [[c * (f * N[i][j] - 2 * Nu[i] * u[j]) for j in range(m)] for i in range(m)]
-    # rho^2 * (J^T J)_{pq} * sig_den^2 == lam^2 * sig_num^2 * rho_den^2 * delta_{pq}
-    lhs_scale = rho_num * rho_num * sig_den * sig_den
-    rhs_scale = lam * lam * sig_num * sig_num * rho_den * rho_den
-    for p in range(m):
-        for q in range(m):
-            entry = sum(jac[i][p] * jac[i][q] for i in range(m))
-            want = rhs_scale if p == q else 0
-            if lhs_scale * entry != want:
-                return False
-    return True

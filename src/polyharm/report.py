@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
 
 from .errors import ConfigError
-from .verifier import log
+
+log = logging.getLogger("polyharm")
 
 REPORT_SCHEMA_ID = "polyharm-report/1"
 METHOD_NOTE = (

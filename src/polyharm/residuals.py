@@ -255,7 +255,7 @@ def _norm(values) -> float:
     return math.sqrt(sum(float(v) ** 2 for v in values))
 
 
-def vanishes(terms, tol: float, norm_sq=None) -> bool:
+def vanishes(terms, tol: float, norm_sq=None, sum_norm_sq=None) -> bool:
     """The zero decision every flag rests on, one rule for both modes.
 
     ``terms`` are the coefficient tuples, over one basis, of the terms that
@@ -263,14 +263,19 @@ def vanishes(terms, tol: float, norm_sq=None) -> bool:
     None meaning the standard basis.  Exact (no coefficient of the sum is a
     float): the sum is literally zero, norm_sq(sum) = 0 on any basis, a
     degenerate one too, and every component 0 on the standard one, so no
-    rational is squared.  Float: the sum's norm is at most ``tol`` times the
-    summed norms of the terms, which its rounding error follows where it
-    vanishes, so callers keep terms that cancel apart; a zero scale admits
-    only a zero sum.  Where a square overflows, or the scale is below 2^-256
-    (above it no square that underflows moves the test at a tol over
-    2^-255), every coefficient is first scaled by the power of two of the
-    largest, clamped where subnormal: exact, as norm_sq is homogeneous.
+    rational is squared.  A caller that already holds norm_sq(sum) passes it
+    as ``sum_norm_sq``: unless it is a float, it is the whole exact test and
+    the sum is not formed; float mode never reads it.  Float: the sum's norm
+    is at most ``tol`` times the summed norms of the terms, which its
+    rounding error follows where it vanishes, so callers keep terms that
+    cancel apart; a zero scale admits only a zero sum.  Where a square
+    overflows, or the scale is below 2^-256 (above it no square that
+    underflows moves the test at a tol over 2^-255), every coefficient is
+    first scaled by the power of two of the largest, clamped where
+    subnormal: exact, as norm_sq is homogeneous.
     """
+    if sum_norm_sq is not None and type(sum_norm_sq) is not float:
+        return not sum_norm_sq
     # reduce, not sum: a one-term sum is that term, with no rational formed
     total = [reduce(operator.add, col) for col in zip(*terms)]
     if float not in map(type, total):
@@ -490,9 +495,10 @@ def _nd2_from_geometry(g: ConformalGeometry) -> ResidualVector:
 
 def _harmonic_from_geometry(g: ConformalGeometry) -> bool:
     # grad lambda = g / F^2, and g = p X - 2 W G is the sum of the terms
-    # (p, 0) and (0, -2 W), which cancel wherever lambda is constant
+    # (p, 0) and (0, -2 W), which cancel wherever lambda is constant; its
+    # squared norm is gg, which an exact flag reads
     p, w = g.g
-    return vanishes(((p, 0), (0, w)), g.tol, g.basis[1])
+    return vanishes(((p, 0), (0, w)), g.tol, g.basis[1], g.gg)
 
 
 # the module function forming each reading of a ConformalGeometry

@@ -78,11 +78,3 @@ class SpaceFormModel(_Chart):
         if name not in _CURVATURE_OF:
             raise ShapeMismatchError(f"unknown model {name!r}")
         return cls(dim, _CURVATURE_OF[name])
-
-
-def in_domain(model: SpaceFormModel, x) -> bool:
-    """True when the point lies in the chart (|x| < 1 on the ball model)."""
-    if model.curvature >= 0:
-        return True
-    s = sum(v * v for v in x)
-    return s < 1

@@ -14,9 +14,9 @@ never serialized.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -28,8 +28,6 @@ from .rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
 from .residuals import DEFAULT_FLOAT_TOL
 from .sampling import _flat_sample_point, _randint, random_mobius, require_lattice, sample_points
 from .spaceform import SpaceFormModel, _reduce_through_constructor
-
-log = logging.getLogger("polyharm")
 
 _MAP_RETRIES = 10
 
@@ -154,6 +152,16 @@ def _verdict(evals: list[residuals.ConformalGeometry]) -> tuple[str, list[str]]:
     return "not-biharmonic", warnings
 
 
+def _progress(msg: str, *args) -> None:
+    """A sweep's per-cell INFO line on the "polyharm" logger.  Until something
+    imports logging, no level or handler can let an INFO record out, so the
+    line goes through logging only once it is loaded, and a sweep never loads
+    it: the CLI and pytest's ``caplog`` import it before any sweep runs."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("polyharm").info(msg, *args)
+
+
 # -- biharmonic sweep ------------------------------------------------------------
 
 
@@ -243,7 +251,7 @@ def sweep_biharmonic(
                         "match": all(t["proper"] == expected for t in trial_out),
                     }
                 )
-                log.info(
+                _progress(
                     "biharmonic cell m=%d c1=%d c2=%d eps=%d: %s, match=%s (%.3fs)",
                     m, c1, c2, epsilon, cells[-1]["verdict"], cells[-1]["match"], time.perf_counter() - start,
                 )
@@ -328,7 +336,7 @@ def sweep_polyharmonic(
                     ),
                 }
             )
-            log.info(
+            _progress(
                 "polyharmonic cell k=%d m=%d: match=%s (%.3fs)",
                 order, m, cells[-1]["match"], time.perf_counter() - start,
             )

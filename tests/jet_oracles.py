@@ -1,11 +1,14 @@
-"""Dense-jet oracles: the conformal factor, the map and the curved operators
-as truncated Taylor series of :mod:`polyharm.jets`.
+"""Independent oracles: the conformal factor, the map and the curved
+operators as truncated Taylor series of :mod:`polyharm.jets`, and the map on
+exact points with its two closed-form cross-checks.
 
 No verdict reads these routes.  The package computes the factor once, as
 lambda = P/Q (``mobius.factor_quadratic``), and forms the curved operators on
 integers (``residuals.ConformalGeometry``); the tests compare that route with
 the jets built here, which compose the map and its factors in the textbook
-way.  Import it as ``conftest`` is imported.
+way, with ``conformality_check`` (the pullback identity from the closed
+Jacobian of phi and phi(x) from ``apply_point``) and with the factor rebuilt
+from ``reduced_parameters``.  Import it as ``conftest`` is imported.
 
 The curved operators are written through the reciprocal chart factor
 w = 1/sigma, the quadratic (1 + c|x|^2)/2 for curvature c != 0 with gradient
@@ -23,14 +26,25 @@ Each operator forms w and its other factors at the degree of its result
 
 from __future__ import annotations
 
-from polyharm import jets, spaceform
-from polyharm.errors import ChartDomainError, NonpositiveFactorError, SingularDivisionError
+import operator
+from typing import NamedTuple
+
+from polyharm import jets
+from polyharm.errors import ChartDomainError, MapValidationError, NonpositiveFactorError, SingularDivisionError
 from polyharm.jets import Jet
-from polyharm.mobius import Matrix, MobiusMap, ReducedFactorParams, Vector, apply_point
+from polyharm.mobius import Matrix, MobiusMap, Vector, factor_quadratic
 from polyharm.rationals import rational
 from polyharm.spaceform import SpaceFormModel
 
 # -- space-form scalars and curved operators ---------------------------------
+
+
+def in_domain(model: SpaceFormModel, x) -> bool:
+    """True when the point lies in the chart (|x| < 1 on the ball model)."""
+    if model.curvature >= 0:
+        return True
+    s = sum(v * v for v in x)
+    return s < 1
 
 
 def scal(model: SpaceFormModel) -> int:
@@ -57,7 +71,7 @@ def inv_sigma_jet(model: SpaceFormModel, x: tuple[Jet, ...]) -> Jet:
 def sigma_jet(model: SpaceFormModel, x: tuple[Jet, ...]) -> Jet:
     """Jet of the chart factor sigma at the base point of x."""
     base = tuple(j.value() for j in x)
-    if not spaceform.in_domain(model, base):
+    if not in_domain(model, base):
         raise ChartDomainError(f"point outside the {model.name} chart")
     if model.curvature == 0:
         return x[0].constant_like(1)
@@ -168,7 +182,7 @@ def conformal_factor(
     which needs A exactly orthogonal (``validate`` certifies it).
     """
     base = tuple(j.value() for j in x)
-    if not spaceform.in_domain(domain, base):
+    if not in_domain(domain, base):
         raise ChartDomainError(f"base point outside the {domain.name} chart")
     k = mmap.k
     u0 = tuple(xi - ai for xi, ai in zip(base, mmap.a))
@@ -208,7 +222,7 @@ def conformal_factor_value(
     domain: SpaceFormModel, target: SpaceFormModel, mmap: MobiusMap, x: Vector
 ):
     """lambda(x) on exact scalars; raises where the factor is undefined."""
-    if not spaceform.in_domain(domain, x):
+    if not in_domain(domain, x):
         raise ChartDomainError(f"point outside the {domain.name} chart")
     if mmap.epsilon == 2:
         f = sum((xi - ai) ** 2 for xi, ai in zip(x, mmap.a))
@@ -238,3 +252,107 @@ def closed_form_factor(
         raise SingularDivisionError("closed-form factor singular at this point")
     w = inv_sigma_jet(domain, x)
     return w.scale(2 * params.c) / denom
+
+
+# -- the map on exact points and its closed-form cross-checks ----------------
+
+
+class ReducedFactorParams(NamedTuple):
+    """Center d, scale c and denominator sign of a curved-target factor.
+
+    The factor of the map into the sphere (sign +1) or ball (sign -1) chart is
+    2c * w_domain(x) / (sign * c^2 + |x - d|^2).
+    """
+
+    c: object
+    d: Vector
+    sign: int
+
+
+def apply_point(mmap: MobiusMap, x: Vector) -> Vector:
+    """phi(x) on exact scalars, k A u = (k/D) N u with A = N/D."""
+    N, D = mmap.A_integers
+    u = tuple(xi - ai for xi, ai in zip(x, mmap.a))
+    kD = rational(mmap.k, D)
+    v = tuple(kD * sum(map(operator.mul, row, u)) for row in N)
+    if mmap.epsilon == 0:
+        return tuple(bi + vi for bi, vi in zip(mmap.b, v))
+    f = sum(ui * ui for ui in u)
+    if not f:
+        raise SingularDivisionError("map is singular at x = a")
+    return tuple(bi + vi / f for bi, vi in zip(mmap.b, v))
+
+
+def reduced_parameters(mmap: MobiusMap, target: SpaceFormModel) -> ReducedFactorParams:
+    """Closed-form (c, d, sign) of the curved-target factor for this map."""
+    if target.curvature == 0:
+        raise MapValidationError("reduced parameters exist for curved targets only")
+    sign = target.curvature
+    N, D = mmap.A_integers
+    at_b = tuple(rational(sum(map(operator.mul, col, mmap.b)), D) for col in zip(*N))
+    if mmap.epsilon == 2:
+        den = 1 + sign * sum(v * v for v in mmap.b)
+        if not den:
+            raise MapValidationError("|b| = 1 leaves the hyperbolic-target factor undefined")
+        c = mmap.k / den
+        d = tuple(ai - sign * c * v for ai, v in zip(mmap.a, at_b))
+    else:
+        c = sign * 1 / mmap.k
+        d = tuple(ai - v / mmap.k for ai, v in zip(mmap.a, at_b))
+    return ReducedFactorParams(c=c, d=d, sign=sign)
+
+
+def conformality_check(
+    domain: SpaceFormModel, target: SpaceFormModel, mmap: MobiusMap, x: Vector
+) -> bool:
+    """Exact check of phi^* h = lambda^2 g at a point from the closed Jacobian.
+
+    With u = x - a and f = |u|^2 the chart expression of the map has Jacobian
+    J = k A (eps = 0) or J = (k/f) A (I - 2 u u^T/f) (eps = 2).  The pullback
+    condition reads rho(phi(x))^2 J^T J = lambda(x)^2 sigma(x)^2 I, with
+    lambda read off ``factor_quadratic`` (the verdict's own factor) and phi(x)
+    from ``apply_point``.  It is verified cross-multiplied on exact scalars,
+    so no square root appears.
+    """
+    if not in_domain(domain, x):
+        raise ChartDomainError(f"point outside the {domain.name} chart")
+    y = apply_point(mmap, x)  # raises on the singular set x = a
+    m = mmap.dim
+    # rho^2 and sigma^2 as exact quotients: rho = 2/(1 + c|y|^2), sigma likewise.
+    rho_num, rho_den = (
+        (rational(2), 1 + target.curvature * sum(v * v for v in y))
+        if target.curvature
+        else (rational(1), rational(1))
+    )
+    if rho_den <= 0:
+        raise ChartDomainError("image point outside the target chart")
+    sig_num, sig_den = (
+        (rational(2), 1 + domain.curvature * sum(v * v for v in x))
+        if domain.curvature
+        else (rational(1), rational(1))
+    )
+    # lambda = kappa w den / Q(u), with w = 1/sigma the domain chart weight
+    fq = factor_quadratic(target, mmap)
+    u = [xi - ai for xi, ai in zip(x, mmap.a)]
+    f = sum(v * v for v in u)
+    Q = fq.value + 2 * sum(g * v for g, v in zip(fq.linear, u)) + fq.square * f
+    lam = fq.kappa * fq.den * sig_den / (sig_num * Q)
+    N, D = mmap.A_integers
+    kD = rational(mmap.k, D)
+    if mmap.epsilon == 0:
+        jac = [[kD * v for v in row] for row in N]  # jac[i][j] = d phi_i / d x_j
+    else:
+        # (k/f) A (I - 2 u u^T/f) = (k/(D f^2)) N (f I - 2 u u^T), A = N/D
+        Nu = [sum(map(operator.mul, row, u)) for row in N]
+        c = kD / (f * f)
+        jac = [[c * (f * N[i][j] - 2 * Nu[i] * u[j]) for j in range(m)] for i in range(m)]
+    # rho^2 * (J^T J)_{pq} * sig_den^2 == lam^2 * sig_num^2 * rho_den^2 * delta_{pq}
+    lhs_scale = rho_num * rho_num * sig_den * sig_den
+    rhs_scale = lam * lam * sig_num * sig_num * rho_den * rho_den
+    for p in range(m):
+        for q in range(m):
+            entry = sum(jac[i][p] * jac[i][q] for i in range(m))
+            want = rhs_scale if p == q else 0
+            if lhs_scale * entry != want:
+                return False
+    return True

@@ -21,13 +21,10 @@ from polyharm.mobius import (
     ConformalInstance,
     FactorQuadratic,
     MobiusMap,
-    apply_point,
     cayley_integers,
-    conformality_check,
     factor_quadratic,
     integer_matrix,
     is_orthogonal_integers,
-    reduced_parameters,
     signed_permutation_integers,
     validate,
 )
@@ -38,15 +35,18 @@ from polyharm.verifier import CURVATURE_PAIRS, random_mobius
 from conftest import exact_norm_sq, make_instance, rand_point, rand_rat, rng_for
 from jet_oracles import (
     apply_jet,
+    apply_point,
     closed_form_factor,
     conformal_factor,
     conformal_factor_value,
+    conformality_check,
     euclidean_factor,
     fraction_matrix,
     inv_sigma_jet,
     laplace_beltrami,
     mat_mul,
     mat_vec,
+    reduced_parameters,
     transpose,
 )
 

@@ -1173,6 +1173,33 @@ class TestOneZeroRule:
                 read()
 
 
+class TestHarmonicFlagReadsGg:
+    """The exact harmonic flag reads |g|^2 off the geometry's ``gg``, through
+    ``vanishes``, and forms no squared norm again; a float flag reads its own
+    orthogonalised norm, never a float ``sum_norm_sq``."""
+
+    def test_exact_flag_forms_no_norm(self):
+        def refuse(pair):
+            raise AssertionError("the exact harmonic flag formed |g|^2 again")
+
+        flags = []
+        for c1, c2 in CURVATURE_PAIRS:
+            for eps in (0, 2):
+                inst, pts = _sweep_instance(f"flag-reads-gg:{c1}:{c2}:{eps}", 4, c1, c2, eps, 1, 2)
+                for x in pts:
+                    geo = ConformalGeometry(inst, x)
+                    geo.basis = (geo.basis[0], refuse)
+                    flags.append(geo["harmonic"])
+                    assert flags[-1] == (not any(geo.vector(geo.g)))
+        assert set(flags) == {True, False}
+
+    def test_sum_norm_sq_read_in_exact_mode_only(self):
+        assert residuals.vanishes([(1,), (0,)], 1e-9, None, 0)
+        assert not residuals.vanishes([(0,), (0,)], 1e-9, None, 1)
+        assert residuals.vanishes([(1.0,), (-1.0,)], 1e-9, None, 4.0)
+        assert not residuals.vanishes([(1.0,), (0.0,)], 1e-9, None, 0.0)
+
+
 class TestVerdictFormsNoVector:
     """A verdict, exact or float, reads CL, the harmonic flag and SDL off
     scalars and pairs: no vector beyond X, U and G is formed."""

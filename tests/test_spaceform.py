@@ -7,12 +7,13 @@ from polyharm import jets
 from polyharm.errors import ChartDomainError, ShapeMismatchError
 from polyharm.jets import seed
 from polyharm.rationals import rational
-from polyharm.spaceform import SpaceFormModel, in_domain
+from polyharm.spaceform import SpaceFormModel
 
 from conftest import rand_point, rand_rat, rng_for
 from jet_oracles import (
     grad_bar,
     grad_norm_sq_bar,
+    in_domain,
     inv_sigma_jet,
     laplace_beltrami,
     ricci_scale,

@@ -32,7 +32,7 @@ from polyharm.errors import (
     PolyharmError,
     ShapeMismatchError,
 )
-from polyharm.mobius import ConformalInstance, MobiusMap, apply_point
+from polyharm.mobius import ConformalInstance, MobiusMap
 from polyharm.rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
 from polyharm.report import ResidualReport, emit_report, render_report
 from polyharm.sampling import _randint
@@ -52,7 +52,7 @@ from polyharm.verifier import (
 )
 
 from conftest import rng_for
-from jet_oracles import conformal_factor_value, fraction_matrix
+from jet_oracles import apply_point, conformal_factor_value, fraction_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -1545,7 +1545,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "module",
         [
-            "numpy", "polyharm.jets", "dataclasses", "inspect",
+            "numpy", "polyharm.jets", "dataclasses", "inspect", "logging",
             "json", "csv", "polyharm.check", "polyharm.selftest", "polyharm.report",
             # the tests' symbolic oracle, never a runtime import
             "sympy",
@@ -1567,6 +1567,36 @@ class TestCli:
         run = _fresh_python("-c", code)
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["False", "polyharm.jets"]
+
+    def test_sweeps_never_load_logging(self):
+        # a sweep's per-cell line goes through logging only once something
+        # else has loaded it, so a round of the sweeps pays no logging import;
+        # the map's uncalled cross-checks are the tests' oracles, not the package's
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import polyharm\n"
+            "from polyharm import mobius, spaceform\n"
+            "from polyharm.verifier import sweep_biharmonic, sweep_polyharmonic\n"
+            "bih = sweep_biharmonic(m_values=(4,), pairs=((1, 1),), eps_values=(2,), trials=1, points=1)\n"
+            "ph = sweep_polyharmonic(orders=(2,), m_values=(4,))\n"
+            "print(len(bih['cells']), len(ph['cells']), bih['all_match'] and ph['all_match'])\n"
+            "print('logging' in set(sys.modules) - before)\n"
+            "names = ('apply_point', 'reduced_parameters', 'conformality_check', 'ReducedFactorParams', 'in_domain')\n"
+            "print(*sorted(n for n in names if hasattr(mobius, n) or hasattr(spaceform, n)))\n"
+        )
+        run = _fresh_python("-c", code)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["1 1 True", "False", ""]
+
+    def test_cli_logs_cells_of_a_package_imported_first(self):
+        # ``python -m`` imports the package before the CLI imports logging and
+        # configures it, an order that caplog never exercises
+        argv = ["-m", "polyharm", "sweep-biharmonic", "-v", "--m-min", "3", "--m-max", "3", "--trials", "1", "--points", "1"]
+        run = _fresh_python(*argv)
+        assert run.returncode == 0, run.stderr
+        lines = [line for line in run.stderr.splitlines() if line.startswith("INFO:polyharm:biharmonic cell m=3 ")]
+        assert len(lines) == 18 and all(re.search(r"\(\d+\.\d{3}s\)$", line) for line in lines), run.stderr
 
     @pytest.mark.parametrize(
         "argv, loaded, absent",
