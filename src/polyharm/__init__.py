@@ -9,7 +9,8 @@ for the polyharmonic one) with the curved operators on integers,
 :mod:`polyharm.sampling` the seeded map and point draws, also on integers,
 and :mod:`polyharm.verifier` plans, verdicts and sweeps.  The other
 commands' modules, :mod:`polyharm.check`, :mod:`polyharm.selftest` and
-:mod:`polyharm.report`, the jets and :mod:`logging` load on use, not here.
+:mod:`polyharm.report`, and the jets load on use, not here; no command loads
+:mod:`logging` but under the CLI's ``-v`` or for check's skipped-point warning.
 :mod:`polyharm.jets` is truncated Taylor arithmetic off the verdict path: the
 tests build their dense-jet oracles on it, and selftest checks it;
 ``polyharm.jets`` resolves through the module ``__getattr__`` below.  The

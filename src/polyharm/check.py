@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import time
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -17,9 +16,9 @@ from .rationals import EXACT, format_rational, rational
 from .residuals import DEFAULT_FLOAT_TOL
 from .sampling import sample_points
 from .spaceform import SpaceFormModel
-from .verifier import SamplePlan, _coordinates, _map_dict, _point_list, _require_dimensions, _verdict, require_mode
-
-log = logging.getLogger("polyharm")
+from .verifier import (
+    SamplePlan, _coordinates, _map_dict, _point_list, _progress, _require_dimensions, _verdict, require_mode,
+)
 
 
 class ConfiguredInstance(NamedTuple):
@@ -173,8 +172,10 @@ def run_check(
             e = residuals.evaluate_residuals(instance, _coordinates(x, mode), tol)
         except PolyharmError as exc:
             # admissibility screening makes this unreachable for seeded plans,
-            # but explicit plan points can graze singular sets in float mode
-            log.warning("skipping point %s: %s", _point_list(x), exc)
+            # but explicit plan points can graze singular sets in float mode;
+            # logging loads here, so the warning reaches stderr without -v
+            import logging
+            logging.getLogger("polyharm").warning("skipping point %s: %s", _point_list(x), exc)
             skipped.append(f"skipped {' '.join(_point_list(x))}: {exc}")
             continue
         evals.append(e)
@@ -214,7 +215,7 @@ def check_report_body(
     for i, ci in enumerate(configured):
         start = time.perf_counter()
         instances.append(run_check(ci.instance, plan, mode=mode, tol=tol, expect=ci.expect))
-        log.info(
+        _progress(
             "check instance %d: %s, match=%s (%.3fs)",
             i, instances[-1]["verdict"], instances[-1].get("match"), time.perf_counter() - start,
         )

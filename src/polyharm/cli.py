@@ -7,10 +7,8 @@ Exit codes: 0 all expected verdicts, 1 verdict or invariant mismatch,
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
-import time
 from pathlib import Path
 
 from . import report, verifier
@@ -27,13 +25,22 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--points", type=int, default=None, help="sample points per instance")
 
 
+def _tol(text: str) -> float:
+    """``--tol``'s type: for any value not strictly between 0 and 1, nan and
+    text that is no number included, argparse names the flag and exits 2."""
+    try:
+        if 0 < float(text) < 1:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text!r}")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
     parser.add_argument("--out", type=Path, default=None, help="write the report to this file")
     parser.add_argument("--format", choices=("json", "csv", "table"), default=None)
-    parser.add_argument(
-        "--tol", type=float, default=None, help="relative zero threshold (float mode only)"
-    )
+    parser.add_argument("--tol", type=_tol, default=None, help="relative zero threshold (float mode only)")
     parser.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -44,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Exact verification of conformal biharmonic and polyharmonic "
             "classifications between space forms"
         ),
+        epilog="Flags follow the command: polyharm selftest -v, not polyharm -v selftest.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -127,10 +135,6 @@ def _run(args) -> int:
     if args.tol is not None and args.mode != FLOAT:
         raise ConfigError("--tol only applies to --mode float")
     tol = DEFAULT_FLOAT_TOL if args.tol is None else args.tol
-    # each command checks both again; here a bad --tol is named by its flag
-    # before any config is read
-    verifier.require_mode(args.mode, tol, "--tol")
-    t0 = time.perf_counter()
     seed, body, ok = args.run(args, tol)
     result = report.ResidualReport(
         kind=args.command,
@@ -138,7 +142,6 @@ def _run(args) -> int:
         seed=seed,
         body=body,
         exit_code=0 if ok else 1,
-        timing=time.perf_counter() - t0,
         tol=tol if args.mode == FLOAT else None,
     )
     fmt = args.format or (args.out.suffix.lstrip(".") if args.out and args.out.suffix in (".json", ".csv") else None)
@@ -160,7 +163,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage error (2) or --help (0)
         return exc.code
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    if args.verbose:
+        import logging  # only here: without -v nothing logs but check's skip warning
+        logging.basicConfig(level=logging.INFO)
     try:
         return _run(args)
     except ConfigError as exc:

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import logging
 from pathlib import Path
 
 from .errors import ConfigError
-
-log = logging.getLogger("polyharm")
 
 REPORT_SCHEMA_ID = "polyharm-report/1"
 METHOD_NOTE = (
@@ -19,20 +16,11 @@ METHOD_NOTE = (
 
 
 class ResidualReport:
-    """A finished run: payload is serialized, timing is logged only."""
+    """A finished run: what its report prints, and nothing timed."""
 
-    def __init__(
-        self,
-        kind: str,
-        mode: str,
-        seed: int | None,
-        body: dict,
-        exit_code: int,
-        timing: float = 0.0,
-        tol: float | None = None,
-    ):
+    def __init__(self, kind: str, mode: str, seed: int | None, body: dict, exit_code: int, tol: float | None = None):
         self.kind, self.mode, self.seed, self.body = kind, mode, seed, body
-        self.exit_code, self.timing, self.tol = exit_code, timing, tol
+        self.exit_code, self.tol = exit_code, tol
 
     def payload(self) -> dict:
         doc = {
@@ -130,5 +118,4 @@ def emit_report(report: ResidualReport, fmt: str = "json", path=None) -> str:
     text = render_report(report, fmt)
     if path is not None:
         Path(path).write_text(text)
-        log.info("report written to %s (%.2fs)", path, report.timing)
     return text

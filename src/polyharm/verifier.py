@@ -8,8 +8,8 @@ exact zeros on a sample grid paired with the closed-form cross-checks certify
 identities.  Reports record this caveat in their ``method`` field.
 
 Everything is deterministic: random draws come from stream-named seeds, and
-reports are byte-stable for a fixed (config, seed, mode).  Timing is logged,
-never serialized.
+reports are byte-stable for a fixed (config, seed, mode).  No report carries
+a time: a cell's time is in its ``_progress`` line only.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
 from .residuals import DEFAULT_FLOAT_TOL
 from .sampling import _flat_sample_point, _randint, random_mobius, require_lattice, sample_points
 from .spaceform import SpaceFormModel, _reduce_through_constructor
-
-_MAP_RETRIES = 10
 
 CURVATURE_PAIRS = tuple((c1, c2) for c1 in (-1, 0, 1) for c2 in (-1, 0, 1))
 
@@ -153,10 +151,11 @@ def _verdict(evals: list[residuals.ConformalGeometry]) -> tuple[str, list[str]]:
 
 
 def _progress(msg: str, *args) -> None:
-    """A sweep's per-cell INFO line on the "polyharm" logger.  Until something
-    imports logging, no level or handler can let an INFO record out, so the
-    line goes through logging only once it is loaded, and a sweep never loads
-    it: the CLI and pytest's ``caplog`` import it before any sweep runs."""
+    """A sweep cell's or a checked instance's INFO line on the "polyharm"
+    logger.  Until something imports logging, no level or handler can let an
+    INFO record out, so the line goes through logging only once it is loaded,
+    and no command loads it for this: the CLI under -v and pytest's ``caplog``
+    import it before any cell runs."""
     logging = sys.modules.get("logging")
     if logging is not None:
         logging.getLogger("polyharm").info(msg, *args)
@@ -179,17 +178,15 @@ def _sweep_instance(
     domain = SpaceFormModel(m, c1)
     target = SpaceFormModel(m, c2)
     rng = random.Random(rng_tag)
-    for attempt in range(_MAP_RETRIES):
-        mmap = random_mobius(rng, m, target, epsilon, style)
-        instance = ConformalInstance(domain=domain, target=target, map=mmap)
-        plan = SamplePlan(seed=_randint(rng, 0, 2**31), count=points)
-        try:
-            return instance, sample_points(plan, instance)
-        except AdmissibleRegionError:
-            continue
-    raise AdmissibleRegionError(
-        f"no admissible map after {_MAP_RETRIES} draws for cell m={m} c1={c1} c2={c2} eps={epsilon}"
-    )
+    mmap = random_mobius(rng, m, target, epsilon, style)
+    instance = ConformalInstance(domain=domain, target=target, map=mmap)
+    plan = SamplePlan(seed=_randint(rng, 0, 2**31), count=points)
+    try:
+        return instance, sample_points(plan, instance)
+    except AdmissibleRegionError as exc:
+        # one map per trial: no measured first draw has failed here, and a
+        # count the region cannot hold only fails again with every redraw
+        raise AdmissibleRegionError(f"cell m={m} c1={c1} c2={c2} eps={epsilon}: {exc}") from None
 
 
 def sweep_biharmonic(
@@ -389,15 +386,15 @@ def _require_pair(name: str, pair) -> None:
         raise ConfigError(f"a {name} is (c1, c2), got {pair!r}")
 
 
-def require_mode(mode: str, tol: float, tol_name: str = "tol") -> None:
+def require_mode(mode: str, tol: float) -> None:
     """Refuse an unknown mode, which would run exact under another name, and
     a tol that is not an int or float in (0, 1): a residual's norm never
     exceeds its scale, so from tol = 1 on every float residual counts as
-    zero.  ``tol_name`` is how the caller calls tol in its message."""
+    zero."""
     if mode not in (EXACT, FLOAT):
         raise ConfigError(f"unknown mode {mode!r}, expected {EXACT!r} or {FLOAT!r}")
     if not (isinstance(tol, (int, float)) and 0 < tol < 1):
-        raise ConfigError(f"{tol_name} must lie strictly between 0 and 1, got {tol!r}")
+        raise ConfigError(f"tol must lie strictly between 0 and 1, got {tol!r}")
 
 
 def _require_dimensions(m_values: tuple) -> None:

@@ -259,6 +259,26 @@ class TestSampling:
         _sweep_instance("polyharm:test:validate-once", 4, 0, 0, 2, 2, 3)
         assert len(calls) == 1
 
+    def test_sweep_instance_draws_one_map_and_names_the_cell(self, monkeypatch):
+        # a sampler refusal is the cell's error after one map: no measured
+        # first draw was refused, and a count the region cannot hold is
+        # refused again for every redraw
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return random_mobius(*args)
+
+        def starved(plan, instance):
+            raise AdmissibleRegionError("found 2/3 admissible points within 4000 draws")
+
+        monkeypatch.setattr("polyharm.verifier.random_mobius", counted)
+        monkeypatch.setattr("polyharm.verifier.sample_points", starved)
+        with pytest.raises(AdmissibleRegionError) as info:
+            sweep_biharmonic(m_values=(5,), pairs=((-1, 1),), eps_values=(0,), trials=1, points=3)
+        assert len(draws) == 1
+        assert str(info.value) == "cell m=5 c1=-1 c2=1 eps=0: found 2/3 admissible points within 4000 draws"
+
     def test_explicit_points_validated(self):
         inst = self._instance()
         good = SamplePlan(points=((rational(1), 0, 0, 0),))
@@ -1298,6 +1318,24 @@ class TestFloatBoundary:
         with pytest.raises(AdmissibleRegionError, match="every sampled point was skipped"):
             run_check(inst, SamplePlan(points=(edge,)), mode=FLOAT)
 
+    def test_float_check_cli_warns_of_the_skip_without_verbose(self, tmp_path):
+        # without -v the CLI configures no logging; the skipped point still
+        # reaches stderr, through logging's last-resort handler
+        edge = format_rational(1 - Fraction(1, 2**60))
+        cfg = {
+            "domain": {"model": "hyperbolic", "dim": 3},
+            "target": {"model": "flat", "dim": 3},
+            "map": {"a": _zeros(3), "b": _zeros(3), "k": "1", "epsilon": 0},
+            "sample": {"points": [[edge, "0", "0"], ["1/2", "0", "0"], ["0", "1/3", "1/4"]]},
+        }
+        run = _fresh_python("-m", "polyharm", "check", str(_write(tmp_path, cfg)), "--mode", "float", "--format", "json")
+        assert run.returncode == 0, run.stderr
+        (entry,) = json.loads(run.stdout)["instances"]
+        (warning,) = entry["warnings"]
+        assert warning.startswith(f"skipped {edge} 0/1 0/1: ")
+        (line,) = run.stderr.splitlines()
+        assert f"skipping point ['{edge}', '0/1', '0/1']: " in line and line.endswith("outside the hyperbolic chart")
+
 
 class TestReports:
     def _report(self, seed=3):
@@ -1421,6 +1459,23 @@ class TestCli:
         assert main(["check", str(cfg), "--mode", "float"]) == 1
         assert main(["check", str(cfg), "--mode", "float", f"--tol={tol}"]) == 2
         assert "--tol" in capsys.readouterr().err
+
+    def test_tol_refused_before_the_config_is_read(self, tmp_path, capsys):
+        # argparse checks --tol as it parses: a missing config is never reached
+        assert main(["check", str(tmp_path / "absent.json"), "--mode", "float", "--tol", "many"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --tol: must lie strictly between 0 and 1, got 'many'" in err
+        assert "config file not found" not in err
+
+    def test_flags_follow_the_command(self, capsys):
+        # the common flags belong to each command, not to the top level
+        window = ["--m-min", "3", "--m-max", "3", "--trials", "1", "--points", "1"]
+        before = _fresh_python("-m", "polyharm", "-v", "sweep-biharmonic", *window)
+        assert before.returncode == 2 and "unrecognized arguments: -v" in before.stderr
+        after = _fresh_python("-m", "polyharm", "sweep-biharmonic", "-v", *window)
+        assert after.returncode == 0, after.stderr
+        assert main(["--help"]) == 0
+        assert "Flags follow the command" in capsys.readouterr().out
 
     def test_out_dir_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("POLYHARM_OUT_DIR", str(tmp_path / "reports"))
@@ -1602,19 +1657,20 @@ class TestCli:
         "argv, loaded, absent",
         [
             # the default table format needs neither serializer
-            (["sweep-biharmonic", "--m-min", "3", "--m-max", "3"], [], ["polyharm.check", "polyharm.selftest", "json", "csv"]),
-            (["check", str(GOLDEN / "curved_check.json")], ["polyharm.check"], ["polyharm.selftest"]),
-            (["selftest"], ["polyharm.selftest"], []),
+            (["sweep-biharmonic", "--m-min", "3", "--m-max", "3"], [], ["polyharm.check", "polyharm.selftest", "json", "csv", "logging"]),
+            (["check", str(GOLDEN / "curved_check.json")], ["polyharm.check"], ["polyharm.selftest", "logging"]),
+            (["selftest"], ["polyharm.selftest"], ["logging"]),
         ],
         ids=["sweep-biharmonic", "check", "selftest"],
     )
     def test_command_loads_only_its_modules(self, argv, loaded, absent):
-        # a sweep compiles neither the config reader nor the selftest batteries
+        # a sweep compiles neither the config reader nor the selftest batteries,
+        # and no command loads logging without -v
         code = (
             "import sys\n"
             "from polyharm.cli import main\n"
             f"code = main({argv!r})\n"
-            "print(code, *sorted(m for m in sys.modules if m.startswith('polyharm.') or m in ('json', 'csv')), file=sys.stderr)\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('polyharm.') or m in ('json', 'csv', 'logging')), file=sys.stderr)\n"
         )
         run = _fresh_python("-c", code)
         assert run.returncode == 0, run.stderr
