@@ -32,9 +32,15 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import DegreeError, ShapeMismatchError, SingularDivisionError
-from .rationals import coerce, scalar_of
+from .rationals import rational, scalar_of
 
 MultiIndex = tuple  # exponent tuple (beta_1, ..., beta_m), all entries >= 0
+
+
+def coerce(value, scalar: type):
+    """Convert a number into ``scalar``, ``float`` or ``Fraction``; an exact
+    value refuses floats, as :func:`~polyharm.rationals.rational` does."""
+    return float(value) if scalar is float else rational(value)
 
 
 def _of_total(nvars: int, total: int):

@@ -62,12 +62,6 @@ def scalar_of(values) -> type:
     return float if any(isinstance(v, float) for v in values) else Fraction
 
 
-def coerce(value, scalar: type):
-    """Convert a number into ``scalar``, ``float`` or ``Fraction``; an exact
-    value refuses floats, as :func:`rational` does."""
-    return float(value) if scalar is float else rational(value)
-
-
 def integer_vector(values) -> tuple[list, int]:
     """(N, D) with values = N/D: D the lcm of the denominators, N integers."""
     D = math.lcm(*(v.denominator for v in values))

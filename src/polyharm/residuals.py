@@ -153,21 +153,26 @@ F = |U|^2 = D^2 R and k A = A_num / den_A over integers,
 
     Delta^k phi(x0) = D^(2k+1) N_k A_num U / (den_A F^(k+1))   (plus b at k = 0),
 
-one rational per component.  The affine branch (eps = 0) is the same formula
-with F = D^2, N_0 = 1 and N_k = 0 for k >= 1.  ``closed_form_coefficient``
-is the independent closed form of N_k for the inversive family,
+integer terms over one positive denominator (at k = 0, b's integers join
+over the product of the two), N_k cached per (m, top).  The affine branch
+(eps = 0) is the same formula with F = D^2, N_0 = 1 and N_k = 0 for k >= 1.
+``closed_form_coefficient`` is the independent closed form of N_k for the
+inversive family,
 
     Delta^k ((x_i - a_i)/|x-a|^2)
         = (-1)^k [2*4...(2k)] [(m-2)(m-4)...(m-2k)] (x_i - a_i)/|x-a|^(2k+2),
 
-and :func:`polyharmonic_closed_form` evaluates it without the recurrence.
+which :func:`polyharmonic_closed_form` evaluates without the recurrence, as
+integers over the same denominator.  The sweep's flags are :func:`vanishes`
+on those integers; a rational is formed only when a value is read, and float
+mode reads the closed form as int/int doubles, rounded as float() rounds.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain
 from typing import Sequence
 
@@ -190,22 +195,22 @@ class ResidualVector:
     ``basis`` is (vectors, norm_sq): each term is a coefficient tuple c over
     the vectors v_i, the vector sum_i c_i v_i, and norm_sq(c) is its squared
     norm c^T Gram c.  The vector residuals use (X, G) and the Gram scalars of
-    ``ConformalGeometry``, the scalar CL the one vector (1,).  Integers, or
-    doubles in float mode.
+    ``ConformalGeometry``, the scalar CL the one vector (1,), Delta^k phi the
+    standard basis, vectors None, where a term is its vector.  Integers, or
+    doubles where ``exact`` is False.
 
     ``exact_zero`` is :func:`vanishes` on the terms, without forming a
     vector: num and den are nonzero (``ConformalGeometry`` raises unless Kn,
     W and F are positive), so a value is 0 exactly when its sum is.
     ``norm`` and ``scale``, which ``check`` reports print, are the norm of
     the value and the summed norms of the terms: exact, of the int/int
-    quotients (num * t)/den, formed with ``sums`` and ``values`` the first
-    time one of them is read; float, |num/den| sqrt(norm_sq) of the
-    coefficients.
+    quotients (num * t)/den, formed with ``sums`` and ``values``, rationals,
+    the first time one of them is read; float, |num/den| sqrt(norm_sq) of
+    the coefficients.
     """
 
-    def __init__(self, g: ConformalGeometry, num, den, terms, basis):
-        # g's fields, not g, which keeps this vector: no cycle per point
-        self._quotient, self._exact, self._tol = g.quotient, g.exact, g.tol
+    def __init__(self, num, den, terms, basis, exact: bool, tol: float = DEFAULT_FLOAT_TOL):
+        self._quotient, self._exact, self._tol = rational if exact else operator.truediv, exact, tol
         self.num, self.den, self.terms = num, den, terms
         self._vectors, self.norm_sq = basis
 
@@ -213,7 +218,7 @@ class ResidualVector:
     def _formed(self) -> tuple:
         # exact sums and scale both read every term vector, and every reader
         # of one reads the other: form them together
-        terms = [_combine(t, self._vectors) for t in self.terms]
+        terms = self.terms if self._vectors is None else [_combine(t, self._vectors) for t in self.terms]
         num, den = self.num, self.den
         return [sum(col) for col in zip(*terms)], sum(_norm([num * v / den for v in t]) for t in terms)
 
@@ -247,8 +252,9 @@ def _combine(coef, vectors) -> list:
     return [reduce(operator.add, map(operator.mul, coef, col)) for col in zip(*vectors)]
 
 
-# the basis of a scalar residual: the one vector (1,) and its squared norm
+# the basis of a scalar residual, the one vector (1,), and the standard one
 _SCALAR = (((1,),), lambda c: c[0] * c[0])
+_STANDARD = (None, lambda c: sum(v * v for v in c))
 
 
 def _norm(values) -> float:
@@ -449,7 +455,7 @@ def _cl_from_geometry(g: ConformalGeometry) -> ResidualVector:
     t2 = (-4 * m * D4 * g.c1 * Kd2 * W * F * F,)
     t3 = (4 * m * D4 * g.c2 * Kn * Kn * W**3,)
     t4 = ((m - 4) * Kd2 * W * g.gg,)
-    return ResidualVector(g, Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3, t4], _SCALAR)
+    return ResidualVector(Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3, t4], _SCALAR, g.exact, g.tol)
 
 
 def _sdl_from_geometry(g: ConformalGeometry) -> ResidualVector:
@@ -462,7 +468,7 @@ def _sdl_from_geometry(g: ConformalGeometry) -> ResidualVector:
     c = 8 * (m - 1) * g.c1 * D4 * F * F * W
     t4 = [c * v for v in g.g]
     num = (g.Kn * W) ** 2
-    return ResidualVector(g, num, 16 * g.Kd**2 * D4 * D4 * F**5, [t1, t2, t3, t4], g.basis)
+    return ResidualVector(num, 16 * g.Kd**2 * D4 * D4 * F**5, [t1, t2, t3, t4], g.basis, g.exact, g.tol)
 
 
 def _nd_from_geometry(g: ConformalGeometry) -> ResidualVector:
@@ -476,7 +482,7 @@ def _nd_from_geometry(g: ConformalGeometry) -> ResidualVector:
     c = 4 * D4 * W * (2 * m * g.c2 * Kn * Kn * W * W + (m - 2) * g.c1 * Kd2 * F * F)
     t3 = [c * v for v in g.g]
     num = (Kn * W) ** 2
-    return ResidualVector(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], g.basis)
+    return ResidualVector(num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], g.basis, g.exact, g.tol)
 
 
 def _nd2_from_geometry(g: ConformalGeometry) -> ResidualVector:
@@ -490,7 +496,7 @@ def _nd2_from_geometry(g: ConformalGeometry) -> ResidualVector:
     c = 4 * D4 * W * ((2 - 3 * m) * g.c1 * Kd2 * F * F + 2 * m * g.c2 * Kn * Kn * W * W)
     t3 = [c * v for v in g.g]
     num = (Kn * W) ** 2
-    return ResidualVector(g, num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], g.basis)
+    return ResidualVector(num, 16 * Kd2 * Kd2 * D4 * D4 * F**5, [t1, t2, t3], g.basis, g.exact, g.tol)
 
 
 def _harmonic_from_geometry(g: ConformalGeometry) -> bool:
@@ -530,15 +536,16 @@ def closed_form_coefficient(m: int, order: int):
     return coeff
 
 
-def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, tuple[tuple, ...]]:
-    """The terms that sum to Delta^k phi(x), per order k of a flat-to-flat map.
+def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, ResidualVector]:
+    """Delta^k phi(x) per order k of a flat-to-flat map, on the standard basis.
 
-    Delta^k phi is the tuple of the iterated Laplacians of the m components,
-    exact at an integer point or a sequence of rationals x and float at a
-    point with a float coordinate.  Its terms, the ones :func:`vanishes`
+    Delta^k phi is the tuple of the iterated Laplacians of the m components:
+    exact at an integer point or a sequence of rationals x, integer terms
+    over one positive denominator, and float at a point with a float
+    coordinate, double terms over 1.  Its terms, the ones :func:`vanishes`
     judges it by, are the map part k A Delta^k (u/|u|^2) alone for k >= 1
-    and that part and b at k = 0: the integer N_k is exact in both modes,
-    so a zero N_k makes every value 0 in either mode.
+    and that part and b at k = 0: N_k is an exact integer in both modes, so
+    a zero N_k makes every value 0 in either mode.
     """
     orders = sorted(set(orders))
     if any(type(k) is not int or k < 0 for k in orders):
@@ -548,33 +555,35 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
         U, D = _offset_integers(point, mmap.a)
         num_A, den_A = mmap.A_integers
         kn, den_A = mmap.k.numerator, den_A * mmap.k.denominator
-        quotient = rational
-        b = mmap.b
     else:
-        D, den_A, quotient = 1, 1, operator.truediv
+        D, den_A = 1, 1
         U = [float(xi) - float(ai) for xi, ai in zip(x, mmap.a)]
         # int / int rounds correctly, as float of the rational n/D does
         num_A, A_den = mmap.A_integers
         num_A = [[v / A_den for v in row] for row in num_A]
         kn = float(mmap.k)
-        b = [float(v) for v in mmap.b]
     # eps = 2: phi = b + k A u/|u|^2; eps = 0: phi = b + k A u, harmonic
     top = orders[-1] if orders else 0
     if mmap.epsilon == 2:
-        F = sum(v * v for v in U)
+        F = sum(map(operator.mul, U, U))
         if not F:
             raise SingularDivisionError("the point lies on the singular set x = a")
         N = _inversion_numerators(mmap.dim, top)
     else:
         F = D * D
         N = (1,) + (0,) * top
-    AU = [kn * sum(a * u for a, u in zip(row, U)) for row in num_A]
-    out: dict[int, tuple[tuple, ...]] = {}
+    AU = [kn * sum(map(operator.mul, row, U)) for row in num_A]
+    out: dict[int, ResidualVector] = {}
     for k in orders:
         c = N[k] * D ** (2 * k + 1)
         den = den_A * F ** (k + 1)
-        vals = tuple(quotient(c * v, den) for v in AU)
-        out[k] = (vals, tuple(b)) if k == 0 else (vals,)
+        terms = [tuple(c * v for v in AU)]
+        if point is None:  # float: the terms are the values, over 1
+            terms, den = [tuple(v / den for v in terms[0])], 1
+        if k == 0:
+            b, b_den = integer_vector(mmap.b) if point is not None else ([float(v) for v in mmap.b], 1)
+            terms, den = [tuple(b_den * v for v in terms[0]), tuple(den * v for v in b)], den * b_den
+        out[k] = ResidualVector(1, den, terms, _STANDARD, point is not None)
     return out
 
 
@@ -588,13 +597,14 @@ def _offset_integers(point, a) -> tuple[list, int]:
     return [u // g for u in U], L // g
 
 
+@lru_cache(maxsize=1024)
 def _inversion_numerators(m: int, top: int) -> tuple[int, ...]:
     """(N_0, ..., N_top): Delta^k (u/|u|^2)(x0) = N_k u0 / R^(k+1), R = |u0|^2.
 
     The pair recurrence of the module docstring on the numerators of the
     coefficients of s^a q^b, over a + 2b <= 2 (top - j) after j steps: the
     pairs the constant term of step top reads.  Integers of (m, top) alone,
-    equal to ``closed_form_coefficient(m, k)`` for k >= 1.
+    equal to ``closed_form_coefficient(m, k)`` for k >= 1: cached.
     """
     g1 = {
         (a, b): (-1) ** (a + b) * math.comb(a + b, a) * 2**a
@@ -618,16 +628,15 @@ def _inversion_numerators(m: int, top: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def polyharmonic_closed_form(mmap: MobiusMap, order: int, x) -> tuple:
-    """Closed-form Delta^k phi for the eps = 2 family (exact scalars).
-
-    The product closed_form_coefficient(m, k) k A u0 / |u0|^(2k+2) on the
-    integers U = D u0 and A = A_num / den_A; it reads no recurrence.
-    """
+def polyharmonic_closed_form(mmap: MobiusMap, order: int, x) -> ResidualVector:
+    """Closed-form Delta^k phi for the eps = 2 family at an exact point x: the
+    product closed_form_coefficient(m, k) k A u0 / |u0|^(2k+2) on the
+    integers U = D u0 and A = A_num / den_A, reading no recurrence, as one
+    integer term over the denominator :func:`polyharmonic_orders` gives."""
     if mmap.epsilon != 2:
         raise MapValidationError("closed form applies to the eps = 2 family")
     U, D = _offset_integers(exact_point(x), mmap.a)
     num_A, den_A = mmap.A_integers
     c = closed_form_coefficient(mmap.dim, order) * mmap.k.numerator * D ** (2 * order + 1)
-    den = den_A * mmap.k.denominator * sum(u * u for u in U) ** (order + 1)
-    return tuple(rational(c * sum(a * u for a, u in zip(row, U)), den) for row in num_A)
+    den = den_A * mmap.k.denominator * sum(map(operator.mul, U, U)) ** (order + 1)
+    return ResidualVector(1, den, [tuple(c * sum(map(operator.mul, row, U)) for row in num_A)], _STANDARD, True)

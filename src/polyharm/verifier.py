@@ -116,7 +116,7 @@ def _map_dict(mmap: MobiusMap) -> dict:
 
 
 def _point_list(x: IntegerPoint) -> list[str]:
-    return [format_rational(v) for v in x.fractions()]
+    return _matrix_text((x.N,), x.den)[0]
 
 
 def _coordinates(x, mode: str):
@@ -301,14 +301,8 @@ def sweep_polyharmonic(
                 rng = random.Random(f"polyharm:ph:{seed}:{order}:{m}:{t}")
                 mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=t)
                 pts = [_flat_sample_point(rng, mmap) for _ in range(points)]
-                zero_k = True
-                zero_prev = True
-                closed_match = True
-                for x in pts:
-                    z_k, z_prev, z_closed = _polyharmonic_point(mmap, order, x, mode, tol)
-                    zero_k &= z_k
-                    zero_prev &= z_prev
-                    closed_match &= z_closed
+                flags = zip(*(_polyharmonic_point(mmap, order, x, mode, tol) for x in pts))
+                zero_k, zero_prev, closed_match = map(all, flags)
                 trial_out.append(
                     {
                         "map": _map_dict(mmap),
@@ -346,14 +340,17 @@ def sweep_polyharmonic(
 
 def _polyharmonic_point(mmap: MobiusMap, order: int, x, mode: str, tol: float) -> tuple:
     """(Delta^k phi = 0, Delta^(k-1) phi = 0, Delta^k phi = closed form) at x,
-    each by ``residuals.vanishes`` on the terms of the value: the closed-form
-    difference has Delta^k phi's terms and the closed form negated."""
-    terms = residuals.polyharmonic_orders(mmap, (order - 1, order), _coordinates(x, mode))
+    each by ``residuals.vanishes`` on the terms of the value: the closed form
+    is one integer term over Delta^k phi's denominator, joined negated, or in
+    float mode as its values, int/int doubles that round as float() does."""
+    value = residuals.polyharmonic_orders(mmap, (order - 1, order), _coordinates(x, mode))
     closed = residuals.polyharmonic_closed_form(mmap, order, x)
+    (c,) = closed.terms
+    neg = tuple(-v for v in c) if mode == EXACT else tuple(-v / closed.den for v in c)
     return (
-        residuals.vanishes(terms[order], tol),
-        residuals.vanishes(terms[order - 1], tol),
-        residuals.vanishes(terms[order] + (tuple(-v for v in closed),), tol),
+        residuals.vanishes(value[order].terms, tol),
+        residuals.vanishes(value[order - 1].terms, tol),
+        residuals.vanishes(value[order].terms + [neg], tol),
     )
 
 

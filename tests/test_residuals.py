@@ -58,11 +58,6 @@ def _flat_pair(m):
     return SpaceFormModel.flat(m), SpaceFormModel.flat(m)
 
 
-def _summed(terms) -> tuple:
-    """The value whose terms ``polyharmonic_orders`` gives: their sum."""
-    return tuple(map(sum, zip(*terms)))
-
-
 class TestFactorConstraint:
     def test_flat_inversive_identity_every_dimension(self):
         # lam*lap(lam) and ((m-4)/2)|grad lam|^2 cancel exactly for k/|x-a|^2
@@ -504,10 +499,10 @@ class TestScalarType:
             assert all(type(v) is float for v in flt[name].values), name
         mmap = random_mobius(rng_for("scalar-type-ph"), 5, SpaceFormModel.flat(5), 2, style=2)
         pt = tuple(ai + rational(1, 2) for ai in mmap.a)
-        for k, terms in polyharmonic_orders(mmap, (0, 1, 2), pt).items():
-            assert all(type(v) is Fraction for v in _summed(terms)), k
-        for k, terms in polyharmonic_orders(mmap, (0, 1, 2), floats(pt)).items():
-            assert all(type(v) is float for v in _summed(terms)), k
+        for k, value in polyharmonic_orders(mmap, (0, 1, 2), pt).items():
+            assert all(type(v) is Fraction for v in value.values), k
+        for k, value in polyharmonic_orders(mmap, (0, 1, 2), floats(pt)).items():
+            assert all(type(v) is float for v in value.values), k
 
     def test_vanishes_is_exact_unless_a_value_is_a_float(self):
         # an exact value is zero only when it is 0, however small against
@@ -611,8 +606,8 @@ class TestIntegerPoints:
             rat = x.fractions()
             got, want = polyharmonic_orders(mmap, (0, 1, 2, 3), x), polyharmonic_orders(mmap, (0, 1, 2, 3), rat)
             for k in got:
-                assert got[k] == want[k], k
-            assert polyharmonic_closed_form(mmap, 3, x) == polyharmonic_closed_form(mmap, 3, rat)
+                assert got[k].values == want[k].values, k
+            assert polyharmonic_closed_form(mmap, 3, x).values == polyharmonic_closed_form(mmap, 3, rat).values
 
 
 class TestHarmonicity:
@@ -631,8 +626,8 @@ class TestHarmonicity:
         mmap = MobiusMap.inversion(6)
         x = (1, rational(1, 2), 0, 0, 0, 0)
         vals = polyharmonic_orders(mmap, (2, 3), x)
-        assert all(v == 0 for v in vals[3][0])
-        assert any(v != 0 for v in vals[2][0])
+        assert all(v == 0 for v in vals[3].values)
+        assert any(v != 0 for v in vals[2].values)
 
 
 class TestPolyharmonic:
@@ -641,12 +636,12 @@ class TestPolyharmonic:
             m = 2 * order
             mmap = MobiusMap.inversion(m)
             pt = tuple([1] + [rational(1, 3)] * (m - 1))
-            assert all(v == 0 for v in polyharmonic_orders(mmap, (order,), pt)[order][0])
+            assert all(v == 0 for v in polyharmonic_orders(mmap, (order,), pt)[order].values)
 
     def test_m6_order2_value_at_unit_point(self):
         mmap = MobiusMap.inversion(6)
         pt = (1, 0, 0, 0, 0, 0)
-        assert polyharmonic_orders(mmap, (2,), pt)[2][0] == (64, 0, 0, 0, 0, 0)
+        assert polyharmonic_orders(mmap, (2,), pt)[2].values == (64, 0, 0, 0, 0, 0)
 
     def test_affine_maps_flat_harmonic_all_orders(self):
         rng = rng_for("ph-affine")
@@ -655,7 +650,7 @@ class TestPolyharmonic:
         )
         pt = rand_point(rng, 5)
         for order in (1, 2, 3):
-            assert all(v == 0 for v in polyharmonic_orders(mmap, (order,), pt)[order][0])
+            assert all(v == 0 for v in polyharmonic_orders(mmap, (order,), pt)[order].values)
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
     def test_closed_form_matches_jets(self, m):
@@ -665,8 +660,24 @@ class TestPolyharmonic:
         mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=m)
         pt = tuple(ai + rand_rat(rng, 2, 2, nonzero=True) for ai in mmap.a)
         for order in (1, 2, 3):
-            got = polyharmonic_orders(mmap, (order,), pt)[order][0]
-            assert tuple(got) == tuple(polyharmonic_closed_form(mmap, order, pt))
+            got = polyharmonic_orders(mmap, (order,), pt)[order].values
+            assert tuple(got) == tuple(polyharmonic_closed_form(mmap, order, pt).values)
+
+
+    @pytest.mark.parametrize("m", [3, 6, 9])
+    def test_closed_form_shares_the_denominator(self, m):
+        # the sweep joins the two routes' terms without a rational: integers,
+        # num 1, over the one denominator; float mode reads the closed form
+        # as int/int doubles, the float of each rational
+        rng = rng_for(f"ph-shared-den-{m}")
+        mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=m % 3)
+        x = _flat_sample_point(rng, mmap)
+        for order in (1, 2, 4):
+            value, closed = polyharmonic_orders(mmap, (order,), x)[order], polyharmonic_closed_form(mmap, order, x)
+            assert value.num == closed.num == 1 and value.den == closed.den > 0
+            assert len(value.terms) == len(closed.terms) == 1
+            assert all(type(v) is int for v in value.terms[0] + closed.terms[0])
+            assert [v / closed.den for v in closed.terms[0]] == [float(q) for q in closed.values]
 
 
 def _jet_route(mmap, orders, x):
@@ -703,7 +714,7 @@ class TestPolyharmonicJetOracle:
         pt = tuple(ai + rand_rat(rng, 2, 3, nonzero=True) for ai in mmap.a)
         orders = (0, 1, 2, 3)
         got = polyharmonic_orders(mmap, orders, pt)
-        assert {k: _summed(terms) for k, terms in got.items()} == _jet_route(mmap, orders, pt)
+        assert {k: value.values for k, value in got.items()} == _jet_route(mmap, orders, pt)
 
     def test_float_within_relative_tolerance(self):
         rng = rng_for("ph-oracle-float")
@@ -714,7 +725,7 @@ class TestPolyharmonicJetOracle:
         for k in (1, 2, 3):
             scale = math.sqrt(sum(v * v for v in want[k]))
             assert scale > 0
-            diff = math.sqrt(sum((a - b) ** 2 for a, b in zip(got[k][0], want[k])))
+            diff = math.sqrt(sum((a - b) ** 2 for a, b in zip(got[k].values, want[k])))
             assert diff <= 1e-12 * scale
 
 
@@ -832,7 +843,7 @@ class TestPolyharmonicTaylorOracle:
         pt = tuple(ai + rand_rat(rng, 2, 3, nonzero=True) for ai in mmap.a)
         orders = (0, 1, 2, 3)
         got = polyharmonic_orders(mmap, orders, pt)
-        assert {k: _summed(terms) for k, terms in got.items()} == _taylor_route(mmap, orders, pt)
+        assert {k: value.values for k, value in got.items()} == _taylor_route(mmap, orders, pt)
 
     def test_numerators_are_the_closed_form(self):
         # Delta^k (u/|u|^2)(x0) = N_k u0 / R^(k+1) with N_k of (m, k) alone
@@ -1279,19 +1290,19 @@ class TestPolyharmonicFloat:
         return mmap, pt, polyharmonic_orders(mmap, (k,), floats(pt))[k]
 
     def test_zero_cell_is_literally_zero(self):
-        _, _, terms = self._cell("ph-float-4-8", 4, 8)
-        (vals,) = terms
+        _, _, value = self._cell("ph-float-4-8", 4, 8)
+        (vals,) = value.terms
         assert all(v == 0.0 and type(v) is float for v in vals)
-        assert residuals.vanishes(terms, 1e-9)
+        assert residuals.vanishes(value.terms, 1e-9)
 
     def test_deep_nonzero_cell_reads_nonzero(self):
         # |N_k| is far below a majorant of the Taylor terms at (8, 11); the
         # one term is the value itself, so a nonzero value is never zero,
         # and against the closed form it cancels to rounding
-        mmap, pt, terms = self._cell("ph-float-8-11", 8, 11)
-        assert not residuals.vanishes(terms, 1e-9)
+        mmap, pt, value = self._cell("ph-float-8-11", 8, 11)
+        assert not residuals.vanishes(value.terms, 1e-9)
         closed = polyharmonic_closed_form(mmap, 8, pt)
-        assert residuals.vanishes(terms + (tuple(-c for c in closed),), 1e-9)
+        assert residuals.vanishes(value.terms + [tuple(-c for c in closed.values)], 1e-9)
 
 
 class TestClosedFormCoefficient:

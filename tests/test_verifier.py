@@ -35,13 +35,14 @@ from polyharm.errors import (
 from polyharm.mobius import ConformalInstance, MobiusMap
 from polyharm.rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
 from polyharm.report import ResidualReport, emit_report, render_report
-from polyharm.sampling import _randint
+from polyharm.sampling import _flat_sample_point, _randint
 from polyharm.selftest import selftest
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
     CURVATURE_PAIRS,
     SamplePlan,
     _map_dict,
+    _polyharmonic_point,
     _sweep_instance,
     expected_polyharmonic_zero,
     expected_proper_biharmonic,
@@ -1026,12 +1027,47 @@ class TestSweeps:
 
         def perturbed(mmap, orders, x):
             out = original(mmap, orders, x)
-            return {k: (tuple(v + 1 for v in terms[0]), *terms[1:]) for k, terms in out.items()}
+            for value in out.values():
+                value.terms = [tuple(v + 1 for v in value.terms[0]), *value.terms[1:]]
+            return out
 
         assert sweep_polyharmonic(orders=(2,), m_values=(4,))["all_match"]
         monkeypatch.setattr(residuals, "polyharmonic_orders", perturbed)
         (cell,) = sweep_polyharmonic(orders=(2,), m_values=(4,))["cells"]
         assert not cell["trials"][0]["zero"] and not cell["match"]
+
+    @staticmethod
+    def _one_factor_off(original):
+        # (m - 2k) read as (m - 2k - 1), the product's last factor; a zero
+        # cell with m < 2k keeps another zero factor, so the window below
+        # holds none
+        def off(m, order):
+            return -2 * order * (m - 2 * order - 1) * (original(m, order - 1) if order > 1 else 1)
+
+        return off
+
+    @staticmethod
+    def _one_numerator_off(original):
+        def off(m, top):
+            N = original(m, top)
+            return N[:-1] + (N[-1] + 1,)
+
+        return off
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("name, perturb", [("closed_form_coefficient", "_one_factor_off"),
+                                               ("_inversion_numerators", "_one_numerator_off")])
+    def test_closed_form_cross_check_runs(self, monkeypatch, mode, name, perturb):
+        # the closed form and the recurrence are two routes: one factor of
+        # the closed form, or the N_k of the recurrence, off by one turns
+        # every inversive cell's cross-check False; the sweep runs first, so
+        # the patched N_k reaches it past the cached ones
+        window = dict(orders=(1, 2, 3), m_values=(5, 6, 7), trials=2, mode=mode)
+        assert sweep_polyharmonic(**window)["all_match"]
+        monkeypatch.setattr(residuals, name, getattr(self, perturb)(getattr(residuals, name)))
+        cells = sweep_polyharmonic(**window)["cells"]
+        assert len(cells) == 9 and not any(c["match"] for c in cells)
+        assert not any(t["closed_form_match"] for c in cells for t in c["trials"])
 
     def test_order_eight_at_m16(self):
         # past the default window: the (s, q) recurrence costs the same at any m
@@ -1255,6 +1291,38 @@ class TestNoRationalRoundTrip:
         assert counts[0] == counts[1] and counts[0]["rational"] > 0, counts
 
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_polyharmonic_rationals_do_not_grow_with_points(self, monkeypatch, mode):
+        # the flags are decided on integers, and a trial prints its point
+        # from them: only the map's and the report's rationals are formed
+        counts = [
+            self._counted(
+                monkeypatch,
+                lambda: sweep_polyharmonic(orders=(1, 3), m_values=(5, 6), points=points, seed=3, mode=mode),
+            )
+            for points in (1, 5)
+        ]
+        formed = [(c["rational"], c["Fraction"]) for c in counts]
+        assert formed[0] == formed[1], counts
+
+    def test_exact_polyharmonic_flags_form_no_rational(self, monkeypatch):
+        # with residuals.rational refusing every call, each point gives the
+        # flags it gave before, zero, proper and nonzero cells and k - 1 = 0
+        cases = []
+        for order, m in ((1, 3), (1, 4), (2, 4), (2, 7), (3, 6), (3, 4), (4, 9)):
+            rng = random.Random(f"ph-integer-flags:{order}:{m}")
+            mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=order % 3)
+            cases.append((mmap, order, _flat_sample_point(rng, mmap)))
+        want = [_polyharmonic_point(*case, EXACT, residuals.DEFAULT_FLOAT_TOL) for case in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rational was formed")
+
+        monkeypatch.setattr(residuals, "rational", refuse)
+        assert [_polyharmonic_point(*case, EXACT, residuals.DEFAULT_FLOAT_TOL) for case in cases] == want
+        assert {flags[0] for flags in want} == {True, False}
+
+
 class TestFloatBoundary:
     """Float mode is decided at the verifier: the evaluators are handed the
     floats of the rational sample points, and reports print the rationals."""
@@ -1347,13 +1415,14 @@ class TestReports:
             kind="check", mode=EXACT, seed=seed, body=body, exit_code=0 if body["all_match"] else 1
         )
 
+    @staticmethod
+    def _schema() -> dict:
+        return json.loads((Path(polyharm.__file__).parent / "schemas" / "report.schema.json").read_text())
+
     def test_json_validates_against_shipped_schema(self):
         import jsonschema
-        import polyharm
 
-        schema = json.loads(
-            (Path(polyharm.__file__).parent / "schemas" / "report.schema.json").read_text()
-        )
+        schema = self._schema()
         report = self._report()
         jsonschema.validate(json.loads(render_report(report, "json")), schema)
         bh = sweep_biharmonic(m_values=(4,), pairs=((0, 0),), eps_values=(2,), trials=1, points=3)
@@ -1361,6 +1430,10 @@ class TestReports:
         jsonschema.validate(json.loads(render_report(rep, "json")), schema)
         st = ResidualReport(kind="selftest", mode=EXACT, seed=None, body=selftest(), exit_code=0)
         jsonschema.validate(json.loads(render_report(st, "json")), schema)
+        for mode, tol in ((EXACT, None), (FLOAT, residuals.DEFAULT_FLOAT_TOL)):
+            ph = sweep_polyharmonic(orders=(1, 2), m_values=(3, 4), trials=2, mode=mode)
+            rep = ResidualReport(kind="sweep-polyharmonic", mode=mode, seed=0, body=ph, exit_code=0, tol=tol)
+            jsonschema.validate(json.loads(render_report(rep, "json")), schema)
 
     def test_byte_identical_across_runs(self, tmp_path):
         a = emit_report(self._report(), "json", tmp_path / "a.json")
@@ -1394,11 +1467,25 @@ class TestReports:
         assert rows() == ["2,4,True,mixed,True,mixed,mixed,False"]
         assert len(calls) == 2
 
-    def test_timing_never_serialized(self):
-        rep = self._report()
-        rep.timing = 123.456
-        assert "123.456" not in render_report(rep, "json")
-        assert "timing" not in json.loads(render_report(rep, "json"))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", str(GOLDEN / "curved_check.json")],
+            ["sweep-biharmonic", "--m-min", "4", "--m-max", "4", "--trials", "1", "--points", "2"],
+            ["sweep-polyharmonic", "--k-max", "2", "--m-max", "4", "--mode", "float"],
+            ["selftest"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_names_no_time_and_only_schema_properties(self, capsys, argv):
+        # a time would make the bytes of a report differ between runs: no
+        # key at any depth names one, and every top-level key is one the
+        # shipped schema describes
+        assert main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        keys = {k for path in _paths(doc) for k in path if isinstance(k, str)}
+        assert not [k for k in keys if "time" in k.lower() or "elapsed" in k.lower()]
+        assert set(doc) <= set(self._schema()["properties"])
 
     def test_exact_reports_match_golden_digests(self, monkeypatch, capsys):
         # SHA-256 of the reports of these command lines, run from the
