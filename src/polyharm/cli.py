@@ -150,7 +150,7 @@ def _run(args) -> int:
         if not out.is_absolute() and os.environ.get(OUT_DIR_ENV):
             out = Path(os.environ[OUT_DIR_ENV]) / out
         out.parent.mkdir(parents=True, exist_ok=True)
-        report.emit_report(result, fmt or "json", out)
+        out.write_text(report.render_report(result, fmt or "json"))
         print(f"report written to {out}")
     else:
         print(report.render_report(result, fmt or "table"), end="")

@@ -36,6 +36,11 @@ class NonpositiveFactorError(PolyharmError):
     """The conformal factor is not positive at the requested point."""
 
 
+class DoubleRangeError(PolyharmError):
+    """A float-mode quantity leaves the range of normal doubles, which exact
+    mode does not have: refused, not read as a zero or a chart boundary."""
+
+
 class AdmissibleRegionError(PolyharmError):
     """Rejection sampling could not find enough admissible points."""
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .errors import ConfigError
 
 REPORT_SCHEMA_ID = "polyharm-report/1"
@@ -96,6 +94,7 @@ def _table_text(report: ResidualReport) -> str:
 
 
 def render_report(report: ResidualReport, fmt: str = "json") -> str:
+    """The report's text; byte-stable for fixed config, seed and mode."""
     if fmt == "json":
         import json  # here, not at the top: the default table needs no serializer
         return json.dumps(report.payload(), sort_keys=True, indent=2) + "\n"
@@ -112,10 +111,3 @@ def render_report(report: ResidualReport, fmt: str = "json") -> str:
         return _table_text(report)
     raise ConfigError(f"unknown report format {fmt!r}")
 
-
-def emit_report(report: ResidualReport, fmt: str = "json", path=None) -> str:
-    """Render the report; byte-stable for fixed config, seed, and mode."""
-    text = render_report(report, fmt)
-    if path is not None:
-        Path(path).write_text(text)
-    return text

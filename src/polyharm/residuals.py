@@ -179,6 +179,7 @@ from typing import Sequence
 from .errors import (
     ChartDomainError,
     DegreeError,
+    DoubleRangeError,
     MapValidationError,
     NonpositiveFactorError,
     SingularDivisionError,
@@ -355,6 +356,10 @@ class ConformalGeometry:
         if instance.map.epsilon == 2 and not any(U):
             raise SingularDivisionError("factor is singular at x = a")
         F = q0 * D2 + 2 * D * sum(map(operator.mul, qg, U)) + qs * sum(map(operator.mul, U, U))
+        # doubles: a residual divides by F^5, a normal double only for F in
+        # this range; F = 0 with q0 = 0 (F = |U|^2, U != 0) is an underflow
+        if point is None and not 2.0**-200 < (abs(F) or abs(q0)) < 2.0**200:
+            raise DoubleRangeError(f"a residual's denominator F^5 leaves the double range (F = {F:.3g})")
         # F has the sign of 1 + c2 |phi(x0)|^2 (constant 1 on a flat target)
         if not F:
             raise ChartDomainError("image point on the target chart boundary")
@@ -565,9 +570,9 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
     # eps = 2: phi = b + k A u/|u|^2; eps = 0: phi = b + k A u, harmonic
     top = orders[-1] if orders else 0
     if mmap.epsilon == 2:
-        F = sum(map(operator.mul, U, U))
-        if not F:
+        if not any(U):
             raise SingularDivisionError("the point lies on the singular set x = a")
+        F = sum(map(operator.mul, U, U))
         N = _inversion_numerators(mmap.dim, top)
     else:
         F = D * D
@@ -576,15 +581,28 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
     out: dict[int, ResidualVector] = {}
     for k in orders:
         c = N[k] * D ** (2 * k + 1)
-        den = den_A * F ** (k + 1)
-        terms = [tuple(c * v for v in AU)]
         if point is None:  # float: the terms are the values, over 1
-            terms, den = [tuple(v / den for v in terms[0])], 1
+            terms, den = [_float_values(k, c, AU, F)], 1
+        else:
+            terms, den = [tuple(c * v for v in AU)], den_A * F ** (k + 1)
         if k == 0:
             b, b_den = integer_vector(mmap.b) if point is not None else ([float(v) for v in mmap.b], 1)
             terms, den = [tuple(b_den * v for v in terms[0]), tuple(den * v for v in b)], den * b_den
         out[k] = ResidualVector(1, den, terms, _STANDARD, point is not None)
     return out
+
+
+def _float_values(k: int, c: int, AU: list, F: float) -> tuple:
+    """c AU / F^(k+1) on doubles, refused where a value or F^(k+1) leaves the
+    double range: an inf would read as a zero, an underflowed F^(k+1) as 1/0."""
+    try:
+        den = F ** (k + 1)
+        values = tuple(c * v / den for v in AU)
+        if all(map(math.isfinite, values)):
+            return values
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise DoubleRangeError(f"order {k}: Delta^{k} phi leaves the double range at this point")
 
 
 def _offset_integers(point, a) -> tuple[list, int]:

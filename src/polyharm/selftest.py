@@ -3,103 +3,41 @@ the radial spot checks of the classification polynomials."""
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import residuals
 from .errors import ConfigError, InterpolationError, PolyharmError
 from .mobius import ConformalInstance, MobiusMap
 from .rationals import EXACT, FLOAT, format_rational, rational
 from .residuals import DEFAULT_FLOAT_TOL
-from .sampling import _flat_sample_point, random_mobius
 from .spaceform import SpaceFormModel
-from .verifier import CURVATURE_PAIRS, _coordinates, _polyharmonic_point, _sweep_instance, require_mode
-
-
-# -- radial coefficient extraction --------------------------------------------
-
-_EXTRA_SAMPLES = 1  # samples past the max_degree + 1 nodes that must fit the interpolant
-
-
-def radial_coefficients(
-    evaluator: Callable[[tuple], object],
-    direction: Sequence,
-    max_degree: int,
-    ts: Sequence | None = None,
-) -> list:
-    """Exact coefficients of a radial polynomial along a ray.
-
-    ``evaluator`` receives the point t * direction and must return an exact
-    rational that is a polynomial in s = t^2 of degree <= max_degree (the
-    caller has already cleared the known denominators).  Samples that raise
-    toolkit errors (singular set hits) are skipped.  ``_EXTRA_SAMPLES``
-    additional samples must agree with the interpolant, which catches an
-    underestimated degree.  Returns monomial coefficients in s, constant first.
-    """
-    direction = tuple(rational(v) for v in direction)
-    if sum(v * v for v in direction) != 1:
-        raise InterpolationError("direction must have exact unit length")
-    if ts is None:
-        ts = [Fraction(j, j + 1) for j in range(1, 4 * (max_degree + _EXTRA_SAMPLES) + 2)]
-    samples: list[tuple] = []
-    needed = max_degree + 1 + _EXTRA_SAMPLES
-    for t in ts:
-        tq = rational(t)
-        point = tuple(tq * v for v in direction)
-        try:
-            val = evaluator(point)
-        except PolyharmError:
-            continue
-        samples.append((tq * tq, val))
-        if len(samples) == needed:
-            break
-    if len(samples) < needed:
-        raise InterpolationError(
-            f"only {len(samples)} usable samples for degree {max_degree} + {_EXTRA_SAMPLES} checks"
-        )
-    nodes = samples[: max_degree + 1]
-    coeffs = _newton_to_monomial(nodes)
-    for sv, val in samples[max_degree + 1 :]:
-        acc = rational(0)
-        power = rational(1)
-        for cfr in coeffs:
-            acc += cfr * power
-            power *= sv
-        if acc != val:
-            raise InterpolationError(
-                "extra sample inconsistent with the interpolant: degree underestimated"
-            )
-    return coeffs
-
-
-def _newton_to_monomial(nodes: list[tuple]) -> list:
-    """Exact interpolation through the nodes via Newton divided differences."""
-    xs = [p for p, _ in nodes]
-    divided = [v for _, v in nodes]
-    n = len(nodes)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    # Horner expansion of the Newton form into ascending monomial coefficients
-    coeffs = [divided[n - 1]]
-    for i in range(n - 2, -1, -1):
-        xi = xs[i]
-        new = [rational(0)] * (len(coeffs) + 1)
-        for j, cj in enumerate(coeffs):
-            new[j] = new[j] - xi * cj
-            new[j + 1] = new[j + 1] + cj
-        new[0] = new[0] + divided[i]
-        coeffs = new
-    return coeffs
+from .verifier import (
+    CURVATURE_PAIRS, _coordinates, _polyharmonic_point, _polyharmonic_trial, _sweep_instance, require_mode,
+)
 
 
 # -- radial classification spot checks --------------------------------------------
 
 
+def _quadratic_through(samples: list[tuple]) -> list:
+    """Exact coefficients, constant first, of the quadratic in s through the
+    first three (s, value) samples, by divided differences; every further
+    sample must lie on it, which catches a degree above 2."""
+    (s0, v0), (s1, v1), (s2, v2) = samples[:3]
+    d01, d12 = (v1 - v0) / (s1 - s0), (v2 - v1) / (s2 - s1)
+    c2 = (d12 - d01) / (s2 - s0)
+    c1 = d01 - c2 * (s0 + s1)
+    c0 = v0 - s0 * (c1 + c2 * s0)
+    if any(c0 + s * (c1 + c2 * s) != v for s, v in samples[3:]):
+        raise InterpolationError("extra sample inconsistent with the interpolant: degree underestimated")
+    return [c0, c1, c2]
+
+
 def radial_classification_check(kind: str, c_value, m: int) -> dict:
-    """Extract the radial polynomial of the second necessary condition and
-    compare its low-order coefficients with the classification values.
+    """Read the radial polynomial of the second necessary condition off ND2
+    at four exact points t e_1 (the quadratic through three, the fourth on
+    it) and compare its low-order coefficients with the classification values.
 
     kind 'sphere-sphere':      expect constant c^2(c^2-1)[-2c^2-(m-4)],
                                s-coefficient (c^2-1)[(m-4)c^4-4(m-3)c^2+(m-4)]
@@ -112,48 +50,41 @@ def radial_classification_check(kind: str, c_value, m: int) -> dict:
     the cleared denominator of the factor family.
     """
     c = rational(c_value)
-    direction = (rational(1),) + tuple(rational(0) for _ in range(m - 1))
     zero = tuple(rational(0) for _ in range(m))
+    ts = [Fraction(j, j + 1) for j in range(1, 5)]
     if kind == "sphere-sphere":
         domain, target = SpaceFormModel.sphere(m), SpaceFormModel.sphere(m)
-        sign = 1
         expected = [
             c * c * (c * c - 1) * (-2 * c * c - (m - 4)),
             (c * c - 1) * ((m - 4) * c**4 - 4 * (m - 3) * c * c + (m - 4)),
         ]
-        ts = None
     elif kind == "sphere-hyperbolic":
         domain, target = SpaceFormModel.sphere(m), SpaceFormModel.hyperbolic(m)
-        sign = -1
         expected = [
             c * c * (c * c + 1) * (2 * c * c - (m - 4)),
             -(c * c + 1) * ((m - 4) * c**4 + 4 * (m - 3) * c * c + (m - 4)),
         ]
         # factor positivity needs |x| > c along the ray
-        ts = [c + Fraction(j, j + 1) for j in range(1, 12)]
+        ts = [c + t for t in ts]
     elif kind == "hyperbolic-flat":
         domain, target = SpaceFormModel.hyperbolic(m), SpaceFormModel.flat(m)
-        sign = 0
         expected = [rational(0), rational(-(m - 4)), rational(-2)]
-        ts = None
     else:
         raise ConfigError(f"unknown radial check kind {kind!r}")
     mmap = MobiusMap.build(a=zero, b=zero, k=c, epsilon=2)
     instance = ConformalInstance(domain=domain, target=target, map=mmap)
-
-    def evaluator(point):
-        rv = residuals.evaluate_residuals(instance, point)["ND2"]
-        radial = rv.values[0] / point[0]  # component along e_1 over t
-        s = sum(v * v for v in point)
+    samples = []
+    for t in ts:
+        # ND2 at t e_1: its component along e_1 over t, normalised
+        radial = residuals.evaluate_residuals(instance, (t,) + zero[1:])["ND2"].values[0] / t
+        s = t * t
         if kind == "hyperbolic-flat":
-            sigma = rational(2) / (1 - s)
-            return radial * sigma**3 * s**5 / (c * c)
-        sigma = rational(2) / (1 + s)
-        den = s - c * c if sign == -1 else c * c + s
-        return radial * sigma**3 * den**5 / (4 * c * c)
-
-    coeffs = radial_coefficients(evaluator, direction, max_degree=2, ts=ts)
-    ok = list(coeffs[: len(expected)]) == list(expected)
+            samples.append((s, radial * (2 / (1 - s)) ** 3 * s**5 / (c * c)))
+        else:
+            den = s - c * c if kind == "sphere-hyperbolic" else c * c + s
+            samples.append((s, radial * (2 / (1 + s)) ** 3 * den**5 / (4 * c * c)))
+    coeffs = _quadratic_through(samples)
+    ok = coeffs[: len(expected)] == expected
     return {
         "kind": kind,
         "m": m,
@@ -167,19 +98,29 @@ def radial_classification_check(kind: str, c_value, m: int) -> dict:
 # -- selftest ----------------------------------------------------------------------
 
 
+# the 18 instance families of the chain and conservation batteries
+_FAMILIES = [(5, c1, c2, e) for c1, c2 in CURVATURE_PAIRS for e in (0, 2)]
+
+
+def _geometries(tag: str, families, style: int, points: int, mode: str, tol: float):
+    """(family, geometry) at each sample point of each family (m, c1, c2,
+    epsilon), drawn as the biharmonic sweep draws a trial, on the stream
+    "polyharm:selftest:" + ``tag`` formatted with the family."""
+    for family in families:
+        instance, pts = _sweep_instance("polyharm:selftest:" + tag.format(*family), *family, style, points)
+        for x in pts:
+            yield family, residuals.evaluate_residuals(instance, _coordinates(x, mode), tol)
+
+
 def _chain_identity_battery(mode: str, tol: float) -> tuple[bool, str]:
     """ND = SDL, ND2 = -SDL, ND - ND2 = 2 SDL across all curvature pairs."""
-    failures = []
-    for c1, c2 in CURVATURE_PAIRS:
-        for epsilon in (0, 2):
-            tag = f"polyharm:selftest:chain:{c1}:{c2}:{epsilon}"
-            instance, pts = _sweep_instance(tag, 5, c1, c2, epsilon, 2, 2)
-            for x in pts:
-                evals = residuals.evaluate_residuals(instance, _coordinates(x, mode), tol)
-                if not _chain_holds(evals["SDL"], evals["ND"], evals["ND2"], tol):
-                    failures.append(f"(c1={c1}, c2={c2}, eps={epsilon})")
+    failures = {
+        f"(c1={c1}, c2={c2}, eps={e})"
+        for (_, c1, c2, e), g in _geometries("chain:{1}:{2}:{3}", _FAMILIES, 2, 2, mode, tol)
+        if not _chain_holds(g["SDL"], g["ND"], g["ND2"], tol)
+    }
     if failures:
-        return False, "failed at " + ", ".join(sorted(set(failures)))
+        return False, "failed at " + ", ".join(sorted(failures))
     return True, "18 instances, exact identity chain holds"
 
 
@@ -201,17 +142,13 @@ def _chain_holds(sdl, nd, nd2, tol: float) -> bool:
 
 
 def _conservation_battery(mode: str, tol: float) -> tuple[bool, str]:
-    bad = []
-    for c1, c2 in CURVATURE_PAIRS:
-        for epsilon in (0, 2):
-            tag = f"polyharm:selftest:cl:{c1}:{c2}:{epsilon}"
-            instance, pts = _sweep_instance(tag, 5, c1, c2, epsilon, 1, 3)
-            for x in pts:
-                rv = residuals.evaluate_residuals(instance, _coordinates(x, mode), tol)["CL"]
-                if not rv.exact_zero:
-                    bad.append(f"(c1={c1}, c2={c2}, eps={epsilon})")
+    bad = {
+        f"(c1={c1}, c2={c2}, eps={e})"
+        for (_, c1, c2, e), g in _geometries("cl:{1}:{2}:{3}", _FAMILIES, 1, 3, mode, tol)
+        if not g["CL"].exact_zero
+    }
     if bad:
-        return False, "nonzero factor constraint at " + ", ".join(sorted(set(bad)))
+        return False, "nonzero factor constraint at " + ", ".join(sorted(bad))
     return True, "constraint vanishes on all 18 instance families"
 
 
@@ -241,9 +178,7 @@ def _polyharmonic_battery(mode: str, tol: float) -> tuple[bool, str]:
     bad = []
     for m in (3, 4, 6):
         for order in (1, 2):
-            rng = random.Random(f"polyharm:selftest:ph:{m}:{order}")
-            mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=order)
-            x = _flat_sample_point(rng, mmap)
+            mmap, (x,) = _polyharmonic_trial(f"polyharm:selftest:ph:{m}:{order}", m, order, 1)
             if not _polyharmonic_point(mmap, order, x, mode, tol)[2]:
                 bad.append(f"(m={m}, k={order})")
     if bad:
@@ -272,20 +207,14 @@ def _float_separation_battery(mode: str, tol: float) -> tuple[bool, str]:
     zero_cases = [(4, 0, 1, 2), (4, 0, -1, 0), (4, 0, 1, 0), (4, 0, 0, 2)]
     nonzero_cases = [(5, 0, 0, 2), (6, 0, 1, 2), (5, 1, 1, 2)]
     bad = []
-    for m, c1, c2, epsilon in zero_cases:
-        tag = f"polyharm:selftest:sepz:{m}:{c1}:{c2}:{epsilon}"
-        instance, pts = _sweep_instance(tag, m, c1, c2, epsilon, 0, 3)
-        for x in pts:
-            rv = residuals.evaluate_residuals(instance, _coordinates(x, FLOAT), tol)["SDL"]
-            if not residuals.vanishes(rv.terms, zero_bound, rv.norm_sq):
-                bad.append(f"zero case (m={m}, c1={c1}, c2={c2}) norm={rv.norm:.2e}")
-    for m, c1, c2, epsilon in nonzero_cases:
-        tag = f"polyharm:selftest:sepn:{m}:{c1}:{c2}:{epsilon}"
-        instance, pts = _sweep_instance(tag, m, c1, c2, epsilon, 0, 2)
-        for x in pts:
-            rv = residuals.evaluate_residuals(instance, _coordinates(x, FLOAT), tol)["SDL"]
-            if residuals.vanishes(rv.terms, max(tol, 1e-3), rv.norm_sq):
-                bad.append(f"nonzero case (m={m}, c1={c1}, c2={c2}) norm={rv.norm:.2e}")
+    for (m, c1, c2, _), g in _geometries("sepz:{0}:{1}:{2}:{3}", zero_cases, 0, 3, FLOAT, tol):
+        rv = g["SDL"]
+        if not residuals.vanishes(rv.terms, zero_bound, rv.norm_sq):
+            bad.append(f"zero case (m={m}, c1={c1}, c2={c2}) norm={rv.norm:.2e}")
+    for (m, c1, c2, _), g in _geometries("sepn:{0}:{1}:{2}:{3}", nonzero_cases, 0, 2, FLOAT, tol):
+        rv = g["SDL"]
+        if residuals.vanishes(rv.terms, max(tol, 1e-3), rv.norm_sq):
+            bad.append(f"nonzero case (m={m}, c1={c1}, c2={c2}) norm={rv.norm:.2e}")
     if bad:
         return False, "; ".join(bad)
     return True, f"zero cases <= {zero_bound:.0e}*S, generic nonzero cases >= 1e-3*S"

@@ -267,6 +267,14 @@ def expected_polyharmonic_zero(m: int, order: int) -> bool:
     return m % 2 == 0 and m <= 2 * order
 
 
+def _polyharmonic_trial(rng_tag: str, m: int, style: int, points: int) -> tuple[MobiusMap, list[IntegerPoint]]:
+    """One trial's flat-to-flat inversive map and its sample points, drawn
+    on the stream ``rng_tag``: the polyharmonic twin of ``_sweep_instance``."""
+    rng = random.Random(rng_tag)
+    mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=style)
+    return mmap, [_flat_sample_point(rng, mmap) for _ in range(points)]
+
+
 def sweep_polyharmonic(
     orders: Iterable[int] = range(1, 6),
     m_values: Iterable[int] = range(3, 13),
@@ -298,9 +306,7 @@ def sweep_polyharmonic(
             expected_proper = m == 2 * order
             trial_out = []
             for t in range(trials):
-                rng = random.Random(f"polyharm:ph:{seed}:{order}:{m}:{t}")
-                mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=t)
-                pts = [_flat_sample_point(rng, mmap) for _ in range(points)]
+                mmap, pts = _polyharmonic_trial(f"polyharm:ph:{seed}:{order}:{m}:{t}", m, t, points)
                 flags = zip(*(_polyharmonic_point(mmap, order, x, mode, tol) for x in pts))
                 zero_k, zero_prev, closed_match = map(all, flags)
                 trial_out.append(

@@ -13,6 +13,7 @@ import pytest
 from polyharm import jets, residuals
 from polyharm.errors import (
     ChartDomainError,
+    DoubleRangeError,
     InterpolationError,
     NonpositiveFactorError,
     PolyharmError,
@@ -35,7 +36,7 @@ from polyharm.residuals import (
 )
 from polyharm.check import load_config
 from polyharm.sampling import _flat_sample_point, _random_orthogonal
-from polyharm.selftest import _chain_identity_battery, _jet_oracle_battery, radial_classification_check, radial_coefficients
+from polyharm.selftest import _chain_identity_battery, _jet_oracle_battery, _quadratic_through, radial_classification_check
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
     CURVATURE_PAIRS,
@@ -1304,6 +1305,17 @@ class TestPolyharmonicFloat:
         closed = polyharmonic_closed_form(mmap, 8, pt)
         assert residuals.vanishes(value.terms + [tuple(-c for c in closed.values)], 1e-9)
 
+    @pytest.mark.parametrize("distance, order", [(1e-60, 3), (1e-170, 1), (1e30, 5)])
+    def test_value_past_the_doubles_is_refused(self, distance, order):
+        # near the pole F^(k+1) underflows to 0, far out it overflows; a
+        # double cannot hold Delta^k phi there, so float mode names the order
+        mmap = MobiusMap.inversion(5)
+        x = (distance, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(DoubleRangeError, match=rf"^order {order}: Delta\^{order} phi leaves the double range"):
+            polyharmonic_orders(mmap, (order,), x)
+        exact = polyharmonic_orders(mmap, (order,), (Fraction(distance), 0, 0, 0, 0))
+        assert not residuals.vanishes(exact[order].terms, 1e-9)
+
 
 class TestClosedFormCoefficient:
     def test_first_order_three_dims(self):
@@ -1326,39 +1338,24 @@ class TestClosedFormCoefficient:
 
 
 class TestRadialCoefficients:
+    @staticmethod
+    def _ray(poly) -> list:
+        """(s, poly(s)) at s = t^2 for the radial check's t = j/(j+1), j = 1..4."""
+        return [(t * t, poly(t * t)) for t in (rational(j, j + 1) for j in range(1, 5))]
+
     def test_recovers_known_polynomial(self):
-        direction = (rational(1), rational(0))
-
-        def evaluator(point):
-            s = sum(v * v for v in point)
-            return rational(3) - 2 * s + rational(5, 7) * s * s
-
-        got = radial_coefficients(evaluator, direction, max_degree=2)
-        assert got == [3, -2, rational(5, 7)]
+        samples = self._ray(lambda s: rational(3) - 2 * s + rational(5, 7) * s * s)
+        assert _quadratic_through(samples) == [3, -2, rational(5, 7)]
 
     def test_degree_underestimate_detected(self):
-        direction = (rational(1), rational(0))
-
-        def evaluator(point):
-            s = sum(v * v for v in point)
-            return s * s * s
-
         with pytest.raises(InterpolationError):
-            radial_coefficients(evaluator, direction, max_degree=2)
+            _quadratic_through(self._ray(lambda s: s * s * s))
 
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(InterpolationError):
-            radial_coefficients(lambda p: rational(0), (rational(2), rational(0)), 1)
-
-    def test_pythagorean_direction(self):
-        # exact unit direction with two nonzero rational components
-        direction = (rational(3, 5), rational(4, 5))
-
-        def evaluator(point):
-            s = sum(v * v for v in point)
-            return 1 + s
-
-        assert radial_coefficients(evaluator, direction, max_degree=1) == [1, 1]
+    def test_evaluation_error_propagates(self):
+        # k = -1/2 makes the factor negative at every point of the ray: the
+        # check raises the evaluator's error instead of skipping the sample
+        with pytest.raises(NonpositiveFactorError):
+            radial_classification_check("sphere-sphere", Fraction(-1, 2), 5)
 
     def test_sphere_sphere_classification_polynomial(self):
         out = radial_classification_check("sphere-sphere", Fraction(2, 3), 6)

@@ -28,21 +28,24 @@ from polyharm.errors import (
     AdmissibleRegionError,
     ConfigError,
     DegreeError,
+    DoubleRangeError,
     MapValidationError,
     PolyharmError,
     ShapeMismatchError,
 )
 from polyharm.mobius import ConformalInstance, MobiusMap
 from polyharm.rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
-from polyharm.report import ResidualReport, emit_report, render_report
+from polyharm.report import ResidualReport, render_report
 from polyharm.sampling import _flat_sample_point, _randint
-from polyharm.selftest import selftest
+from polyharm.selftest import _polyharmonic_battery, selftest
 from polyharm.spaceform import SpaceFormModel
 from polyharm.verifier import (
     CURVATURE_PAIRS,
     SamplePlan,
     _map_dict,
+    _point_list,
     _polyharmonic_point,
+    _polyharmonic_trial,
     _sweep_instance,
     expected_polyharmonic_zero,
     expected_proper_biharmonic,
@@ -1138,6 +1141,30 @@ class TestSweeps:
 
 
 class TestSelftest:
+    def test_polyharmonic_draws_are_the_sweeps(self, monkeypatch):
+        # the sweep prints the map and first point _polyharmonic_trial draws
+        # for its tag, and the polyharmonic battery draws through it too
+        (cell,) = sweep_polyharmonic(orders=(2,), m_values=(5,), trials=3, seed=7, points=2)["cells"]
+        for t, trial in enumerate(cell["trials"]):
+            mmap, pts = _polyharmonic_trial(f"polyharm:ph:7:2:5:{t}", 5, t, 2)
+            assert (trial["map"], trial["point"]) == (_map_dict(mmap), _point_list(pts[0]))
+        tags = []
+
+        def spy(tag, *args):
+            tags.append(tag)
+            return _polyharmonic_trial(tag, *args)
+
+        monkeypatch.setitem(_polyharmonic_battery.__globals__, "_polyharmonic_trial", spy)
+        assert _polyharmonic_battery(EXACT, residuals.DEFAULT_FLOAT_TOL)[0]
+        assert tags == [f"polyharm:selftest:ph:{m}:{k}" for m in (3, 4, 6) for k in (1, 2)]
+        imported = {
+            node.module if isinstance(node, ast.ImportFrom) else alias.name
+            for node in ast.walk(ast.parse(Path(_polyharmonic_battery.__code__.co_filename).read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not imported & {"random", "sampling"}
+
     def test_passes_in_exact_mode(self):
         body = selftest()
         assert body["all_ok"], body
@@ -1435,11 +1462,17 @@ class TestReports:
             rep = ResidualReport(kind="sweep-polyharmonic", mode=mode, seed=0, body=ph, exit_code=0, tol=tol)
             jsonschema.validate(json.loads(render_report(rep, "json")), schema)
 
-    def test_byte_identical_across_runs(self, tmp_path):
-        a = emit_report(self._report(), "json", tmp_path / "a.json")
-        b = emit_report(self._report(), "json", tmp_path / "b.json")
+    def test_byte_identical_across_runs(self, tmp_path, capsys):
+        # the run of ``_report`` through the CLI: the m = 4 inversion at seed
+        # 3 with four points of the default radius, written by --out twice
+        cfg = _inversion_config(expect="proper-biharmonic", seed=3, count=4)
+        del cfg["sample"]["radius"]
+        path = _write(tmp_path, cfg)
+        for name in ("a.json", "b.json"):
+            assert main(["check", str(path), "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-        assert a == b
+        a, b = (tmp_path / "a.json").read_text(), (tmp_path / "b.json").read_text()
+        assert a == b == render_report(self._report(), "json")
 
     def test_csv_has_row_per_point(self):
         text = render_report(self._report(), "csv")
@@ -1505,6 +1538,35 @@ class TestReports:
 
 
 class TestCli:
+    def test_float_polyharmonic_value_past_the_doubles_is_one_error_line(self, capsys):
+        # N_89 and N_90 at m = 181 exceed the largest double: float mode
+        # stops with one error line naming the order, exact mode decides
+        window = ["--k-min", "90", "--k-max", "90", "--m-min", "181", "--m-max", "181"]
+        assert main(["sweep-polyharmonic", "--mode", "float", *window]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: order 89: Delta^89 phi leaves the double range at this point"
+        assert main(["sweep-polyharmonic", *window]) == 0
+
+    @pytest.mark.parametrize("exponent", [100, 170])
+    def test_float_check_skips_a_point_past_the_doubles(self, tmp_path, capsys, exponent):
+        # F = |x - a|^2 = 10^(-2 exponent): at 10^-100 the residual
+        # denominators 8 F^3 and 16 F^5 underflow, at 10^-170 F itself; float
+        # mode skips the point naming the double range, exact mode decides it
+        near = [f"1/{10**exponent}", "0", "0", "0"]
+        cfg = _inversion_config(expect="proper-biharmonic")
+        cfg["sample"] = {"exclusion": "0", "points": [near]}
+        path = _write(tmp_path, cfg)
+        assert main(["check", str(path), "--mode", "float"]) == 1
+        assert capsys.readouterr().err.endswith("error: every sampled point was skipped\n")
+        assert main(["check", str(path), "--format", "json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["instances"]
+        assert entry["verdict"] == "proper-biharmonic" and not entry["warnings"]
+        inst = ConformalInstance(SpaceFormModel.flat(4), SpaceFormModel.flat(4), MobiusMap.inversion(4))
+        out = run_check(inst, SamplePlan(exclusion=0, points=(near, ("1", "0", "0", "0"))), mode=FLOAT)
+        (warning,) = out["warnings"]
+        assert warning.startswith(f"skipped {near[0]} 0/1 0/1 0/1: ") and "leaves the double range" in warning
+        assert out["verdict"] == "proper-biharmonic"
+
     def test_points_beyond_the_draw_lattice_exit_two(self, capsys):
         assert main(["sweep-biharmonic", "--m-max", "3", "--points", "40000"]) == 2
         assert "draw lattice holds 35937" in capsys.readouterr().err
