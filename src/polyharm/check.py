@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 from . import mobius, residuals
 from .errors import AdmissibleRegionError, ConfigError, PolyharmError
 from .mobius import ConformalInstance, MobiusMap
-from .rationals import EXACT, format_rational, rational
+from .rationals import EXACT, format_rational, integer_vector, rational
 from .residuals import DEFAULT_FLOAT_TOL
 from .sampling import sample_points
 from .spaceform import SpaceFormModel
@@ -87,7 +87,7 @@ def _parse_map(obj, where: str) -> MobiusMap:
     k = _parse_rational_list([obj["k"]], f"{where}.k")[0]
     A_integers = _parse_matrix(obj.get("A"), len(a), f"{where}.A")
     with _parsing(where):
-        return MobiusMap(a, b, k, A_integers, obj["epsilon"])
+        return MobiusMap(integer_vector(a), integer_vector(b), k, A_integers, obj["epsilon"])
 
 
 def _parse_plan(obj) -> SamplePlan:

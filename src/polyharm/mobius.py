@@ -22,14 +22,17 @@ where <A^T b, u> is linear and f a quadratic.  The identity holds only for
 exactly orthogonal A, which ``validate`` certifies for every ``MobiusMap``
 as it is constructed, on integers: a map holds A only as A = N/D, integer
 rows N over one positive D (``A_integers``), and the check is
-N^T N == D^2 I (``is_orthogonal_integers``).  Maps and instances are
-validated named tuples: drawn and configured maps alike, and every
-``_replace``, copy and pickle, reach the one constructor, so no map skips
-the check.  It makes every factor of the family a quotient lambda = P/Q
-of two isotropic quadratics, which ``factor_quadratic`` reads off the
-integers of the map parameters once per instance
-(``ConformalInstance.factor``); the residual kernel of
-:mod:`polyharm.residuals` works from that quotient alone.  It is the one
+N^T N == D^2 I (``is_orthogonal_integers``).  It holds a and b the same
+way, integer numerators over one positive denominator each (``a_integers``,
+``b_integers``), and k as one rational; ``MobiusMap.build`` is the route
+from rationals.  Maps and instances are validated named tuples: drawn and
+configured maps alike, and every ``_replace``, copy and pickle, reach the
+one constructor, so no map skips the check.  It makes every factor of the
+family a quotient lambda = P/Q of two isotropic quadratics, which
+``factor_quadratic`` reads off the integers of the map parameters once per
+instance (``ConformalInstance.factor``), with no denominator left to clear;
+the residual kernel of :mod:`polyharm.residuals` works from that quotient
+alone.  It is the one
 route to the factor in the package, and no verdict forms phi(x).  The
 tests check the quotient against the map itself (the closed Jacobian of phi
 and the target weight at phi(x)) and against the closed forms
@@ -40,10 +43,10 @@ that lambda collapses to on curved targets, with w = 1/sigma and (c, d)
 rational functions of the map parameters, the reduced parameters the
 classification arguments manipulate.
 
-Everything here is exact: A is integers over one denominator (drawn maps
-take signed permutations and Cayley transforms of rational skew matrices),
-so A^T A = I holds with no rounding and residuals downstream stay exactly
-zero where they should.
+Everything here is exact: a, b and A are integers over one denominator each
+(drawn maps take signed permutations and Cayley transforms of rational skew
+matrices for A), so A^T A = I holds with no rounding and residuals
+downstream stay exactly zero where they should.
 """
 
 from __future__ import annotations
@@ -152,83 +155,108 @@ def cayley_bareiss(N, d: int) -> tuple[list, int]:
 
 
 class _Map(NamedTuple):
-    a: Vector
-    b: Vector
+    a_integers: tuple
+    b_integers: tuple
     k: object
     A_integers: tuple
     epsilon: int
 
 
+def _reduced(N: tuple, D: int) -> tuple:
+    """(N, D) divided by their one gcd: the canonical integers of N / D."""
+    g = math.gcd(D, *N)
+    return (N, D) if g == 1 else (tuple(v // g for v in N), D // g)
+
+
 class MobiusMap(_Map):
     """Parameters (a, b, k, A, eps) of the inversive conformal family, with
-    A held once, as integers: ``A_integers`` = (A_num, A_den), A = A_num /
-    A_den, A_num a tuple of integer row tuples and A_den > 0, reduced by
-    their one gcd.
+    a, b and A held once, as integers over one positive denominator each:
+    ``a_integers`` = (a_num, a_den) with a = a_num / a_den, ``b_integers``
+    likewise, and ``A_integers`` = (A_num, A_den), A_num a tuple of integer
+    row tuples; each pair is reduced by its one gcd.  k is one rational.
 
     A named tuple of tuples whose every construction validates: the
     constructor, ``_make`` (so ``_replace``), and copies and pickles at every
     protocol, which ``__reduce_ex__`` sends through the constructor.  So the
     kernels can rely on A being the exactly orthogonal matrix ``validate``
     certified.  Equality and hash are by fields; the gcd reduction makes
-    (2N, 2D) the map (N, D) is.
+    (2N, 2D) the map (N, D) is, for a, b and A alike.
     """
 
     __slots__ = ()
 
-    def __new__(cls, a: Vector, b: Vector, k, A_integers, epsilon: int):
-        N, D = A_integers
-        N = tuple(map(tuple, N))
-        mmap = validate(super().__new__(cls, tuple(a), tuple(b), k, (N, D), epsilon))
-        # validated, so N and D are ints and D > 0: reduce by their one gcd
+    def __new__(cls, a_integers, b_integers, k, A_integers, epsilon: int):
+        try:
+            (a, a_den), (b, b_den), (N, D) = a_integers, b_integers, A_integers
+            a, b, N = tuple(a), tuple(b), tuple(map(tuple, N))
+        except (TypeError, ValueError):
+            raise MapValidationError("a, b and A must each be (numerators, denominator)") from None
+        validate(super().__new__(cls, (a, a_den), (b, b_den), k, (N, D), epsilon))
+        # validated, so every entry is an int and every denominator > 0:
+        # reduce each pair by its one gcd
         g = math.gcd(D, *itertools.chain.from_iterable(N))
-        if g == 1:
-            return mmap
-        N = tuple(tuple(v // g for v in row) for row in N)
-        return super().__new__(cls, mmap.a, mmap.b, k, (N, D // g), epsilon)
+        if g != 1:
+            N, D = tuple(tuple(v // g for v in row) for row in N), D // g
+        return super().__new__(cls, _reduced(a, a_den), _reduced(b, b_den), k, (N, D), epsilon)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
     __reduce_ex__ = spaceform._reduce_through_constructor
 
     @property
     def dim(self) -> int:
-        return len(self.a)
+        return len(self.a_integers[0])
+
+    @property
+    def a(self) -> Vector:
+        """a as rationals, for readers outside the kernels."""
+        N, D = self.a_integers
+        return tuple(Fraction(v, D) for v in N)
+
+    @property
+    def b(self) -> Vector:
+        """b as rationals, for readers outside the kernels."""
+        N, D = self.b_integers
+        return tuple(Fraction(v, D) for v in N)
 
     @classmethod
     def build(cls, a, b, k, A=None, epsilon=2) -> "MobiusMap":
-        """Read entries as exact rationals, A (the identity when None) as its
-        integers by ``integer_matrix``; construction validates every field."""
-        a = tuple(rational(v) for v in a)
-        b = tuple(rational(v) for v in b)
+        """Read entries as exact rationals, a and b as their integers by
+        ``integer_vector`` and A (the identity when None) by
+        ``integer_matrix``; construction validates every field."""
+        a_integers = integer_vector([rational(v) for v in a])
+        b_integers = integer_vector([rational(v) for v in b])
         if A is None:
             A_integers = signed_permutation_integers(range(len(a))), 1
         else:
             A_integers = integer_matrix([[rational(v) for v in row] for row in A])
-        return cls(a, b, rational(k), A_integers, epsilon)
+        return cls(a_integers, b_integers, rational(k), A_integers, epsilon)
 
     @classmethod
     def inversion(cls, dim: int) -> "MobiusMap":
         """x -> x / |x|^2, the inversion in the unit sphere."""
-        zero = tuple(rational(0) for _ in range(dim))
-        return cls.build(a=zero, b=zero, k=1, epsilon=2)
+        return cls.build(a=(0,) * dim, b=(0,) * dim, k=1, epsilon=2)
 
 
 def validate(mmap: MobiusMap) -> MobiusMap:
-    """Check the family invariants; returns the map or raises.  Entries of
-    a, b and k have type int or Fraction (a bool is neither), those of
-    A_integers type int, and A is checked by ``is_orthogonal_integers`` on
-    the map's own integers."""
+    """Check the family invariants; returns the map or raises.  Every
+    numerator and denominator of a, b and A has type int (a bool is not
+    one) and every denominator is positive, k is an int or a Fraction, and
+    A is checked by ``is_orthogonal_integers`` on the map's own integers."""
     m = mmap.dim
-    N, D = mmap.A_integers
-    if len(mmap.b) != m or len(N) != m or any(len(r) != m for r in N):
+    (a, a_den), (b, b_den), (N, D) = mmap.a_integers, mmap.b_integers, mmap.A_integers
+    if len(b) != m or len(N) != m or any(len(r) != m for r in N):
         raise MapValidationError("parameter dimensions disagree")
-    if not {*map(type, mmap.a), *map(type, mmap.b), type(mmap.k)} <= {int, Fraction}:
-        raise MapValidationError("entries of a, b and k must be ints or Fractions")
-    if {type(D), *map(type, itertools.chain.from_iterable(N))} != {int}:
-        raise MapValidationError("A_integers must hold ints")
+    entries = itertools.chain(a, b, (a_den, b_den, D), *N)
+    if set(map(type, entries)) != {int}:
+        raise MapValidationError("a_integers, b_integers and A_integers must hold ints")
+    if type(mmap.k) not in (int, Fraction):
+        raise MapValidationError("scale k must be an int or a Fraction")
     if type(mmap.epsilon) is not int or mmap.epsilon not in (0, 2):
         raise MapValidationError(f"epsilon must be the integer 0 or 2, got {mmap.epsilon!r}")
     if not mmap.k:
         raise MapValidationError("scale k must be nonzero")
+    if not (a_den > 0 and b_den > 0):
+        raise MapValidationError("the denominators of a and b must be positive")
     if not (D > 0 and is_orthogonal_integers(N, D)):
         raise MapValidationError("A is not exactly orthogonal")
     return mmap
@@ -274,7 +302,7 @@ def factor_quadratic(target: SpaceFormModel, mmap: MobiusMap) -> FactorQuadratic
     # A = N/D, b = B/d_b and k = kn/kd; one gcd reduces them, and E over it
     # is the lcm of the reduced denominators
     N, D = mmap.A_integers
-    B, d_b = integer_vector(mmap.b)
+    B, d_b = mmap.b_integers
     kn, kd = k.numerator, k.denominator
     db2, kd2 = d_b * d_b, kd * kd
     alpha = (db2 + c2 * sum(v * v for v in B)) * kd2 * D
@@ -288,10 +316,10 @@ def factor_quadratic(target: SpaceFormModel, mmap: MobiusMap) -> FactorQuadratic
     q0, s = (ck2, alpha) if mmap.epsilon == 2 else (alpha, ck2)
     E = kd2 * db2 * D
     h = math.gcd(E, q0, s, *g)
-    a_num, a_den = integer_vector(mmap.a)
+    a_num, a_den = mmap.a_integers
     return FactorQuadratic(
         kappa=kappa,
-        a_num=tuple(a_num),
+        a_num=a_num,
         a_den=a_den,
         value=q0 // h,
         linear=tuple(v // h for v in g),

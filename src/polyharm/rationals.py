@@ -3,13 +3,15 @@
 Exact mode works on arbitrary-precision rationals, ``fractions.Fraction``,
 met only where a value is read or printed.  A sampled point travels as an
 :class:`IntegerPoint`, integer numerators over one positive denominator,
-from the draw to the residual kernels, and the orthogonal matrix of every
-map as integers over one denominator (``MobiusMap.A_integers``); both
-residual paths run their integer kernels on Python ints (see
+from the draw to the residual kernels, and a map's a, b and orthogonal
+matrix A the same way, integers over one denominator each
+(``MobiusMap.a_integers``, ``b_integers``, ``A_integers``); both residual
+paths run their integer kernels on Python ints (see
 :mod:`polyharm.residuals`) and meet a rational only once per output value
-read.  Fractions carry the map parameters a, b and k as configured or drawn,
-and the reports.  Float mode uses plain doubles: an independent float route
-over the same formulas, also read by the tests' finite-difference checks.
+read.  A Fraction carries the scale k, and configured values until they are
+cleared to integers; reports print integers as ``p/q`` text.  Float mode
+uses plain doubles: an independent float route over the same formulas, also
+read by the tests' finite-difference checks.
 
 The mode is the scalar type of the point a computation runs at: it is exact
 exactly when no input is a float (:func:`scalar_of`).  Only the command

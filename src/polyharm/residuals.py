@@ -185,7 +185,7 @@ from .errors import (
     SingularDivisionError,
 )
 from .mobius import ConformalInstance, MobiusMap
-from .rationals import exact_point, integer_vector, rational
+from .rationals import exact_point, rational
 
 DEFAULT_FLOAT_TOL = 1e-9
 
@@ -557,13 +557,14 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
         raise DegreeError(f"orders must be integers >= 0, got {orders}")
     point = exact_point(x)
     if point is not None:
-        U, D = _offset_integers(point, mmap.a)
+        U, D = _offset_integers(point, mmap.a_integers)
         num_A, den_A = mmap.A_integers
         kn, den_A = mmap.k.numerator, den_A * mmap.k.denominator
     else:
         D, den_A = 1, 1
-        U = [float(xi) - float(ai) for xi, ai in zip(x, mmap.a)]
         # int / int rounds correctly, as float of the rational n/D does
+        a_num, a_den = mmap.a_integers
+        U = [float(xi) - ai / a_den for xi, ai in zip(x, a_num)]
         num_A, A_den = mmap.A_integers
         num_A = [[v / A_den for v in row] for row in num_A]
         kn = float(mmap.k)
@@ -586,7 +587,9 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
         else:
             terms, den = [tuple(c * v for v in AU)], den_A * F ** (k + 1)
         if k == 0:
-            b, b_den = integer_vector(mmap.b) if point is not None else ([float(v) for v in mmap.b], 1)
+            b, b_den = mmap.b_integers
+            if point is None:
+                b, b_den = [v / b_den for v in b], 1
             terms, den = [tuple(b_den * v for v in terms[0]), tuple(den * v for v in b)], den * b_den
         out[k] = ResidualVector(1, den, terms, _STANDARD, point is not None)
     return out
@@ -605,10 +608,10 @@ def _float_values(k: int, c: int, AU: list, F: float) -> tuple:
     raise DoubleRangeError(f"order {k}: Delta^{k} phi leaves the double range at this point")
 
 
-def _offset_integers(point, a) -> tuple[list, int]:
+def _offset_integers(point, a_integers) -> tuple[list, int]:
     """(U, D) with x - a = U/D, D the lcm of the denominators of x - a: the
     integers over lcm(den, a_den), reduced by their one gcd with it."""
-    a_num, a_den = integer_vector(a)
+    a_num, a_den = a_integers
     L = math.lcm(point.den, a_den)
     U = [n * (L // point.den) - v * (L // a_den) for n, v in zip(point.N, a_num)]
     g = math.gcd(L, *U)
@@ -624,25 +627,29 @@ def _inversion_numerators(m: int, top: int) -> tuple[int, ...]:
     pairs the constant term of step top reads.  Integers of (m, top) alone,
     equal to ``closed_form_coefficient(m, k)`` for k >= 1: cached.
     """
-    g1 = {
-        (a, b): (-1) ** (a + b) * math.comb(a + b, a) * 2**a
+    # g[b][a]: the coefficient of s^a q^b, for a <= 2 (top - j - b)
+    g1 = [
+        [(-1) ** (a + b) * math.comb(a + b, a) * 2**a for a in range(2 * (top - b) + 1)]
         for b in range(top + 1)
-        for a in range(2 * (top - b) + 1)
-    }
-    g2 = dict(g1)
-    out = [g1[0, 0]]
+    ]
+    g2 = [row[:] for row in g1]
+    out = [g1[0][0]]
     for j in range(1, top + 1):
-        n1, n2 = {}, {}
+        n1, n2 = [], []
         for b in range(top - j + 1):
+            r1, r2, r1q, r2q = g1[b], g2[b], g1[b + 1], g2[b + 1]
+            row1, row2 = [], []
             for a in range(2 * (top - j - b) + 1):
                 # Delta sends s^(a+2) q^b and s^a q^(b+1) to s^a q^b with these
                 # weights; 2 d/ds G2 and 4 d/dq G2 add the rest
                 ss = (a + 2) * (a + 1)
                 sq = 2 * (b + 1) * (2 * a + 2 * b + m)
-                n1[a, b] = ss * g1[a + 2, b] + sq * g1[a, b + 1] + 2 * (a + 1) * g2[a + 1, b]
-                n2[a, b] = ss * g2[a + 2, b] + (sq + 4 * (b + 1)) * g2[a, b + 1]
+                row1.append(ss * r1[a + 2] + sq * r1q[a] + 2 * (a + 1) * r2[a + 1])
+                row2.append(ss * r2[a + 2] + (sq + 4 * (b + 1)) * r2q[a])
+            n1.append(row1)
+            n2.append(row2)
         g1, g2 = n1, n2
-        out.append(g1[0, 0])
+        out.append(g1[0][0])
     return tuple(out)
 
 
@@ -653,7 +660,7 @@ def polyharmonic_closed_form(mmap: MobiusMap, order: int, x) -> ResidualVector:
     integer term over the denominator :func:`polyharmonic_orders` gives."""
     if mmap.epsilon != 2:
         raise MapValidationError("closed form applies to the eps = 2 family")
-    U, D = _offset_integers(exact_point(x), mmap.a)
+    U, D = _offset_integers(exact_point(x), mmap.a_integers)
     num_A, den_A = mmap.A_integers
     c = closed_form_coefficient(mmap.dim, order) * mmap.k.numerator * D ** (2 * order + 1)
     den = den_A * mmap.k.denominator * sum(map(operator.mul, U, U)) ** (order + 1)

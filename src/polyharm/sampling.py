@@ -3,19 +3,21 @@
 A sample point is an :class:`~polyharm.rationals.IntegerPoint`, integer
 numerators over one positive denominator, from the draw to the residual
 kernels: the sampler screens each draw on its integers and keeps them, and
-no rational point is formed on the way.  A drawn map forms its orthogonal
-matrix as integers (identity, signed permutation or Cayley transform) and
-hands them to the ``MobiusMap`` constructor, which validates them and keeps
-them as the map's only matrix.  Every draw comes
-from a ``random.Random`` the caller seeds, so the same seed draws the same
-maps and points.
+no rational point is formed on the way.  A drawn map forms a and b as
+integers over the lcm of their entries' denominators, and its orthogonal
+matrix as integers (identity, signed permutation or Cayley transform), and
+hands them to the ``MobiusMap`` constructor, which validates them, reduces
+each by its gcd and keeps them as the map's only a, b and A; only the scale
+k is drawn as a rational.  Every draw comes from a ``random.Random`` the
+caller seeds, so the same seed draws the same maps and points.
 
 Every integer draw goes through :func:`_randint`, which consumes the
 generator's stream exactly as ``random.Random.randint`` does (one
 ``getrandbits(k)`` per try, k the bit length of the range's size, redrawn
 while the result is out of range) at a fraction of its call overhead, so
 seeds keep drawing the maps and points they drew through ``randint``.
-``shuffle`` and ``choice`` are used as they are.
+``shuffle`` and ``choice`` are used as they are.  Each entry n/d of a or b
+draws n, then d.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def _flat_sample_point(rng: random.Random, mmap: MobiusMap) -> IntegerPoint:
     """One point n/4, |n_i| <= 8, with |x - a| > 1/4: off the singular set.
     With a = a_num / a_den, x - a = U / (4 a_den) and the test is |U| > a_den."""
     m = mmap.dim
-    a_num, a_den = integer_vector(mmap.a)
+    a_num, a_den = mmap.a_integers
     for _ in range(200):
         n = [_randint(rng, -8, 8) for _ in range(m)]
         if sum((v * a_den - 4 * a) ** 2 for v, a in zip(n, a_num)) > a_den * a_den:
@@ -169,9 +171,16 @@ def _flat_sample_point(rng: random.Random, mmap: MobiusMap) -> IntegerPoint:
     raise AdmissibleRegionError("could not place a point away from the singular set")
 
 
-def _rand_rational(rng: random.Random, max_num: int, den_lo: int, den_hi: int):
-    num = _randint(rng, -max_num, max_num)
-    return rational(num, _randint(rng, den_lo, den_hi))
+def _rand_vector(rng: random.Random, m: int, max_num: int, den_lo: int, den_hi: int) -> tuple[list, int]:
+    """m rationals n/d, |n| <= max_num and den_lo <= d <= den_hi, drawn n
+    then d per entry, as integers over the lcm of the d: the constructor
+    reduces them by their gcd."""
+    nums, dens = [], []
+    for _ in range(m):
+        nums.append(_randint(rng, -max_num, max_num))
+        dens.append(_randint(rng, den_lo, den_hi))
+    L = math.lcm(*dens)
+    return [n * (L // d) for n, d in zip(nums, dens)], L
 
 
 def _random_orthogonal(rng: random.Random, m: int, style: int) -> tuple[list, int]:
@@ -203,27 +212,40 @@ def random_mobius(
     epsilon: int,
     style: int = 0,
 ) -> MobiusMap:
-    """Small-rational map draw, constrained so admissible points exist.
+    """Small-rational map draw, constrained so admissible points exist: a and
+    b drawn as integers over one denominator, k one rational.
 
     k is kept positive (factors must be positive where sampled).  Hyperbolic
     targets additionally need |b| < 1 (reduced parameters defined) and a small
     k, otherwise the preimage of the unit ball is a negligible slice of the
     sampling box and rejection sampling starves: for the inversive branch the
     admissible shell is |x - a| > k/(1 - |b|), for the affine branch a ball of
-    radius 1/k around the preimage of the origin.
+    radius 1/k around the preimage of the origin.  Through m = 12 the draws
+    are the fixed ones below; beyond it b and k are sized from m so that the
+    image of the sampled region lies inside the ball by construction.
     """
-    a = tuple(_rand_rational(rng, 2, 2, 4) for _ in range(m))
+    a = _rand_vector(rng, m, 2, 2, 4)
     if target.curvature == -1:
-        b = tuple(_rand_rational(rng, 1, 7, 8) for _ in range(m))
+        # |b_i| <= 1/d: d >= 7 gives |b| < 1/2 through m = 12, d = 2 ceil(sqrt m)
+        # beyond it
+        c = math.isqrt(m - 1) + 1
+        d = 7 if m <= 12 else 2 * c
+        b = _rand_vector(rng, m, 1, d, d + 1)
         if epsilon == 2:
-            k = rational(_randint(rng, 1, 3), _randint(rng, 6, 8))
-        else:
+            # |phi(x)| <= |b| + k / |x - a|, and the sampler keeps |x - a| >
+            # 1/8: beyond m = 12, k <= 1/16 holds it below 1
+            k = rational(_randint(rng, 1, 3), _randint(rng, 6, 8) * (1 if m <= 12 else 8))
+        elif m <= 12:
             # |phi(x)| <= |b| + k|x - a| and the box reaches |x - a| ~ 3 sqrt(m),
             # so k ~ 1/16 keeps the whole box inside the ball through m = 12
             k = rational(1, _randint(rng, 13, 16))
+        else:
+            # the draw box has |x_i| <= 2 and |a_i| <= 1, so |x - a| <= 3c:
+            # k < 1/(6c) keeps |phi(x)| < 1/2 + 1/2
+            k = rational(1, _randint(rng, 6 * c + 1, 6 * c + 4))
     else:
-        b = tuple(_rand_rational(rng, 2, 2, 4) for _ in range(m))
+        b = _rand_vector(rng, m, 2, 2, 4)
         k = rational(_randint(rng, 1, 6), _randint(rng, 1, 6))
-    # every entry is already rational and A comes as integers: construction
+    # a, b and A come as integers and k as a rational: construction
     # validates the map on them
     return MobiusMap(a, b, k, _random_orthogonal(rng, m, style), epsilon)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from . import residuals
-from .errors import AdmissibleRegionError, ConfigError
+from .errors import AdmissibleRegionError, ConfigError, DoubleRangeError
 from .mobius import ConformalInstance, MobiusMap
 from .rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
 from .residuals import DEFAULT_FLOAT_TOL
@@ -105,10 +105,15 @@ def _matrix_text(N, D: int) -> list[list[str]]:
     return [[text[v] for v in row] for row in N]
 
 
+def _vector_text(N, D: int) -> list[str]:
+    return _matrix_text((N,), D)[0]
+
+
 def _map_dict(mmap: MobiusMap) -> dict:
+    """The map's report text: a, b and A from their integers, k as a rational."""
     return {
-        "a": [format_rational(v) for v in mmap.a],
-        "b": [format_rational(v) for v in mmap.b],
+        "a": _vector_text(*mmap.a_integers),
+        "b": _vector_text(*mmap.b_integers),
         "k": format_rational(mmap.k),
         "A": _matrix_text(*mmap.A_integers),
         "epsilon": mmap.epsilon,
@@ -116,7 +121,7 @@ def _map_dict(mmap: MobiusMap) -> dict:
 
 
 def _point_list(x: IntegerPoint) -> list[str]:
-    return _matrix_text((x.N,), x.den)[0]
+    return _vector_text(x.N, x.den)
 
 
 def _coordinates(x, mode: str):
@@ -307,7 +312,10 @@ def sweep_polyharmonic(
             trial_out = []
             for t in range(trials):
                 mmap, pts = _polyharmonic_trial(f"polyharm:ph:{seed}:{order}:{m}:{t}", m, t, points)
-                flags = zip(*(_polyharmonic_point(mmap, order, x, mode, tol) for x in pts))
+                try:
+                    flags = zip(*(_polyharmonic_point(mmap, order, x, mode, tol) for x in pts))
+                except DoubleRangeError as exc:
+                    raise DoubleRangeError(f"cell k={order} m={m}: {exc}") from None
                 zero_k, zero_prev, closed_match = map(all, flags)
                 trial_out.append(
                     {

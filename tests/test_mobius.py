@@ -55,6 +55,11 @@ def _zeros(m):
     return tuple(rational(0) for _ in range(m))
 
 
+def _zero_integers(m):
+    """The integers (numerators, denominator) of the zero vector."""
+    return (0,) * m, 1
+
+
 class TestValidate:
     def test_identity_map_valid(self):
         m = MobiusMap.build(a=_zeros(3), b=_zeros(3), k=1, epsilon=2)
@@ -69,7 +74,7 @@ class TestValidate:
         # every MobiusMap is valid by construction, not only those from build
         two_i = [[2 if i == j else 0 for j in range(3)] for i in range(3)]
         with pytest.raises(MapValidationError):
-            MobiusMap(_zeros(3), _zeros(3), rational(1), (two_i, 1), 2)
+            MobiusMap(_zero_integers(3), _zero_integers(3), rational(1), (two_i, 1), 2)
 
     def test_epsilon_one_rejected(self):
         with pytest.raises(MapValidationError):
@@ -91,10 +96,10 @@ class TestValidate:
     def test_drawn_integers_that_are_not_orthogonal_rejected(self, N, D):
         # the integers a draw hands over pass the same check as a configured A
         with pytest.raises(MapValidationError):
-            MobiusMap(_zeros(2), _zeros(2), rational(1), (N, D), 2)
+            MobiusMap(_zero_integers(2), _zero_integers(2), rational(1), (N, D), 2)
 
     def test_drawn_integers_form_the_matrix(self):
-        mmap = MobiusMap(_zeros(2), _zeros(2), rational(1), ([[3, -4], [4, 3]], 5), 2)
+        mmap = MobiusMap(_zero_integers(2), _zero_integers(2), rational(1), ([[3, -4], [4, 3]], 5), 2)
         assert mmap.A_integers == (((3, -4), (4, 3)), 5)
         rows = ((rational(3, 5), rational(-4, 5)), (rational(4, 5), rational(3, 5)))
         assert fraction_matrix(*mmap.A_integers) == rows
@@ -111,27 +116,42 @@ class TestValidate:
             ("epsilon", 2.0),
             ("k", 1.5),
             ("k", True),
-            ("a", (rational(0), 0.5)),
-            ("b", (rational(0), "1/2")),
+            ("a_integers", ((0, 0.5), 1)),
+            ("b_integers", ((0, "1/2"), 1)),
+            ("a_integers", ((Fraction(1), 0), 1)),
+            ("b_integers", ((0, 1), Fraction(2))),
+            ("a_integers", ((0, 1), 0)),
+            ("b_integers", ((0, 1), -2)),
+            ("a_integers", (Fraction(0), Fraction(0))),
+            ("b_integers", ((0, 0, 0), 1)),
         ],
-        ids=["N-fraction", "D-fraction", "N-bool", "eps-false", "eps-float", "k-float", "k-bool", "a-float", "b-str"],
+        ids=[
+            "N-fraction", "D-fraction", "N-bool", "eps-false", "eps-float", "k-float", "k-bool", "a-float", "b-str",
+            "a-fraction", "b-den-fraction", "a-den-zero", "b-den-negative", "a-rationals", "b-length",
+        ],
     )
     def test_entry_types_rejected(self, field, value):
         # a wrong type is a validation error, never a TypeError or a stored value
-        fields = {"a": _zeros(2), "b": _zeros(2), "k": rational(1), "A_integers": ([[1, 0], [0, 1]], 1), "epsilon": 2}
+        fields = {
+            "a_integers": _zero_integers(2),
+            "b_integers": _zero_integers(2),
+            "k": rational(1),
+            "A_integers": ([[1, 0], [0, 1]], 1),
+            "epsilon": 2,
+        }
         MobiusMap(**fields)
         with pytest.raises(MapValidationError):
             MobiusMap(**{**fields, field: value})
 
     def test_copy_and_pickle_keep_the_map(self):
-        mmap = MobiusMap(_zeros(2), _zeros(2), rational(1), ([[3, -4], [4, 3]], 5), 2)
+        mmap = MobiusMap(_zero_integers(2), _zero_integers(2), rational(1), ([[3, -4], [4, 3]], 5), 2)
         for twin in (copy.deepcopy(mmap), pickle.loads(pickle.dumps(mmap))):
             assert twin == mmap and twin.A_integers == mmap.A_integers
 
 
 class TestEquality:
-    """A map is its (a, b, k, A_integers, epsilon), with A_integers reduced
-    by their one gcd: the same rational matrix gives the same map."""
+    """A map is its (a_integers, b_integers, k, A_integers, epsilon), each
+    integer pair reduced by its one gcd: the same rationals give the same map."""
 
     def test_scaled_integers_are_the_same_map(self):
         rng = rng_for("map-equality")
@@ -139,10 +159,11 @@ class TestEquality:
             drawn = random_mobius(rng, m, SpaceFormModel.flat(m), eps, style)
             N, D = drawn.A_integers
             for s in (2, 3, 6):
-                scaled = MobiusMap(drawn.a, drawn.b, drawn.k, ([[s * v for v in row] for row in N], s * D), eps)
+                a, b = ((tuple(s * v for v in V), s * d) for V, d in (drawn.a_integers, drawn.b_integers))
+                scaled = MobiusMap(a, b, drawn.k, ([[s * v for v in row] for row in N], s * D), eps)
                 assert scaled == drawn and hash(scaled) == hash(drawn)
-                assert scaled.A_integers == drawn.A_integers
-            assert MobiusMap(drawn.a, drawn.b, -drawn.k, (N, D), eps) != drawn
+                assert scaled.A_integers == drawn.A_integers and scaled.a_integers == drawn.a_integers
+            assert MobiusMap(drawn.a_integers, drawn.b_integers, -drawn.k, (N, D), eps) != drawn
 
     def test_build_is_the_constructor_on_integer_matrix(self):
         rows = [
@@ -152,10 +173,13 @@ class TestEquality:
         ]
         a, b, k = _zeros(3), (rational(1, 2), rational(0), rational(-1, 3)), rational(2, 3)
         built = MobiusMap.build(a, b, k, A=rows, epsilon=0)
+        identity = MobiusMap.build(a, b, k, epsilon=2)
+        a, b = integer_vector(a), integer_vector(b)
+        assert a == ([0, 0, 0], 1) and b == ([3, 0, -2], 6)
         assert built == MobiusMap(a, b, k, integer_matrix(rows), 0)
         assert hash(built) == hash(MobiusMap(a, b, k, integer_matrix(rows), 0))
-        identity = MobiusMap.build(a, b, k, epsilon=2)
         assert identity == MobiusMap(a, b, k, ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1), 2)
+        assert (built.a, built.b) == (_zeros(3), (rational(1, 2), rational(0), rational(-1, 3)))
 
     def test_copy_and_pickle_round_trip(self):
         rng = rng_for("map-round-trip")
@@ -546,7 +570,7 @@ class TestConformality:
         # smuggle a non-orthogonal A past construction, which validates
         bad = tuple(tuple(1 if i == j or (i, j) == (0, 1) else 0 for j in range(4)) for i in range(4))
         inv = MobiusMap.inversion(4)
-        m = tuple.__new__(MobiusMap, (inv.a, inv.b, inv.k, (bad, 1), inv.epsilon))
+        m = tuple.__new__(MobiusMap, (inv.a_integers, inv.b_integers, inv.k, (bad, 1), inv.epsilon))
         assert not conformality_check(
             SpaceFormModel.flat(4), SpaceFormModel.flat(4), m, (1, 1, 0, 0)
         )

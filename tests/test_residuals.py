@@ -847,12 +847,27 @@ class TestPolyharmonicTaylorOracle:
         assert {k: value.values for k, value in got.items()} == _taylor_route(mmap, orders, pt)
 
     def test_numerators_are_the_closed_form(self):
-        # Delta^k (u/|u|^2)(x0) = N_k u0 / R^(k+1) with N_k of (m, k) alone
-        for m in range(3, 17):
-            N = residuals._inversion_numerators(m, 8)
+        # Delta^k (u/|u|^2)(x0) = N_k u0 / R^(k+1) with N_k of (m, k) alone,
+        # whatever top the recurrence runs to
+        for m in range(3, 41):
+            N = residuals._inversion_numerators.__wrapped__(m, 12)
             assert N[0] == 1
-            for k in range(1, 9):
+            for k in range(1, 13):
                 assert N[k] == closed_form_coefficient(m, k), (m, k)
+                assert residuals._inversion_numerators.__wrapped__(m, k) == N[: k + 1], (m, k)
+
+    def test_numerators_on_a_symbolic_m(self):
+        # the recurrence runs on any ring: on a sympy m it expands to the
+        # closed form (-1)^k prod 2j (m - 2j), written out here because
+        # closed_form_coefficient compares m with 3
+        import sympy as sp
+
+        m = sp.Symbol("m")
+        N = residuals._inversion_numerators.__wrapped__(m, 8)
+        assert N[0] == 1
+        for k in range(1, 9):
+            closed = sp.Integer(-1) ** k * sp.prod([2 * j * (m - 2 * j) for j in range(1, k + 1)])
+            assert sp.expand(N[k] - closed) == 0, k
 
 
 def _read_set_route(instance, x) -> dict:

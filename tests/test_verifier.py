@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import pickle
 import random
@@ -253,6 +254,27 @@ class TestSampling:
             tag = f"polyharm:bh:0:20:-1:{c2}:{eps}:{t}"
             _, pts = _sweep_instance(tag, 20, -1, c2, eps, t, 5)
             assert len(pts) == 5 and all(sum(v * v for v in x.fractions()) < 1 for x in pts)
+
+    def test_hyperbolic_target_cells_at_m96(self):
+        # beyond m = 12 a hyperbolic target's b and k are sized from m: the
+        # draws sized for m <= 12 leave no admissible point of the box here
+        report = sweep_biharmonic(m_values=[96], pairs=[(-1, -1), (0, -1), (1, -1)], trials=2, points=2)
+        assert report["all_match"]
+
+    @pytest.mark.parametrize("m", [13, 16, 17, 64, 128])
+    def test_hyperbolic_draws_are_sized_from_m(self, m):
+        # |b| <= 1/2, and k small enough that |phi| < 1 on the draw box, whose
+        # |x - a| is at most 3 ceil(sqrt m) (eps = 0), or off the sampler's
+        # exclusion ball |x - a| <= 1/8 (eps = 2)
+        c = math.isqrt(m - 1) + 1
+        target = SpaceFormModel.hyperbolic(m)
+        for eps, style in itertools.product((0, 2), (0, 1)):
+            mmap = random_mobius(rng_for(f"sized-draws:{m}:{eps}:{style}"), m, target, eps, style)
+            assert sum(v * v for v in mmap.b) <= Fraction(1, 4)
+            if eps == 2:  # k / |x - a| < 8k <= 1/2
+                assert 0 < 8 * mmap.k <= Fraction(1, 2), style
+            else:  # k |x - a| <= 3ck < 1/2
+                assert 0 < 3 * c * mmap.k < Fraction(1, 2), style
 
     def test_sweep_instance_validates_its_map_once(self, monkeypatch):
         # construction validates a map, so an instance built from it does not
@@ -645,8 +667,8 @@ class TestConfigRefusals:
 
 
 class TestReportMaps:
-    """The report's A, formatted from the map's integers, against the text
-    format_rational gives each entry as a Fraction."""
+    """The report's map, a, b and A formatted from the map's integers,
+    against the text format_rational gives each entry as a Fraction."""
 
     @staticmethod
     def _oracle(mmap):
@@ -662,6 +684,20 @@ class TestReportMaps:
                 assert _map_dict(mmap)["A"] == self._oracle(mmap), (m, c1, c2, eps, style)
                 dens.add(mmap.A_integers[1])
         assert 1 in dens and len(dens) > 1
+
+    def test_drawn_map_parameters(self):
+        # a and b printed from their integers, k from its rational: the text
+        # format_rational gives the rationals, beyond the pinned m <= 8 too
+        seen = set()
+        for m, c2, eps in itertools.product(range(3, 17), (-1, 0, 1), (0, 2)):
+            tag = f"report-map-parameters:{m}:{c2}:{eps}"
+            mmap = random_mobius(rng_for(tag), m, SpaceFormModel(m, c2), eps, style=1)
+            text = _map_dict(mmap)
+            for key, values in (("a", mmap.a), ("b", mmap.b)):
+                assert text[key] == [format_rational(v) for v in values], (key, m, c2, eps)
+                seen.update(v.split("/")[1] for v in text[key])
+            assert text["k"] == format_rational(mmap.k)
+        assert {"1", "2", "3", "4", "7", "8"} <= seen
 
     @pytest.mark.parametrize(
         "entry",
@@ -917,7 +953,7 @@ class TestStreamIdentity:
         assert drawn
 
     def test_drawn_maps_match_randint_draws(self):
-        for m, c2, eps, style in itertools.product((3, 4, 7), (-1, 0, 1), (0, 2), (0, 1, 2)):
+        for m, c2, eps, style in itertools.product((3, 4, 7, 12), (-1, 0, 1), (0, 2), (0, 1, 2)):
             target = SpaceFormModel(m, c2)
             tag = f"stream-maps:{m}:{c2}:{eps}:{style}"
             ours, theirs = random.Random(tag), random.Random(tag)
@@ -1539,12 +1575,13 @@ class TestReports:
 
 class TestCli:
     def test_float_polyharmonic_value_past_the_doubles_is_one_error_line(self, capsys):
-        # N_89 and N_90 at m = 181 exceed the largest double: float mode
-        # stops with one error line naming the order, exact mode decides
-        window = ["--k-min", "90", "--k-max", "90", "--m-min", "181", "--m-max", "181"]
+        # N_88 at m = 180 exceeds the largest double: float mode stops at
+        # the window's first cell with one error line naming the cell and
+        # the order, exact mode decides every cell
+        window = ["--k-min", "89", "--k-max", "90", "--m-min", "180", "--m-max", "181"]
         assert main(["sweep-polyharmonic", "--mode", "float", *window]) == 1
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == "error: order 89: Delta^89 phi leaves the double range at this point"
+        assert line == "error: cell k=89 m=180: order 88: Delta^88 phi leaves the double range at this point"
         assert main(["sweep-polyharmonic", *window]) == 0
 
     @pytest.mark.parametrize("exponent", [100, 170])
