@@ -99,28 +99,19 @@ def _check(args, tol):
     return plan.seed, body, body["all_match"]
 
 
+def _sweep_flags(args, tol) -> dict:
+    """The arguments both sweeps take from their flags."""
+    return dict(m_values=range(args.m_min, args.m_max + 1), trials=args.trials, seed=args.seed,
+                points=args.points, mode=args.mode, tol=tol)
+
+
 def _sweep_biharmonic(args, tol):
-    body = verifier.sweep_biharmonic(
-        m_values=range(args.m_min, args.m_max + 1),
-        trials=args.trials,
-        seed=args.seed,
-        points=args.points,
-        mode=args.mode,
-        tol=tol,
-    )
+    body = verifier.sweep_biharmonic(**_sweep_flags(args, tol))
     return args.seed, body, body["all_match"]
 
 
 def _sweep_polyharmonic(args, tol):
-    body = verifier.sweep_polyharmonic(
-        orders=range(args.k_min, args.k_max + 1),
-        m_values=range(args.m_min, args.m_max + 1),
-        trials=args.trials,
-        seed=args.seed,
-        points=args.points,
-        mode=args.mode,
-        tol=tol,
-    )
+    body = verifier.sweep_polyharmonic(orders=range(args.k_min, args.k_max + 1), **_sweep_flags(args, tol))
     return args.seed, body, body["all_match"]
 
 
@@ -130,11 +121,22 @@ def _selftest(args, tol):
     return None, body, body["all_ok"]
 
 
+def _report_path(out: Path) -> Path:
+    """``--out`` resolved against ``$POLYHARM_OUT_DIR``; a directory, or a path
+    under a file, is refused before the run rather than at the write after it."""
+    if not out.is_absolute() and os.environ.get(OUT_DIR_ENV):
+        out = Path(os.environ[OUT_DIR_ENV]) / out
+    if out.is_dir() or not next((p for p in out.parents if p.exists()), Path(".")).is_dir():
+        raise ConfigError(f"cannot write the report to {out}: a directory or a file is in the way")
+    return out
+
+
 def _run(args) -> int:
     """Run one subcommand and print or write its report; returns the exit code."""
     if args.tol is not None and args.mode != FLOAT:
         raise ConfigError("--tol only applies to --mode float")
     tol = DEFAULT_FLOAT_TOL if args.tol is None else args.tol
+    out = None if args.out is None else _report_path(args.out)
     seed, body, ok = args.run(args, tol)
     result = report.ResidualReport(
         kind=args.command,
@@ -145,12 +147,12 @@ def _run(args) -> int:
         tol=tol if args.mode == FLOAT else None,
     )
     fmt = args.format or (args.out.suffix.lstrip(".") if args.out and args.out.suffix in (".json", ".csv") else None)
-    if args.out is not None:
-        out = args.out
-        if not out.is_absolute() and os.environ.get(OUT_DIR_ENV):
-            out = Path(os.environ[OUT_DIR_ENV]) / out
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report.render_report(result, fmt or "json"))
+    if out is not None:
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(report.render_report(result, fmt or "json"))
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report to {out}: {exc.strerror or exc}") from None
         print(f"report written to {out}")
     else:
         print(report.render_report(result, fmt or "table"), end="")

@@ -135,11 +135,8 @@ def cayley_bareiss(N, d: int) -> tuple[list, int]:
     ]
     prev = 1
     for k in range(m):
+        # a leading minor of dI - N, d I minus a skew matrix: positive
         pivot = rows[k][k]
-        if not pivot:
-            # the leading minors of dI - N are those of d I minus a skew
-            # matrix, all positive, so no pivot vanishes for valid input
-            raise MapValidationError("matrix is singular")
         for i in range(m):
             if i != k:
                 r, f = rows[i], rows[i][k]

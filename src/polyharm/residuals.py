@@ -160,7 +160,7 @@ over the product of the two), N_k cached per (m, top).  The affine branch
 inversive family,
 
     Delta^k ((x_i - a_i)/|x-a|^2)
-        = (-1)^k [2*4...(2k)] [(m-2)(m-4)...(m-2k)] (x_i - a_i)/|x-a|^(2k+2),
+        = (-1)^k prod_(j=1..k) 2j (m-2j) (x_i - a_i)/|x-a|^(2k+2),
 
 which :func:`polyharmonic_closed_form` evaluates without the recurrence, as
 integers over the same denominator.  The sweep's flags are :func:`vanishes`
@@ -196,9 +196,9 @@ class ResidualVector:
     ``basis`` is (vectors, norm_sq): each term is a coefficient tuple c over
     the vectors v_i, the vector sum_i c_i v_i, and norm_sq(c) is its squared
     norm c^T Gram c.  The vector residuals use (X, G) and the Gram scalars of
-    ``ConformalGeometry``, the scalar CL the one vector (1,), Delta^k phi the
-    standard basis, vectors None, where a term is its vector.  Integers, or
-    doubles where ``exact`` is False.
+    ``ConformalGeometry``; the scalar CL and Delta^k phi the standard basis,
+    vectors None, where a term is its vector.  Integers, or doubles where
+    ``exact`` is False.
 
     ``exact_zero`` is :func:`vanishes` on the terms, without forming a
     vector: num and den are nonzero (``ConformalGeometry`` raises unless Kn,
@@ -221,7 +221,7 @@ class ResidualVector:
         # of one reads the other: form them together
         terms = self.terms if self._vectors is None else [_combine(t, self._vectors) for t in self.terms]
         num, den = self.num, self.den
-        return [sum(col) for col in zip(*terms)], sum(_norm([num * v / den for v in t]) for t in terms)
+        return [sum(col) for col in zip(*terms)], _left_sum(_norm([num * v / den for v in t]) for t in terms)
 
     @property
     def sums(self) -> list:
@@ -253,13 +253,19 @@ def _combine(coef, vectors) -> list:
     return [reduce(operator.add, map(operator.mul, coef, col)) for col in zip(*vectors)]
 
 
-# the basis of a scalar residual, the one vector (1,), and the standard one
-_SCALAR = (((1,),), lambda c: c[0] * c[0])
+# the standard basis: a term is its own vector
 _STANDARD = (None, lambda c: sum(v * v for v in c))
 
 
+def _left_sum(doubles) -> float:
+    """The doubles summed left to right from 0.0, as ``sum`` did before
+    Python 3.12 compensated its rounding: the printed norms and scales stay
+    the same bytes on every Python."""
+    return reduce(operator.add, doubles, 0.0)
+
+
 def _norm(values) -> float:
-    return math.sqrt(sum(float(v) ** 2 for v in values))
+    return math.sqrt(_left_sum(float(v) ** 2 for v in values))
 
 
 def vanishes(terms, tol: float, norm_sq=None, sum_norm_sq=None) -> bool:
@@ -336,7 +342,6 @@ class ConformalGeometry:
             Kn, Kd = fq.den * fq.kappa.numerator, 2 * fq.kappa.denominator
             h = math.gcd(Kn, Kd)
             Kn, Kd = Kn // h, Kd // h
-            quotient = rational
         else:
             D = 1
             X = [float(v) for v in x]
@@ -344,8 +349,7 @@ class ConformalGeometry:
             q0, qs = fq.value / fq.den, fq.square / fq.den
             qg = [v / fq.den for v in fq.linear]
             Kn, Kd = float(fq.kappa) / 2, 1
-            quotient = operator.truediv
-        self.quotient, self.exact = quotient, point is not None
+        self.exact = point is not None
         D2 = D * D
         xx = sum(map(operator.mul, X, X))
         # 2 D^2 w(x0) for the chart weight w = 1/sigma: 1 on the flat chart,
@@ -367,7 +371,7 @@ class ConformalGeometry:
             raise ChartDomainError("image point outside the target chart")
         # lambda(x0) = Kn W / (Kd F) with W, F and Kd positive
         if Kn <= 0:
-            lam0 = quotient(Kn * W, Kd * F)
+            lam0 = (rational if self.exact else operator.truediv)(Kn * W, Kd * F)
             at = tuple(X) if point is None else point.fractions()
             raise NonpositiveFactorError(f"conformal factor {lam0} <= 0 at {at}")
 
@@ -460,7 +464,7 @@ def _cl_from_geometry(g: ConformalGeometry) -> ResidualVector:
     t2 = (-4 * m * D4 * g.c1 * Kd2 * W * F * F,)
     t3 = (4 * m * D4 * g.c2 * Kn * Kn * W**3,)
     t4 = ((m - 4) * Kd2 * W * g.gg,)
-    return ResidualVector(Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3, t4], _SCALAR, g.exact, g.tol)
+    return ResidualVector(Kn, 8 * Kd2 * Kd * D4 * F**3, [t1, t2, t3, t4], _STANDARD, g.exact, g.tol)
 
 
 def _sdl_from_geometry(g: ConformalGeometry) -> ResidualVector:
@@ -529,15 +533,13 @@ def evaluate_residuals(instance: ConformalInstance, x, tol: float = DEFAULT_FLOA
 def closed_form_coefficient(m: int, order: int):
     """Scalar in Delta^k of the inversive components, exact integer.
 
-    (-1)^k * [2*4*...*(2k)] * [(m-2)(m-4)*...*(m-2k)].
+    (-1)^k * prod_(j=1..k) 2j (m - 2j).
     """
     if m < 3 or order < 1:
         raise DegreeError("need m >= 3 and order >= 1")
     coeff = (-1) ** order
     for j in range(1, order + 1):
-        coeff *= 2 * j
-    for j in range(1, order + 1):
-        coeff *= m - 2 * j
+        coeff *= 2 * j * (m - 2 * j)
     return coeff
 
 

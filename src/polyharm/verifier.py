@@ -27,9 +27,9 @@ from .mobius import ConformalInstance, MobiusMap
 from .rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
 from .residuals import DEFAULT_FLOAT_TOL
 from .sampling import _flat_sample_point, _randint, random_mobius, require_lattice, sample_points
-from .spaceform import SpaceFormModel, _reduce_through_constructor
+from .spaceform import CURVATURES, SpaceFormModel, _reduce_through_constructor
 
-CURVATURE_PAIRS = tuple((c1, c2) for c1 in (-1, 0, 1) for c2 in (-1, 0, 1))
+CURVATURE_PAIRS = tuple((c1, c2) for c1 in CURVATURES for c2 in CURVATURES)
 
 
 # -- sample plans ---------------------------------------------------------------
@@ -393,7 +393,7 @@ def _window(name: str, values, entry=_require_int, among=None) -> tuple:
 
 
 def _require_pair(name: str, pair) -> None:
-    if len(_window("curvature", pair, among=(-1, 0, 1))) != 2:
+    if len(_window("curvature", pair, among=CURVATURES)) != 2:
         raise ConfigError(f"a {name} is (c1, c2), got {pair!r}")
 
 

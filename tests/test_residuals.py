@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import operator
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -240,7 +241,8 @@ def _kernel_fields(g: ConformalGeometry) -> dict:
     = Kn W / (Kd F), its gradient over F^2, lapbar lambda from Lb and grad_Lb,
     |gradbar lambda|^2 from |g|^2 and Gamma (see the residuals docstring),
     the pairs on (X, G) formed as m-vectors by the kernel's ``vector``."""
-    q, Kn, Kd, W, F, D4 = g.quotient, g.Kn, g.Kd, g.W, g.F, g.D4
+    q = rational if g.exact else operator.truediv
+    Kn, Kd, W, F, D4 = g.Kn, g.Kd, g.W, g.F, g.D4
     grad, grad_Lb, Gamma = g.vector(g.g), g.vector(g.grad_Lb), g.vector(g.Gamma)
     return {
         "lam0": q(Kn * W, Kd * F),
@@ -349,7 +351,7 @@ def _field_residuals(instance, geo, tol=residuals.DEFAULT_FLOAT_TOL) -> dict:
     out = {}
     for name, terms in {"CL": cl, "SDL": sdl, "ND": nd, "ND2": nd2}.items():
         values = tuple(sum(t[i] for t in terms) for i in range(len(terms[0])))
-        scale = sum(residuals._norm(t) for t in terms)
+        scale = residuals._left_sum(residuals._norm(t) for t in terms)
         zero = residuals.vanishes(terms, tol)
         out[name] = SimpleNamespace(values=values, exact_zero=zero, norm=residuals._norm(values), scale=scale)
     return out
@@ -1157,7 +1159,7 @@ class TestGramDegenerateBases:
 def _formed_float_residual(rv) -> SimpleNamespace:
     """The float definition of norm, scale and zero flag that formed the
     m-vector of every term: the oracle of the pair-based ones."""
-    terms = [residuals._combine(t, rv._vectors) for t in rv.terms]
+    terms = rv.terms if rv._vectors is None else [residuals._combine(t, rv._vectors) for t in rv.terms]
     values = [rv.num * sum(col) / rv.den for col in zip(*terms)]
     scale = sum(residuals._norm([rv.num * v / rv.den for v in t]) for t in terms)
     norm = residuals._norm(values)

@@ -1,7 +1,9 @@
 """Config loading, sampling, verdicts, sweeps, reports, and the CLI contract."""
 
 import ast
+import builtins
 import copy
+import errno
 import hashlib
 import itertools
 import json
@@ -276,6 +278,18 @@ class TestSampling:
             else:  # k |x - a| <= 3ck < 1/2
                 assert 0 < 3 * c * mmap.k < Fraction(1, 2), style
 
+    def test_three_trials_draw_each_orthogonal_style(self):
+        # trial t draws style t: the identity, a signed permutation and a
+        # dense Cayley rotation, in every cell
+        report = sweep_biharmonic(m_values=[5], pairs=[(0, 0), (1, -1)], eps_values=[0, 2], trials=3, points=1)
+        assert len(report["cells"]) == 4
+        for cell in report["cells"]:
+            identity, signed, dense = (trial["map"]["A"] for trial in cell["trials"])
+            assert identity == [["1/1" if i == j else "0/1" for j in range(5)] for i in range(5)]
+            assert all(sorted(row) in (["-1/1"] + ["0/1"] * 4, ["0/1"] * 4 + ["1/1"]) for row in signed)
+            assert sorted(row.index(next(v for v in row if v != "0/1")) for row in signed) == list(range(5))
+            assert all(v != "0/1" and int(v.split("/")[1]) > 1 for row in dense for v in row)
+
     def test_sweep_instance_validates_its_map_once(self, monkeypatch):
         # construction validates a map, so an instance built from it does not
         # check A again; drawn and configured maps share the integer check
@@ -511,7 +525,8 @@ class TestRecordRoutes:
         replaced = valid._replace(map=other)
         assert replaced.map is other
         assert replaced.factor == mobius.factor_quadratic(valid.target, other) != valid.factor
-        with pytest.raises(ValueError, match="factor"):
+        # namedtuple's _replace names an unknown field with a TypeError from 3.13 on
+        with pytest.raises(TypeError if sys.version_info >= (3, 13) else ValueError, match="factor"):
             valid._replace(factor=replaced.factor)
 
 
@@ -1572,6 +1587,25 @@ class TestReports:
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
+    def test_check_digests_hold_under_a_compensated_sum(self, monkeypatch, capsys):
+        # from Python 3.12 on, sum() compensates the rounding of floats: the
+        # norms and scales a check report prints sum doubles left to right,
+        # as sum() did before, so the pinned bytes hold under a sum of that
+        # kind too
+        def compensated_sum(items, start=0):
+            items = list(items)
+            if items and all(type(v) is float for v in items):
+                return math.fsum([start, *items])
+            return builtins.sum(items, start)
+
+        monkeypatch.setattr(residuals, "sum", compensated_sum, raising=False)
+        monkeypatch.chdir(GOLDEN.parents[1])
+        digests = json.loads((GOLDEN / "report_digests.json").read_text())
+        command = "polyharm check tests/golden/curved_check.json --format json"
+        assert main(command.split()[1:]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[command]
+
 
 class TestCli:
     def test_float_polyharmonic_value_past_the_doubles_is_one_error_line(self, capsys):
@@ -1668,6 +1702,38 @@ class TestCli:
         cfg = _write(tmp_path, _inversion_config())
         assert main(["check", str(cfg), "--out", "r.json"]) == 0
         assert (tmp_path / "reports" / "r.json").is_file()
+
+    @pytest.mark.parametrize("under_env", [False, True], ids=["absolute", "env"])
+    @pytest.mark.parametrize("target", ["directory", "under-a-file"])
+    def test_unwritable_out_exits_two_before_the_run(self, tmp_path, capsys, monkeypatch, target, under_env):
+        # a directory, or a path under a regular file, would fail only when
+        # the report is written, after the whole sweep: one config error line
+        # instead, and the sweep never runs
+        (tmp_path / "reports").mkdir()
+        (tmp_path / "reports" / "file").write_text("")
+        out = {"directory": "reports", "under-a-file": "reports/file/r.json"}[target]
+        if under_env:
+            monkeypatch.setenv("POLYHARM_OUT_DIR", str(tmp_path))
+        else:
+            out = str(tmp_path / out)
+        ran = []
+        monkeypatch.setattr(polyharm.verifier, "sweep_polyharmonic", lambda **kw: ran.append(kw))
+        assert main(["sweep-polyharmonic", "--k-max", "1", "--m-max", "3", "--out", out]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"config error: cannot write the report to {tmp_path / 'reports'}")
+        assert not ran and not captured.out
+
+    def test_write_failure_is_one_config_error_line(self, tmp_path, capsys, monkeypatch):
+        def full(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Path, "write_text", full)
+        out = tmp_path / "r.json"
+        assert main(["sweep-polyharmonic", "--k-max", "1", "--m-max", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write the report to {out}: {os.strerror(errno.ENOSPC)}\n"
+        )
 
     def test_selftest_subcommand(self, capsys):
         assert main(["selftest", "--format", "table"]) == 0
