@@ -40,7 +40,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
     parser.add_argument("--out", type=Path, default=None, help="write the report to this file")
     parser.add_argument("--format", choices=("json", "csv", "table"), default=None)
-    parser.add_argument("--tol", type=_tol, default=None, help="relative zero threshold (float mode only)")
+    parser.add_argument("--tol", type=_tol, default=None,
+                        help="float mode's relative zero threshold, read by check, sweep-biharmonic and selftest")
     parser.add_argument("-v", "--verbose", action="store_true")
 
 

@@ -113,6 +113,8 @@ def cayley_integers(S: Matrix) -> tuple[list, int]:
     permutations supply the det = -1 cases needed by the tests.
     """
     m = len(S)
+    if any(len(row) != m for row in S):
+        raise MapValidationError(f"Cayley input must be square: {m} rows of lengths {[len(row) for row in S]}")
     for i in range(m):
         for j in range(m):
             if S[i][j] != -S[j][i]:

@@ -10,15 +10,16 @@ paths run their integer kernels on Python ints (see
 :mod:`polyharm.residuals`) and meet a rational only once per output value
 read.  A Fraction carries the scale k, and configured values until they are
 cleared to integers; reports print integers as ``p/q`` text.  Float mode
-uses plain doubles: an independent float route over the same formulas, also
-read by the tests' finite-difference checks.
+uses plain doubles: an independent float route over the biharmonic
+formulas, also read by the tests' finite-difference checks.  The
+polyharmonic evaluators are exact alone and refuse a float point.
 
 The mode is the scalar type of the point a computation runs at: it is exact
 exactly when no input is a float (:func:`scalar_of`).  Only the command
 modules name the mode, as the ``EXACT``/``FLOAT`` strings: ``verifier``,
-``check``, ``selftest`` and ``cli`` take it and hand the evaluators float
-coordinates in float mode, and ``report`` prints it.  The evaluators never
-see it.
+``check`` and ``selftest`` take it and hand the biharmonic evaluator float
+coordinates in float mode, ``cli`` parses it and ``report`` prints it.  The
+evaluators never see it.
 """
 
 from __future__ import annotations

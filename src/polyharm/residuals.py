@@ -41,13 +41,14 @@ integer numerators N over one denominator den, which the sampler draws and
 the kernels read as they are; a sequence of rationals is cleared to one
 over the lcm of its denominators once, at the entry.  No coordinate is
 formed as a rational on the way.
-Float mode runs the same code over doubles with every denominator 1.
-Neither entry point takes a mode: a computation is exact exactly when no
-coordinate of its point is a float.  Every zero flag is :func:`vanishes`
-on the terms that cancel in its value, coefficient tuples over one basis:
-exact, their sum is literally 0; float, its norm is at most tol times the
-summed norms of the terms, so a zero scale admits only a zero norm.  Terms
-that cancel are kept apart for that reason.
+The biharmonic path also runs over doubles, every denominator 1, and takes
+no mode: it is exact exactly when no coordinate of its point is a float.
+The polyharmonic path is exact alone, as a cell is zero exactly when the
+integer N_k below is: a float point is a TypeError.  Every zero flag is
+:func:`vanishes` on the terms that cancel in its value, coefficient tuples
+over one basis: exact, their sum is literally 0; float, its norm is at most
+tol times the summed norms of the terms, so a zero scale admits only a zero
+norm.  Terms that cancel are kept apart for that reason.
 
 Biharmonic path.  Every factor of the family is lambda = P/Q: P = kappa w,
 with w = 1/sigma the domain chart weight and kappa = k (flat target) or 2k
@@ -164,8 +165,8 @@ inversive family,
 
 which :func:`polyharmonic_closed_form` evaluates without the recurrence, as
 integers over the same denominator.  The sweep's flags are :func:`vanishes`
-on those integers; a rational is formed only when a value is read, and float
-mode reads the closed form as int/int doubles, rounded as float() rounds.
+on those integers, in either mode of the sweep; a rational is formed only
+when a value is read.
 """
 
 from __future__ import annotations
@@ -546,30 +547,18 @@ def closed_form_coefficient(m: int, order: int):
 def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, ResidualVector]:
     """Delta^k phi(x) per order k of a flat-to-flat map, on the standard basis.
 
-    Delta^k phi is the tuple of the iterated Laplacians of the m components:
-    exact at an integer point or a sequence of rationals x, integer terms
-    over one positive denominator, and float at a point with a float
-    coordinate, double terms over 1.  Its terms, the ones :func:`vanishes`
-    judges it by, are the map part k A Delta^k (u/|u|^2) alone for k >= 1
-    and that part and b at k = 0: N_k is an exact integer in both modes, so
-    a zero N_k makes every value 0 in either mode.
+    Delta^k phi is the tuple of the iterated Laplacians of the m components,
+    integer terms over one positive denominator, at an integer point or a
+    sequence of rationals x; a float coordinate is a TypeError.  Its terms,
+    the ones :func:`vanishes` judges it by, are the map part
+    k A Delta^k (u/|u|^2) alone for k >= 1 and that part and b at k = 0.
     """
     orders = sorted(set(orders))
     if any(type(k) is not int or k < 0 for k in orders):
         raise DegreeError(f"orders must be integers >= 0, got {orders}")
-    point = exact_point(x)
-    if point is not None:
-        U, D = _offset_integers(point, mmap.a_integers)
-        num_A, den_A = mmap.A_integers
-        kn, den_A = mmap.k.numerator, den_A * mmap.k.denominator
-    else:
-        D, den_A = 1, 1
-        # int / int rounds correctly, as float of the rational n/D does
-        a_num, a_den = mmap.a_integers
-        U = [float(xi) - ai / a_den for xi, ai in zip(x, a_num)]
-        num_A, A_den = mmap.A_integers
-        num_A = [[v / A_den for v in row] for row in num_A]
-        kn = float(mmap.k)
+    U, D = _offset_integers(x, mmap.a_integers)
+    num_A, den_A = mmap.A_integers
+    den_A *= mmap.k.denominator
     # eps = 2: phi = b + k A u/|u|^2; eps = 0: phi = b + k A u, harmonic
     top = orders[-1] if orders else 0
     if mmap.epsilon == 2:
@@ -580,39 +569,25 @@ def polyharmonic_orders(mmap: MobiusMap, orders: Sequence[int], x) -> dict[int, 
     else:
         F = D * D
         N = (1,) + (0,) * top
-    AU = [kn * sum(map(operator.mul, row, U)) for row in num_A]
+    AU = [mmap.k.numerator * sum(map(operator.mul, row, U)) for row in num_A]
     out: dict[int, ResidualVector] = {}
     for k in orders:
         c = N[k] * D ** (2 * k + 1)
-        if point is None:  # float: the terms are the values, over 1
-            terms, den = [_float_values(k, c, AU, F)], 1
-        else:
-            terms, den = [tuple(c * v for v in AU)], den_A * F ** (k + 1)
+        terms, den = [tuple(c * v for v in AU)], den_A * F ** (k + 1)
         if k == 0:
             b, b_den = mmap.b_integers
-            if point is None:
-                b, b_den = [v / b_den for v in b], 1
             terms, den = [tuple(b_den * v for v in terms[0]), tuple(den * v for v in b)], den * b_den
-        out[k] = ResidualVector(1, den, terms, _STANDARD, point is not None)
+        out[k] = ResidualVector(1, den, terms, _STANDARD, True)
     return out
 
 
-def _float_values(k: int, c: int, AU: list, F: float) -> tuple:
-    """c AU / F^(k+1) on doubles, refused where a value or F^(k+1) leaves the
-    double range: an inf would read as a zero, an underflowed F^(k+1) as 1/0."""
-    try:
-        den = F ** (k + 1)
-        values = tuple(c * v / den for v in AU)
-        if all(map(math.isfinite, values)):
-            return values
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise DoubleRangeError(f"order {k}: Delta^{k} phi leaves the double range at this point")
-
-
-def _offset_integers(point, a_integers) -> tuple[list, int]:
+def _offset_integers(x, a_integers) -> tuple[list, int]:
     """(U, D) with x - a = U/D, D the lcm of the denominators of x - a: the
-    integers over lcm(den, a_den), reduced by their one gcd with it."""
+    integers over lcm(den, a_den), reduced by their one gcd with it.  A
+    float coordinate of x is a TypeError, as ``rational`` refuses a float."""
+    point = exact_point(x)
+    if point is None:
+        raise TypeError(f"Delta^k phi is evaluated at exact points alone, got {tuple(x)!r}")
     a_num, a_den = a_integers
     L = math.lcm(point.den, a_den)
     U = [n * (L // point.den) - v * (L // a_den) for n, v in zip(point.N, a_num)]
@@ -662,7 +637,7 @@ def polyharmonic_closed_form(mmap: MobiusMap, order: int, x) -> ResidualVector:
     integer term over the denominator :func:`polyharmonic_orders` gives."""
     if mmap.epsilon != 2:
         raise MapValidationError("closed form applies to the eps = 2 family")
-    U, D = _offset_integers(exact_point(x), mmap.a_integers)
+    U, D = _offset_integers(x, mmap.a_integers)
     num_A, den_A = mmap.A_integers
     c = closed_form_coefficient(mmap.dim, order) * mmap.k.numerator * D ** (2 * order + 1)
     den = den_A * mmap.k.denominator * sum(map(operator.mul, U, U)) ** (order + 1)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from . import residuals
-from .errors import AdmissibleRegionError, ConfigError, DoubleRangeError
+from .errors import AdmissibleRegionError, ConfigError
 from .mobius import ConformalInstance, MobiusMap
 from .rationals import EXACT, FLOAT, IntegerPoint, format_rational, rational
 from .residuals import DEFAULT_FLOAT_TOL
@@ -293,7 +293,9 @@ def sweep_polyharmonic(
     inversive family, with the closed form as a per-cell cross-check.
 
     One point per trial is the default: the verdict is exact and the closed
-    form is an independent route at the same point.
+    form is an independent route at the same point.  Every cell is decided
+    on integers: ``mode`` and ``tol`` are validated as every command's are,
+    and the report prints them, but neither reaches a verdict.
     """
     require_mode(mode, tol)
     orders = _window("order", orders)
@@ -312,10 +314,7 @@ def sweep_polyharmonic(
             trial_out = []
             for t in range(trials):
                 mmap, pts = _polyharmonic_trial(f"polyharm:ph:{seed}:{order}:{m}:{t}", m, t, points)
-                try:
-                    flags = zip(*(_polyharmonic_point(mmap, order, x, mode, tol) for x in pts))
-                except DoubleRangeError as exc:
-                    raise DoubleRangeError(f"cell k={order} m={m}: {exc}") from None
+                flags = zip(*(_polyharmonic_point(mmap, order, x) for x in pts))
                 zero_k, zero_prev, closed_match = map(all, flags)
                 trial_out.append(
                     {
@@ -352,20 +351,15 @@ def sweep_polyharmonic(
     }
 
 
-def _polyharmonic_point(mmap: MobiusMap, order: int, x, mode: str, tol: float) -> tuple:
+def _polyharmonic_point(mmap: MobiusMap, order: int, x) -> tuple:
     """(Delta^k phi = 0, Delta^(k-1) phi = 0, Delta^k phi = closed form) at x,
-    each by ``residuals.vanishes`` on the terms of the value: the closed form
-    is one integer term over Delta^k phi's denominator, joined negated, or in
-    float mode as its values, int/int doubles that round as float() does."""
-    value = residuals.polyharmonic_orders(mmap, (order - 1, order), _coordinates(x, mode))
-    closed = residuals.polyharmonic_closed_form(mmap, order, x)
-    (c,) = closed.terms
-    neg = tuple(-v for v in c) if mode == EXACT else tuple(-v / closed.den for v in c)
-    return (
-        residuals.vanishes(value[order].terms, tol),
-        residuals.vanishes(value[order - 1].terms, tol),
-        residuals.vanishes(value[order].terms + [neg], tol),
-    )
+    each by ``residuals.vanishes`` on the integer terms of the value: the
+    closed form is one integer term over Delta^k phi's denominator, joined
+    negated.  Integer sums are zero or not, so no tol is read."""
+    value = residuals.polyharmonic_orders(mmap, (order - 1, order), x)
+    (closed,) = residuals.polyharmonic_closed_form(mmap, order, x).terms
+    now, prev = value[order].terms, value[order - 1].terms
+    return tuple(residuals.vanishes(t, DEFAULT_FLOAT_TOL) for t in (now, prev, now + [tuple(-v for v in closed)]))
 
 
 def _require_int(name: str, value) -> int:

@@ -32,7 +32,7 @@ def rand_point(rng, m, max_num=5, max_den=4):
 
 
 def floats(x) -> tuple:
-    """The float point of a rational one: the evaluators run in float mode."""
+    """The float point of a rational one: the biharmonic evaluator runs in float mode."""
     return x.floats() if isinstance(x, IntegerPoint) else tuple(float(v) for v in x)
 
 

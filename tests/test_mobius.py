@@ -240,6 +240,15 @@ class TestCayley:
         with pytest.raises(MapValidationError):
             cayley_integers(S)
 
+    @pytest.mark.parametrize("S, lengths", [(((0, 1, 5), (-1, 0)), [3, 2]), (((0, 1), (-1,)), [2, 1])],
+                             ids=["long-row", "short-row"])
+    def test_non_square_input_rejected(self, S, lengths):
+        # the skew test reads the m x m block alone: a long row's extra entry
+        # would be dropped, a short row an IndexError
+        shape = f"Cayley input must be square: 2 rows of lengths {lengths}"
+        with pytest.raises(MapValidationError, match=re.escape(shape)):
+            cayley_integers(S)
+
     @settings(max_examples=40, deadline=None)
     @given(
         entries=st.lists(

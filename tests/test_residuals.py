@@ -14,7 +14,6 @@ import pytest
 from polyharm import jets, residuals
 from polyharm.errors import (
     ChartDomainError,
-    DoubleRangeError,
     InterpolationError,
     NonpositiveFactorError,
     PolyharmError,
@@ -492,7 +491,8 @@ class TestFloatZeroRule:
 
 
 class TestScalarType:
-    """The point's scalar type is the mode: the evaluators take no other."""
+    """The point's scalar type is the mode: the evaluators take no other, and
+    Delta^k phi has the exact one alone."""
 
     def test_evaluators_follow_the_point(self):
         inst, pts = make_instance("scalar-type", 5, 1, -1, 2, style=1)
@@ -504,8 +504,8 @@ class TestScalarType:
         pt = tuple(ai + rational(1, 2) for ai in mmap.a)
         for k, value in polyharmonic_orders(mmap, (0, 1, 2), pt).items():
             assert all(type(v) is Fraction for v in value.values), k
-        for k, value in polyharmonic_orders(mmap, (0, 1, 2), floats(pt)).items():
-            assert all(type(v) is float for v in value.values), k
+        with pytest.raises(TypeError):
+            polyharmonic_orders(mmap, (0, 1, 2), floats(pt))
 
     def test_vanishes_is_exact_unless_a_value_is_a_float(self):
         # an exact value is zero only when it is 0, however small against
@@ -670,8 +670,8 @@ class TestPolyharmonic:
     @pytest.mark.parametrize("m", [3, 6, 9])
     def test_closed_form_shares_the_denominator(self, m):
         # the sweep joins the two routes' terms without a rational: integers,
-        # num 1, over the one denominator; float mode reads the closed form
-        # as int/int doubles, the float of each rational
+        # num 1, over the one denominator, whose int/int doubles are the
+        # floats of the closed form's rationals
         rng = rng_for(f"ph-shared-den-{m}")
         mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=m % 3)
         x = _flat_sample_point(rng, mmap)
@@ -718,18 +718,6 @@ class TestPolyharmonicJetOracle:
         orders = (0, 1, 2, 3)
         got = polyharmonic_orders(mmap, orders, pt)
         assert {k: value.values for k, value in got.items()} == _jet_route(mmap, orders, pt)
-
-    def test_float_within_relative_tolerance(self):
-        rng = rng_for("ph-oracle-float")
-        mmap = random_mobius(rng, 7, SpaceFormModel.flat(7), 2, style=2)
-        pt = tuple(float(ai + rand_rat(rng, 2, 3, nonzero=True)) for ai in mmap.a)
-        got = polyharmonic_orders(mmap, (1, 2, 3), pt)
-        want = _jet_route(mmap, (1, 2, 3), pt)
-        for k in (1, 2, 3):
-            scale = math.sqrt(sum(v * v for v in want[k]))
-            assert scale > 0
-            diff = math.sqrt(sum((a - b) ** 2 for a, b in zip(got[k].values, want[k])))
-            assert diff <= 1e-12 * scale
 
 
 def _reciprocal_numerators(G, F, S, entries, pw) -> dict:
@@ -1193,7 +1181,7 @@ class TestOneZeroRule:
         readers = {
             "harmonic": lambda: geo["harmonic"],
             **{name: lambda rv=evals[name]: rv.exact_zero for name in ("CL", "SDL", "ND", "ND2")},
-            "polyharmonic": lambda: _polyharmonic_point(mmap, 2, y, mode, residuals.DEFAULT_FLOAT_TOL),
+            "polyharmonic": lambda: _polyharmonic_point(mmap, 2, y),
             "chain": lambda: _chain_identity_battery(mode, residuals.DEFAULT_FLOAT_TOL),
             "jets": lambda: _jet_oracle_battery(mode, residuals.DEFAULT_FLOAT_TOL),
         }
@@ -1298,40 +1286,49 @@ class TestGeometryAlgebraEveryM:
         assert not failed, f"{len(failed)} of {checked} points fail: {failed}"
 
 
-class TestPolyharmonicFloat:
-    """Float Delta^k phi: N_k is an exact integer, so a zero cell is 0.0."""
+class TestPolyharmonicExactOnly:
+    """Delta^k phi is decided on integers alone: both evaluators refuse a
+    float point, and the exact route decides the cells and points that the
+    doubles could not hold."""
 
-    def _cell(self, tag, k, m):
-        rng = rng_for(tag)
+    @pytest.mark.parametrize(
+        "x", [(0.5, 0.0, 0.0, 0.0, 0.0), (Fraction(1, 2), 0, 0, 0, 0.25)], ids=["floats", "one-float"]
+    )
+    @pytest.mark.parametrize("evaluator", ["orders", "closed-form"])
+    def test_float_point_is_a_type_error(self, evaluator, x):
+        mmap = MobiusMap.inversion(5)
+        read = {
+            "orders": lambda y: polyharmonic_orders(mmap, (0, 1), y)[1],
+            "closed-form": lambda y: polyharmonic_closed_form(mmap, 1, y),
+        }[evaluator]
+        with pytest.raises(TypeError, match=r"^Delta\^k phi is evaluated at exact points alone"):
+            read(x)
+        assert read(tuple(map(rational, ("1/2", 0, 0, 0, "1/4")))).values[0] != 0
+
+    @pytest.mark.parametrize("k, m, zero", [(4, 8, True), (8, 11, False)])
+    def test_zero_and_deep_cells(self, k, m, zero):
+        # a zero N_k makes every term 0; at (8, 11) the one term is nonzero
+        # and equals the closed form
+        rng = rng_for(f"ph-float-{k}-{m}")
         mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=1)
         pt = tuple(ai + rand_rat(rng, 2, 3, nonzero=True) for ai in mmap.a)
-        return mmap, pt, polyharmonic_orders(mmap, (k,), floats(pt))[k]
-
-    def test_zero_cell_is_literally_zero(self):
-        _, _, value = self._cell("ph-float-4-8", 4, 8)
-        (vals,) = value.terms
-        assert all(v == 0.0 and type(v) is float for v in vals)
-        assert residuals.vanishes(value.terms, 1e-9)
-
-    def test_deep_nonzero_cell_reads_nonzero(self):
-        # |N_k| is far below a majorant of the Taylor terms at (8, 11); the
-        # one term is the value itself, so a nonzero value is never zero,
-        # and against the closed form it cancels to rounding
-        mmap, pt, value = self._cell("ph-float-8-11", 8, 11)
-        assert not residuals.vanishes(value.terms, 1e-9)
-        closed = polyharmonic_closed_form(mmap, 8, pt)
-        assert residuals.vanishes(value.terms + [tuple(-c for c in closed.values)], 1e-9)
+        (vals,) = polyharmonic_orders(mmap, (k,), pt)[k].terms
+        assert all(type(v) is int for v in vals) and (not any(vals)) == zero
+        assert _polyharmonic_point(mmap, k, pt)[::2] == (zero, True)
 
     @pytest.mark.parametrize("distance, order", [(1e-60, 3), (1e-170, 1), (1e30, 5)])
-    def test_value_past_the_doubles_is_refused(self, distance, order):
-        # near the pole F^(k+1) underflows to 0, far out it overflows; a
-        # double cannot hold Delta^k phi there, so float mode names the order
+    def test_points_past_the_doubles_are_decided(self, distance, order):
+        # near the pole |x - a|^(2k+2) underflows a double and far out the
+        # value overflows one; on integers Delta^k (x/|x|^2) at d e_1 is
+        # N_k / d^(2k+1) e_1, nonzero, and equal to the closed form
         mmap = MobiusMap.inversion(5)
-        x = (distance, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(DoubleRangeError, match=rf"^order {order}: Delta\^{order} phi leaves the double range"):
-            polyharmonic_orders(mmap, (order,), x)
-        exact = polyharmonic_orders(mmap, (order,), (Fraction(distance), 0, 0, 0, 0))
-        assert not residuals.vanishes(exact[order].terms, 1e-9)
+        d = Fraction(distance)
+        x = (d, 0, 0, 0, 0)
+        value = polyharmonic_orders(mmap, (order,), x)[order]
+        (terms,) = value.terms
+        want = closed_form_coefficient(5, order) / d ** (2 * order + 1)
+        assert [Fraction(v, value.den) for v in terms] == [want, 0, 0, 0, 0]
+        assert _polyharmonic_point(mmap, order, x) == (False, False, True)
 
 
 class TestClosedFormCoefficient:

@@ -31,7 +31,6 @@ from polyharm.errors import (
     AdmissibleRegionError,
     ConfigError,
     DegreeError,
-    DoubleRangeError,
     MapValidationError,
     PolyharmError,
     ShapeMismatchError,
@@ -170,6 +169,16 @@ class TestLoadConfig:
         cfg["target"] = {"model": "hyperbolic", "dim": 4}
         cfg["map"]["b"] = ["1", "0", "0", "0"]
         with pytest.raises(ConfigError):
+            load_config(_write(tmp_path, cfg))
+
+    @pytest.mark.parametrize("data, lengths", [([["0", "1", "5"], ["-1", "0"]], [3, 2]), ([["0", "1"], ["-1"]], [2, 1])],
+                             ids=["long-row", "short-row"])
+    def test_non_square_cayley_names_the_shape(self, tmp_path, data, lengths):
+        # a long row was cut to the square block, a short one an IndexError
+        cfg = _inversion_config(m=2)
+        cfg["map"]["A"] = {"kind": "cayley", "data": data}
+        shape = f"config.map.A: Cayley input must be square: 2 rows of lengths {lengths}"
+        with pytest.raises(ConfigError, match=re.escape(shape)):
             load_config(_write(tmp_path, cfg))
 
     def test_missing_file(self, tmp_path):
@@ -1391,24 +1400,26 @@ class TestNoRationalRoundTrip:
             rng = random.Random(f"ph-integer-flags:{order}:{m}")
             mmap = random_mobius(rng, m, SpaceFormModel.flat(m), 2, style=order % 3)
             cases.append((mmap, order, _flat_sample_point(rng, mmap)))
-        want = [_polyharmonic_point(*case, EXACT, residuals.DEFAULT_FLOAT_TOL) for case in cases]
+        want = [_polyharmonic_point(*case) for case in cases]
 
         def refuse(*args, **kwargs):
             raise AssertionError("a rational was formed")
 
         monkeypatch.setattr(residuals, "rational", refuse)
-        assert [_polyharmonic_point(*case, EXACT, residuals.DEFAULT_FLOAT_TOL) for case in cases] == want
+        assert [_polyharmonic_point(*case) for case in cases] == want
         assert {flags[0] for flags in want} == {True, False}
 
 
 class TestFloatBoundary:
-    """Float mode is decided at the verifier: the evaluators are handed the
-    floats of the rational sample points, and reports print the rationals."""
+    """Float mode is decided at the verifier: the biharmonic evaluator is
+    handed the floats of the rational sample points, and reports print the
+    rationals."""
 
     @pytest.mark.parametrize("mode, scalar", [(EXACT, IntegerPoint), (FLOAT, float)])
     def test_sweep_cells_hand_the_mode_scalars(self, monkeypatch, mode, scalar):
         # exact mode hands the sampler's integer point itself, float mode the
-        # float of each coordinate
+        # float of each coordinate; Delta^k phi gets the integer point in
+        # either mode
         def handed(x):
             return type(x) is scalar if scalar is IntegerPoint else all(type(v) is scalar for v in x)
 
@@ -1417,7 +1428,7 @@ class TestFloatBoundary:
         assert len(seen) == 2 and all(handed(x) for x in seen)
         seen = _spy(monkeypatch, "polyharmonic_orders")
         sweep_polyharmonic(orders=(2,), m_values=(4,), mode=mode)
-        assert len(seen) == 1 and all(handed(x) for x in seen)
+        assert len(seen) == 1 and all(type(x) is IntegerPoint for x in seen)
 
     def test_float_check_hands_floats_and_prints_rationals(self, monkeypatch):
         seen = _spy(monkeypatch, "evaluate_residuals")
@@ -1608,15 +1619,17 @@ class TestReports:
 
 
 class TestCli:
-    def test_float_polyharmonic_value_past_the_doubles_is_one_error_line(self, capsys):
-        # N_88 at m = 180 exceeds the largest double: float mode stops at
-        # the window's first cell with one error line naming the cell and
-        # the order, exact mode decides every cell
-        window = ["--k-min", "89", "--k-max", "90", "--m-min", "180", "--m-max", "181"]
-        assert main(["sweep-polyharmonic", "--mode", "float", *window]) == 1
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line == "error: cell k=89 m=180: order 88: Delta^88 phi leaves the double range at this point"
-        assert main(["sweep-polyharmonic", *window]) == 0
+    def test_float_polyharmonic_cells_past_the_doubles_are_decided(self, capsys):
+        # N_88 at m = 180 exceeds the largest double; the cells are decided
+        # on integers in either mode, so float mode reports exact mode's cells
+        window = ["--k-min", "89", "--k-max", "90", "--m-min", "180", "--m-max", "181", "--format", "json"]
+        reports = []
+        for mode in (FLOAT, EXACT):
+            assert main(["sweep-polyharmonic", "--mode", mode, *window]) == 0
+            out, err = capsys.readouterr()
+            reports.append(json.loads(out))
+            assert not err and reports[-1]["mode"] == mode
+        assert reports[0]["cells"] == reports[1]["cells"] and len(reports[0]["cells"]) == 4
 
     @pytest.mark.parametrize("exponent", [100, 170])
     def test_float_check_skips_a_point_past_the_doubles(self, tmp_path, capsys, exponent):
